@@ -19,7 +19,8 @@ comma-separated, e.g. ``0.25,0``.
 
 Exit codes: 0 success; 2 invalid input (bad table file, bad arguments, SVG
 requested for a non-2D table); 3 ambiguous corner or irregular incidence
-under a policy that refuses to choose; 4 bounce/word budget exhausted.
+under a policy that refuses to choose; 4 the run could not finish (a
+bounce/word/iteration budget exhausted, or no forward progress).
 
 The environment variable ``BILLIARDS_EPS`` overrides the default geometric
 tolerance for the whole process.
@@ -44,6 +45,7 @@ from .errors import (
     CornerAmbiguousError,
     DegenerateStartError,
     InputError,
+    NoProgressError,
     NotAnAlcoveError,
     VertexHitError,
 )
@@ -657,6 +659,9 @@ def main(argv=None) -> int:
         return 3
     except BudgetExceededError as exc:
         print(f"billiards: budget exhausted: {exc}", file=sys.stderr)
+        return 4
+    except NoProgressError as exc:
+        print(f"billiards: no progress: {exc}", file=sys.stderr)
         return 4
     validate_report_data(report)
     text = dumps_json(report)

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: InputError -> 2, CornerAmbiguousError -> 3,
-BudgetExceededError -> 4. Everything else is an ordinary crash (1).
+Exit-code mapping used by the CLI: InputError, DegenerateStartError and
+NotAnAlcoveError -> 2; CornerAmbiguousError and VertexHitError -> 3;
+BudgetExceededError and NoProgressError -> 4. Everything else is an ordinary
+crash (1).
 """
 
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .config import TOL
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InputError,
     RedundantHalfspaceError,
@@ -212,18 +212,122 @@ def cone_membership(
 ) -> tuple[bool, np.ndarray, np.ndarray]:
     """Is ``target`` a nonnegative combination of the generator rows?
 
-    Returns ``(member, coefficients, residual_vector)``. The residual is
+    Returns ``(member, coefficients, residual_vector)``, with ``member`` true
+    when ``|residual| <= eps``. The coefficients solve nonnegative least
+    squares by the active-set method of Lawson and Hanson (*Solving Least
+    Squares Problems*, 1974, ch. 23). The residual is
     ``target - coeffs @ generators``; by the least squares optimality
-    conditions it has nonpositive inner product with every generator, which
-    makes it a certified separating direction whenever membership fails.
+    conditions it has nonpositive inner product with every generator and is
+    orthogonal to ``coeffs @ generators``, which makes it a certified
+    separating direction whenever membership fails. A target within ``eps``
+    of the origin is a member through the zero combination.
     """
     gen = np.atleast_2d(np.asarray(generators, dtype=float))
     target = np.asarray(target, dtype=float)
-    if gen.shape[0] == 0:
-        return bool(np.linalg.norm(target) <= eps), np.zeros(0), target.copy()
-    coeffs, rnorm = nnls(gen.T, target)
+    size = vector_norm(target)
+    if gen.shape[0] == 0 or size <= eps:
+        return size <= eps, np.zeros(gen.shape[0]), target.copy()
+    coeffs = _nnls(gen, target)
     residual = target - coeffs @ gen
-    return bool(rnorm <= eps), coeffs, residual
+    return vector_norm(residual) <= eps, coeffs, residual
+
+
+class _PassiveRows:
+    """Rows of ``gen`` factored for least squares, one row added at a time.
+
+    ``basis[:p]`` is an orthonormal basis of the span of the rows held, and
+    ``pinv[:p]`` holds the rows of their pseudo-inverse, so the least squares
+    coefficients of a target on those rows are ``pinv[:p] @ target``.
+    """
+
+    def __init__(self, gen: np.ndarray):
+        self.gen = gen
+        self.rows: list[int] = []
+        dim = gen.shape[1]
+        self.basis = np.empty((dim, dim))
+        self.pinv = np.empty((dim, dim))
+
+    def add(self, j: int, target: np.ndarray | None = None) -> bool:
+        """Append row ``j`` unless it depends on the rows held or, given a
+        target, its least squares coefficient would not be positive."""
+        p = len(self.rows)
+        if p == self.basis.shape[0]:
+            return False
+        g = self.gen[j]
+        if p:
+            held = self.basis[:p]
+            v = g - (held @ g) @ held
+            v -= (held @ v) @ held  # a second Gram-Schmidt pass keeps it orthonormal
+        else:
+            v = g
+        rho = math.sqrt(v @ v)
+        if rho <= 1e-12 * math.sqrt(g @ g):
+            return False
+        v = v / rho
+        if target is not None and v @ target <= 0.0:
+            return False
+        scaled = v / rho
+        if p:
+            self.pinv[:p] -= (self.pinv[:p] @ g)[:, None] * scaled
+        self.basis[p] = v
+        self.pinv[p] = scaled
+        self.rows.append(j)
+        return True
+
+    def keep(self, rows: list[int]) -> None:
+        """Refactor for a subset of the rows held, in the same order (a
+        subset of independent rows is independent, so every row is re-added)."""
+        self.rows = []
+        for j in rows:
+            self.add(j)
+
+    def solve(self, target: np.ndarray) -> np.ndarray:
+        return self.pinv[: len(self.rows)] @ target
+
+
+def _nnls(
+    gen: np.ndarray, target: np.ndarray, max_iter: int | None = None
+) -> np.ndarray:
+    """Coefficients ``c >= 0`` minimizing ``|target - c @ gen|``.
+
+    Lawson and Hanson's active-set method for small dense problems: move the
+    row with the largest positive gradient into the passive set, solve least
+    squares on the passive rows, and step back toward the previous feasible
+    point, dropping rows, while a coefficient is not positive. Raises
+    :class:`BudgetExceededError` after ``max_iter`` additions (default
+    ``3 * len(gen)``) rather than return a partial result.
+    """
+    k = gen.shape[0]
+    max_iter = 3 * k if max_iter is None else max_iter
+    tol = 1e-12 * float(np.abs(gen).max()) * math.sqrt(target @ target)
+    coeffs = np.zeros(k)
+    passive = _PassiveRows(gen)
+    for _ in range(max_iter):
+        gradient = gen @ (target - coeffs @ gen)
+        gradient[passive.rows] = -np.inf
+        while True:
+            j = int(gradient.argmax())
+            if gradient[j] <= tol:
+                return coeffs
+            if passive.add(j, target):
+                break
+            gradient[j] = -np.inf
+        trial = passive.solve(target)
+        while trial.size and trial.min() <= 0.0:
+            now = coeffs[passive.rows]
+            bad = trial <= 0.0
+            ratios = now[bad] / (now[bad] - trial[bad])
+            now += ratios.min() * (trial - now)
+            now[bad.nonzero()[0][ratios.argmin()]] = 0.0
+            kept = now > 0.0
+            coeffs = np.zeros(k)
+            coeffs[np.asarray(passive.rows)[kept]] = now[kept]
+            passive.keep([i for i, keep in zip(passive.rows, kept) if keep])
+            trial = passive.solve(target)
+        coeffs[passive.rows] = trial
+    raise BudgetExceededError(
+        f"nonnegative least squares did not converge in {max_iter} iterations"
+    )
 
 
 class Polytope:
@@ -445,16 +549,23 @@ class Polytope:
                     "outward normals leave an angular gap >= pi"
                 )
             return
-        for j in range(self.dim):
-            for sign in (1.0, -1.0):
-                e = np.zeros(self.dim)
-                e[j] = sign
-                ok, _, _ = cone_membership(self.normals, e, 1e-9)
-                if not ok:
-                    raise UnboundedRegionError(
-                        "outward normals fail to span direction "
-                        f"{'+' if sign > 0 else '-'}e_{j}"
-                    )
+        # The normals positively span R^d iff they have rank d and -sum(n_i)
+        # is in their cone: then sum((1 + mu_i) n_i) = 0 with every weight
+        # positive, so each -n_i is in the cone and the cone is the span.
+        rank = int(np.linalg.matrix_rank(self.normals, tol=1e-9))
+        if rank < self.dim:
+            raise UnboundedRegionError(
+                f"outward normals span only {rank} of {self.dim} dimensions"
+            )
+        total = self.normals.sum(axis=0)
+        ok, _, residual = cone_membership(
+            self.normals, -total, 1e-9 * max(1.0, vector_norm(total))
+        )
+        if not ok:
+            raise UnboundedRegionError(
+                "outward normals fail to span direction "
+                f"{normalized(residual)}"
+            )
 
     # -- queries -----------------------------------------------------------
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from billiards.alcove import standard_alcove, standard_alcove_labels
 from billiards.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     InputError,
     RedundantHalfspaceError,
@@ -15,6 +18,7 @@ from billiards.geometry import (
     HalfSpace,
     Location,
     Polytope,
+    _nnls,
     cone_membership,
     fold_direction_into_cone,
     is_polar,
@@ -23,6 +27,7 @@ from billiards.geometry import (
     reflect,
     unit,
 )
+from billiards.io import bundled_table_names, load_table
 from conftest import random_convex_polygon
 
 
@@ -103,6 +108,74 @@ def test_unbounded_region_rejected():
         Polytope.from_halfspaces(slab)
 
 
+def _bounded_by_axis_rule(normals: np.ndarray) -> bool:
+    """The boundedness rule the one-solve check replaced: each of the 2*dim
+    directions +-e_j is in the cone of the normals, by scipy's nnls with
+    residual at most 1e-9."""
+    dim = normals.shape[1]
+    for e in np.vstack([np.eye(dim), -np.eye(dim)]):
+        if nnls(normals.T, e)[1] > 1e-9:
+            return False
+    return True
+
+
+def _accepted(halfspaces, vertices) -> bool:
+    """Construction verdict: True if built, False on UnboundedRegionError."""
+    try:
+        Polytope(halfspaces, vertices)
+    except UnboundedRegionError:
+        return False
+    return True
+
+
+def test_boundedness_verdict_matches_axis_rule(rng):
+    """One cone solve (rank d and -sum(n_i) in the cone) accepts and rejects
+    exactly what the 2*dim solves for +-e_j did."""
+    tables = [load_table(name) for name in bundled_table_names()]
+    polytopes = [t for t in tables if isinstance(t, Polytope)]
+    polytopes += [standard_alcove(label) for label in standard_alcove_labels(8)]
+    assert len(polytopes) > 31
+    for poly in polytopes:
+        assert _bounded_by_axis_rule(poly.normals)
+        assert _accepted(poly.halfspaces, poly.vertices)
+    rejected = 0
+    for _ in range(500):
+        hull = Polytope.from_point_cloud(rng.normal(size=(int(rng.integers(4, 16)), 3)))
+        assert _bounded_by_axis_rule(hull.normals)
+        # dropping a facet keeps every vertex check passing; whether the rest
+        # still bounds a region is what the two rules must agree on
+        drop = int(rng.integers(hull.n_facets))
+        kept = hull.halfspaces[:drop] + hull.halfspaces[drop + 1:]
+        verdict = _accepted(kept, hull.vertices)
+        assert verdict == _bounded_by_axis_rule(np.array([h.normal for h in kept]))
+        rejected += not verdict
+    assert 0 < rejected < 500
+
+
+def test_unbounded_inputs_that_pass_the_vertex_checks():
+    # triangular prism without its caps: normals of rank 2 in R^3
+    tri = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
+    prism = np.array([(x, y, z) for z in (0.0, 1.0) for x, y in tri])
+    sides = [
+        HalfSpace.of([b[1] - a[1], a[0] - b[0], 0.0], a[0] * b[1] - a[1] * b[0])
+        for a, b in zip(tri, tri[1:] + tri[:1])
+    ]
+    # unit cube without its top: the normals miss +e_z
+    cube = Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    open_top = [h for h in cube.halfspaces if h.normal[2] < 0.5]
+    # a corner tetrahedron without the face x + y + z <= 1: a pointed cone
+    tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0]])
+    open_face = [HalfSpace.of(-e, 0.0) for e in np.eye(3)]
+    for halfspaces, vertices in (
+        (sides, prism), (open_top, cube.vertices), (open_face, tetra)
+    ):
+        normals = np.array([h.normal for h in halfspaces])
+        assert not _bounded_by_axis_rule(normals)
+        with pytest.raises(UnboundedRegionError):
+            Polytope(halfspaces, vertices)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         Polytope(
@@ -145,6 +218,52 @@ def test_cone_membership_agrees_with_closed_form_2d(rng):
             assert np.dot(residual, n1) <= 1e-9
             assert np.dot(residual, n2) <= 1e-9
             assert np.dot(residual, target) > 1e-12
+
+
+def _nnls_problems(rng, count):
+    """Seeded (generators, target) pairs, at most 12 generators in dimension
+    at most 8. One in five is plain; the others have more generators than
+    dimensions, a zero target, a duplicate generator, or two nearly parallel
+    generators."""
+    for i in range(count):
+        dim = int(rng.integers(1, 9))
+        k = int(rng.integers(2, 13))
+        gen = rng.normal(size=(k, dim))
+        target = rng.normal(size=dim)
+        kind = i % 5
+        if kind == 1:  # more generators than dimensions
+            gen = rng.normal(size=(int(rng.integers(dim + 1, 13)), dim))
+        elif kind == 2:  # zero target
+            target = np.zeros(dim)
+        elif kind == 3:  # duplicate generators
+            gen[-1] = gen[0]
+        elif kind == 4:  # nearly parallel generators
+            gen[1] = gen[0] + 10.0 ** rng.uniform(-8, -3) * rng.normal(size=dim)
+        yield gen, target
+
+
+def test_cone_membership_solver_matches_scipy_nnls(rng):
+    """The in-house Lawson-Hanson solver against scipy's nnls, plus the KKT
+    certificate: coefficients >= 0, residual . g_i <= tol for every
+    generator, and the residual orthogonal to the fitted combination."""
+    for gen, target in _nnls_problems(rng, 3000):
+        _, coeffs, residual = cone_membership(gen, target, 1e-9)
+        _, ref_norm = nnls(gen.T, target)
+        size = float(np.linalg.norm(target))
+        assert math.isclose(np.linalg.norm(residual), ref_norm,
+                            rel_tol=1e-9, abs_tol=1e-9 * size)
+        tol = 1e-9 * size * float(np.abs(gen).max())
+        assert np.all(coeffs >= 0.0)
+        assert np.all(gen @ residual <= tol)
+        assert abs(float(residual @ (coeffs @ gen))) <= tol
+
+
+def test_nnls_raises_rather_than_return_a_partial_result():
+    gen = np.eye(3)
+    target = np.array([1.0, 2.0, 3.0])  # needs all three generators
+    assert np.allclose(_nnls(gen, target), target)
+    with pytest.raises(BudgetExceededError):
+        _nnls(gen, target, max_iter=2)
 
 
 # -- the polar predicate -----------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from billiards import errors
 from billiards.cli import main
 from billiards.errors import BounceBudgetExceededError, InputError
 from billiards.geometry import Polytope
@@ -239,6 +240,56 @@ def test_cli_budget_exit_4(monkeypatch, capsys):
     assert code == 4
 
 
+EXIT_CODES = {
+    errors.InputError: 2,
+    errors.DimensionMismatchError: 2,
+    errors.RedundantHalfspaceError: 2,
+    errors.UnboundedRegionError: 2,
+    errors.OutsideTableError: 2,
+    errors.NotAcuteError: 2,
+    errors.OpenSurfaceError: 2,
+    errors.DegenerateStartError: 2,
+    errors.NotAnAlcoveError: 2,
+    errors.CornerAmbiguousError: 3,
+    errors.VertexHitError: 3,
+    errors.BudgetExceededError: 4,
+    errors.BounceBudgetExceededError: 4,
+    errors.WordBudgetExceededError: 4,
+    errors.NoProgressError: 4,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cli_maps_every_error_class_to_its_exit_code(monkeypatch, capsys):
+    import billiards.cli as cli_module
+
+    assert set(_subclasses(errors.BilliardsError)) == set(EXIT_CODES)
+    for cls, expected in EXIT_CODES.items():
+        if cls is errors.CornerAmbiguousError:
+            exc = cls((0.0, 0.0), (0, 1))
+        elif cls is errors.VertexHitError:
+            exc = cls(3, (0.0, 0.0, 1.0))
+        else:
+            exc = cls("boom")
+
+        def explode(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "_cmd_check_alcove", explode)
+        code = main(["check-alcove", "square"])
+        captured = capsys.readouterr()
+        assert code == expected, cls.__name__
+        assert captured.out == ""
+        assert captured.err.startswith("billiards: "), cls.__name__
+        assert captured.err.count("\n") == 1, cls.__name__
+        assert "Traceback" not in captured.err
+
+
 def test_cli_vertex_hit_exit_3(capsys):
     code, _ = _run_cli(
         capsys, "surface", "cube",
@@ -385,3 +436,18 @@ def test_env_tolerance_override_applies_at_import():
     )
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == 1e-6
+
+
+def test_cli_import_path_loads_no_scipy():
+    code = (
+        "import sys, billiards, billiards.cli\n"
+        "status = billiards.cli.main(['check-alcove', 'simplex_A3'])\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(status, sorted(loaded), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["is_alcove"]
+    assert proc.stderr.strip() == "0 []"
