@@ -25,6 +25,7 @@ import itertools
 import math
 import re
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,11 +214,7 @@ def check_alcove(polytope: Polytope, eps: float | None = None) -> AlcoveVerdict:
     if failures:
         return AlcoveVerdict(False, tuple(failures), None, ())
     diagram = CoxeterDiagram(h, edges)
-    components = tuple(
-        Component(nodes, _match_component(diagram.induced(nodes), len(nodes)))
-        for nodes in diagram.components()
-    )
-    return AlcoveVerdict(True, (), diagram, components)
+    return AlcoveVerdict(True, (), diagram, classify(diagram))
 
 
 def _distance_to_other_bins(angle: float, matched_m: int) -> float:
@@ -228,14 +225,19 @@ def _distance_to_other_bins(angle: float, matched_m: int) -> float:
     return best
 
 
+def _not_an_alcove(verdict: AlcoveVerdict) -> NotAnAlcoveError:
+    """The error for a failed verdict, naming its worst dihedral angle."""
+    worst = max(verdict.failures, key=lambda f: f.error)
+    return NotAnAlcoveError(
+        f"dihedral angle {worst.angle:.12f} between facets {worst.facets} "
+        f"is {worst.error:.3e} away from pi/{worst.nearest_m}"
+    )
+
+
 def coxeter_diagram(polytope: Polytope, eps: float | None = None) -> CoxeterDiagram:
     verdict = check_alcove(polytope, eps)
     if not verdict.is_alcove:
-        worst = max(verdict.failures, key=lambda f: f.error)
-        raise NotAnAlcoveError(
-            f"dihedral angle {worst.angle:.12f} between facets {worst.facets} "
-            f"is {worst.error:.3e} away from pi/{worst.nearest_m}"
-        )
+        raise _not_an_alcove(verdict)
     return verdict.diagram
 
 
@@ -441,14 +443,21 @@ def standard_alcove(label: str) -> Polytope:
 # -- folding ---------------------------------------------------------------
 
 
+# Each table's verdict at the default tolerance, computed on its first
+# fold_point or folded_flow call. A Polytope's arrays are read-only and TOL is
+# frozen, so the verdict cannot go stale; the weak keys let a table and its
+# verdict be freed together.
+_VERDICTS: weakref.WeakKeyDictionary[Polytope, AlcoveVerdict] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _require_alcove(polytope: Polytope) -> AlcoveVerdict:
-    verdict = check_alcove(polytope)
+    verdict = _VERDICTS.get(polytope)
+    if verdict is None:
+        verdict = _VERDICTS[polytope] = check_alcove(polytope)
     if not verdict.is_alcove:
-        worst = max(verdict.failures, key=lambda f: f.error)
-        raise NotAnAlcoveError(
-            f"facets {worst.facets} meet at {worst.angle:.12f}, off the pi/m "
-            f"grid by {worst.error:.3e}"
-        )
+        raise _not_an_alcove(verdict)
     return verdict
 
 
@@ -465,6 +474,11 @@ def fold_point(
     strictly decreases the distance to any interior basepoint, so on a true
     alcove this terminates; the returned word lists wall indices in the
     order applied (identity word for points already inside).
+
+    With ``verify`` the table must pass :func:`check_alcove`, else
+    ``NotAnAlcoveError`` is raised. A table is checked once: its verdict is
+    remembered for as long as the table lives, so later calls on it skip
+    the check.
     """
     if verify:
         _require_alcove(polytope)
@@ -494,7 +508,9 @@ def folded_flow(
 
     Equivalent to the billiard flow with the group-fold corner rule, with
     positions computed through the accumulated folding isometry. Raises
-    ``NotAnAlcoveError`` when the table fails the dihedral criterion.
+    ``NotAnAlcoveError`` when the table fails the dihedral criterion. The
+    table is verified once, as in :func:`fold_point`: its verdict is
+    remembered for as long as the table lives.
     """
     _require_alcove(polytope)
     return simulate_unfolded(

@@ -53,7 +53,6 @@ from .geometry import (
     classify_slack,
     fold_direction_into_cone,
     nearest_pi_over_m,
-    normalized,
     reflected,
     unit,
 )
@@ -174,8 +173,12 @@ class Trajectory:
         return points[i] + (t - times[i]) * dirs[i]
 
     def sample(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.array([self.position_at(t) for t in ts])
+        """:meth:`position_at` for each of the times ``ts``, one row each."""
+        times, points, dirs = self._knots()
+        ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.horizon)
+        i = np.searchsorted(times, ts, side="right") - 1
+        i = np.clip(i, 0, len(dirs) - 1)
+        return points[i] + (ts - times[i])[:, None] * dirs[i]
 
 
 def default_bounce_budget(polytope: Polytope, horizon: float) -> int:
@@ -195,8 +198,9 @@ def advance_to_boundary(
     raises ``NoProgressError``.
     """
     p = as_point(point, polytope.dim)
-    d = as_point(direction, polytope.dim)
-    hit, dt, active, _, _ = _advance(polytope, p, d)
+    # the kernel's d @ d over a strided view could round in another order
+    d = np.ascontiguousarray(as_point(direction, polytope.dim))
+    hit, dt, active, _, _, _ = _advance(polytope, p, d)
     return hit, dt, active
 
 
@@ -221,6 +225,14 @@ def reflect_at(
 # horizon once, then step with the two functions below, which do not re-check
 # their inputs. The public functions above validate and call the same kernel,
 # so a hand-chained run and a simulated run agree to the last bit.
+#
+# ``simulate`` carries the slack and the classification of each hit into the
+# next step, which starts from that very point; its first step reuses the
+# classification of the start check. ``simulate_unfolded`` deliberately does
+# not: it classifies its own isometry-built position at every step, so it
+# stays an independent oracle.
+
+_Classification = tuple[Location, tuple[int, ...], float]
 
 
 def _advance(
@@ -228,18 +240,30 @@ def _advance(
     p: np.ndarray,
     d: np.ndarray,
     slack: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, tuple[int, ...], np.ndarray, np.ndarray]:
+    here: _Classification | None = None,
+) -> tuple[
+    np.ndarray, float, tuple[int, ...], np.ndarray, np.ndarray, _Classification
+]:
     """:func:`advance_to_boundary` for finite points of the table's dimension.
 
-    ``d`` is any nonzero direction; ``slack`` is ``normals @ p - offsets`` if
-    the caller has it. Returns ``(hit, dt, active, unit_direction,
-    slack_at_hit)`` and raises what :func:`advance_to_boundary` raises.
+    ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
+    ``slack`` is ``normals @ p - offsets`` and ``here`` is
+    ``classify_slack(slack, p, TOL.active)``, if the caller has them.
+    Returns ``(hit, dt, active, unit_direction, slack_at_hit,
+    classification_at_hit)`` and raises what :func:`advance_to_boundary`
+    raises. ``active`` is the active set of the classification at the hit,
+    or the facet that set ``dt`` if that is empty.
     """
     normals, offsets = polytope.normals, polytope.offsets
-    d = normalized(d)
+    length = math.sqrt(d @ d)
+    if length < 1e-300:
+        raise InputError("cannot normalize the zero vector")
+    d = d / length
     if slack is None:
         slack = normals @ p - offsets
-    location, active, worst = classify_slack(slack, p, TOL.active)
+    if here is None:
+        here = classify_slack(slack, p, TOL.active)
+    location, active, worst = here
     if location is Location.OUTSIDE:
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
@@ -254,21 +278,20 @@ def _advance(
                 f"direction exits through active facet (rate {worst_rate:.3e})"
             )
         approaching[rows] = False
-    if not approaching.any():
+    idx = approaching.nonzero()[0]
+    if not idx.size:
         raise NoProgressError("no constraint is approached; table corrupt?")
-    times = np.full(rates.shape[0], np.inf)
-    times[approaching] = -slack[approaching] / rates[approaching]
-    times = np.maximum(times, 0.0)
-    dt = float(times.min())
+    times = -slack[idx] / rates[idx]
+    k = int(times.argmin())
+    dt = max(float(times[k]), 0.0)
     if not math.isfinite(dt) or dt <= TOL.step:
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
     hit_slack = normals @ hit - offsets
-    _, hit_active, _ = classify_slack(hit_slack, hit, TOL.active)
-    if not hit_active:
-        # the minimizing facet must be tight; recover it directly
-        hit_active = (int(times.argmin()),)
-    return hit, dt, hit_active, d, hit_slack
+    hit_here = classify_slack(hit_slack, hit, TOL.active)
+    # the minimizing facet must be tight; recover it directly
+    hit_active = hit_here[1] or (int(idx[k]),)
+    return hit, dt, hit_active, d, hit_slack, hit_here
 
 
 def _resolve(
@@ -303,7 +326,8 @@ def _resolve(
     return BounceResolution(folded, BounceKind.CORNER, word)
 
 
-def _check_start(polytope: Polytope, state: TrajectoryState) -> None:
+def _check_start(polytope: Polytope, state: TrajectoryState) -> _Classification:
+    """Refuse a start outside or leaving the table; return its classification."""
     loc = polytope.contains(state.point)
     if loc.location is Location.OUTSIDE:
         raise OutsideTableError(
@@ -316,6 +340,7 @@ def _check_start(polytope: Polytope, state: TrajectoryState) -> None:
             raise DegenerateStartError(
                 "trajectory starts on the boundary pointing outward"
             )
+    return loc.location, loc.active, loc.worst_violation
 
 
 def simulate(
@@ -331,7 +356,7 @@ def simulate(
         raise InputError(f"horizon must be finite and >= 0, got {horizon}")
     if state.dim != polytope.dim:
         raise InputError("state and table dimensions differ")
-    _check_start(polytope, state)
+    here = _check_start(polytope, state)
     budget = bounce_budget if bounce_budget is not None else default_bounce_budget(
         polytope, horizon
     )
@@ -342,7 +367,9 @@ def simulate(
     t = 0.0
     events: list[BounceEvent] = []
     while horizon - t > eps_time:
-        hit, dt, active, d_unit, hit_slack = _advance(polytope, p, d, slack)
+        hit, dt, active, d_unit, hit_slack, hit_here = _advance(
+            polytope, p, d, slack, here
+        )
         if dt > (horizon - t) + eps_time:
             p = p + (horizon - t) * d
             t = horizon
@@ -363,7 +390,7 @@ def simulate(
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        p, d, slack = hit, res.outgoing, hit_slack
+        p, d, slack, here = hit, res.outgoing, hit_slack, hit_here
     end = TrajectoryState(p, d, horizon)
     return Trajectory(state, events, end, horizon, policy)
 
@@ -408,19 +435,22 @@ def simulate_unfolded(
     shift = np.zeros(polytope.dim)
     mirrors = [_mirror(h) for h in polytope.halfspaces]
     t = 0.0
+    line = x0 + t * d0  # the straight line at time t, before any isometry
     events: list[BounceEvent] = []
     while horizon - t > eps_time:
-        p = q @ (x0 + t * d0) + shift
+        p = q @ line + shift
         d = q @ d0
-        # the slack comes from this isometry-built position, never from a
-        # point of the folded run, so the two paths stay independent
-        hit, dt, active, d_unit, _ = _advance(polytope, p, d)
+        # the slack and the classification come from this isometry-built
+        # position, never from a point of the folded run, so the two paths
+        # stay independent
+        hit, dt, active, d_unit, _, _ = _advance(polytope, p, d)
         if dt > (horizon - t) + eps_time:
             t = horizon
             break
         t = t + dt
+        line = x0 + t * d0
         res = _resolve(polytope, hit, d_unit, active, policy)
-        table_hit = q @ (x0 + t * d0) + shift
+        table_hit = q @ line + shift
         events.append(
             BounceEvent(
                 time=t,

@@ -357,14 +357,17 @@ class Polytope:
         self.offsets: np.ndarray = np.array(
             [h.offset for h in self.halfspaces], dtype=float
         )
-        self.vertices: np.ndarray = np.atleast_2d(
-            np.asarray(vertices, dtype=float)
-        )
+        # a copy, so that making it read-only leaves the caller's array alone
+        self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
         if self.vertices.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"vertices have dim {self.vertices.shape[1]}, "
                 f"halfspaces have dim {self.dim}"
             )
+        # read-only, so that what is derived from a table (such as its alcove
+        # verdict) stays true of it
+        for arr in (self.normals, self.offsets, self.vertices):
+            arr.setflags(write=False)
         scale = max(1.0, float(np.abs(self.vertices).max()))
         slack = self.vertices @ self.normals.T - self.offsets  # (V, H)
         computed = self._tight_vertex_sets(slack, scale)

@@ -186,5 +186,27 @@ def test_folded_flow_equals_group_fold_simulation():
 
 def test_folded_flow_refuses_non_alcoves():
     tri = Polytope.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
-    with pytest.raises(NotAnAlcoveError):
-        folded_flow(tri, TrajectoryState((0.4, 0.2), (0.1, 1.0)), 2.0)
+    # the refusal is not forgotten: a second call on the table raises again
+    for _ in range(2):
+        with pytest.raises(NotAnAlcoveError):
+            folded_flow(tri, TrajectoryState((0.4, 0.2), (0.1, 1.0)), 2.0)
+        with pytest.raises(NotAnAlcoveError):
+            fold_point(tri, (0.4, 0.2))
+
+
+def test_fold_entry_points_check_each_table_once(monkeypatch):
+    import billiards.alcove as alcove_module
+
+    calls = []
+
+    def counting_check(polytope, eps=None):
+        calls.append(polytope)
+        return check_alcove(polytope, eps)
+
+    monkeypatch.setattr(alcove_module, "check_alcove", counting_check)
+    alcove = standard_alcove("A3~")
+    x0 = alcove.interior_point()
+    for _ in range(3):
+        fold_point(alcove, x0 + 2.0)
+        folded_flow(alcove, TrajectoryState(x0, (1.0, 0.5, 0.25)), 3.0)
+    assert calls == [alcove]

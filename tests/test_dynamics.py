@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from billiards.alcove import standard_alcove
 from billiards.dynamics import (
     BounceKind,
     CornerPolicy,
@@ -54,6 +55,21 @@ def test_advance_matches_ray_box_oracle(rng):
         assert math.isclose(dist, want_dist, rel_tol=1e-12, abs_tol=1e-12)
         assert np.allclose(hit, want_hit, atol=1e-10)
         assert len(active) >= 1
+
+
+def test_advance_reads_a_strided_direction_like_its_copy(rng):
+    # from dimension 4 on, a dot product over a strided view can round
+    # differently in the last bit from one over a contiguous copy
+    poly = Polytope.box(-np.ones(5), np.ones(5))
+    p = rng.uniform(-0.5, 0.5, 5)
+    for _ in range(50):
+        column = rng.normal(size=(5, 2))[:, 0]
+        hit, dt, active = advance_to_boundary(poly, p, column)
+        want_hit, want_dt, want_active = advance_to_boundary(
+            poly, p, column.copy()
+        )
+        assert np.array_equal(hit, want_hit)
+        assert (dt, active) == (want_dt, want_active)
 
 
 def test_square_vertical_orbit_period_four():
@@ -166,17 +182,31 @@ def test_unfolded_positions_agree_with_segment_chaining(rng):
 def test_simulate_matches_hand_chained_public_steps(rng):
     """The loop and the public step functions share one kernel: chaining
     ``advance_to_boundary`` and ``reflect_at`` by hand reproduces every
-    event of ``simulate`` to the last bit."""
+    event of ``simulate`` to the last bit. The public step classifies its
+    start afresh, while ``simulate`` carries the classification of each hit;
+    shots aimed at alcove vertices compare the two at corners too."""
     tables = [random_convex_polygon(rng) for _ in range(4)]
     tables += [random_polytope_3d(rng) for _ in range(3)]
-    for poly in tables:
-        state = random_interior_state(rng, poly)
-        run = simulate(poly, state, 15.0)
+    shots = [
+        (poly, random_interior_state(rng, poly), CornerPolicy.POINT_REFLECT)
+        for poly in tables
+    ]
+    for label in ("A3~", "B4~"):
+        alcove = standard_alcove(label)
+        x0 = alcove.interior_point()
+        shots += [
+            (alcove, TrajectoryState(x0, v - x0), CornerPolicy.FOLD_GROUP)
+            for v in alcove.vertices
+        ]
+    for poly, state, policy in shots:
+        run = simulate(poly, state, 15.0, policy)
         assert run.n_bounces > 0
+        if policy is CornerPolicy.FOLD_GROUP:  # the shot meets its vertex
+            assert any(e.kind is BounceKind.CORNER for e in run.events)
         p, d, t = state.point, state.direction, 0.0
         for event in run.events:
             hit, dt, active = advance_to_boundary(poly, p, d)
-            res = reflect_at(poly, hit, d, active)
+            res = reflect_at(poly, hit, d, active, policy)
             t = t + dt
             assert active == event.active
             assert res.kind is event.kind
@@ -184,6 +214,18 @@ def test_simulate_matches_hand_chained_public_steps(rng):
             assert np.array_equal(hit, event.point)
             assert np.array_equal(res.outgoing, event.outgoing)
             p, d = hit, res.outgoing
+
+
+def test_sample_equals_position_at_bit_for_bit(rng):
+    poly = random_polytope_3d(rng)
+    run = simulate(poly, random_interior_state(rng, poly), 8.0)
+    event_times = [e.time for e in run.events]
+    ts = np.concatenate(
+        [[-3.0, -0.0, 0.0], event_times, rng.uniform(-1.0, 9.0, 200),
+         [8.0, 8.5, 1e9]]
+    )
+    want = np.array([run.position_at(t) for t in ts])
+    assert np.array_equal(run.sample(ts), want)
 
 
 def test_time_reversal_returns_to_start(rng):

@@ -76,6 +76,19 @@ def test_box_containment_and_active_sets():
     assert len(corner.active) == 2
 
 
+def test_polytope_arrays_are_read_only():
+    """What is derived from a table, such as its alcove verdict, stays true
+    of it: its arrays cannot be written, while the caller's array can."""
+    corners = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    box = Polytope.box((0.0, 0.0), (2.0, 1.0))
+    table = Polytope(box.halfspaces, corners)
+    for arr in (table.normals, table.offsets, table.vertices):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    corners[0, 0] = 0.5
+    assert table.vertices[0, 0] == 0.0
+
+
 def test_vertex_enumeration_matches_polygon_constructor(rng):
     for _ in range(25):
         poly = random_convex_polygon(rng)
