@@ -42,10 +42,7 @@ from .geometry import (
     Containment,
     HalfSpace,
     Location,
-    NormalCone,
     Polytope,
-    TangentCone,
-    angle_between,
     cone_membership,
     fold_direction_into_cone,
     is_polar,
@@ -133,10 +130,7 @@ __all__ = [
     "Containment",
     "HalfSpace",
     "Location",
-    "NormalCone",
     "Polytope",
-    "TangentCone",
-    "angle_between",
     "cone_membership",
     "fold_direction_into_cone",
     "is_polar",

@@ -33,7 +33,7 @@ import numpy as np
 from .config import TOL
 from .dynamics import CornerPolicy, Trajectory, TrajectoryState, simulate_unfolded
 from .errors import InputError, NotAnAlcoveError, WordBudgetExceededError
-from .geometry import HalfSpace, Polytope, as_point, nearest_pi_over_m, vector_norm
+from .geometry import HalfSpace, Polytope, affine_rank, as_point, nearest_pi_over_m
 
 __all__ = [
     "AngleNearBinBoundary",
@@ -85,21 +85,7 @@ def dihedral_angles(polytope: Polytope) -> DihedralAngles:
                 1.0,
             )
             if len(shared) >= max(dim - 1, 1):
-                pts = polytope.vertices[sorted(shared)]
-                # the affine rank of one or two points needs no decomposition
-                if len(shared) == 1:
-                    rank = 0
-                elif len(shared) == 2:
-                    apart = vector_norm(pts[1] - pts[0]) > 1e-9 * scale
-                    rank = 1 if apart else 0
-                else:
-                    centered = pts - pts.mean(axis=0)
-                    rank = int(
-                        np.sum(
-                            np.linalg.svd(centered, compute_uv=False)
-                            > 1e-9 * scale
-                        )
-                    )
+                rank = affine_rank(polytope.vertices[sorted(shared)], 1e-9 * scale)
                 if rank == dim - 2:
                     adjacent[i, j] = adjacent[j, i] = True
                     ang = math.pi - math.acos(cos_ij)
@@ -462,11 +448,7 @@ def _require_alcove(polytope: Polytope) -> AlcoveVerdict:
 
 
 def fold_point(
-    polytope: Polytope,
-    x,
-    *,
-    max_words: int = 100_000,
-    verify: bool = True,
+    polytope: Polytope, x, *, verify: bool = True
 ) -> tuple[np.ndarray, list[int]]:
     """Map an arbitrary point into the alcove by wall reflections.
 
@@ -482,6 +464,7 @@ def fold_point(
     """
     if verify:
         _require_alcove(polytope)
+    max_words = 100_000
     y = as_point(x, polytope.dim).copy()
     scale = max(1.0, float(np.max(np.abs(polytope.vertices))))
     word: list[int] = []

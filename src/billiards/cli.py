@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tables
 from .alcove import check_alcove
 from .corner import limit_reflection, unfold_wedge
 from .dynamics import CornerPolicy, TrajectoryState, simulate, simulate_unfolded
@@ -124,8 +123,6 @@ def _load_mesh(name: str) -> SurfaceMesh:
 
 
 def _load_smooth(name: str) -> SmoothTable:
-    if name in ("circle", "ellipse", "perturbed"):
-        return tables.build(name)
     table = load_table(name)
     if not isinstance(table, SmoothTable):
         raise InputError(

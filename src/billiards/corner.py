@@ -87,13 +87,7 @@ class WedgeShot:
     outgoing_angle: float
 
 
-def unfold_wedge(
-    alpha: float,
-    offset: float,
-    *,
-    start_radius: float | None = None,
-    max_bounces: int | None = None,
-) -> WedgeShot:
+def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
     """Trace a single shot aimed at the corner, offset off the bisector.
 
     The wedge is ``{0 <= arg(p) <= alpha}``; the shot travels antiparallel
@@ -110,27 +104,26 @@ def unfold_wedge(
         raise InputError("offset 0 aims exactly at the apex; the hit is ambiguous")
     bisector = np.array([math.cos(alpha / 2.0), math.sin(alpha / 2.0)])
     perp = np.array([-bisector[1], bisector[0]])
-    if start_radius is None:
-        # a-priori bound on how far from the apex any face crossing can sit
-        k_max = math.ceil(math.pi / alpha) + 2
-        sines = [
-            abs(math.sin(k * alpha - alpha / 2.0))
-            for k in range(1, k_max + 1)
-            if 0.0 < k * alpha - alpha / 2.0 < math.pi
-        ]
-        s_min = min(sines) if sines else math.sin(alpha / 2.0)
-        if s_min < 1e-13:
-            raise InputError(
-                "shot geometry is degenerate: a face crossing sits "
-                "asymptotically far out (opening at a parity boundary)"
-            )
-        start_radius = max(1.0, 4.0 * abs(offset) / s_min)
+    # a-priori bound on how far from the apex any face crossing can sit
+    k_max = math.ceil(math.pi / alpha) + 2
+    sines = [
+        abs(math.sin(k * alpha - alpha / 2.0))
+        for k in range(1, k_max + 1)
+        if 0.0 < k * alpha - alpha / 2.0 < math.pi
+    ]
+    s_min = min(sines) if sines else math.sin(alpha / 2.0)
+    if s_min < 1e-13:
+        raise InputError(
+            "shot geometry is degenerate: a face crossing sits "
+            "asymptotically far out (opening at a parity boundary)"
+        )
+    start_radius = max(1.0, 4.0 * abs(offset) / s_min)
     p = start_radius * bisector + offset * perp
     d = -bisector
     ang = math.atan2(p[1], p[0])
     if not 0.0 < ang < alpha:
         raise InputError("start point fell outside the wedge; enlarge start_radius")
-    cap = max_bounces if max_bounces is not None else math.ceil(math.pi / alpha) + 10
+    cap = math.ceil(math.pi / alpha) + 10
     apex_guard = 1e-13 * start_radius
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
     bounces: list[np.ndarray] = []

@@ -228,9 +228,9 @@ def reflect_at(
 #
 # ``simulate`` carries the slack and the classification of each hit into the
 # next step, which starts from that very point; its first step reuses the
-# classification of the start check. ``simulate_unfolded`` deliberately does
-# not: it classifies its own isometry-built position at every step, so it
-# stays an independent oracle.
+# classification that ``_begin`` made of the start. ``simulate_unfolded``
+# deliberately does not: it classifies its own isometry-built position at
+# every step, so it stays an independent oracle.
 
 _Classification = tuple[Location, tuple[int, ...], float]
 
@@ -326,8 +326,23 @@ def _resolve(
     return BounceResolution(folded, BounceKind.CORNER, word)
 
 
-def _check_start(polytope: Polytope, state: TrajectoryState) -> _Classification:
-    """Refuse a start outside or leaving the table; return its classification."""
+def _begin(
+    polytope: Polytope,
+    state: TrajectoryState,
+    horizon: float,
+    bounce_budget: int | None,
+) -> tuple[float, int, float, _Classification]:
+    """The checks at the start of a run, shared by both loops.
+
+    Refuses a bad horizon, a state of another dimension, and a start outside
+    or leaving the table. Returns ``(horizon, budget, eps_time, here)``, with
+    ``here`` the classification of the start point.
+    """
+    horizon = float(horizon)
+    if horizon < 0 or not np.isfinite(horizon):
+        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
+    if state.dim != polytope.dim:
+        raise InputError("state and table dimensions differ")
     loc = polytope.contains(state.point)
     if loc.location is Location.OUTSIDE:
         raise OutsideTableError(
@@ -340,7 +355,11 @@ def _check_start(polytope: Polytope, state: TrajectoryState) -> _Classification:
             raise DegenerateStartError(
                 "trajectory starts on the boundary pointing outward"
             )
-    return loc.location, loc.active, loc.worst_violation
+    budget = bounce_budget if bounce_budget is not None else default_bounce_budget(
+        polytope, horizon
+    )
+    eps_time = TOL.step * (1.0 + horizon)
+    return horizon, budget, eps_time, (loc.location, loc.active, loc.worst_violation)
 
 
 def simulate(
@@ -351,16 +370,9 @@ def simulate(
     bounce_budget: int | None = None,
 ) -> Trajectory:
     """Run the billiard flow for total arclength ``horizon``."""
-    horizon = float(horizon)
-    if horizon < 0 or not np.isfinite(horizon):
-        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
-    if state.dim != polytope.dim:
-        raise InputError("state and table dimensions differ")
-    here = _check_start(polytope, state)
-    budget = bounce_budget if bounce_budget is not None else default_bounce_budget(
-        polytope, horizon
+    horizon, budget, eps_time, here = _begin(
+        polytope, state, horizon, bounce_budget
     )
-    eps_time = TOL.step * (1.0 + horizon)
     p = state.point.copy()
     d = state.direction.copy()
     slack = None
@@ -419,16 +431,7 @@ def simulate_unfolded(
     flows through a genuinely different computation than the segment-chaining
     integrator.
     """
-    horizon = float(horizon)
-    if horizon < 0 or not np.isfinite(horizon):
-        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
-    if state.dim != polytope.dim:
-        raise InputError("state and table dimensions differ")
-    _check_start(polytope, state)
-    budget = bounce_budget if bounce_budget is not None else default_bounce_budget(
-        polytope, horizon
-    )
-    eps_time = TOL.step * (1.0 + horizon)
+    horizon, budget, eps_time, _ = _begin(polytope, state, horizon, bounce_budget)
     x0 = state.point.copy()
     d0 = state.direction.copy()
     q = np.eye(polytope.dim)

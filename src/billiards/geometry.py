@@ -40,11 +40,8 @@ __all__ = [
     "Polytope",
     "Location",
     "Containment",
-    "TangentCone",
-    "NormalCone",
     "as_point",
     "unit",
-    "angle_between",
     "reflect",
     "cone_membership",
     "is_polar",
@@ -88,13 +85,6 @@ def normalized(arr: np.ndarray) -> np.ndarray:
     if length < 1e-300:
         raise InputError("cannot normalize the zero vector")
     return arr / length
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    uu = unit(u)
-    vv = unit(v)
-    return float(np.arccos(np.clip(np.dot(uu, vv), -1.0, 1.0)))
 
 
 def reflect(v, normal) -> np.ndarray:
@@ -173,38 +163,6 @@ class Containment:
 
     def __bool__(self) -> bool:
         return self.location is not Location.OUTSIDE
-
-
-@dataclass(frozen=True)
-class TangentCone:
-    """Directions that point into the table from a boundary (or interior)
-    point: ``{u : <n_i, u> <= 0}`` over the active normals."""
-
-    base: np.ndarray
-    active: tuple[int, ...]
-    normals: np.ndarray  # shape (k, n), rows are the active unit normals
-
-    def contains_direction(self, u, eps: float | None = None) -> bool:
-        eps = TOL.active if eps is None else eps
-        u = as_point(u, self.base.shape[0])
-        if self.normals.shape[0] == 0:
-            return True
-        return bool(np.max(self.normals @ u) <= eps * max(1.0, np.linalg.norm(u)))
-
-
-@dataclass(frozen=True)
-class NormalCone:
-    """Nonnegative span of the active outward normals."""
-
-    base: np.ndarray
-    active: tuple[int, ...]
-    generators: np.ndarray  # shape (k, n)
-
-    def contains_vector(self, w, eps: float | None = None) -> bool:
-        eps = TOL.polar if eps is None else eps
-        w = as_point(w, self.base.shape[0])
-        ok, _, _ = cone_membership(self.generators, w, eps)
-        return ok
 
 
 def cone_membership(
@@ -330,6 +288,18 @@ def _nnls(
     )
 
 
+def affine_rank(pts: np.ndarray, tol: float) -> int:
+    """Dimension of the affine hull of the rows of ``pts``, counting singular
+    values of the centred rows above ``tol``."""
+    # one or two points need no decomposition
+    if len(pts) == 1:
+        return 0
+    if len(pts) == 2:
+        return 1 if vector_norm(pts[1] - pts[0]) > tol else 0
+    centered = pts - pts.mean(axis=0)
+    return int(np.sum(np.linalg.svd(centered, compute_uv=False) > tol))
+
+
 class Polytope:
     """Bounded full-dimensional intersection of halfspaces, with vertex data.
 
@@ -339,14 +309,7 @@ class Polytope:
     ``UnboundedRegionError``).
     """
 
-    def __init__(
-        self,
-        halfspaces,
-        vertices,
-        facet_vertices=None,
-        *,
-        validate: bool = True,
-    ):
+    def __init__(self, halfspaces, vertices, facet_vertices=None):
         self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
         if not self.halfspaces:
             raise InputError("a polytope needs at least one halfspace")
@@ -375,20 +338,17 @@ class Polytope:
             self.facet_vertices = computed
         else:
             self.facet_vertices = tuple(tuple(sorted(f)) for f in facet_vertices)
-            if validate and self.facet_vertices != computed:
+            if self.facet_vertices != computed:
                 raise InputError(
                     "facet_vertices disagree with the tight-vertex sets "
                     "computed from the halfspaces"
                 )
-        if validate:
-            self._validate(slack, scale)
+        self._validate(slack, scale)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_halfspaces(
-        cls, halfspaces, *, max_subsets: int = 200_000
-    ) -> "Polytope":
+    def from_halfspaces(cls, halfspaces) -> "Polytope":
         """Enumerate vertices by intersecting ``dim``-subsets of hyperplanes.
 
         Practical for dimension <= 3 or small facet counts; the subset count
@@ -399,6 +359,7 @@ class Polytope:
             raise InputError("need at least one halfspace")
         dim = hs[0].dim
         n_facets = len(hs)
+        max_subsets = 200_000
         if math.comb(n_facets, dim) > max_subsets:
             raise InputError(
                 f"vertex enumeration over C({n_facets},{dim}) subsets exceeds "
@@ -526,16 +487,7 @@ class Polytope:
                     f"halfspace {i} touches only {len(tight)} vertices; "
                     f"a facet needs at least {self.dim}"
                 )
-            pts = self.vertices[list(tight)]
-            # the affine rank of two points needs no decomposition
-            if len(tight) == 2:
-                apart = vector_norm(pts[1] - pts[0]) > 1e-9 * scale
-                rank = 1 if apart else 0
-            else:
-                centered = pts - pts.mean(axis=0)
-                rank = int(
-                    np.sum(np.linalg.svd(centered, compute_uv=False) > 1e-9 * scale)
-                )
+            rank = affine_rank(self.vertices[list(tight)], 1e-9 * scale)
             if rank != self.dim - 1:
                 raise RedundantHalfspaceError(
                     f"halfspace {i} is tight on a set of affine rank {rank}, "
@@ -579,37 +531,10 @@ class Polytope:
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def diameter(self) -> float:
-        spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(spread))
-
     def contains(self, x, eps: float | None = None) -> Containment:
         eps = TOL.active if eps is None else eps
         x = as_point(x, self.dim)
         return Containment(*classify_slack(self.normals @ x - self.offsets, x, eps))
-
-    def active_set(self, x, eps: float | None = None) -> tuple[int, ...]:
-        return self.contains(x, eps).active
-
-    def tangent_cone(self, p, eps: float | None = None) -> TangentCone:
-        loc = self.contains(p, eps)
-        if loc.location is Location.OUTSIDE:
-            raise InputError(
-                f"tangent cone requested outside the table (violation "
-                f"{loc.worst_violation:.3e})"
-            )
-        rows = self.normals[list(loc.active)] if loc.active else np.zeros((0, self.dim))
-        return TangentCone(as_point(p, self.dim), loc.active, rows)
-
-    def normal_cone(self, p, eps: float | None = None) -> NormalCone:
-        loc = self.contains(p, eps)
-        if loc.location is Location.OUTSIDE:
-            raise InputError(
-                f"normal cone requested outside the table (violation "
-                f"{loc.worst_violation:.3e})"
-            )
-        rows = self.normals[list(loc.active)] if loc.active else np.zeros((0, self.dim))
-        return NormalCone(as_point(p, self.dim), loc.active, rows)
 
     def __repr__(self) -> str:
         return (
@@ -631,28 +556,36 @@ def is_polar(
     eps = TOL.polar if eps is None else eps
     uu = unit(u)
     vv = unit(v)
-    cone = polytope.tangent_cone(p)
-    if not cone.contains_direction(uu, TOL.active):
-        raise InputError("incoming direction is not in the tangent cone")
-    if not cone.contains_direction(vv, TOL.active):
-        raise InputError("outgoing direction is not in the tangent cone")
-    generators = polytope.normals[list(cone.active)] if cone.active else np.zeros(
-        (0, polytope.dim)
-    )
-    ok, _, _ = cone_membership(generators, -(uu + vv), eps)
+    normals = polytope.normals[list(_active_at(polytope, p))]
+    for w, name in ((uu, "incoming"), (vv, "outgoing")):
+        w = as_point(w, polytope.dim)
+        limit = TOL.active * max(1.0, vector_norm(w))
+        if len(normals) and np.max(normals @ w) > limit:
+            raise InputError(f"{name} direction is not in the tangent cone")
+    ok, _, _ = cone_membership(normals, -(uu + vv), eps)
     return ok
 
 
 def polar_partner(polytope: Polytope, p, u) -> np.ndarray:
     """The unique polar outgoing direction at a smooth boundary point."""
-    cone = polytope.tangent_cone(p)
-    if len(cone.active) != 1:
+    active = _active_at(polytope, p)
+    if len(active) != 1:
         raise InputError(
             f"polar partner is only unique with one active facet, got "
-            f"{len(cone.active)}"
+            f"{len(active)}"
         )
-    n = polytope.normals[cone.active[0]]
-    return reflect(-unit(u), n)
+    return reflect(-unit(u), polytope.normals[active[0]])
+
+
+def _active_at(polytope: Polytope, p) -> tuple[int, ...]:
+    """The active facets at ``p``, which must not lie outside the table."""
+    loc = polytope.contains(p)
+    if loc.location is Location.OUTSIDE:
+        raise InputError(
+            f"tangent cone requested outside the table (violation "
+            f"{loc.worst_violation:.3e})"
+        )
+    return loc.active
 
 
 def fold_direction_into_cone(
@@ -660,7 +593,6 @@ def fold_direction_into_cone(
     v: np.ndarray,
     *,
     eps: float | None = None,
-    max_iters: int = 4096,
 ) -> tuple[np.ndarray, list[int]]:
     """Reflect ``v`` across the given unit normals until it points inward.
 
@@ -675,6 +607,7 @@ def fold_direction_into_cone(
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     w = as_point(v).copy()
     word: list[int] = []
+    max_iters = 4096
     for _ in range(max_iters):
         viol = normals @ w
         k = int(np.argmax(viol))
@@ -687,14 +620,14 @@ def fold_direction_into_cone(
     )
 
 
-def nearest_pi_over_m(angle: float, m_max: int | None = None) -> tuple[int, float]:
-    """The integer ``m`` in [2, m_max] minimizing ``|angle - pi/m|``.
+def nearest_pi_over_m(angle: float) -> tuple[int, float]:
+    """The integer ``m`` in [2, TOL.m_max] minimizing ``|angle - pi/m|``.
 
     Returns ``(m, error)``. Dihedral angles of reflection-group chambers are
     exactly of this form; everything else is reported with its distance to
     the closest admissible bin.
     """
-    m_max = TOL.m_max if m_max is None else m_max
+    m_max = TOL.m_max
     if not 0.0 < angle < np.pi:
         return 2, abs(angle - np.pi / 2)
     m_guess = np.pi / angle

@@ -21,6 +21,7 @@ double exactly), and infinities encoded as the strings ``"inf"`` /
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from importlib import resources
@@ -55,14 +56,26 @@ __all__ = [
 
 # -- schemas ----------------------------------------------------------------
 
-_SCHEMA_CACHE: dict[str, dict] = {}
-
-
+@functools.cache
 def _schema(filename: str) -> dict:
-    if filename not in _SCHEMA_CACHE:
-        text = resources.files("billiards").joinpath("data", filename).read_text()
-        _SCHEMA_CACHE[filename] = json.loads(text)
-    return _SCHEMA_CACHE[filename]
+    text = resources.files("billiards").joinpath("data", filename).read_text()
+    return json.loads(text)
+
+
+@functools.cache
+def _validator(filename: str):
+    """One validator per shipped schema. ``jsonschema.validate`` would also
+    check the schema against its metaschema on every call; the test suite
+    does that once instead."""
+    schema = _schema(filename)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate(data, filename: str) -> None:
+    """Raise the error ``jsonschema.validate`` raises for ``data``, if any."""
+    error = jsonschema.exceptions.best_match(_validator(filename).iter_errors(data))
+    if error is not None:
+        raise error
 
 
 def table_schema() -> dict:
@@ -77,13 +90,13 @@ def report_schema() -> dict:
 
 def validate_table_data(data) -> None:
     try:
-        jsonschema.validate(data, table_schema())
+        _validate(data, "table.schema.json")
     except jsonschema.ValidationError as exc:
         raise InputError(f"table file fails schema validation: {exc.message}") from exc
 
 
 def validate_report_data(data) -> None:
-    jsonschema.validate(data, report_schema())
+    _validate(data, "report.schema.json")
 
 
 # -- building tables from parsed JSON ---------------------------------------

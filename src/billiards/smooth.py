@@ -97,18 +97,10 @@ class SmoothTable:
         ca, sa = math.cos(alpha), math.sin(alpha)
         return ca * side * tx + sa * nx, ca * side * ty + sa * ny
 
-    def perimeter(self, n: int = 4096) -> float:
-        thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        speeds = np.array([math.hypot(*self.velocity(t)) for t in thetas])
-        return float(np.mean(speeds) * 2.0 * math.pi)
-
-    def contains(self, x: float, y: float, eps: float = 1e-12) -> bool:
-        return self.implicit(x, y) <= eps
-
     # nearest boundary point, used for deviation measurements
-    def nearest_theta(self, x: float, y: float, guess: float, iters: int = 12) -> float:
+    def nearest_theta(self, x: float, y: float, guess: float) -> float:
         theta = guess
-        for _ in range(iters):
+        for _ in range(12):
             px, py = self.point(theta)
             vx, vy = self.velocity(theta)
             h = 1e-6
@@ -374,7 +366,6 @@ def chord_deviation(
     p1: tuple[float, float],
     theta0: float,
     theta1: float,
-    samples: int = 17,
 ) -> float:
     """Largest distance from the chord ``p0 -> p1`` to the boundary set.
 
@@ -393,6 +384,7 @@ def chord_deviation(
         tproj = max(0.0, min(1.0, tproj))
         cx, cy = p0[0] + tproj * ux, p0[1] + tproj * uy
         return table.radius - math.hypot(cx, cy)
+    samples = 17
     svals = np.linspace(0.0, 1.0, samples)
     devs = []
     for s in svals:
@@ -409,6 +401,23 @@ def chord_deviation(
         if denom < 0.0:
             return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
     return float(devs[k])
+
+
+def _worst_chord_deviation(table: SmoothTable, run: BounceRun) -> float:
+    """The largest :func:`chord_deviation` over the chords of a run."""
+    worst = 0.0
+    for k in range(run.n_bounces):
+        worst = max(
+            worst,
+            chord_deviation(
+                table,
+                tuple(run.points[k]),
+                tuple(run.points[k + 1]),
+                run.thetas[k],
+                run.thetas[k + 1],
+            ),
+        )
+    return worst
 
 
 def loglog_slope(xs, ys) -> float:
@@ -431,7 +440,6 @@ class ConvergenceReport:
 def boundary_convergence_experiment(
     table: SmoothTable,
     alphas,
-    n_bounces: int | None = None,
     theta0: float = 0.1,
 ) -> ConvergenceReport:
     """Measure how close small-angle trajectories hug the boundary.
@@ -444,21 +452,9 @@ def boundary_convergence_experiment(
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
     devs = []
     for alpha in alphas:
-        n = n_bounces if n_bounces is not None else int(math.ceil(math.pi / alpha))
+        n = int(math.ceil(math.pi / alpha))
         run = base_angle_run(table, theta0, float(alpha), n)
-        worst = 0.0
-        for k in range(run.n_bounces):
-            worst = max(
-                worst,
-                chord_deviation(
-                    table,
-                    tuple(run.points[k]),
-                    tuple(run.points[k + 1]),
-                    run.thetas[k],
-                    run.thetas[k + 1],
-                ),
-            )
-        devs.append(worst)
+        devs.append(_worst_chord_deviation(table, run))
     devs = np.array(devs)
     if isinstance(table, Circle):
         predictions = table.radius * (1.0 - np.cos(alphas))
@@ -505,19 +501,7 @@ def verify_base_angle_laws(
         max_incs.append(float(np.max(inc)))
         min_ratio.append(float(np.min(run.chords / run.alphas[:-1])))
         spreads.append(float(np.max(np.abs(run.alphas - alpha))))
-        worst = 0.0
-        for k in range(run.n_bounces):
-            worst = max(
-                worst,
-                chord_deviation(
-                    table,
-                    tuple(run.points[k]),
-                    tuple(run.points[k + 1]),
-                    run.thetas[k],
-                    run.thetas[k + 1],
-                ),
-            )
-        devs.append(worst)
+        devs.append(_worst_chord_deviation(table, run))
     max_incs = np.array(max_incs)
     min_ratio = np.array(min_ratio)
     devs = np.array(devs)

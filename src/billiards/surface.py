@@ -64,7 +64,7 @@ __all__ = [
 class SurfaceMesh:
     """Closed oriented polyhedral surface (vertices + CCW-from-outside faces)."""
 
-    def __init__(self, vertices, faces, *, validate: bool = True):
+    def __init__(self, vertices, faces):
         self.vertices: np.ndarray = np.atleast_2d(np.asarray(vertices, dtype=float))
         if self.vertices.shape[1] != 3:
             raise InputError("surface vertices must be 3D")
@@ -72,8 +72,7 @@ class SurfaceMesh:
             tuple(int(i) for i in f) for f in faces
         )
         self._build_edges()
-        if validate:
-            self._validate()
+        self._validate()
         self._normals = [self._face_normal(k) for k in range(len(self.faces))]
 
     # -- construction ------------------------------------------------------
@@ -213,15 +212,22 @@ class SurfaceMesh:
         )
 
 
-def tetrahedron_mesh(vertices) -> SurfaceMesh:
-    """Outward-oriented boundary of a nondegenerate tetrahedron."""
+def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
+    """Four 3D vertices spanning a nondegenerate tetrahedron, and the scale
+    (largest coordinate, at least 1) its tolerances are taken against."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if verts.shape != (4, 3):
-        raise InputError("a tetrahedron needs exactly four 3D vertices")
+        raise InputError(shape_error)
     vol = float(np.linalg.det(verts[1:] - verts[0]))
     scale = max(1.0, float(np.max(np.abs(verts))))
     if abs(vol) < 1e-12 * scale**3:
         raise InputError("tetrahedron is degenerate (coplanar vertices)")
+    return verts, scale
+
+
+def tetrahedron_mesh(vertices) -> SurfaceMesh:
+    """Outward-oriented boundary of a nondegenerate tetrahedron."""
+    verts, _ = _tetrahedron(vertices, "a tetrahedron needs exactly four 3D vertices")
     faces = []
     for skip in range(4):
         i, j, k = [t for t in range(4) if t != skip]
@@ -344,13 +350,7 @@ _OPPOSITE_EDGE_PAIRS = (
 def is_disphenoid(vertices, eps: float | None = None) -> DisphenoidCheck:
     """Equality of the three opposite-edge length pairs of a tetrahedron."""
     eps = TOL.angle if eps is None else eps
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if verts.shape != (4, 3):
-        raise InputError("is_disphenoid expects four 3D vertices")
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    vol = float(np.linalg.det(verts[1:] - verts[0]))
-    if abs(vol) < 1e-12 * scale**3:
-        raise InputError("tetrahedron is degenerate (coplanar vertices)")
+    verts, scale = _tetrahedron(vertices, "is_disphenoid expects four 3D vertices")
     lengths = []
     mismatch = 0.0
     for (a, b), (c, d) in _OPPOSITE_EDGE_PAIRS:
@@ -546,8 +546,6 @@ def trace_surface_geodesic(
     point,
     direction,
     horizon: float,
-    *,
-    max_crossings: int = 100_000,
 ) -> SurfaceGeodesic:
     """Trace the straight-line flow on the surface for arclength ``horizon``.
 
@@ -578,6 +576,7 @@ def trace_surface_geodesic(
     segments: list[np.ndarray] = []
     crossings: list[EdgeCrossing] = []
     passages: list[VertexPassage] = []
+    max_crossings = 100_000
     t = 0.0
     while True:
         remaining = horizon - t

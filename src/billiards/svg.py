@@ -52,7 +52,8 @@ class Scene:
         self._track([p])
         self._elements.append(("dot", p, radius_px, fill))
 
-    def to_svg(self, width_px: float = 640.0) -> str:
+    def to_svg(self) -> str:
+        width_px = 640.0
         if not self._xs:
             raise InputError("nothing to draw")
         xmin, xmax = min(self._xs), max(self._xs)

@@ -6,14 +6,15 @@ and the rank-3 affine simplex.  Surfaces: the unit cube, the regular
 tetrahedron, and the disphenoid with opposite edge lengths (4, 5, 6).
 Smooth ovals: unit circle, the (2, 1) ellipse, and a perturbed circle.
 
-``write_bundled`` regenerates the JSON files under ``data/tables`` from
-these builders, so file content and code never drift apart.
+Each builder has a JSON twin under ``data/tables``, which is what
+:func:`billiards.io.load_table` and the CLI read. The test suite checks that
+``dumps_json(table_to_data(build(name)))`` reproduces each file byte for
+byte, so file content and code never drift apart.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .alcove import standard_alcove
 from .geometry import Polytope
@@ -36,7 +37,6 @@ __all__ = [
     "perturbed",
     "BUILDERS",
     "build",
-    "write_bundled",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -135,17 +135,3 @@ def build(name: str):
             f"{', '.join(sorted(BUILDERS))}"
         ) from None
     return maker()
-
-
-def write_bundled(directory) -> list[Path]:
-    """Regenerate every bundled JSON file under ``directory``."""
-    from .io import save_table
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, maker in BUILDERS.items():
-        path = directory / f"{name}.json"
-        save_table(maker(), path)
-        written.append(path)
-    return written

@@ -325,6 +325,44 @@ def test_polar_partner_on_facet_is_reflection():
     assert is_polar(square, p, u, v)
 
 
+@pytest.mark.parametrize(
+    "p, u, v, error",
+    [
+        ([2.0, 0.5], [-1.0, 0.0], [-1.0, 0.5], InputError),  # outside the table
+        ([0.5, 0.0], [0.3, -0.8], [0.3, 0.8], InputError),  # incoming leaves
+        ([0.5, 0.0], [0.3, 0.8], [0.3, -0.8], InputError),  # outgoing leaves
+        ([0.5, 0.0, 0.0], [0.3, 0.8], [-0.3, 0.8], DimensionMismatchError),
+        ([0.5, 0.0], [0.3, 0.8, 0.0], [-0.3, 0.8], DimensionMismatchError),
+        ([0.5, 0.0], [0.3, 0.8], [-0.3, 0.8, 0.0], DimensionMismatchError),
+        ([0.5, 0.0], [0.0, 0.0], [-0.3, 0.8], InputError),  # zero incoming
+        ([0.5, 0.0], [0.3, 0.8], [0.0, 0.0], InputError),  # zero outgoing
+    ],
+)
+def test_is_polar_refuses_bad_arguments(p, u, v, error):
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(error) as info:
+        is_polar(square, p, u, v)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "p, u, error",
+    [
+        ([0.0, 0.0], [0.6, 0.8], InputError),  # a corner: no unique partner
+        ([0.4, 0.6], [0.6, 0.8], InputError),  # interior: no active facet
+        ([0.5, -0.5], [0.6, 0.8], InputError),  # outside the table
+        ([0.5, 0.0, 0.0], [0.6, 0.8], DimensionMismatchError),
+        ([0.5, 0.0], [0.6, 0.8, 0.0], DimensionMismatchError),
+        ([0.5, 0.0], [0.0, 0.0], InputError),  # zero direction
+    ],
+)
+def test_polar_partner_refuses_bad_arguments(p, u, error):
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(error) as info:
+        polar_partner(square, p, u)
+    assert type(info.value) is error
+
+
 def test_right_angle_corner_reverses_direction():
     """At a right corner the polar partner of any incoming is its negative."""
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))

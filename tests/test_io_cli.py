@@ -1,14 +1,19 @@
 """Table files, deterministic reports, CLI behavior and exit codes."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
+import billiards
 from billiards import errors
 from billiards.cli import main
 from billiards.errors import BounceBudgetExceededError, InputError
@@ -18,13 +23,16 @@ from billiards.io import (
     dumps_json,
     format_float,
     load_table,
+    report_schema,
     save_table,
     table_from_data,
+    table_schema,
+    table_to_data,
     validate_report_data,
 )
 from billiards.smooth import Ellipse
 from billiards.surface import SurfaceMesh
-from billiards.tables import BUILDERS
+from billiards.tables import BUILDERS, build
 
 
 # -- file format -------------------------------------------------------------
@@ -34,6 +42,24 @@ def test_every_bundled_table_loads(tmp_path):
     assert set(names) == set(BUILDERS)
     for name in names:
         load_table(name)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_bundled_file_is_its_builder_serialized(name):
+    """Each bundled file is the text its builder serializes to. Text, not
+    loaded objects: loading renormalizes halfspace normals, which may move
+    them in the last bit."""
+    text = resources.files("billiards").joinpath(
+        "data", "tables", f"{name}.json"
+    ).read_text()
+    assert dumps_json(table_to_data(build(name))) == text
+
+
+@pytest.mark.parametrize("schema", [table_schema, report_schema])
+def test_shipped_schemas_are_valid_against_their_metaschema(schema):
+    """Validation skips the metaschema check on every call; this is it."""
+    schema = schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 def test_polytope_roundtrip(tmp_path):
@@ -412,6 +438,16 @@ def test_cli_every_report_validates_against_schema(tmp_path, capsys):
         code, out = _run_cli(capsys, *argv)
         assert code == 0, argv
         validate_report_data(json.loads(out))
+
+
+def test_every_exported_name_resolves():
+    modules = [billiards] + [
+        importlib.import_module(f"billiards.{info.name}")
+        for info in pkgutil.iter_modules(billiards.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_module_entrypoint_runs_as_subprocess():
