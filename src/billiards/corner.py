@@ -100,6 +100,8 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
     offset = float(offset)
     if not 0.0 < alpha < math.pi:
         raise InputError(f"wedge opening must be in (0, pi), got {alpha}")
+    if not math.isfinite(offset):
+        raise InputError(f"offset must be finite, got {offset}")
     if offset == 0.0:
         raise InputError("offset 0 aims exactly at the apex; the hit is ambiguous")
     bisector = np.array([math.cos(alpha / 2.0), math.sin(alpha / 2.0)])

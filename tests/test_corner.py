@@ -1,6 +1,7 @@
 """One-sided limits of the wedge reflection map and the ray-traced oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_wedge_shot_rejects_apex_aim_and_bad_opening():
         unfold_wedge(0.0, 0.1)
     with pytest.raises(InputError):
         unfold_wedge(math.pi, 0.1)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_wedge_shot_refuses_a_non_finite_offset_up_front(offset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no arithmetic may run on it
+        with pytest.raises(InputError) as info:
+            unfold_wedge(1.1, offset)
+    assert str(info.value) == f"offset must be finite, got {offset}"
 
 
 def test_discontinuous_example_two_pi_fifths():

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -253,6 +254,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "--svg", str(svg),
     )[0] == 2
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("offset", ["nan", "inf"])
+def test_cli_corner_refuses_a_non_finite_offset(offset, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["corner", "1.1", "--offset", offset])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"billiards: error: offset must be finite, got {offset}\n"
 
 
 def test_cli_budget_exit_4(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from billiards.surface import (
     trace_surface_geodesic,
     triangulate_check,
 )
+from billiards.surface import _cross
 from billiards.geometry import unit
 from conftest import random_tetrahedron_vertices, random_acute_triple
 
@@ -218,3 +219,232 @@ def test_disphenoid_vertex_passage_retraces(rng):
     assert abs(passage.cone_angle - math.pi) < 1e-9
     assert np.allclose(geo.end_point, start, atol=1e-9)
     assert np.allclose(geo.end_direction, -d, atol=1e-9)
+
+
+# -- immutable mesh and its tables -------------------------------------------
+
+def test_surface_mesh_arrays_are_read_only():
+    """The edge tables and cone angles built from a mesh stay true of it:
+    its arrays cannot be written, while the caller's array can."""
+    corners = np.array(make_disphenoid(4.0, 5.0, 6.0))
+    mesh = tetrahedron_mesh(corners)
+    for arr in (mesh.vertices, mesh.face_normal(0)):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    assert not np.shares_memory(mesh.vertices, corners)
+    corners[0, 0] = 0.5
+    assert mesh.vertices[0, 0] == 0.0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_scalar_cross_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(61)
+    pairs = [rng.normal(size=(2, 3)) for _ in range(500)]
+    # mixed magnitudes, kept where no product over- or underflows
+    pairs += [
+        rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(2, 3))
+        for _ in range(500)
+    ]
+    grid = rng.normal(size=(6, 9))
+    pairs += [(grid[::2, j], grid[1::2, j + 1]) for j in range(8)]  # strided
+    pairs += [(grid[j % 6, ::3], grid[(j + 1) % 6, 1::3]) for j in range(6)]
+    pairs += [(np.zeros(3), grid[0, :3]), (-np.zeros(3), np.ones(3))]
+    for u, v in pairs:
+        assert _bits(_cross(u, v)) == _bits(np.cross(u, v))
+
+
+def _geodesic_bits(geo) -> list[bytes]:
+    out = [_bits(geo.start_point), _bits(geo.start_direction)]
+    for c in geo.crossings:
+        out += [_bits([c.time]), _bits(c.point), repr(
+            (c.edge, c.from_face, c.to_face)).encode(), _bits(c.unfolded)]
+    for v in geo.vertex_passages:
+        out += [_bits([v.time, v.cone_angle]), _bits(v.point), repr(v.vertex).encode()]
+    out += [repr(geo.end_face).encode(), _bits(geo.end_point), _bits(geo.end_direction)]
+    out += [_bits(seg) for seg in geo.segments]
+    return out
+
+
+def test_warm_tables_trace_like_a_fresh_mesh(rng):
+    """A mesh's tables are built on its first trace and reused. A trace on a
+    mesh warmed by other traces, here the same geodesic run backwards and
+    then once forwards, matches a trace on a freshly built copy bit for bit."""
+    meshes = [tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0)), SurfaceMesh.cube(1.0)]
+    for _ in range(6):
+        pts = rng.normal(size=(int(rng.integers(8, 16)), 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        meshes.append(convex_hull_mesh(pts))
+        meshes.append(tetrahedron_mesh(random_tetrahedron_vertices(rng)))
+    for mesh in meshes:
+        face = int(rng.integers(len(mesh.faces)))
+        tri = mesh.vertices[list(mesh.faces[face][:3])]
+        w = rng.uniform(0.1, 1.0, 3)
+        p, d = (w / w.sum()) @ tri, rng.normal(size=3)
+        copy = SurfaceMesh(mesh.vertices, mesh.faces)
+        fresh = trace_surface_geodesic(copy, face, p, d, 9.0)
+        back = trace_surface_geodesic(
+            mesh, fresh.end_face, fresh.end_point, -fresh.end_direction, 9.0
+        )
+        assert back.n_crossings == fresh.n_crossings > 0
+        for _ in range(2):
+            warm = trace_surface_geodesic(mesh, face, p, d, 9.0)
+            assert _geodesic_bits(warm) == _geodesic_bits(fresh)
+
+
+# pinned bit patterns: summing a vertex's face angles in another order
+# moves the last bit, and VertexPassage.cone_angle must read the same sums
+_DISPHENOID_456_CONE_ANGLES = (
+    "0x1.921fb54442d17p+1", "0x1.921fb54442d18p+1",
+    "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+1",
+)
+_GENERIC_TETRA = np.array(
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.2, 1.1, 0.0], [0.3, 0.4, 0.9]]
+)
+_GENERIC_TETRA_CONE_ANGLES = (
+    "0x1.e4cd6d3432132p+1", "0x1.67e15b5d158e6p+1",
+    "0x1.5f8a9ead7aac5p+1", "0x1.9c456dd248f84p+1",
+)
+
+
+def test_cone_angles_keep_their_values_bit_for_bit():
+    for verts, want in (
+        (make_disphenoid(4.0, 5.0, 6.0), _DISPHENOID_456_CONE_ANGLES),
+        (_GENERIC_TETRA, _GENERIC_TETRA_CONE_ANGLES),
+    ):
+        mesh = tetrahedron_mesh(verts)
+        for _ in range(2):  # cold, then from the cached sums
+            assert tuple(r.cone_angle.hex() for r in cone_angles(mesh)) == want
+    # a vertex hit reads the same sums
+    mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
+    tri = mesh.vertices[list(mesh.faces[0])]
+    start = tri.mean(axis=0)
+    dist = float(np.linalg.norm(tri[2] - start))
+    geo = trace_surface_geodesic(mesh, 0, start, tri[2] - start, 2.0 * dist)
+    (passage,) = geo.vertex_passages
+    assert passage.cone_angle.hex() == _DISPHENOID_456_CONE_ANGLES[passage.vertex]
+
+
+# -- Theorem 2, dynamically: straddling a vertex ----------------------------
+#
+# Geodesics aimed past a vertex at offsets +delta and -delta go round it on
+# opposite sides. Where the cone angle is pi (every vertex of a disphenoid)
+# both retrace, so the pair stays within O(delta) of each other and of the
+# recorded vertex passage: the flow is continuous there. Elsewhere they
+# leave at directions that differ, on the cone, by an angle fixed by the
+# cone angle, and stay apart however small delta is. These helpers use only
+# numpy and the public results.
+
+_DELTAS = (1e-5, 1e-6, 1e-7)
+
+
+def _angle(u, v) -> float:
+    c = float(u @ v) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def _knots(geo):
+    """(time, point) at the start, every crossing and passage, and the end."""
+    events = [(c.time, c.point) for c in geo.crossings]
+    events += [(v.time, v.point) for v in geo.vertex_passages]
+    events.sort(key=lambda e: e[0])
+    times = np.array([0.0] + [t for t, _ in events] + [geo.horizon])
+    points = np.array([geo.start_point] + [p for _, p in events] + [geo.end_point])
+    return times, points
+
+
+def _sup_distance(g1, g2) -> float:
+    """Largest distance in R^3 between the two paths at equal times. Both
+    are linear between knots, so the distance is convex there and peaks at
+    a knot of one of them."""
+    (t1, p1), (t2, p2) = _knots(g1), _knots(g2)
+    ts = np.union1d(t1, t2)
+    at1 = np.column_stack([np.interp(ts, t1, p1[:, k]) for k in range(3)])
+    at2 = np.column_stack([np.interp(ts, t2, p2[:, k]) for k in range(3)])
+    return float(np.max(np.linalg.norm(at1 - at2, axis=1)))
+
+
+def _straddle(mesh, face, vertex, extra):
+    """The shot from the face's centroid aimed at ``vertex``, and the pairs
+    shifted by +-delta across it, traced until ``extra`` past the vertex."""
+    tri = mesh.vertices[list(mesh.faces[face])]
+    start = tri.mean(axis=0)
+    aim = mesh.vertices[vertex] - start
+    dist = float(np.linalg.norm(aim))
+    aim = aim / dist
+    normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    across = np.cross(normal / np.linalg.norm(normal), aim)
+    horizon = dist + extra
+    pairs = {
+        delta: tuple(
+            trace_surface_geodesic(mesh, face, start + s * delta * across, aim, horizon)
+            for s in (1.0, -1.0)
+        )
+        for delta in _DELTAS
+    }
+    return start, aim, horizon, pairs
+
+
+def test_straddling_pairs_close_up_on_disphenoids():
+    for triple in ((4.0, 5.0, 6.0), (1.0, 1.1, 1.25), (3.0, 3.0, 4.0)):
+        mesh = tetrahedron_mesh(make_disphenoid(*triple))
+        for vertex in mesh.faces[0]:
+            start, aim, horizon, pairs = _straddle(mesh, 0, vertex, 3.0 * max(triple))
+            exact = trace_surface_geodesic(mesh, 0, start, aim, horizon)
+            assert [v.vertex for v in exact.vertex_passages][:1] == [vertex]
+            sups = []
+            for delta, (above, below) in pairs.items():
+                assert above.n_crossings > 3 and not above.vertex_passages
+                # each side stays delta from the recorded passage, which
+                # retraces, and so 2 * delta from the other side
+                sup = _sup_distance(above, below)
+                assert sup <= 2.5 * delta
+                assert _sup_distance(above, exact) <= 1.5 * delta
+                assert _sup_distance(below, exact) <= 1.5 * delta
+                sups.append(sup)
+            assert sups[0] > sups[1] > sups[2]
+
+
+def test_straddling_pairs_split_at_a_generic_vertex():
+    mesh = tetrahedron_mesh(_GENERIC_TETRA)
+    vertex = 0
+    star = [f for f in mesh.faces if vertex in f]
+    v = mesh.vertices[vertex]
+    cone = 0.0  # the vertex's cone angle, summed here from its face angles
+    altitude = math.inf  # no point of the star closer to v leaves it
+    for f in star:
+        a, b = (mesh.vertices[w] for w in f if w != vertex)
+        cone += _angle(a - v, b - v)
+        height = np.linalg.norm(np.cross(a - v, b - v)) / np.linalg.norm(b - a)
+        altitude = min(altitude, float(height))
+    assert abs(cone - math.pi) > 0.5
+    # the two sides leave at cone polar angles +pi and -pi from the incoming
+    # ray, so they part by 2*pi mod the cone angle, the short way round
+    wrap = (2.0 * math.pi) % cone
+    split = min(wrap, cone - wrap)
+    extra = 0.5 * altitude
+    face = mesh.faces.index(star[0])
+    start, aim, horizon, pairs = _straddle(mesh, face, vertex, extra)
+    with pytest.raises(VertexHitError):
+        trace_surface_geodesic(mesh, face, start, aim, horizon)
+    want = 2.0 * extra * math.sin(split / 2.0)
+    sups = []
+    for delta, (above, below) in pairs.items():
+        p1, p2 = above.end_point, below.end_point
+        f1, f2 = mesh.faces[above.end_face], mesh.faces[below.end_face]
+        assert vertex in f1 and vertex in f2
+        if f1 == f2:
+            psi = _angle(p1 - v, p2 - v)
+        else:  # walk round v through the edge the two faces share
+            (w,) = set(f1) & set(f2) - {vertex}
+            edge = mesh.vertices[w] - v
+            psi = _angle(p1 - v, edge) + _angle(edge, p2 - v)
+            psi = min(psi, cone - psi)
+        r1, r2 = float(np.linalg.norm(p1 - v)), float(np.linalg.norm(p2 - v))
+        apart = math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(psi))
+        assert abs(apart - want) <= 1e-4 * want
+        sups.append(_sup_distance(above, below))
+    assert min(sups) >= 0.5 * want
+    assert max(sups) <= 1.01 * min(sups)
