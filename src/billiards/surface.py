@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +64,8 @@ __all__ = [
 class SurfaceMesh:
     """Closed oriented polyhedral surface (vertices + CCW-from-outside faces).
 
-    A mesh is immutable: it keeps a read-only copy of ``vertices``. The edge
-    tables that geodesics step through and the per-vertex cone angles are
-    built on first use and kept with the mesh.
+    A mesh is immutable: it keeps a read-only copy of ``vertices``, so the
+    edge maps, face normals and length scale built here stay true of it.
     """
 
     def __init__(self, vertices, faces):
@@ -76,7 +73,7 @@ class SurfaceMesh:
         self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
         if self.vertices.shape[1] != 3:
             raise InputError("surface vertices must be 3D")
-        # read-only, so that the tables derived from a mesh stay true of it
+        # read-only, so that what is derived from it below stays true of it
         self.vertices.setflags(write=False)
         self.faces: tuple[tuple[int, ...], ...] = tuple(
             tuple(int(i) for i in f) for f in faces
@@ -209,27 +206,6 @@ class SurfaceMesh:
     def face_normal(self, k: int) -> np.ndarray:
         return self._normals[k]
 
-    @cached_property
-    def _edge_tables(self) -> tuple[tuple[_Edge, ...], ...]:
-        """Per face, its directed edges in boundary order (first trace only)."""
-        return tuple(
-            tuple(
-                _table_edge(self, k, face[i], face[(i + 1) % len(face)])
-                for i in range(len(face))
-            )
-            for k, face in enumerate(self.faces)
-        )
-
-    @cached_property
-    def _cone_angles(self) -> np.ndarray:
-        """Per-vertex sum of the incident face angles (first use only)."""
-        sums = np.zeros(self.n_vertices)
-        for face in self.faces:
-            for v in face:
-                sums[v] += _corner_angle(self, face, v)
-        sums.setflags(write=False)
-        return sums
-
     def neighbor_across(self, face_idx: int, a: int, b: int) -> int:
         """Face on the other side of the (undirected) edge {a, b}."""
         ks = self.edges[(min(a, b), max(a, b))]
@@ -252,39 +228,6 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     u1, u2, u3 = u.tolist()
     v1, v2, v3 = v.tolist()
     return np.array([u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1])
-
-
-class _Edge(NamedTuple):
-    """Directed edge ``a -> b`` of a face, as a geodesic crossing it sees it."""
-
-    a: int
-    b: int
-    va: np.ndarray
-    vb: np.ndarray
-    outward: np.ndarray  # in the face's plane, out of the polygon
-    to_face: int
-    rot: np.ndarray  # about the edge, carries to_face's plane onto the face's
-    rot_t: np.ndarray  # its transpose, which carries directions across
-    key: tuple[int, int]
-
-
-def _table_edge(mesh: SurfaceMesh, face: int, a: int, b: int) -> _Edge:
-    """The entry of ``mesh._edge_tables`` for edge ``a -> b`` of ``face``."""
-    va, vb = mesh.vertices[a], mesh.vertices[b]
-    to_face = mesh.neighbor_across(face, a, b)
-    n_f = mesh.face_normal(face)
-    n_g = mesh.face_normal(to_face)
-    along = vb - va
-    e_f = normalized(along)
-    m_f = normalized(_cross(e_f, n_f))   # out of the face, in its plane
-    m_g = normalized(_cross(-e_f, n_g))  # out of to_face, in its plane
-    t = np.column_stack([e_f, m_f, n_f])
-    s = np.column_stack([e_f, -m_g, n_g])
-    rot = t @ s.T
-    return _Edge(
-        a, b, va, vb, normalized(_cross(along, n_f)), to_face, rot, rot.T,
-        (min(a, b), max(a, b)),
-    )
 
 
 def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
@@ -352,11 +295,20 @@ def _corner_angle(mesh: SurfaceMesh, face: tuple[int, ...], at: int) -> float:
     return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
+def _cone_angle_sums(mesh: SurfaceMesh) -> np.ndarray:
+    """Per-vertex sum of the incident face angles, in face order."""
+    sums = np.zeros(mesh.n_vertices)
+    for face in mesh.faces:
+        for v in face:
+            sums[v] += _corner_angle(mesh, face, v)
+    return sums
+
+
 def cone_angles(mesh: SurfaceMesh, eps: float | None = None) -> list[VertexReport]:
     """Per-vertex cone angle, angular defect, and orbifold order if any."""
     eps = TOL.angle if eps is None else eps
     reports = []
-    for v, angle in enumerate(mesh._cone_angles):
+    for v, angle in enumerate(_cone_angle_sums(mesh)):
         order = None
         n = max(1, round(2.0 * math.pi / angle)) if angle > 0 else None
         if n is not None and abs(angle - 2.0 * math.pi / n) <= eps:
@@ -593,6 +545,24 @@ class _Unfolder:
         self.a = self.a @ rot
 
 
+def _edge_rotation(
+    mesh: SurfaceMesh, from_face: int, to_face: int, a: int, b: int
+) -> np.ndarray:
+    """Rotation about edge {a, b} carrying ``to_face``'s plane onto
+    ``from_face``'s, matching the two outward normals."""
+    if (a, b) in mesh._directed_edges and mesh._directed_edges[(a, b)] == from_face:
+        e_f = unit(mesh.vertices[b] - mesh.vertices[a])
+    else:
+        e_f = unit(mesh.vertices[a] - mesh.vertices[b])
+    n_f = mesh.face_normal(from_face)
+    n_g = mesh.face_normal(to_face)
+    m_f = normalized(_cross(e_f, n_f))   # out of from_face, in its plane
+    m_g = normalized(_cross(-e_f, n_g))  # out of to_face, in its plane
+    t = np.column_stack([e_f, m_f, n_f])
+    s = np.column_stack([e_f, -m_g, n_g])
+    return t @ s.T
+
+
 def trace_surface_geodesic(
     mesh: SurfaceMesh,
     face: int,
@@ -608,10 +578,8 @@ def trace_surface_geodesic(
     geodesic retraces (the developed exit ray equals the entry ray) and a
     ``VertexPassage`` is recorded.
 
-    The arguments are checked here, once; the loop then steps through the
-    mesh's edge tables, which the first trace on a mesh builds and later
-    traces reuse (the mesh is immutable, so they cannot go stale). Cone
-    angles are read only when a vertex is hit.
+    The arguments are checked here, once; the loop trusts them. Cone angles
+    are computed only when a vertex is hit.
     """
     horizon = float(horizon)
     if horizon < 0 or not np.isfinite(horizon):
@@ -626,7 +594,6 @@ def trace_surface_geodesic(
     d = as_point(direction, 3)
     d = d - float(np.dot(d, n)) * n
     d = unit(d)
-    tables = mesh._edge_tables
     scale = mesh._scale
     start_point, start_dir, start_face = p.copy(), d.copy(), face
     unfolder = _Unfolder(p, d, n)
@@ -638,21 +605,25 @@ def trace_surface_geodesic(
     t = 0.0
     while True:
         remaining = horizon - t
-        best: _Edge | None = None
-        best_dt = 0.0
-        for edge in tables[face]:
-            rate = float(np.dot(d, edge.outward))
+        face_poly = mesh.faces[face]
+        n = mesh.face_normal(face)
+        best: tuple[float, int, int] | None = None  # (dt, a, b)
+        for i in range(len(face_poly)):
+            a, b = face_poly[i], face_poly[(i + 1) % len(face_poly)]
+            va, vb = mesh.vertices[a], mesh.vertices[b]
+            m = normalized(_cross(vb - va, n))  # in-plane, outward of the polygon
+            rate = float(np.dot(d, m))
             if rate <= 1e-14:
                 continue
-            dt = float(np.dot(edge.va - p, edge.outward)) / rate
+            dt = float(np.dot(va - p, m)) / rate
             if dt < -1e-12 * scale:
                 continue
             dt = max(dt, 0.0)
-            if best is None or dt < best_dt:
-                best, best_dt = edge, dt
+            if best is None or dt < best[0]:
+                best = (dt, a, b)
         if best is None:
             raise InputError("geodesic found no exit edge; mesh corrupt?")
-        dt = best_dt
+        dt, a, b = best
         if dt >= remaining:
             end_point = p + remaining * d
             segment.append(unfolder.apply(end_point))
@@ -671,11 +642,12 @@ def trace_surface_geodesic(
             )
         hit = p + dt * d
         t = t + dt
-        near_a = vector_norm(hit - best.va) <= 1e-9 * scale
-        near_b = vector_norm(hit - best.vb) <= 1e-9 * scale
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        near_a = vector_norm(hit - va) <= 1e-9 * scale
+        near_b = vector_norm(hit - vb) <= 1e-9 * scale
         if near_a or near_b:
-            v_idx = best.a if near_a else best.b
-            cone = float(mesh._cone_angles[v_idx])
+            v_idx = a if near_a else b
+            cone = float(_cone_angle_sums(mesh)[v_idx])
             if abs(cone - math.pi) > TOL.vertex_hit:
                 raise VertexHitError(v_idx, hit)
             # retrace: at cone angle pi the developed continuation folds back
@@ -684,26 +656,28 @@ def trace_surface_geodesic(
             segments.append(np.array(segment))
             d = -d
             p = hit
-            unfolder = _Unfolder(p, d, mesh.face_normal(face))
+            unfolder = _Unfolder(p, d, n)
             segment = [unfolder.apply(p)]
             continue
+        to_face = mesh.neighbor_across(face, a, b)
+        rot = _edge_rotation(mesh, face, to_face, a, b)
         crossing_unfolded = unfolder.apply(hit)
         segment.append(crossing_unfolded)
         crossings.append(
             EdgeCrossing(
                 time=t,
                 point=hit.copy(),
-                edge=best.key,
+                edge=(min(a, b), max(a, b)),
                 from_face=face,
-                to_face=best.to_face,
+                to_face=to_face,
                 unfolded=crossing_unfolded,
             )
         )
         if len(crossings) > max_crossings:
             raise InputError(f"geodesic exceeded {max_crossings} edge crossings")
-        unfolder.rotate(best.rot, best.va)
-        d = best.rot_t @ d
-        n_new = mesh.face_normal(best.to_face)
+        unfolder.rotate(rot, mesh.vertices[a])
+        d = rot.T @ d
+        n_new = mesh.face_normal(to_face)
         d = normalized(d - float(np.dot(d, n_new)) * n_new)
         p = hit
-        face = best.to_face
+        face = to_face

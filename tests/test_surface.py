@@ -221,11 +221,11 @@ def test_disphenoid_vertex_passage_retraces(rng):
     assert np.allclose(geo.end_direction, -d, atol=1e-9)
 
 
-# -- immutable mesh and its tables -------------------------------------------
+# -- immutable mesh and a stateless kernel ----------------------------------
 
 def test_surface_mesh_arrays_are_read_only():
-    """The edge tables and cone angles built from a mesh stay true of it:
-    its arrays cannot be written, while the caller's array can."""
+    """The face normals and edge maps built with a mesh stay true of it: its
+    arrays cannot be written, while the caller's array can."""
     corners = np.array(make_disphenoid(4.0, 5.0, 6.0))
     mesh = tetrahedron_mesh(corners)
     for arr in (mesh.vertices, mesh.face_normal(0)):
@@ -268,10 +268,10 @@ def _geodesic_bits(geo) -> list[bytes]:
     return out
 
 
-def test_warm_tables_trace_like_a_fresh_mesh(rng):
-    """A mesh's tables are built on its first trace and reused. A trace on a
-    mesh warmed by other traces, here the same geodesic run backwards and
-    then once forwards, matches a trace on a freshly built copy bit for bit."""
+def test_a_traced_mesh_traces_like_a_fresh_mesh(rng):
+    """A trace keeps nothing on the mesh. A trace on a mesh that other traces
+    have run on, here the same geodesic run backwards and then once forwards,
+    matches a trace on a freshly built copy bit for bit."""
     meshes = [tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0)), SurfaceMesh.cube(1.0)]
     for _ in range(6):
         pts = rng.normal(size=(int(rng.integers(8, 16)), 3))
@@ -315,7 +315,7 @@ def test_cone_angles_keep_their_values_bit_for_bit():
         (_GENERIC_TETRA, _GENERIC_TETRA_CONE_ANGLES),
     ):
         mesh = tetrahedron_mesh(verts)
-        for _ in range(2):  # cold, then from the cached sums
+        for _ in range(2):
             assert tuple(r.cone_angle.hex() for r in cone_angles(mesh)) == want
     # a vertex hit reads the same sums
     mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
