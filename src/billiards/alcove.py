@@ -33,7 +33,13 @@ import numpy as np
 from .config import TOL
 from .dynamics import CornerPolicy, Trajectory, TrajectoryState, simulate_unfolded
 from .errors import InputError, NotAnAlcoveError, WordBudgetExceededError
-from .geometry import HalfSpace, Polytope, affine_rank, as_point, nearest_pi_over_m
+from .geometry import (
+    Polytope,
+    affine_ranks,
+    as_point,
+    facet_pairs,
+    nearest_pi_over_m,
+)
 
 __all__ = [
     "AngleNearBinBoundary",
@@ -70,29 +76,43 @@ class DihedralAngles:
 
 
 def dihedral_angles(polytope: Polytope) -> DihedralAngles:
+    """Facets ``i`` and ``j`` are adjacent when their shared vertices span a
+    codimension-2 face, and parallel when they are not adjacent and their
+    normals are opposite within 1e-9; an adjacent pair meets at the angle
+    ``pi - acos(<n_i, n_j>)``."""
     h = polytope.n_facets
     dim = polytope.dim
     scale = max(1.0, float(np.abs(polytope.vertices).max()))
-    adjacent = np.zeros((h, h), dtype=bool)
-    parallel = np.zeros((h, h), dtype=bool)
-    angles = np.full((h, h), np.nan)
+    first, second, spread = facet_pairs(h)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    normals = polytope.normals
+    cos = np.vecdot(normals[:, None], normals[None]).tolist()
     facet_sets = [set(fv) for fv in polytope.facet_vertices]
-    for i in range(h):
-        for j in range(i + 1, h):
-            shared = facet_sets[i] & facet_sets[j]
-            cos_ij = min(
-                max(float(np.dot(polytope.normals[i], polytope.normals[j])), -1.0),
-                1.0,
-            )
-            if len(shared) >= max(dim - 1, 1):
-                rank = affine_rank(polytope.vertices[sorted(shared)], 1e-9 * scale)
-                if rank == dim - 2:
-                    adjacent[i, j] = adjacent[j, i] = True
-                    ang = math.pi - math.acos(cos_ij)
-                    angles[i, j] = angles[j, i] = ang
-                    continue
-            if not adjacent[i, j] and cos_ij <= -1.0 + 1e-9:
-                parallel[i, j] = parallel[j, i] = True
+    # pairs that share enough vertices for a codimension-2 face; the rank of
+    # the shared set decides
+    candidates: list[int] = []
+    shared_sets: list[list[int]] = []
+    for k, (i, j) in enumerate(pairs):
+        shared = facet_sets[i] & facet_sets[j]
+        if len(shared) >= max(dim - 1, 1):
+            candidates.append(k)
+            shared_sets.append(sorted(shared))
+    ranks = affine_ranks(polytope.vertices, shared_sets, 1e-9 * scale)
+    meets = {k for k, rank in zip(candidates, ranks) if rank == dim - 2}
+    # one value per pair, then a last one for the diagonal
+    pair_adjacent = [False] * (len(pairs) + 1)
+    pair_parallel = [False] * (len(pairs) + 1)
+    pair_angle = [math.nan] * (len(pairs) + 1)
+    for k, (i, j) in enumerate(pairs):
+        cos_ij = min(max(cos[i][j], -1.0), 1.0)
+        if k in meets:
+            pair_adjacent[k] = True
+            pair_angle[k] = math.pi - math.acos(cos_ij)
+        elif cos_ij <= -1.0 + 1e-9:
+            pair_parallel[k] = True
+    adjacent = np.array(pair_adjacent)[spread]
+    parallel = np.array(pair_parallel)[spread]
+    angles = np.array(pair_angle)[spread]
     return DihedralAngles(adjacent, parallel, angles)
 
 
@@ -175,14 +195,17 @@ def check_alcove(polytope: Polytope, eps: float | None = None) -> AlcoveVerdict:
     h = polytope.n_facets
     failures: list[AlcoveFailure] = []
     edges: dict[tuple[int, int], float] = {}
+    parallel = geom.parallel.tolist()
+    adjacent = geom.adjacent.tolist()
+    angles = geom.angles.tolist()
     for i in range(h):
         for j in range(i + 1, h):
-            if geom.parallel[i, j]:
+            if parallel[i][j]:
                 edges[(i, j)] = INF
                 continue
-            if not geom.adjacent[i, j]:
+            if not adjacent[i][j]:
                 continue
-            ang = float(geom.angles[i, j])
+            ang = angles[i][j]
             m, err = nearest_pi_over_m(ang)
             if err > eps:
                 failures.append(
@@ -417,13 +440,12 @@ def standard_alcove(label: str) -> Polytope:
         )
     factors = eigvecs[:, positive] * np.sqrt(eigvals[positive])
     normals = factors / np.linalg.norm(factors, axis=1, keepdims=True)
-    halfspaces = [HalfSpace(normals[i], 1.0) for i in range(n_nodes)]
-    vertices = []
-    for i in range(n_nodes):
-        rest = [k for k in range(n_nodes) if k != i]
-        x = np.linalg.solve(normals[rest], np.ones(rank))
-        vertices.append(x)
-    return Polytope(halfspaces, np.array(vertices))
+    # vertex i is where every wall but wall i is tight: one stacked solve
+    others = np.nonzero(~np.eye(n_nodes, dtype=bool))[1].reshape(n_nodes, rank)
+    vertices = np.linalg.solve(normals[others], np.ones((n_nodes, rank, 1)))
+    return Polytope(
+        np.column_stack((normals, np.ones(n_nodes))), vertices[..., 0]
+    )
 
 
 # -- folding ---------------------------------------------------------------

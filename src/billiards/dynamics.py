@@ -407,11 +407,11 @@ def simulate(
     return Trajectory(state, events, end, horizon, policy)
 
 
-def _mirror(halfspace) -> tuple[np.ndarray, np.ndarray]:
-    """Affine reflection ``x -> Hx + b`` across the halfspace boundary."""
-    n = halfspace.normal
+def _mirror(n: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Affine reflection ``x -> Hx + b`` across the hyperplane
+    ``<n, x> = offset``."""
     h = np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
-    b = 2.0 * halfspace.offset * n
+    b = 2.0 * offset * n
     return h, b
 
 
@@ -436,7 +436,9 @@ def simulate_unfolded(
     d0 = state.direction.copy()
     q = np.eye(polytope.dim)
     shift = np.zeros(polytope.dim)
-    mirrors = [_mirror(h) for h in polytope.halfspaces]
+    mirrors = [
+        _mirror(n, c) for n, c in zip(polytope.normals, polytope.offsets.tolist())
+    ]
     t = 0.0
     line = x0 + t * d0  # the straight line at time t, before any isometry
     events: list[BounceEvent] = []

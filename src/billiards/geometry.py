@@ -10,14 +10,20 @@ decided by nonnegative least squares with the residual thresholded at
 ``eps``. On a facet (one active normal) this reduces to the mirror law, and
 the unique polar partner of ``u`` is ``reflect(-u, n)``.
 
-Polytopes carry their vertices alongside the halfspaces. For dimensions up to
-three (and for the small simplices produced by the alcove builders) vertices
-are enumerated by brute force over facet subsets; higher-dimensional tables
-must supply full data.
+A :class:`Polytope` is two read-only arrays, the unit normals (one row per
+facet) and the offsets, plus its vertices; :class:`HalfSpace` objects are a
+view of those rows for callers that want one facet at a time. Construction
+checks the table in batched array calls: the tight vertex set of every facet
+from one pass over the vertex-by-facet slack matrix, and the affine ranks of
+those sets with one decomposition per set size. Given only halfspaces,
+vertices are enumerated by brute force over facet subsets, which is practical
+for dimension up to three and small facet counts; larger tables must supply
+full data.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,8 +116,11 @@ class HalfSpace:
         length = vector_norm(n)
         if abs(length - 1.0) > 1e-12:
             raise InputError(f"halfspace normal is not unit (norm {length})")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise InputError(f"halfspace offset must be finite, got {offset}")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def of(cls, normal, offset: float) -> "HalfSpace":
@@ -300,38 +309,101 @@ def affine_rank(pts: np.ndarray, tol: float) -> int:
     return int(np.sum(np.linalg.svd(centered, compute_uv=False) > tol))
 
 
+def affine_ranks(points: np.ndarray, sets, tol: float) -> list[int]:
+    """:func:`affine_rank` of ``points[s]`` for each index set ``s``, bit for
+    bit, batched by set size: sets of at most one point have rank 0, all
+    two-point sets take one norm test, and each larger size one stacked SVD
+    of the centred sets."""
+    ranks = [0] * len(sets)
+    by_size: dict[int, list[int]] = {}
+    for k, s in enumerate(sets):
+        if len(s) > 1:
+            by_size.setdefault(len(s), []).append(k)
+    for size, members in by_size.items():
+        pts = points.take([sets[k] for k in members], axis=0)  # (sets, size, dim)
+        if size == 2:
+            diff = pts[:, 1] - pts[:, 0]
+            found = np.sqrt(np.vecdot(diff, diff)) > tol
+        else:
+            centered = pts - pts.mean(axis=1, keepdims=True)
+            found = (np.linalg.svd(centered, compute_uv=False) > tol).sum(axis=1)
+        for k, rank in zip(members, found.tolist()):
+            ranks[k] = int(rank)
+    return ranks
+
+
+def facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The facet pairs ``i < j`` of a table with ``n_facets`` facets, in the
+    order of a loop over ``i`` and then ``j``: their row and column indices,
+    and the ``(n_facets, n_facets)`` matrix holding the number ``k`` of the
+    pair ``{i, j}`` at ``[i, j]`` and ``[j, i]`` and the pair count on the
+    diagonal, which spreads one value per pair to a symmetric matrix.
+
+    Tables of up to 64 facets share cached read-only arrays; a larger table
+    gets its own, as they grow with the square of the facet count."""
+    if n_facets <= 64:
+        return _shared_facet_pairs(n_facets)
+    return _shared_facet_pairs.__wrapped__(n_facets)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    first, second = np.triu_indices(n_facets, 1)
+    spread = np.full((n_facets, n_facets), len(first))
+    spread[first, second] = spread[second, first] = np.arange(len(first))
+    for arr in (first, second, spread):
+        arr.setflags(write=False)
+    return first, second, spread
+
+
+def _finite_points(pts: np.ndarray) -> None:
+    """Refuse a point array with a non-finite coordinate, naming its row."""
+    if not np.isfinite(pts).all():
+        k = int((~np.isfinite(pts).all(axis=1)).argmax())
+        raise InputError(f"vertex {k} has non-finite coordinates {pts[k]}")
+
+
+def _halfspace_rows(halfspaces) -> np.ndarray:
+    """``[normal | offset]`` rows, one per halfspace, from ``HalfSpace``
+    objects or from such an array."""
+    if isinstance(halfspaces, np.ndarray):
+        return halfspaces
+    hs = tuple(halfspaces)
+    return np.column_stack(([h.normal for h in hs], [h.offset for h in hs]))
+
+
 class Polytope:
     """Bounded full-dimensional intersection of halfspaces, with vertex data.
 
-    Construction validates that every halfspace supports a facet (else
+    A table is two read-only arrays, ``normals`` (one unit outward normal per
+    row) and ``offsets``, with ``normals @ x <= offsets`` inside; every
+    check and every derived quantity is computed from them. ``halfspaces``
+    is a view of the same rows as :class:`HalfSpace` objects, built on first
+    use.
+
+    The first argument is a sequence of :class:`HalfSpace` objects or an
+    ``(H, dim + 1)`` array of ``[normal | offset]`` rows. Construction
+    refuses non-finite data and an empty vertex array up front, then
+    validates that every halfspace supports a facet (else
     ``RedundantHalfspaceError``), that all vertices are feasible, and that the
     outward normals positively span the ambient space (else
     ``UnboundedRegionError``).
     """
 
     def __init__(self, halfspaces, vertices, facet_vertices=None):
-        self.halfspaces: tuple[HalfSpace, ...] = tuple(halfspaces)
-        if not self.halfspaces:
+        rows = _halfspace_rows(halfspaces)
+        if not len(rows):
             raise InputError("a polytope needs at least one halfspace")
-        self.dim: int = self.halfspaces[0].dim
-        self.normals: np.ndarray = np.array(
-            [h.normal for h in self.halfspaces], dtype=float
-        )
-        self.offsets: np.ndarray = np.array(
-            [h.offset for h in self.halfspaces], dtype=float
-        )
-        # a copy, so that making it read-only leaves the caller's array alone
+        # copies, so that making them read-only leaves the caller's data alone
+        self.normals: np.ndarray = np.array(rows[:, :-1], dtype=float, order="C")
+        self.offsets: np.ndarray = np.array(rows[:, -1], dtype=float)
+        self.dim: int = self.normals.shape[1]
         self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
-        if self.vertices.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"vertices have dim {self.vertices.shape[1]}, "
-                f"halfspaces have dim {self.dim}"
-            )
+        scale = self._checked_scale(rows)
         # read-only, so that what is derived from a table (such as its alcove
         # verdict) stays true of it
         for arr in (self.normals, self.offsets, self.vertices):
             arr.setflags(write=False)
-        scale = max(1.0, float(np.abs(self.vertices).max()))
         slack = self.vertices @ self.normals.T - self.offsets  # (V, H)
         computed = self._tight_vertex_sets(slack, scale)
         if facet_vertices is None:
@@ -357,16 +429,15 @@ class Polytope:
         hs = tuple(halfspaces)
         if not hs:
             raise InputError("need at least one halfspace")
-        dim = hs[0].dim
-        n_facets = len(hs)
+        rows = _halfspace_rows(hs)
+        normals, offsets = rows[:, :-1], rows[:, -1]
+        n_facets, dim = normals.shape
         max_subsets = 200_000
         if math.comb(n_facets, dim) > max_subsets:
             raise InputError(
                 f"vertex enumeration over C({n_facets},{dim}) subsets exceeds "
                 f"the cap {max_subsets}; supply vertices explicitly"
             )
-        normals = np.array([h.normal for h in hs])
-        offsets = np.array([h.offset for h in hs])
         verts: list[np.ndarray] = []
         for subset in itertools.combinations(range(n_facets), dim):
             a = normals[list(subset)]
@@ -384,7 +455,7 @@ class Polytope:
                 "halfspace intersection has too few vertices to be a bounded "
                 f"full-dimensional body (found {len(verts)})"
             )
-        return cls(hs, np.array(verts))
+        return cls(rows, np.array(verts))
 
     @classmethod
     def convex_polygon(cls, points) -> "Polytope":
@@ -394,18 +465,20 @@ class Polytope:
             raise DimensionMismatchError("convex_polygon expects 2D points")
         if pts.shape[0] < 3:
             raise InputError("a polygon needs at least 3 vertices")
+        _finite_points(pts)
         center = pts.mean(axis=0)
         order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
         pts = pts[order]
-        halfspaces = []
-        for i in range(len(pts)):
-            a, b = pts[i], pts[(i + 1) % len(pts)]
-            edge = b - a
-            if vector_norm(edge) < 1e-12:
-                raise InputError("polygon has a repeated vertex")
-            n = np.array([edge[1], -edge[0]])  # outward for CCW order
-            halfspaces.append(HalfSpace.of(n, float(np.dot(n, a))))
-        return cls(halfspaces, pts)
+        edges = np.concatenate((pts[1:], pts[:1])) - pts
+        if (np.sqrt(np.vecdot(edges, edges)) < 1e-12).any():
+            raise InputError("polygon has a repeated vertex")
+        rows = np.empty((len(pts), 3))
+        rows[:, 0] = edges[:, 1]  # outward for CCW order
+        rows[:, 1] = -edges[:, 0]
+        normals = rows[:, :2]
+        rows[:, 2] = np.vecdot(normals, pts)
+        rows /= np.sqrt(np.vecdot(normals, normals))[:, None]
+        return cls(rows, pts)
 
     @classmethod
     def from_point_cloud(cls, points) -> "Polytope":
@@ -413,24 +486,29 @@ class Polytope:
         from scipy.spatial import ConvexHull
 
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        _finite_points(pts)
         if pts.shape[1] == 2:
             hull = ConvexHull(pts)
             return cls.convex_polygon(pts[hull.vertices])
         if pts.shape[1] != 3:
             raise DimensionMismatchError("from_point_cloud supports dim 2 or 3")
         hull = ConvexHull(pts)
-        halfspaces = []
-        seen: list[tuple[np.ndarray, float]] = []
-        for eq in hull.equations:  # <eq[:3], x> + eq[3] <= 0 on the hull
-            n, c = eq[:3], -eq[3]
-            dup = any(
-                np.dot(n, n0) > 1.0 - 1e-10 and abs(c - c0) <= 1e-9
-                for n0, c0 in seen
-            )
-            if not dup:
-                seen.append((n, c))
-                halfspaces.append(HalfSpace.of(n, c))
-        return cls(halfspaces, pts[hull.vertices])
+        # <eq[:3], x> + eq[3] <= 0 on the hull
+        normals = np.array(hull.equations[:, :3])
+        offsets = -hull.equations[:, 3]
+        # qhull splits a facet into triangles that repeat its plane: keep a
+        # row unless a row kept before it gives the same plane
+        same = (np.vecdot(normals[:, None], normals[None]) > 1.0 - 1e-10) & (
+            np.abs(offsets[:, None] - offsets[None]) <= 1e-9
+        )
+        same = same.tolist()
+        keep: list[int] = []
+        for j in range(len(same)):
+            if not any(same[j][i] for i in keep):
+                keep.append(j)
+        rows = np.column_stack((normals[keep], offsets[keep]))
+        rows /= np.sqrt(np.vecdot(rows[:, :3], rows[:, :3]))[:, None]
+        return cls(rows, pts[hull.vertices])
 
     @classmethod
     def box(cls, lower, upper) -> "Polytope":
@@ -439,30 +517,63 @@ class Polytope:
         if np.any(hi <= lo):
             raise InputError("box needs lower < upper coordinatewise")
         dim = lo.shape[0]
-        halfspaces = []
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            halfspaces.append(HalfSpace(e.copy(), float(hi[j])))
-            halfspaces.append(HalfSpace(-e, float(-lo[j])))
+        # facets +e_j <= hi_j and -e_j <= -lo_j, in that order for each j
+        rows = np.empty((2 * dim, dim + 1))
+        rows[0::2, :dim] = np.eye(dim)
+        rows[1::2, :dim] = -np.eye(dim)
+        rows[0::2, dim] = hi
+        rows[1::2, dim] = -lo
         corners = np.array(
             [
                 [lo[j] if (k >> j) & 1 == 0 else hi[j] for j in range(dim)]
                 for k in range(2**dim)
             ]
         )
-        return cls(halfspaces, corners)
+        return cls(rows, corners)
 
     # -- validation --------------------------------------------------------
+
+    def _checked_scale(self, rows: np.ndarray) -> float:
+        """Refuse data no arithmetic should see: non-finite halfspace rows,
+        normals that are not unit, and missing or non-finite vertices. Returns
+        the largest vertex coordinate, at least 1, the scale of every
+        tolerance in the checks that follow."""
+        # in the order HalfSpace checks a row: the norm, then finiteness
+        lengths = np.sqrt(np.vecdot(self.normals, self.normals))
+        off_unit = np.abs(lengths - 1.0) > 1e-12
+        if off_unit.any():
+            length = float(lengths[off_unit.argmax()])
+            raise InputError(f"halfspace normal is not unit (norm {length})")
+        if not np.isfinite(rows).all():
+            k = int((~np.isfinite(rows).all(axis=1)).argmax())
+            raise InputError(
+                f"halfspace {k} has non-finite data: normal {rows[k, :-1]}, "
+                f"offset {rows[k, -1]}"
+            )
+        if self.vertices.size == 0:
+            raise InputError("a polytope needs at least one vertex")
+        if self.vertices.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"vertices have dim {self.vertices.shape[1]}, "
+                f"halfspaces have dim {self.dim}"
+            )
+        scale = float(np.abs(self.vertices).max())
+        if not math.isfinite(scale):
+            _finite_points(self.vertices)
+        return max(1.0, scale)
 
     def _tight_vertex_sets(
         self, slack: np.ndarray, scale: float
     ) -> tuple[tuple[int, ...], ...]:
-        tight = np.abs(slack) <= 1e-9 * scale
-        return tuple(
-            tuple(np.nonzero(tight[:, i])[0].tolist())
-            for i in range(len(self.halfspaces))
-        )
+        tight = np.abs(slack.T) <= 1e-9 * scale  # (H, V)
+        facets, verts = np.nonzero(tight)
+        verts = verts.tolist()
+        sets = []
+        start = 0
+        for count in np.bincount(facets, minlength=len(tight)).tolist():
+            sets.append(tuple(verts[start:start + count]))
+            start += count
+        return tuple(sets)
 
     def _validate(self, slack: np.ndarray, scale: float) -> None:
         """Checks on the vertex-by-halfspace ``slack`` matrix, with ``scale``
@@ -472,22 +583,27 @@ class Polytope:
             raise InputError(
                 f"vertex violates a halfspace by {worst:.3e} (scale {scale:g})"
             )
-        for i, hs in enumerate(self.halfspaces):
-            for j in range(i + 1, len(self.halfspaces)):
-                if (
-                    float(np.dot(hs.normal, self.normals[j])) > 1.0 - 1e-12
-                    and abs(hs.offset - self.offsets[j]) <= 1e-9 * scale
-                ):
-                    raise RedundantHalfspaceError(
-                        f"halfspaces {i} and {j} coincide"
-                    )
-        for i, tight in enumerate(self.facet_vertices):
+        first, second, _ = facet_pairs(self.n_facets)
+        normals = self.normals
+        parallel = np.vecdot(normals[:, None], normals[None])[first, second] > (
+            1.0 - 1e-12
+        )
+        if parallel.any():
+            coincide = parallel & (
+                np.abs(self.offsets[first] - self.offsets[second]) <= 1e-9 * scale
+            )
+            if coincide.any():
+                k = int(coincide.argmax())
+                raise RedundantHalfspaceError(
+                    f"halfspaces {first[k]} and {second[k]} coincide"
+                )
+        ranks = affine_ranks(self.vertices, self.facet_vertices, 1e-9 * scale)
+        for i, (tight, rank) in enumerate(zip(self.facet_vertices, ranks)):
             if len(tight) < self.dim:
                 raise RedundantHalfspaceError(
                     f"halfspace {i} touches only {len(tight)} vertices; "
                     f"a facet needs at least {self.dim}"
                 )
-            rank = affine_rank(self.vertices[list(tight)], 1e-9 * scale)
             if rank != self.dim - 1:
                 raise RedundantHalfspaceError(
                     f"halfspace {i} is tight on a set of affine rank {rank}, "
@@ -498,8 +614,9 @@ class Polytope:
     def _check_bounded(self) -> None:
         if self.dim == 2:
             angles = np.sort(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
-            gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-            if float(gaps.max()) >= np.pi - 1e-12:
+            angles = angles.tolist()
+            angles.append(angles[0] + 2 * math.pi)
+            if max(b - a for a, b in zip(angles, angles[1:])) >= math.pi - 1e-12:
                 raise UnboundedRegionError(
                     "outward normals leave an angular gap >= pi"
                 )
@@ -524,9 +641,17 @@ class Polytope:
 
     # -- queries -----------------------------------------------------------
 
+    @functools.cached_property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        """The rows of ``normals`` and ``offsets`` as :class:`HalfSpace`
+        objects (read-only views of the normals), built on first use."""
+        return tuple(
+            HalfSpace(n, c) for n, c in zip(self.normals, self.offsets.tolist())
+        )
+
     @property
     def n_facets(self) -> int:
-        return len(self.halfspaces)
+        return len(self.normals)
 
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)

@@ -139,8 +139,10 @@ def table_to_data(table) -> dict:
         return {
             "dim": table.dim,
             "halfspaces": [
-                {"normal": h.normal.tolist(), "offset": h.offset}
-                for h in table.halfspaces
+                {"normal": normal, "offset": offset}
+                for normal, offset in zip(
+                    table.normals.tolist(), table.offsets.tolist()
+                )
             ],
             "vertices": table.vertices.tolist(),
             "facet_vertices": [list(f) for f in table.facet_vertices],

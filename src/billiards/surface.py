@@ -180,15 +180,16 @@ class SurfaceMesh:
             raise InputError("faces are oriented inward; flip the winding")
 
     def _signed_volume(self) -> float:
+        fan = [
+            (face[0], face[i], face[i + 1])
+            for face in self.faces
+            for i in range(1, len(face) - 1)
+        ]
         total = 0.0
-        for face in self.faces:
-            v0 = self.vertices[face[0]]
-            for i in range(1, len(face) - 1):
-                total += float(
-                    np.linalg.det(
-                        np.stack([v0, self.vertices[face[i]], self.vertices[face[i + 1]]])
-                    )
-                )
+        # summed one by one in fan order, as a plain loop (not sum(), which
+        # compensates from Python 3.12 on), so the orientation verdict stays
+        for det in np.linalg.det(self.vertices[fan]).tolist():
+            total += det
         return total / 6.0
 
     def _face_normal(self, k: int) -> np.ndarray:

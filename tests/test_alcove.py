@@ -17,10 +17,11 @@ from billiards.alcove import (
     standard_alcove_labels,
     CoxeterDiagram,
 )
-from billiards.dynamics import CornerPolicy, TrajectoryState, simulate
+from billiards.dynamics import BounceKind, CornerPolicy, TrajectoryState, simulate
 from billiards.errors import NotAnAlcoveError
-from billiards.geometry import Polytope
-from conftest import random_triangle
+from billiards.geometry import Polytope, affine_rank, affine_ranks
+from billiards.tables import triangle_nonalcove
+from conftest import random_polytope_3d, random_triangle
 
 
 EQUILATERAL = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]]
@@ -52,6 +53,90 @@ def test_half_equilateral_angle_multiset():
     )
     want = sorted([math.pi / 2.0, math.pi / 3.0, math.pi / 6.0])
     assert np.allclose(found, want, atol=1e-12)
+
+
+def _dihedral_oracle(polytope):
+    """The pair-by-pair rule: one affine_rank per pair of facets that share
+    enough vertices for a codimension-2 face."""
+    h, dim = polytope.n_facets, polytope.dim
+    tol = 1e-9 * max(1.0, float(np.abs(polytope.vertices).max()))
+    adjacent = np.zeros((h, h), dtype=bool)
+    parallel = np.zeros((h, h), dtype=bool)
+    angles = np.full((h, h), np.nan)
+    sets = [set(fv) for fv in polytope.facet_vertices]
+    for i in range(h):
+        for j in range(i + 1, h):
+            shared = sorted(sets[i] & sets[j])
+            cos_ij = float(np.dot(polytope.normals[i], polytope.normals[j]))
+            cos_ij = min(max(cos_ij, -1.0), 1.0)
+            if (
+                len(shared) >= max(dim - 1, 1)
+                and affine_rank(polytope.vertices[shared], tol) == dim - 2
+            ):
+                adjacent[i, j] = adjacent[j, i] = True
+                angles[i, j] = angles[j, i] = math.pi - math.acos(cos_ij)
+            elif cos_ij <= -1.0 + 1e-9:
+                parallel[i, j] = parallel[j, i] = True
+    return adjacent, parallel, angles
+
+
+def _prism(points_2d):
+    """The prism of height one over a convex polygon: its side facets are
+    rectangles, four vertices each."""
+    return Polytope.from_point_cloud(
+        [(x, y, z) for z in (0.0, 1.0) for x, y in points_2d]
+    )
+
+
+def _near_degenerate_sets(rng):
+    """Point sets of 2 to 9 points in dimension 2 to 8 that lie on a flat of
+    some dimension up to a perturbation of 1e-10 to 1e-8, so their singular
+    values straddle the 1e-9 tolerance. Yields (points, index sets of mixed
+    sizes) per dimension."""
+    for dim in range(2, 9):
+        points, sets = [], []
+        for _ in range(60):
+            size = int(rng.integers(2, 10))
+            flat = int(rng.integers(0, min(size - 1, dim)))
+            base = rng.normal(size=(flat, dim))
+            pts = rng.normal(size=dim) + rng.normal(size=(size, flat)) @ base
+            pts += 10.0 ** rng.uniform(-10, -8) * rng.normal(size=(size, dim))
+            sets.append(tuple(range(len(points), len(points) + size)))
+            points.extend(pts)
+        yield np.array(points), sets
+
+
+def test_batched_ranks_match_the_pairwise_oracle(rng):
+    """dihedral_angles and the facet ranks, batched by set size, equal the
+    pair-by-pair affine_rank loop bit for bit: masks, angles with NaN in the
+    same places, and every rank."""
+    tables = [random_polytope_3d(rng) for _ in range(40)]
+    tables.append(Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+    tables.append(_prism(triangle_nonalcove().vertices))
+    assert all(max(map(len, t.facet_vertices)) == 4 for t in tables[40:42])
+    # more than 64 facets: pair indices built per table, not shared
+    sphere = rng.normal(size=(60, 3))
+    tables.append(Polytope.from_point_cloud(
+        sphere / np.linalg.norm(sphere, axis=1, keepdims=True)
+    ))
+    assert tables[-1].n_facets > 64
+    tables += [standard_alcove(label) for label in standard_alcove_labels(8)]
+    for table in tables:
+        adjacent, parallel, angles = _dihedral_oracle(table)
+        geom = dihedral_angles(table)
+        assert np.array_equal(geom.adjacent, adjacent)
+        assert np.array_equal(geom.parallel, parallel)
+        assert geom.angles.tobytes() == angles.tobytes()
+        tol = 1e-9 * max(1.0, float(np.abs(table.vertices).max()))
+        want = [affine_rank(table.vertices[list(fv)], tol)
+                for fv in table.facet_vertices]
+        assert affine_ranks(table.vertices, table.facet_vertices, tol) == want
+    for points, sets in _near_degenerate_sets(rng):
+        want = [affine_rank(points[list(s)], 1e-9) for s in sets]
+        assert affine_ranks(points, sets, 1e-9) == want
+        # the sets sit close enough to the tolerance that a tenfold one
+        # would change some ranks
+        assert [affine_rank(points[list(s)], 1e-8) for s in sets] != want
 
 
 # -- recognition on the catalogue of 2D tables -------------------------------
@@ -182,6 +267,27 @@ def test_folded_flow_equals_group_fold_simulation():
     assert a.n_bounces == b.n_bounces
     ts = np.linspace(0.0, 5.0, 501)
     assert np.max(np.linalg.norm(a.sample(ts) - b.sample(ts), axis=1)) < 1e-9
+
+
+@pytest.mark.parametrize("label", standard_alcove_labels(8))
+def test_folded_flow_is_the_fold_of_the_straight_line(label, rng):
+    """Event-free oracle: on an alcove the folded flow at time t is
+    fold_point(x0 + t*d0). A shot at a vertex must pass a corner (above
+    dimension one, where a vertex is a facet)."""
+    table = standard_alcove(label)
+    vertex = table.vertices[int(rng.integers(len(table.vertices)))]
+    weights = rng.dirichlet(np.ones(len(table.vertices)))
+    x0 = 0.7 * (weights @ table.vertices) + 0.3 * table.interior_point()
+    horizon = 4.0 * float(np.linalg.norm(vertex - x0))
+    traj = folded_flow(table, TrajectoryState(x0, vertex - x0), horizon)
+    d0 = traj.start.direction
+    if table.dim >= 2:
+        assert any(e.kind is BounceKind.CORNER for e in traj.events)
+    for event in traj.events:
+        y, _ = fold_point(table, x0 + event.time * d0, verify=False)
+        assert np.linalg.norm(y - event.point) <= 1e-8
+    y, _ = fold_point(table, x0 + horizon * d0, verify=False)
+    assert np.linalg.norm(y - traj.end.point) <= 1e-8
 
 
 def test_folded_flow_refuses_non_alcoves():

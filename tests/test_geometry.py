@@ -1,6 +1,7 @@
 """Geometry kernel: halfspaces, polytopes, cones, and the polar predicate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,210 @@ def test_unbounded_inputs_that_pass_the_vertex_checks():
         assert not _bounded_by_axis_rule(normals)
         with pytest.raises(UnboundedRegionError):
             Polytope(halfspaces, vertices)
+
+
+_SQUARE = Polytope.box((0.0, 0.0), (1.0, 1.0))
+_SQUARE_HS = _SQUARE.halfspaces
+_SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+_CUBE = Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+_TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, [[0, 0], [2, 0], [1, 1], [0, 1]]),
+            InputError,
+            "vertex violates a halfspace by 1.000e+00 (scale 2)",
+            id="vertex-outside",
+        ),
+        pytest.param(
+            # two coincident pairs, (0, 5) and (1, 4): the first in row order
+            # is reported
+            lambda: Polytope(
+                [_SQUARE_HS[k] for k in (0, 1, 2, 3, 1, 0)], _SQUARE_VERTS
+            ),
+            RedundantHalfspaceError,
+            "halfspaces 0 and 5 coincide",
+            id="coincident",
+        ),
+        pytest.param(
+            lambda: Polytope(
+                _SQUARE_HS + (HalfSpace.of([1.0, 0.0], 5.0),), _SQUARE_VERTS
+            ),
+            RedundantHalfspaceError,
+            "halfspace 4 touches only 0 vertices; a facet needs at least 2",
+            id="touches-too-few",
+        ),
+        pytest.param(
+            # the corner (0, 0) listed twice: two tight vertices, one point
+            lambda: Polytope(
+                _SQUARE_HS + (HalfSpace.of([-1.0, -1.0], 0.0),),
+                _SQUARE_VERTS + [[0.0, 0.0]],
+            ),
+            RedundantHalfspaceError,
+            "halfspace 4 is tight on a set of affine rank 0, expected 1",
+            id="rank-2d",
+        ),
+        pytest.param(
+            # an edge of the cube with its midpoint: three collinear vertices
+            lambda: Polytope(
+                _CUBE.halfspaces + (HalfSpace.of([1.0, 1.0, 0.0], 2.0),),
+                np.vstack([_CUBE.vertices, [[1.0, 1.0, 0.5]]]),
+            ),
+            RedundantHalfspaceError,
+            "halfspace 6 is tight on a set of affine rank 1, expected 2",
+            id="rank-3d",
+        ),
+        pytest.param(
+            lambda: Polytope(
+                _SQUARE_HS, _SQUARE.vertices, [[0, 1], [1, 2], [2, 3], [3, 0]]
+            ),
+            InputError,
+            "facet_vertices disagree with the tight-vertex sets computed "
+            "from the halfspaces",
+            id="facet-vertices",
+        ),
+        pytest.param(
+            lambda: Polytope([_SQUARE_HS[k] for k in (0, 1, 3)], _SQUARE_VERTS),
+            UnboundedRegionError,
+            "outward normals leave an angular gap >= pi",
+            id="angular-gap",
+        ),
+        pytest.param(
+            lambda: Polytope(
+                [
+                    HalfSpace.of(
+                        [b[1] - a[1], a[0] - b[0], 0.0],
+                        a[0] * b[1] - a[1] * b[0],
+                    )
+                    for a, b in zip(_TRI, _TRI[1:] + _TRI[:1])
+                ],
+                [(x, y, z) for z in (0.0, 1.0) for x, y in _TRI],
+            ),
+            UnboundedRegionError,
+            "outward normals span only 2 of 3 dimensions",
+            id="rank-deficient-normals",
+        ),
+        pytest.param(
+            lambda: Polytope(
+                [h for h in _CUBE.halfspaces if h.normal[2] < 0.5],
+                _CUBE.vertices,
+            ),
+            UnboundedRegionError,
+            "outward normals fail to span direction [-0. -0.  1.]",
+            id="span",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0], [1, 0], [1, 0], [0, 1]]),
+            InputError,
+            "polygon has a repeated vertex",
+            id="repeated-polygon-vertex",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0], [1, 0]]),
+            InputError,
+            "a polygon needs at least 3 vertices",
+            id="polygon-too-few",
+        ),
+        pytest.param(
+            lambda: HalfSpace([3.0, 4.0], 10.0),
+            InputError,
+            "halfspace normal is not unit (norm 5.0)",
+            id="non-unit-normal",
+        ),
+        pytest.param(
+            lambda: Polytope([], _SQUARE_VERTS),
+            InputError,
+            "a polytope needs at least one halfspace",
+            id="no-halfspace",
+        ),
+        pytest.param(
+            lambda: Polytope([HalfSpace.of([1.0, 0.0], 1.0)], [[0.0, 0.0, 0.0]]),
+            DimensionMismatchError,
+            "vertices have dim 3, halfspaces have dim 2",
+            id="dimension-mismatch",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+            DimensionMismatchError,
+            "convex_polygon expects 2D points",
+            id="polygon-dimension",
+        ),
+    ],
+)
+def test_construction_errors_are_pinned(build, error, message):
+    """Each construction error keeps its class and its exact message."""
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, [[0, 0], [1, 0], [1, 1], [0, math.nan]]),
+            "vertex 3 has non-finite coordinates [ 0. nan]",
+            id="nan-vertex",
+        ),
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, [[0, 0], [1, 0], [1, 1], [0, math.inf]]),
+            "vertex 3 has non-finite coordinates [ 0. inf]",
+            id="inf-vertex",
+        ),
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, np.zeros((0, 2))),
+            "a polytope needs at least one vertex",
+            id="no-vertex",
+        ),
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, []),
+            "a polytope needs at least one vertex",
+            id="empty-list",
+        ),
+        pytest.param(
+            lambda: HalfSpace.of([1.0, 0.0], math.inf),
+            "halfspace offset must be finite, got inf",
+            id="inf-offset",
+        ),
+        pytest.param(
+            lambda: Polytope.from_halfspaces(
+                _SQUARE_HS[:3] + (HalfSpace.of([0.0, -1.0], math.nan),)
+            ),
+            "halfspace offset must be finite, got nan",
+            id="nan-offset",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0], [1, 0], [0, math.nan]]),
+            "vertex 2 has non-finite coordinates [ 0. nan]",
+            id="polygon-nan",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0], [1, 0], [math.inf, 1]]),
+            "vertex 2 has non-finite coordinates [inf  1.]",
+            id="polygon-inf",
+        ),
+        pytest.param(
+            lambda: Polytope.from_point_cloud(
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -math.inf]]
+            ),
+            "vertex 3 has non-finite coordinates [  0.   0. -inf]",
+            id="cloud-inf",
+        ),
+    ],
+)
+def test_non_finite_or_missing_data_refused_before_arithmetic(build, message):
+    """Refused with an InputError that names the bad value, and no numpy
+    warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as info:
+            build()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
 
 
 def test_dimension_mismatch_rejected():

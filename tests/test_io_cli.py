@@ -267,6 +267,34 @@ def test_cli_corner_refuses_a_non_finite_offset(offset, capsys):
     assert captured.err == f"billiards: error: offset must be finite, got {offset}\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("vertex", math.nan, "vertex 3 has non-finite coordinates [ 1. nan]"),
+        ("offset", math.inf, "halfspace offset must be finite, got inf"),
+    ],
+)
+def test_cli_refuses_a_table_file_with_non_finite_data(
+    field, value, message, tmp_path, capsys
+):
+    """JSON's NaN and Infinity parse as floats; the table is refused with one
+    error line, not a misleading verdict or a numpy warning."""
+    data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+    if field == "vertex":
+        data["vertices"][3][1] = value
+    else:
+        data["halfspaces"][0]["offset"] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-alcove", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"billiards: error: {message}\n"
+
+
 def test_cli_budget_exit_4(monkeypatch, capsys):
     import billiards.cli as cli_module
 
