@@ -198,7 +198,7 @@ def advance_to_boundary(
     raises ``NoProgressError``.
     """
     p = as_point(point, polytope.dim)
-    # the kernel's d @ d over a strided view could round in another order
+    # the kernel's d.dot(d) over a strided view could round in another order
     d = np.ascontiguousarray(as_point(direction, polytope.dim))
     hit, dt, active, _, _, _ = _advance(polytope, p, d)
     return hit, dt, active
@@ -216,7 +216,7 @@ def reflect_at(
     if not active:
         raise InputError("reflect_at needs a nonempty active set")
     d = unit(as_point(incoming, polytope.dim))
-    return _resolve(polytope, point, d, active, policy)
+    return BounceResolution(*_resolve(polytope, point, d, active, policy))
 
 
 # -- trusted step kernel -------------------------------------------------------
@@ -231,6 +231,17 @@ def reflect_at(
 # classification that ``_begin`` made of the start. ``simulate_unfolded``
 # deliberately does not: it classifies its own isometry-built position at
 # every step, so it stays an independent oracle.
+#
+# A step works on arrays of a few to a few dozen entries, where each numpy
+# call costs more than its arithmetic. So numpy keeps the products with the
+# normals (``normals.dot``, the same BLAS call as ``@``) and the vector
+# updates, and every reduction runs on Python floats from one ``tolist()``:
+# the worst rate of the active facets, the scan for the first crossing and,
+# in ``classify_slack``, the worst slack and the active set. That is exact,
+# because these reductions only take maxima, compare, and divide once per
+# row, ``-s / r``, the same IEEE division numpy makes; a strict ``<`` keeps
+# the first of tied minima, as ``argmin`` does. ``_resolve`` returns a plain
+# tuple; only the public ``reflect_at`` wraps it in a ``BounceResolution``.
 
 _Classification = tuple[Location, tuple[int, ...], float]
 
@@ -255,12 +266,12 @@ def _advance(
     or the facet that set ``dt`` if that is empty.
     """
     normals, offsets = polytope.normals, polytope.offsets
-    length = math.sqrt(d @ d)
+    length = math.sqrt(d.dot(d))
     if length < 1e-300:
         raise InputError("cannot normalize the zero vector")
     d = d / length
     if slack is None:
-        slack = normals @ p - offsets
+        slack = normals.dot(p) - offsets
     if here is None:
         here = classify_slack(slack, p, TOL.active)
     location, active, worst = here
@@ -268,30 +279,32 @@ def _advance(
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
         )
-    rates = normals @ d
-    approaching = rates > TOL.tangential
+    rates = normals.dot(d).tolist()
+    tangential = TOL.tangential
     if active:
-        rows = list(active)
-        worst_rate = float(rates[rows].max())
-        if worst_rate > TOL.tangential:
+        worst_rate = max([rates[i] for i in active])
+        if worst_rate > tangential:
             raise DegenerateStartError(
                 f"direction exits through active facet (rate {worst_rate:.3e})"
             )
-        approaching[rows] = False
-    idx = approaching.nonzero()[0]
-    if not idx.size:
+        for i in active:  # an active facet is never the next one crossed
+            rates[i] = 0.0
+    k = -1
+    for i, (s, r) in enumerate(zip(slack.tolist(), rates)):
+        if r > tangential:
+            t = -s / r
+            if k < 0 or t < dt:
+                k, dt = i, t
+    if k < 0:
         raise NoProgressError("no constraint is approached; table corrupt?")
-    times = -slack[idx] / rates[idx]
-    k = int(times.argmin())
-    dt = max(float(times[k]), 0.0)
+    dt = max(dt, 0.0)
     if not math.isfinite(dt) or dt <= TOL.step:
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
-    hit_slack = normals @ hit - offsets
+    hit_slack = normals.dot(hit) - offsets
     hit_here = classify_slack(hit_slack, hit, TOL.active)
     # the minimizing facet must be tight; recover it directly
-    hit_active = hit_here[1] or (int(idx[k]),)
-    return hit, dt, hit_active, d, hit_slack, hit_here
+    return hit, dt, hit_here[1] or (k,), d, hit_slack, hit_here
 
 
 def _resolve(
@@ -300,15 +313,15 @@ def _resolve(
     d: np.ndarray,
     active: tuple[int, ...],
     policy: CornerPolicy,
-) -> BounceResolution:
-    """:func:`reflect_at` for a unit direction and a nonempty active set."""
+) -> tuple[np.ndarray, BounceKind, tuple[int, ...]]:
+    """:func:`reflect_at` for a unit direction and a nonempty active set, as
+    a plain ``(outgoing, kind, word)`` tuple."""
     if len(active) == 1:
-        outgoing = reflected(d, polytope.normals[active[0]])
-        return BounceResolution(outgoing, BounceKind.FACET, active)
+        return reflected(d, polytope.normals[active[0]]), BounceKind.FACET, active
     if policy is CornerPolicy.STRICT:
         raise CornerAmbiguousError(as_point(point, polytope.dim), active)
     if policy is CornerPolicy.POINT_REFLECT:
-        return BounceResolution(-d, BounceKind.CORNER, ())
+        return -d, BounceKind.CORNER, ()
     # FOLD_GROUP: the active walls must meet at reflection-group angles
     normals = polytope.normals[list(active)]
     for i in range(len(active)):
@@ -322,8 +335,7 @@ def _resolve(
                     f"{dihedral:.12f}, not a pi/m angle"
                 )
     folded, local_word = fold_direction_into_cone(normals, d)
-    word = tuple(active[k] for k in local_word)
-    return BounceResolution(folded, BounceKind.CORNER, word)
+    return folded, BounceKind.CORNER, tuple(active[k] for k in local_word)
 
 
 def _begin(
@@ -387,22 +399,13 @@ def simulate(
             t = horizon
             break
         t = t + dt
-        res = _resolve(polytope, hit, d_unit, active, policy)
-        events.append(
-            BounceEvent(
-                time=t,
-                point=hit,
-                incoming=d,
-                outgoing=res.outgoing,
-                active=active,
-                kind=res.kind,
-            )
-        )
+        outgoing, kind, _ = _resolve(polytope, hit, d_unit, active, policy)
+        events.append(BounceEvent(t, hit, d, outgoing, active, kind))
         if len(events) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        p, d, slack, here = hit, res.outgoing, hit_slack, hit_here
+        p, d, slack, here = hit, outgoing, hit_slack, hit_here
     end = TrajectoryState(p, d, horizon)
     return Trajectory(state, events, end, horizon, policy)
 
@@ -454,24 +457,15 @@ def simulate_unfolded(
             break
         t = t + dt
         line = x0 + t * d0
-        res = _resolve(polytope, hit, d_unit, active, policy)
+        outgoing, kind, word = _resolve(polytope, hit, d_unit, active, policy)
         table_hit = q @ line + shift
-        events.append(
-            BounceEvent(
-                time=t,
-                point=table_hit,
-                incoming=d,
-                outgoing=res.outgoing,
-                active=active,
-                kind=res.kind,
-            )
-        )
+        events.append(BounceEvent(t, table_hit, d, outgoing, active, kind))
         if len(events) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        if res.kind is BounceKind.FACET or res.word:
-            for idx in res.word:
+        if kind is BounceKind.FACET or word:
+            for idx in word:
                 h, b = mirrors[idx]
                 q = h @ q
                 shift = h @ shift + b

@@ -77,7 +77,7 @@ def vector_norm(arr: np.ndarray) -> float:
     """Euclidean length of a 1-D float array, bit for bit ``np.linalg.norm``
     (which also sums over a contiguous copy of a strided view)."""
     flat = arr.ravel(order="K")
-    return math.sqrt(flat @ flat)
+    return math.sqrt(flat.dot(flat))
 
 
 def unit(v) -> np.ndarray:
@@ -101,7 +101,7 @@ def reflect(v, normal) -> np.ndarray:
 
 def reflected(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     """:func:`reflect` for finite 1-D float arrays of one dimension."""
-    return v - 2.0 * float(np.dot(v, n)) * n
+    return v - 2.0 * float(v.dot(n)) * n
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,26 @@ def classify_slack(
     constraint is violated by more than ``eps * max(1, |x|)``, and the
     constraints within that band of zero are active. Returns
     ``(location, active, worst_violation)``.
+
+    The reductions run on Python floats from one ``tolist()``: a max and
+    comparisons, which give the bits numpy's ``max`` and
+    ``abs(slack) <= band`` give. Once no value exceeds the band,
+    ``|s| <= band`` is ``s >= -band``. Two cases take ``worst_violation``
+    from numpy's ``max`` instead. A zero maximum may be a tie of ``0.0`` and
+    ``-0.0``, of which numpy and Python keep different ones. And a slack can
+    be NaN only when ``|x|`` overflows, as each ``|<n_i, x>|`` is at most
+    ``|x|``; the band is then infinite, and Python's ``max`` can pass over a
+    NaN.
     """
-    worst = float(slack.max())
+    values = slack.tolist()
     scaled = eps * max(1.0, vector_norm(x))
+    worst = max(values)
+    if worst == 0.0 or scaled == math.inf:
+        worst = float(slack.max())
     if worst > scaled:
         return Location.OUTSIDE, (), worst
-    active = tuple((np.abs(slack) <= scaled).nonzero()[0].tolist())
+    floor = -scaled
+    active = tuple([i for i, s in enumerate(values) if s >= floor])
     return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
 
 
@@ -356,6 +370,11 @@ def _shared_facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return first, second, spread
 
 
+# an edge between points with coordinates of magnitude at most c has a
+# squared length of at most 8 c^2, which stays finite for c = 1e153
+_MAX_POLYGON_COORDINATE = 1e153
+
+
 def _finite_points(pts: np.ndarray) -> None:
     """Refuse a point array with a non-finite coordinate, naming its row."""
     if not np.isfinite(pts).all():
@@ -369,6 +388,11 @@ def _halfspace_rows(halfspaces) -> np.ndarray:
     if isinstance(halfspaces, np.ndarray):
         return halfspaces
     hs = tuple(halfspaces)
+    for k, h in enumerate(hs):
+        if h.dim != hs[0].dim:
+            raise DimensionMismatchError(
+                f"halfspace {k} has dim {h.dim}, halfspace 0 has dim {hs[0].dim}"
+            )
     return np.column_stack(([h.normal for h in hs], [h.offset for h in hs]))
 
 
@@ -466,6 +490,14 @@ class Polytope:
         if pts.shape[0] < 3:
             raise InputError("a polygon needs at least 3 vertices")
         _finite_points(pts)
+        if float(np.abs(pts).max()) > _MAX_POLYGON_COORDINATE:
+            sizes = np.abs(pts).max(axis=1)
+            k = int(sizes.argmax())
+            raise InputError(
+                f"vertex {k} has a coordinate of magnitude {float(sizes[k])}; "
+                f"polygon coordinates must be at most {_MAX_POLYGON_COORDINATE}, "
+                "or squared edge lengths overflow"
+            )
         center = pts.mean(axis=0)
         order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
         pts = pts[order]

@@ -17,10 +17,11 @@ from billiards.alcove import (
     standard_alcove_labels,
     CoxeterDiagram,
 )
+from billiards.corner import limit_reflection
 from billiards.dynamics import BounceKind, CornerPolicy, TrajectoryState, simulate
 from billiards.errors import NotAnAlcoveError
 from billiards.geometry import Polytope, affine_rank, affine_ranks
-from billiards.tables import triangle_nonalcove
+from billiards.tables import triangle_A2, triangle_nonalcove
 from conftest import random_polytope_3d, random_triangle
 
 
@@ -316,3 +317,72 @@ def test_fold_entry_points_check_each_table_once(monkeypatch):
         fold_point(alcove, x0 + 2.0)
         folded_flow(alcove, TrajectoryState(x0, (1.0, 0.5, 0.25)), 3.0)
     assert calls == [alcove]
+
+
+# -- Theorem 1 above dimension two: straddling a prism's edge -----------------
+
+def _straddle_vertical_edge(triangle, corner, delta):
+    """Shoot at the vertical edge of the prism over ``triangle`` that stands
+    on vertex ``corner``, at height 1/2, parallel to the bisector of the
+    wedge the two side facets make there, offset by ``+delta`` toward the
+    wedge's upper face and by ``-delta`` toward its lower one. Returns the
+    wedge's ``limit_reflection`` and the outgoing angle of each shot after
+    its near-edge bounces, measured from the lower face."""
+    pts = triangle.vertices
+    apex = pts[corner]
+    lower, upper = pts[(corner + 1) % 3] - apex, pts[corner - 1] - apex
+    if lower[0] * upper[1] - lower[1] * upper[0] < 0.0:
+        lower, upper = upper, lower
+    lower, upper = lower / np.linalg.norm(lower), upper / np.linalg.norm(upper)
+    limit = limit_reflection(math.acos(float(lower @ upper)))
+    bisector = (lower + upper) / np.linalg.norm(lower + upper)
+    toward_upper = np.array([-bisector[1], bisector[0]])
+    prism = _prism(pts)
+    angles = {}
+    for sign in (+1.0, -1.0):
+        x0 = apex + 0.25 * bisector + sign * delta * toward_upper
+        run = simulate(
+            prism,
+            TrajectoryState([x0[0], x0[1], 0.5], [-bisector[0], -bisector[1], 0.0]),
+            1.0,
+            CornerPolicy.STRICT,
+        )
+        near = run.events[: limit.m]
+        assert len(near) == limit.m
+        for event in near:
+            assert event.kind is BounceKind.FACET
+            assert np.hypot(*(event.point[:2] - apex)) <= 100.0 * delta
+            assert event.point[2] == 0.5
+        out = near[-1].outgoing
+        assert out[2] == 0.0
+        angles[sign] = math.atan2(
+            lower[0] * out[1] - lower[1] * out[0], lower[0] * out[0] + lower[1] * out[1]
+        )
+    return limit, angles[+1.0], angles[-1.0]
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2])
+def test_straddling_a_non_pi_over_k_prism_edge_splits_by_the_gap(corner):
+    """The prism over a triangle with no pi/k angle is no alcove: on either
+    side of a vertical edge, whose dihedral angle is the triangle's angle,
+    shots leave along the two one-sided limits of the planar corner, however
+    close to the edge they pass, so the flow is discontinuous there."""
+    for delta in (1e-3, 1e-5, 1e-7):
+        limit, above, below = _straddle_vertical_edge(
+            triangle_nonalcove(), corner, delta
+        )
+        assert not limit.continuous and limit.gap > 0.3
+        assert abs(above - limit.outgoing_above) <= 1e-12
+        assert abs(below - limit.outgoing_below) <= 1e-12
+        assert abs(abs(above - below) - limit.gap) <= 1e-12
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2])
+def test_straddling_a_pi_over_three_prism_edge_closes_up(corner):
+    """Over the equilateral triangle, an alcove, both sides of each vertical
+    edge leave in one direction as the offset shrinks."""
+    for delta in (1e-3, 1e-5, 1e-7):
+        limit, above, below = _straddle_vertical_edge(triangle_A2(), corner, delta)
+        assert limit.continuous
+        assert abs(above - below) <= 1e-12
+        assert abs(above - limit.outgoing_above) <= 1e-12

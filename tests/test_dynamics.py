@@ -1,11 +1,14 @@
 """Billiard flow on polytopes: advancing, reflecting, corner policies."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from billiards import dynamics
 from billiards.alcove import standard_alcove
+from billiards.config import TOL
 from billiards.dynamics import (
     BounceKind,
     CornerPolicy,
@@ -20,10 +23,11 @@ from billiards.errors import (
     CornerAmbiguousError,
     DegenerateStartError,
     InputError,
+    NoProgressError,
     NotAnAlcoveError,
     OutsideTableError,
 )
-from billiards.geometry import Polytope, is_polar, unit
+from billiards.geometry import Polytope, classify_slack, is_polar, unit
 from conftest import (
     random_convex_polygon,
     random_interior_state,
@@ -70,6 +74,72 @@ def test_advance_reads_a_strided_direction_like_its_copy(rng):
         )
         assert np.array_equal(hit, want_hit)
         assert (dt, active) == (want_dt, want_active)
+
+
+def _set_kernel_tolerances(monkeypatch, **tolerances):
+    """Run the step kernel with some tolerances changed."""
+    monkeypatch.setattr(dynamics, "TOL", dataclasses.replace(TOL, **tolerances))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("reverse", [False, True], ids=["box", "reversed"])
+def test_exactly_tied_hit_times_pick_the_lowest_facet(monkeypatch, dim, reverse):
+    """A diagonal shot in a box reaches ``dim`` facets at the same time, to
+    the bit. With an active band too thin to hold the rounded hit, the hit's
+    classification is empty and the facet that set the time is reported:
+    the lowest index among the tied ones, in either facet order."""
+    _set_kernel_tolerances(monkeypatch, active=1e-300)
+    box = Polytope.box(-np.ones(dim), np.ones(dim))
+    rows = np.column_stack((box.normals, box.offsets))
+    table = Polytope(rows[::-1] if reverse else rows, box.vertices)
+    seen = 0
+    for x in np.linspace(-0.9, 0.9, 37):
+        for sign in (1.0, -1.0):
+            p, d = np.full(dim, x), np.full(dim, sign)
+            hit, _, active = advance_to_boundary(table, p, d)
+            rates = table.normals @ unit(d)
+            slack = table.normals @ p - table.offsets
+            times = np.full(len(rates), np.inf)
+            ahead = rates > 0.0
+            times[ahead] = -slack[ahead] / rates[ahead]
+            tied = np.flatnonzero(times == times.min()).tolist()
+            assert len(tied) == dim
+            here = classify_slack(table.normals @ hit - table.offsets, hit, 1e-300)
+            if here[1]:
+                continue
+            seen += 1
+            assert active == (tied[0],)
+    assert seen >= 10
+
+
+def test_step_errors_keep_their_messages(monkeypatch):
+    """The errors a single step raises keep their class and their bytes."""
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    cases = [
+        ((0.5, 0.0), (0.1, -1.0), DegenerateStartError,
+         "direction exits through active facet (rate 9.950e-01)"),
+        ((1.0, 1.0), (1.0, 0.5), DegenerateStartError,
+         "direction exits through active facet (rate 8.944e-01)"),
+        ((1.5, 0.5), (1.0, 0.0), OutsideTableError,
+         "start point violates a constraint by 5.000e-01"),
+    ]
+    for p, d, error, message in cases:
+        with pytest.raises(error) as info:
+            advance_to_boundary(square, p, d)
+        assert type(info.value) is error
+        assert str(info.value) == message
+    _set_kernel_tolerances(monkeypatch, tangential=2.0)
+    with pytest.raises(NoProgressError) as info:
+        advance_to_boundary(square, (0.5, 0.5), (1.0, 0.3))
+    assert str(info.value) == "no constraint is approached; table corrupt?"
+    _set_kernel_tolerances(monkeypatch, active=1e-300)
+    for d, message in (
+        ((1.0, 0.0), "forward crossing at dt=2.842e-14 is too small"),
+        ((1.0, 1.0), "forward crossing at dt=4.019e-14 is too small"),
+    ):
+        with pytest.raises(NoProgressError) as info:
+            advance_to_boundary(square, (1.0 - 2.0**-45, 0.5), d)
+        assert str(info.value) == message
 
 
 def test_square_vertical_orbit_period_four():

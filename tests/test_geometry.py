@@ -1,6 +1,7 @@
 """Geometry kernel: halfspaces, polytopes, cones, and the polar predicate."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from billiards.geometry import (
     Location,
     Polytope,
     _nnls,
+    classify_slack,
     cone_membership,
     fold_direction_into_cone,
     is_polar,
@@ -75,6 +77,57 @@ def test_box_containment_and_active_sets():
     corner = box.contains([0.0, 0.0])
     assert corner.location is Location.BOUNDARY
     assert len(corner.active) == 2
+
+
+def _classify_oracle(slack, x, eps):
+    """classify_slack written with numpy's reductions."""
+    worst = float(slack.max())
+    scaled = eps * max(1.0, float(np.linalg.norm(x)))
+    if worst > scaled:
+        return Location.OUTSIDE, (), worst
+    active = tuple(np.flatnonzero(np.abs(slack) <= scaled).tolist())
+    return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
+
+
+def _slack_cases(rng):
+    """(slack, x, eps) triples: seeded slacks at several scales, values
+    exactly at the band's edges, tied zeros of both signs in both orders,
+    a single facet, and points inside and outside the unit ball."""
+    eps = 1e-9
+    for x in ([0.3, -0.4], [3.0, 4.0], [0.0, 0.0, 0.5], [1e3, -2e3, 5.0]):
+        x = np.array(x)
+        scaled = eps * max(1.0, float(np.linalg.norm(x)))
+        for size in (1, 2, 3, 6, 17):
+            for spread in (1.0, 1e-9, 1e-12):
+                yield spread * rng.normal(size=size), x, eps
+                yield -spread * np.abs(rng.normal(size=size)), x, eps
+            edges = rng.choice([scaled, -scaled, 0.5 * scaled, -2.0 * scaled,
+                                2.0 * scaled, -1.0], size=size)
+            yield edges, x, eps
+        for ties in ([0.0, -0.0], [-0.0, 0.0], [-1.0, 0.0, -0.0, -2.0],
+                     [-0.0, -3.0, 0.0], [-0.0], [0.0], [-scaled, -0.0, 0.0],
+                     [0.0] + [-0.0] * 9, [-0.0] * 9 + [0.0]):
+            yield np.array(ties), x, eps
+        yield np.array([scaled]), x, eps
+        yield np.array([-scaled, -scaled]), x, eps
+        yield np.array([np.nextafter(scaled, 1.0), -scaled]), x, eps
+    # |x| overflows, so the band is infinite; such a slack can hold NaN
+    huge = np.array([1e200, -1e200])
+    for slack in ([-1.0, math.nan, 5.0], [math.inf, -1.0], [-math.inf, 0.0]):
+        yield np.array(slack), huge, eps
+
+
+def test_classify_slack_matches_the_numpy_oracle_bit_for_bit(rng):
+    """Location, active set and the bytes of the worst violation, sign of
+    zero included, equal those of numpy's max and abs reductions."""
+    for slack, x, eps in _slack_cases(rng):
+        with np.errstate(over="ignore"):  # |x| of the last cases overflows
+            location, active, worst = classify_slack(slack, x, eps)
+            want = _classify_oracle(slack, x, eps)
+        want_location, want_active, want_worst = want
+        assert (location, active) == (want_location, want_active)
+        assert type(worst) is float
+        assert struct.pack("<d", worst) == struct.pack("<d", want_worst)
 
 
 def test_polytope_arrays_are_read_only():
@@ -319,6 +372,22 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             "convex_polygon expects 2D points",
             id="polygon-dimension",
         ),
+        pytest.param(
+            lambda: Polytope(
+                [HalfSpace.of([1, 0], 1), HalfSpace.of([1, 0, 0], 1)], [[0, 0]]
+            ),
+            DimensionMismatchError,
+            "halfspace 1 has dim 3, halfspace 0 has dim 2",
+            id="mixed-halfspace-dimensions",
+        ),
+        pytest.param(
+            lambda: Polytope.from_halfspaces(
+                _SQUARE_HS[:3] + (HalfSpace.of([0, 0, -1], 0),)
+            ),
+            DimensionMismatchError,
+            "halfspace 3 has dim 3, halfspace 0 has dim 2",
+            id="mixed-halfspace-dimensions-enumerated",
+        ),
     ],
 )
 def test_construction_errors_are_pinned(build, error, message):
@@ -381,6 +450,20 @@ def test_construction_errors_are_pinned(build, error, message):
             "vertex 3 has non-finite coordinates [  0.   0. -inf]",
             id="cloud-inf",
         ),
+        pytest.param(
+            lambda: Polytope.convex_polygon(
+                [[1e200, 0], [0, 1e200], [-1e200, -1e200]]
+            ),
+            "vertex 0 has a coordinate of magnitude 1e+200; polygon coordinates "
+            "must be at most 1e+153, or squared edge lengths overflow",
+            id="polygon-overflow",
+        ),
+        pytest.param(
+            lambda: Polytope.convex_polygon([[0, 0], [1, 0], [0, -3e160]]),
+            "vertex 2 has a coordinate of magnitude 3e+160; polygon coordinates "
+            "must be at most 1e+153, or squared edge lengths overflow",
+            id="polygon-overflow-one-vertex",
+        ),
     ],
 )
 def test_non_finite_or_missing_data_refused_before_arithmetic(build, message):
@@ -392,6 +475,13 @@ def test_non_finite_or_missing_data_refused_before_arithmetic(build, message):
             build()
     assert type(info.value) is InputError
     assert str(info.value) == message
+
+
+def test_polygon_at_the_coordinate_limit_builds_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = Polytope.convex_polygon([[1e153, 0], [0, 1e153], [-1e153, -1e153]])
+        assert table.contains([0.0, 0.0]).location is Location.INTERIOR
 
 
 def test_dimension_mismatch_rejected():

@@ -1,0 +1,162 @@
+"""Print one sha256 over the events and end states of a fixed set of seeded
+billiard runs, so two trees can be shown to step bit for bit alike.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tools/flow_digest.py [-v]
+
+The runs are:
+
+* random convex polygons and random 3D hulls, each run by ``simulate`` and by
+  ``simulate_unfolded`` under ``STRICT`` (a run that meets a corner records
+  the error's class and message instead of its events);
+* boxes in dimension 2 and 3 under ``POINT_REFLECT``, from random starts and
+  aimed at their corners, and one corner shot per box under ``STRICT``;
+* ``folded_flow`` shots from the interior point of each standard alcove up to
+  rank 8 at each of its vertices.
+
+It also hashes ``Polytope.contains`` (location, active set and the bytes of
+``worst_violation``) at seeded points on, near, inside and outside some of
+those tables.
+
+Every event contributes the bytes of its time, point, incoming and outgoing
+directions, its active set and its kind; every run its end point, direction
+and time. With ``-v`` one short digest per group of runs is printed as well,
+to find the group where two trees part.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+from billiards.alcove import folded_flow, standard_alcove, standard_alcove_labels
+from billiards.dynamics import (
+    CornerPolicy,
+    TrajectoryState,
+    simulate,
+    simulate_unfolded,
+)
+from billiards.errors import BilliardsError
+from billiards.geometry import Polytope
+
+
+def _polygon(rng) -> Polytope:
+    """A convex polygon with 3 to 8 vertices on a circle, edges not tiny."""
+    k = int(rng.integers(3, 9))
+    while True:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+        if gaps.min() > 0.15 and gaps.max() < np.pi - 0.15:
+            break
+    center = rng.uniform(-0.3, 0.3, 2)
+    radius = rng.uniform(0.7, 1.5)
+    return Polytope.convex_polygon(
+        center + radius * np.c_[np.cos(angles), np.sin(angles)]
+    )
+
+
+def _hull(rng) -> Polytope:
+    """The hull of 8 to 15 points on a sphere."""
+    pts = rng.normal(size=(int(rng.integers(8, 16)), 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return Polytope.from_point_cloud(pts * rng.uniform(0.8, 1.4))
+
+
+def _start(rng, table: Polytope) -> TrajectoryState:
+    point = rng.dirichlet(np.ones(len(table.vertices))) @ table.vertices
+    point = 0.7 * point + 0.3 * table.interior_point()
+    return TrajectoryState(point, rng.normal(size=table.dim))
+
+
+def _record(digest, run, table, state, horizon, *args) -> None:
+    try:
+        traj = run(table, state, horizon, *args)
+    except BilliardsError as err:
+        digest.update(f"{type(err).__name__}: {err}".encode())
+        return
+    for e in traj.events:
+        digest.update(np.float64(e.time).tobytes())
+        for arr in (e.point, e.incoming, e.outgoing):
+            digest.update(arr.tobytes())
+        digest.update(repr((e.active, e.kind.value)).encode())
+    digest.update(b"end")
+    digest.update(traj.end.point.tobytes())
+    digest.update(traj.end.direction.tobytes())
+    digest.update(np.float64(traj.end.time).tobytes())
+
+
+def _random_tables(digest) -> None:
+    rng = np.random.default_rng(801)
+    for k in range(60):
+        table = _polygon(rng) if k % 2 == 0 else _hull(rng)
+        state = _start(rng, table)
+        for run in (simulate, simulate_unfolded):
+            _record(digest, run, table, state, 40.0, CornerPolicy.STRICT)
+
+
+def _boxes(digest) -> None:
+    rng = np.random.default_rng(802)
+    for dim in (2, 3):
+        box = Polytope.box(-np.ones(dim), np.linspace(1.0, 2.0, dim))
+        center = box.interior_point()
+        shots = [_start(rng, box) for _ in range(10)]
+        shots += [TrajectoryState(center, v - center) for v in box.vertices]
+        for state in shots:
+            for run in (simulate, simulate_unfolded):
+                _record(digest, run, box, state, 20.0, CornerPolicy.POINT_REFLECT)
+        # under STRICT a corner shot records the error's message
+        for run in (simulate, simulate_unfolded):
+            _record(digest, run, box, shots[-1], 20.0, CornerPolicy.STRICT)
+
+
+def _alcove_vertex_shots(digest) -> None:
+    for label in standard_alcove_labels(8):
+        alcove = standard_alcove(label)
+        x0 = alcove.interior_point()
+        for v in alcove.vertices:
+            _record(digest, folded_flow, alcove, TrajectoryState(x0, v - x0), 30.0)
+
+
+def _containment(digest) -> None:
+    rng = np.random.default_rng(803)
+    tables = [_polygon(rng) for _ in range(10)] + [_hull(rng) for _ in range(10)]
+    tables += [standard_alcove(label) for label in ("A3~", "B4~", "E8~")]
+    for table in tables:
+        verts = table.vertices
+        # vertices, points on facets and edges, inside and outside, and
+        # points within rounding of the boundary
+        points = list(verts)
+        points += list(rng.dirichlet(np.ones(2), 20) @ verts[:2])
+        points += list(rng.uniform(-2.0, 2.0, (20, table.dim)) * np.abs(verts).max())
+        points += [v * (1.0 + s) for v in verts for s in (-1e-9, 1e-12, 1e-6)]
+        for x in points:
+            c = table.contains(x)
+            digest.update(repr((c.location.value, c.active)).encode())
+            digest.update(np.float64(c.worst_violation).tobytes())
+
+
+GROUPS = (
+    ("random tables, STRICT", _random_tables),
+    ("boxes, POINT_REFLECT", _boxes),
+    ("alcove vertex shots, folded_flow", _alcove_vertex_shots),
+    ("Polytope.contains on seeded points", _containment),
+)
+
+
+def main(argv: list[str]) -> int:
+    total = hashlib.sha256()
+    for name, group in GROUPS:
+        digest = hashlib.sha256()
+        group(digest)
+        total.update(digest.digest())
+        if "-v" in argv:
+            print(f"{name}: {digest.hexdigest()[:16]}")
+    print(f"flow digest: sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
