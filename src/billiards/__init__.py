@@ -40,7 +40,6 @@ from .errors import (
 )
 from .geometry import (
     Containment,
-    HalfSpace,
     Location,
     Polytope,
     cone_membership,
@@ -128,7 +127,6 @@ __all__ = [
     "WordBudgetExceededError",
     # geometry
     "Containment",
-    "HalfSpace",
     "Location",
     "Polytope",
     "cone_membership",

@@ -11,14 +11,13 @@ decided by nonnegative least squares with the residual thresholded at
 the unique polar partner of ``u`` is ``reflect(-u, n)``.
 
 A :class:`Polytope` is two read-only arrays, the unit normals (one row per
-facet) and the offsets, plus its vertices; :class:`HalfSpace` objects are a
-view of those rows for callers that want one facet at a time. Construction
-checks the table in batched array calls: the tight vertex set of every facet
-from one pass over the vertex-by-facet slack matrix, and the affine ranks of
-those sets with one decomposition per set size. Given only halfspaces,
-vertices are enumerated by brute force over facet subsets, which is practical
-for dimension up to three and small facet counts; larger tables must supply
-full data.
+facet) and the offsets, plus its vertices; a halfspace has one form, a
+``[normal | offset]`` row. Construction checks the table in batched array
+calls: the tight vertex set of every facet from one pass over the
+vertex-by-facet slack matrix, and the affine ranks of those sets with one
+decomposition per set size. Given only halfspaces, vertices are enumerated
+by brute force over facet subsets, which is practical for dimension up to
+three and small facet counts; larger tables must supply full data.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,7 +42,6 @@ from .errors import (
 )
 
 __all__ = [
-    "HalfSpace",
     "Polytope",
     "Location",
     "Containment",
@@ -102,42 +101,6 @@ def reflect(v, normal) -> np.ndarray:
 def reflected(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     """:func:`reflect` for finite 1-D float arrays of one dimension."""
     return v - 2.0 * float(v.dot(n)) * n
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """``{x : <normal, x> <= offset}`` with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = as_point(self.normal)
-        length = vector_norm(n)
-        if abs(length - 1.0) > 1e-12:
-            raise InputError(f"halfspace normal is not unit (norm {length})")
-        offset = float(self.offset)
-        if not math.isfinite(offset):
-            raise InputError(f"halfspace offset must be finite, got {offset}")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", offset)
-
-    @classmethod
-    def of(cls, normal, offset: float) -> "HalfSpace":
-        """Build from an un-normalized normal, rescaling the offset to match."""
-        n = as_point(normal)
-        length = vector_norm(n)
-        if length < 1e-300:
-            raise InputError("halfspace normal may not be zero")
-        return cls(n / length, float(offset) / length)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    def signed_distance(self, x) -> float:
-        """Positive outside, negative inside."""
-        return float(np.dot(self.normal, as_point(x, self.dim)) - self.offset)
 
 
 class Location(Enum):
@@ -370,30 +333,95 @@ def _shared_facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return first, second, spread
 
 
-# an edge between points with coordinates of magnitude at most c has a
-# squared length of at most 8 c^2, which stays finite for c = 1e153
-_MAX_POLYGON_COORDINATE = 1e153
+# squared edge lengths, at most 4 d c^2 in dimension d for coordinates of
+# magnitude at most c, stay finite for c = 1e153 below dimension 45
+_MAX_COORDINATE = 1e153
+# qhull's facet normals in 3D are cross products of edges, whose squared
+# lengths grow as the fourth power of the coordinates
+_MAX_HULL_COORDINATE = 1e76
 
 
-def _finite_points(pts: np.ndarray) -> None:
-    """Refuse a point array with a non-finite coordinate, naming its row."""
-    if not np.isfinite(pts).all():
-        k = int((~np.isfinite(pts).all(axis=1)).argmax())
+def _checked_points(pts, kind: str, limit: float = _MAX_COORDINATE) -> None:
+    """Refuse a point array with a non-finite coordinate or one of magnitude
+    above ``limit``, naming its row; ``kind`` names the points."""
+    if float(np.abs(pts).max(initial=0.0)) <= limit:
+        return
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
         raise InputError(f"vertex {k} has non-finite coordinates {pts[k]}")
+    sizes = np.abs(pts).max(axis=1)
+    k = int(sizes.argmax())
+    raise InputError(
+        f"vertex {k} has a coordinate of magnitude {float(sizes[k])}; "
+        f"{kind} coordinates must be at most {limit}, "
+        "or squared edge lengths overflow"
+    )
 
 
-def _halfspace_rows(halfspaces) -> np.ndarray:
-    """``[normal | offset]`` rows, one per halfspace, from ``HalfSpace``
-    objects or from such an array."""
-    if isinstance(halfspaces, np.ndarray):
-        return halfspaces
-    hs = tuple(halfspaces)
-    for k, h in enumerate(hs):
-        if h.dim != hs[0].dim:
-            raise DimensionMismatchError(
-                f"halfspace {k} has dim {h.dim}, halfspace 0 has dim {hs[0].dim}"
-            )
-    return np.column_stack(([h.normal for h in hs], [h.offset for h in hs]))
+def _checked_rows(halfspaces) -> np.ndarray:
+    """The halfspaces as an ``(H, dim + 1)`` float array of finite
+    ``[normal | offset]`` rows with ``H, dim >= 1``; any other shape, rows of
+    different lengths and non-finite rows are refused."""
+    try:
+        rows = np.asarray(halfspaces, dtype=float)
+    except ValueError:
+        sizes = [np.size(row) for row in halfspaces]
+        for k, size in enumerate(sizes):
+            if size != sizes[0]:
+                raise DimensionMismatchError(
+                    f"halfspace {k} has dim {size - 1}, "
+                    f"halfspace 0 has dim {sizes[0] - 1}"
+                ) from None
+        raise
+    if rows.shape[:1] == (0,):
+        raise InputError("a polytope needs at least one halfspace")
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise InputError(
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            f"rows with dim >= 1, got shape {rows.shape}"
+        )
+    if not np.isfinite(rows).all():
+        k = int((~np.isfinite(rows).all(axis=1)).argmax())
+        raise InputError(
+            f"halfspace {k} has non-finite data: normal {rows[k, :-1]}, "
+            f"offset {rows[k, -1]}"
+        )
+    return rows
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``[normal | offset]`` rows divided by the lengths of their normals,
+    which keeps each halfspace and makes its normal unit.
+
+    Refuses the first row, in row order, with a non-finite or zero normal, a
+    normal whose squared length overflows or underflows, or an offset that
+    is not finite once divided.
+    """
+    normals = rows[:, :-1]
+    with np.errstate(all="ignore"):
+        squared = np.vecdot(normals, normals)
+        unit_rows = rows / np.sqrt(squared)[:, None]
+    # checked on Python floats, cheaper than numpy's reductions for a few
+    # rows; a non-finite square or offset makes the sum non-finite
+    values = squared.tolist()
+    total = sum(values) + sum(unit_rows[:, -1].tolist())
+    if min(values, default=1.0) < sys.float_info.min or not math.isfinite(total):
+        for k, normal in enumerate(normals):
+            if not np.isfinite(normal).all():
+                raise InputError(f"non-finite coordinates: {normal}")
+            if not normal.any():
+                raise InputError("halfspace normal may not be zero")
+            if not sys.float_info.min <= squared[k] < math.inf:
+                raise InputError(
+                    f"halfspace {k} has a normal coordinate of magnitude "
+                    f"{float(np.abs(normal).max())}; its squared length "
+                    f"{'overflows' if squared[k] > 1.0 else 'underflows'}"
+                )
+            offset = float(unit_rows[k, -1])
+            if not math.isfinite(offset):
+                raise InputError(f"halfspace offset must be finite, got {offset}")
+    return unit_rows
 
 
 class Polytope:
@@ -401,13 +429,12 @@ class Polytope:
 
     A table is two read-only arrays, ``normals`` (one unit outward normal per
     row) and ``offsets``, with ``normals @ x <= offsets`` inside; every
-    check and every derived quantity is computed from them. ``halfspaces``
-    is a view of the same rows as :class:`HalfSpace` objects, built on first
-    use.
+    check and every derived quantity is computed from them.
 
-    The first argument is a sequence of :class:`HalfSpace` objects or an
-    ``(H, dim + 1)`` array of ``[normal | offset]`` rows. Construction
-    refuses non-finite data and an empty vertex array up front, then
+    The first argument is an ``(H, dim + 1)`` array-like of ``[normal |
+    offset]`` rows with unit normals. Construction refuses any other shape,
+    non-unit normals, non-finite data, coordinates above 1e153 and an empty
+    vertex array up front, then
     validates that every halfspace supports a facet (else
     ``RedundantHalfspaceError``), that all vertices are feasible, and that the
     outward normals positively span the ambient space (else
@@ -415,15 +442,13 @@ class Polytope:
     """
 
     def __init__(self, halfspaces, vertices, facet_vertices=None):
-        rows = _halfspace_rows(halfspaces)
-        if not len(rows):
-            raise InputError("a polytope needs at least one halfspace")
+        rows = _checked_rows(halfspaces)
         # copies, so that making them read-only leaves the caller's data alone
-        self.normals: np.ndarray = np.array(rows[:, :-1], dtype=float, order="C")
-        self.offsets: np.ndarray = np.array(rows[:, -1], dtype=float)
+        self.normals: np.ndarray = np.array(rows[:, :-1], order="C")
+        self.offsets: np.ndarray = np.array(rows[:, -1])
         self.dim: int = self.normals.shape[1]
         self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
-        scale = self._checked_scale(rows)
+        scale = self._checked_scale()
         # read-only, so that what is derived from a table (such as its alcove
         # verdict) stays true of it
         for arr in (self.normals, self.offsets, self.vertices):
@@ -445,15 +470,13 @@ class Polytope:
 
     @classmethod
     def from_halfspaces(cls, halfspaces) -> "Polytope":
-        """Enumerate vertices by intersecting ``dim``-subsets of hyperplanes.
+        """Enumerate vertices by intersecting ``dim``-subsets of hyperplanes,
+        given ``[normal | offset]`` rows as for the constructor.
 
         Practical for dimension <= 3 or small facet counts; the subset count
         is capped to keep the cost sane.
         """
-        hs = tuple(halfspaces)
-        if not hs:
-            raise InputError("need at least one halfspace")
-        rows = _halfspace_rows(hs)
+        rows = _checked_rows(halfspaces)
         normals, offsets = rows[:, :-1], rows[:, -1]
         n_facets, dim = normals.shape
         max_subsets = 200_000
@@ -489,15 +512,7 @@ class Polytope:
             raise DimensionMismatchError("convex_polygon expects 2D points")
         if pts.shape[0] < 3:
             raise InputError("a polygon needs at least 3 vertices")
-        _finite_points(pts)
-        if float(np.abs(pts).max()) > _MAX_POLYGON_COORDINATE:
-            sizes = np.abs(pts).max(axis=1)
-            k = int(sizes.argmax())
-            raise InputError(
-                f"vertex {k} has a coordinate of magnitude {float(sizes[k])}; "
-                f"polygon coordinates must be at most {_MAX_POLYGON_COORDINATE}, "
-                "or squared edge lengths overflow"
-            )
+        _checked_points(pts, "polygon")
         center = pts.mean(axis=0)
         order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
         pts = pts[order]
@@ -509,8 +524,7 @@ class Polytope:
         rows[:, 1] = -edges[:, 0]
         normals = rows[:, :2]
         rows[:, 2] = np.vecdot(normals, pts)
-        rows /= np.sqrt(np.vecdot(normals, normals))[:, None]
-        return cls(rows, pts)
+        return cls(_unit_rows(rows), pts)
 
     @classmethod
     def from_point_cloud(cls, points) -> "Polytope":
@@ -518,7 +532,8 @@ class Polytope:
         from scipy.spatial import ConvexHull
 
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        _finite_points(pts)
+        limit = _MAX_HULL_COORDINATE if pts.shape[1] == 3 else _MAX_COORDINATE
+        _checked_points(pts, "point cloud", limit)
         if pts.shape[1] == 2:
             hull = ConvexHull(pts)
             return cls.convex_polygon(pts[hull.vertices])
@@ -539,8 +554,7 @@ class Polytope:
             if not any(same[j][i] for i in keep):
                 keep.append(j)
         rows = np.column_stack((normals[keep], offsets[keep]))
-        rows /= np.sqrt(np.vecdot(rows[:, :3], rows[:, :3]))[:, None]
-        return cls(rows, pts[hull.vertices])
+        return cls(_unit_rows(rows), pts[hull.vertices])
 
     @classmethod
     def box(cls, lower, upper) -> "Polytope":
@@ -565,23 +579,16 @@ class Polytope:
 
     # -- validation --------------------------------------------------------
 
-    def _checked_scale(self, rows: np.ndarray) -> float:
-        """Refuse data no arithmetic should see: non-finite halfspace rows,
-        normals that are not unit, and missing or non-finite vertices. Returns
-        the largest vertex coordinate, at least 1, the scale of every
-        tolerance in the checks that follow."""
-        # in the order HalfSpace checks a row: the norm, then finiteness
+    def _checked_scale(self) -> float:
+        """Refuse data no arithmetic should see: normals that are not unit,
+        and missing, non-finite or huge vertices. Returns the largest vertex
+        coordinate, at least 1, the scale of every tolerance in the checks
+        that follow."""
         lengths = np.sqrt(np.vecdot(self.normals, self.normals))
         off_unit = np.abs(lengths - 1.0) > 1e-12
         if off_unit.any():
             length = float(lengths[off_unit.argmax()])
             raise InputError(f"halfspace normal is not unit (norm {length})")
-        if not np.isfinite(rows).all():
-            k = int((~np.isfinite(rows).all(axis=1)).argmax())
-            raise InputError(
-                f"halfspace {k} has non-finite data: normal {rows[k, :-1]}, "
-                f"offset {rows[k, -1]}"
-            )
         if self.vertices.size == 0:
             raise InputError("a polytope needs at least one vertex")
         if self.vertices.shape[1] != self.dim:
@@ -590,8 +597,8 @@ class Polytope:
                 f"halfspaces have dim {self.dim}"
             )
         scale = float(np.abs(self.vertices).max())
-        if not math.isfinite(scale):
-            _finite_points(self.vertices)
+        if not scale <= _MAX_COORDINATE:
+            _checked_points(self.vertices, "polytope")
         return max(1.0, scale)
 
     def _tight_vertex_sets(
@@ -672,14 +679,6 @@ class Polytope:
             )
 
     # -- queries -----------------------------------------------------------
-
-    @functools.cached_property
-    def halfspaces(self) -> tuple[HalfSpace, ...]:
-        """The rows of ``normals`` and ``offsets`` as :class:`HalfSpace`
-        objects (read-only views of the normals), built on first use."""
-        return tuple(
-            HalfSpace(n, c) for n, c in zip(self.normals, self.offsets.tolist())
-        )
 
     @property
     def n_facets(self) -> int:

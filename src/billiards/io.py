@@ -5,8 +5,9 @@ File format (validated against ``data/table.schema.json``):
 * convex polytope -- ``{"dim": n, "halfspaces": [{"normal": [...],
   "offset": r}, ...], "vertices": [[...], ...], "facet_vertices":
   [[indices], ...]}``; ``vertices``/``facet_vertices`` are optional and are
-  cross-checked against the halfspaces when present.  Normals are
-  normalized on load (offsets rescaled to preserve the halfspace).
+  cross-checked against the halfspaces when present.  The entries become
+  one array of ``[normal | offset]`` rows, each divided by its normal's
+  length (which keeps the halfspace).
 * surface mesh -- ``{"surface": {"vertices": [[x,y,z], ...], "faces":
   [[v0,v1,...], ...]}}`` with outward-oriented, counterclockwise faces.
 * smooth oval -- ``{"smooth2d": {"kind": "circle"|"ellipse"|"perturbed",
@@ -31,7 +32,7 @@ import jsonschema
 import numpy as np
 
 from .errors import InputError
-from .geometry import HalfSpace, Polytope
+from .geometry import Polytope, _unit_rows
 from .smooth import Circle, Ellipse, PerturbedCircle, SmoothTable
 from .surface import SurfaceMesh
 
@@ -106,19 +107,20 @@ def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
     validate_table_data(data)
     if "halfspaces" in data:
         dim = int(data["dim"])
-        halfspaces = []
-        for entry in data["halfspaces"]:
-            normal = np.asarray(entry["normal"], dtype=float)
-            if normal.shape != (dim,):
+        rows = [[*entry["normal"], entry["offset"]] for entry in data["halfspaces"]]
+        for k, row in enumerate(rows):
+            if len(row) != dim + 1:
+                # a fault in an earlier entry is the one reported
+                _unit_rows(np.array(rows[:k], dtype=float).reshape(-1, dim + 1))
                 raise InputError(
-                    f"halfspace normal {entry['normal']} does not have "
-                    f"the declared dimension {dim}"
+                    f"halfspace normal {row[:-1]} does not have the declared "
+                    f"dimension {dim}"
                 )
-            halfspaces.append(HalfSpace.of(normal, float(entry["offset"])))
+        rows = _unit_rows(np.array(rows, dtype=float))
         if "vertices" in data:
             vertices = np.asarray(data["vertices"], dtype=float)
-            return Polytope(halfspaces, vertices, data.get("facet_vertices"))
-        return Polytope.from_halfspaces(halfspaces)
+            return Polytope(rows, vertices, data.get("facet_vertices"))
+        return Polytope.from_halfspaces(rows)
     if "surface" in data:
         body = data["surface"]
         vertices = np.asarray(body["vertices"], dtype=float)

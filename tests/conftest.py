@@ -6,6 +6,8 @@ failures reproduce exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,20 @@ def random_convex_polygon(rng, n_min: int = 3, n_max: int = 8,
     guarantees convexity without a hull computation.
     """
     k = int(rng.integers(n_min, n_max + 1))
+    # the rejection test runs on Python floats, which give numpy's bits for
+    # a sort, differences and comparisons at a fraction of the call cost
     for _ in range(1000):
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * np.pi]]))
-        if gaps.min() > 0.15 and gaps.max() < np.pi - 0.15:
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi, k).tolist())
+        ends = angles[1:] + [angles[0] + 2.0 * math.pi]
+        gaps = [b - a for a, b in zip(angles, ends)]
+        if min(gaps) > 0.15 and max(gaps) < math.pi - 0.15:
             break
     else:  # pragma: no cover - the loop above virtually always succeeds
         raise AssertionError("could not sample a well-separated polygon")
     radius = scale * rng.uniform(0.7, 1.5)
     center = rng.uniform(-0.3, 0.3, 2)
-    pts = center + radius * np.c_[np.cos(angles), np.sin(angles)]
+    angles = np.array(angles)
+    pts = center + radius * np.column_stack((np.cos(angles), np.sin(angles)))
     return Polytope.convex_polygon(pts)
 
 

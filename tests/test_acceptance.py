@@ -399,11 +399,11 @@ def test_criterion_09_property_suites(capsys):
 
         for _ in range(1000):
             poly = random_convex_polygon(rng)
-            facet = int(rng.integers(len(poly.halfspaces)))
+            facet = int(rng.integers(poly.n_facets))
             a, b = poly.facet_vertices[facet]
             t = rng.uniform(0.1, 0.9)
             p = (1 - t) * poly.vertices[a] + t * poly.vertices[b]
-            normal = poly.halfspaces[facet].normal
+            normal = poly.normals[facet]
             dirs = []
             for _ in range(2):
                 w = _unit(rng.normal(size=2))

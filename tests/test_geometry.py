@@ -17,10 +17,10 @@ from billiards.errors import (
     UnboundedRegionError,
 )
 from billiards.geometry import (
-    HalfSpace,
     Location,
     Polytope,
     _nnls,
+    _unit_rows,
     classify_slack,
     cone_membership,
     fold_direction_into_cone,
@@ -53,16 +53,33 @@ def test_reflect_involution_and_decomposition(rng):
 
 # -- halfspaces --------------------------------------------------------------
 
+def _rows(table: Polytope) -> np.ndarray:
+    """The ``[normal | offset]`` rows of a table."""
+    return np.column_stack((table.normals, table.offsets))
+
+
 def test_halfspace_normalization_preserves_geometry():
-    h = HalfSpace.of([3.0, 4.0], 10.0)
-    assert math.isclose(np.linalg.norm(h.normal), 1.0, abs_tol=1e-15)
+    (row,) = _unit_rows(np.array([[3.0, 4.0, 10.0]]))
+    assert math.isclose(np.linalg.norm(row[:2]), 1.0, abs_tol=1e-15)
     # the point (2, 1) satisfied 3x+4y = 10 with the raw data; still boundary
-    assert abs(h.signed_distance([2.0, 1.0])) < 1e-12
+    assert abs(row[:2] @ [2.0, 1.0] - row[2]) < 1e-12
 
 
 def test_halfspace_rejects_non_unit_normal():
     with pytest.raises(InputError):
-        HalfSpace([3.0, 4.0], 10.0)
+        Polytope([[3.0, 4.0, 10.0]], [[2.0, 1.0]])
+
+
+def test_rows_as_nested_lists_build_the_same_table():
+    box = Polytope.box((0.0, 0.0, 0.0), (2.0, 1.0, 3.0))
+    rows = _rows(box)
+    for table in (
+        Polytope(rows.tolist(), box.vertices.tolist()),
+        Polytope.from_halfspaces(rows.tolist()),
+    ):
+        assert np.array_equal(table.normals, box.normals)
+        assert np.array_equal(table.offsets, box.offsets)
+        assert {tuple(v) for v in table.vertices} == {tuple(v) for v in box.vertices}
 
 
 # -- polytope construction and validation ------------------------------------
@@ -135,7 +152,7 @@ def test_polytope_arrays_are_read_only():
     of it: its arrays cannot be written, while the caller's array can."""
     corners = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     box = Polytope.box((0.0, 0.0), (2.0, 1.0))
-    table = Polytope(box.halfspaces, corners)
+    table = Polytope(_rows(box), corners)
     for arr in (table.normals, table.offsets, table.vertices):
         with pytest.raises(ValueError):
             arr[0] = 7.0
@@ -146,7 +163,7 @@ def test_polytope_arrays_are_read_only():
 def test_vertex_enumeration_matches_polygon_constructor(rng):
     for _ in range(25):
         poly = random_convex_polygon(rng)
-        rebuilt = Polytope.from_halfspaces(poly.halfspaces)
+        rebuilt = Polytope.from_halfspaces(_rows(poly))
         got = {tuple(np.round(v, 9)) for v in rebuilt.vertices}
         want = {tuple(np.round(v, 9)) for v in poly.vertices}
         assert got == want
@@ -164,13 +181,13 @@ def test_point_cloud_hull_drops_interior_points():
 
 def test_redundant_halfspace_rejected():
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
-    extra = HalfSpace.of([1.0, 0.0], 5.0)  # touches nothing
+    extra = [1.0, 0.0, 5.0]  # touches nothing
     with pytest.raises(RedundantHalfspaceError):
-        Polytope.from_halfspaces(square.halfspaces + (extra,))
+        Polytope.from_halfspaces(np.vstack([_rows(square), extra]))
 
 
 def test_unbounded_region_rejected():
-    slab = [HalfSpace.of([1.0, 0.0], 1.0), HalfSpace.of([-1.0, 0.0], 0.0)]
+    slab = [[1.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]
     with pytest.raises((UnboundedRegionError, InputError)):
         Polytope.from_halfspaces(slab)
 
@@ -186,10 +203,10 @@ def _bounded_by_axis_rule(normals: np.ndarray) -> bool:
     return True
 
 
-def _accepted(halfspaces, vertices) -> bool:
+def _accepted(rows, vertices) -> bool:
     """Construction verdict: True if built, False on UnboundedRegionError."""
     try:
-        Polytope(halfspaces, vertices)
+        Polytope(rows, vertices)
     except UnboundedRegionError:
         return False
     return True
@@ -204,7 +221,7 @@ def test_boundedness_verdict_matches_axis_rule(rng):
     assert len(polytopes) > 31
     for poly in polytopes:
         assert _bounded_by_axis_rule(poly.normals)
-        assert _accepted(poly.halfspaces, poly.vertices)
+        assert _accepted(_rows(poly), poly.vertices)
     rejected = 0
     for _ in range(500):
         hull = Polytope.from_point_cloud(rng.normal(size=(int(rng.integers(4, 16)), 3)))
@@ -212,9 +229,9 @@ def test_boundedness_verdict_matches_axis_rule(rng):
         # dropping a facet keeps every vertex check passing; whether the rest
         # still bounds a region is what the two rules must agree on
         drop = int(rng.integers(hull.n_facets))
-        kept = hull.halfspaces[:drop] + hull.halfspaces[drop + 1:]
+        kept = np.delete(_rows(hull), drop, axis=0)
         verdict = _accepted(kept, hull.vertices)
-        assert verdict == _bounded_by_axis_rule(np.array([h.normal for h in kept]))
+        assert verdict == _bounded_by_axis_rule(kept[:, :-1])
         rejected += not verdict
     assert 0 < rejected < 500
 
@@ -223,30 +240,30 @@ def test_unbounded_inputs_that_pass_the_vertex_checks():
     # triangular prism without its caps: normals of rank 2 in R^3
     tri = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
     prism = np.array([(x, y, z) for z in (0.0, 1.0) for x, y in tri])
-    sides = [
-        HalfSpace.of([b[1] - a[1], a[0] - b[0], 0.0], a[0] * b[1] - a[1] * b[0])
+    sides = _unit_rows(np.array([
+        [b[1] - a[1], a[0] - b[0], 0.0, a[0] * b[1] - a[1] * b[0]]
         for a, b in zip(tri, tri[1:] + tri[:1])
-    ]
+    ]))
     # unit cube without its top: the normals miss +e_z
     cube = Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-    open_top = [h for h in cube.halfspaces if h.normal[2] < 0.5]
+    open_top = _rows(cube)[cube.normals[:, 2] < 0.5]
     # a corner tetrahedron without the face x + y + z <= 1: a pointed cone
     tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0]])
-    open_face = [HalfSpace.of(-e, 0.0) for e in np.eye(3)]
-    for halfspaces, vertices in (
+    open_face = np.column_stack((-np.eye(3), np.zeros(3)))
+    for rows, vertices in (
         (sides, prism), (open_top, cube.vertices), (open_face, tetra)
     ):
-        normals = np.array([h.normal for h in halfspaces])
-        assert not _bounded_by_axis_rule(normals)
+        assert not _bounded_by_axis_rule(rows[:, :-1])
         with pytest.raises(UnboundedRegionError):
-            Polytope(halfspaces, vertices)
+            Polytope(rows, vertices)
 
 
 _SQUARE = Polytope.box((0.0, 0.0), (1.0, 1.0))
-_SQUARE_HS = _SQUARE.halfspaces
+_SQUARE_HS = _rows(_SQUARE)
 _SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 _CUBE = Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+_CUBE_HS = _rows(_CUBE)
 _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
 
 
@@ -262,17 +279,13 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
         pytest.param(
             # two coincident pairs, (0, 5) and (1, 4): the first in row order
             # is reported
-            lambda: Polytope(
-                [_SQUARE_HS[k] for k in (0, 1, 2, 3, 1, 0)], _SQUARE_VERTS
-            ),
+            lambda: Polytope(_SQUARE_HS[[0, 1, 2, 3, 1, 0]], _SQUARE_VERTS),
             RedundantHalfspaceError,
             "halfspaces 0 and 5 coincide",
             id="coincident",
         ),
         pytest.param(
-            lambda: Polytope(
-                _SQUARE_HS + (HalfSpace.of([1.0, 0.0], 5.0),), _SQUARE_VERTS
-            ),
+            lambda: Polytope(np.vstack([_SQUARE_HS, [1.0, 0.0, 5.0]]), _SQUARE_VERTS),
             RedundantHalfspaceError,
             "halfspace 4 touches only 0 vertices; a facet needs at least 2",
             id="touches-too-few",
@@ -280,7 +293,7 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
         pytest.param(
             # the corner (0, 0) listed twice: two tight vertices, one point
             lambda: Polytope(
-                _SQUARE_HS + (HalfSpace.of([-1.0, -1.0], 0.0),),
+                np.vstack([_SQUARE_HS, _unit_rows(np.array([[-1.0, -1.0, 0.0]]))]),
                 _SQUARE_VERTS + [[0.0, 0.0]],
             ),
             RedundantHalfspaceError,
@@ -290,7 +303,7 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
         pytest.param(
             # an edge of the cube with its midpoint: three collinear vertices
             lambda: Polytope(
-                _CUBE.halfspaces + (HalfSpace.of([1.0, 1.0, 0.0], 2.0),),
+                np.vstack([_CUBE_HS, _unit_rows(np.array([[1.0, 1.0, 0.0, 2.0]]))]),
                 np.vstack([_CUBE.vertices, [[1.0, 1.0, 0.5]]]),
             ),
             RedundantHalfspaceError,
@@ -307,20 +320,17 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             id="facet-vertices",
         ),
         pytest.param(
-            lambda: Polytope([_SQUARE_HS[k] for k in (0, 1, 3)], _SQUARE_VERTS),
+            lambda: Polytope(_SQUARE_HS[[0, 1, 3]], _SQUARE_VERTS),
             UnboundedRegionError,
             "outward normals leave an angular gap >= pi",
             id="angular-gap",
         ),
         pytest.param(
             lambda: Polytope(
-                [
-                    HalfSpace.of(
-                        [b[1] - a[1], a[0] - b[0], 0.0],
-                        a[0] * b[1] - a[1] * b[0],
-                    )
+                _unit_rows(np.array([
+                    [b[1] - a[1], a[0] - b[0], 0.0, a[0] * b[1] - a[1] * b[0]]
                     for a, b in zip(_TRI, _TRI[1:] + _TRI[:1])
-                ],
+                ])),
                 [(x, y, z) for z in (0.0, 1.0) for x, y in _TRI],
             ),
             UnboundedRegionError,
@@ -328,10 +338,7 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             id="rank-deficient-normals",
         ),
         pytest.param(
-            lambda: Polytope(
-                [h for h in _CUBE.halfspaces if h.normal[2] < 0.5],
-                _CUBE.vertices,
-            ),
+            lambda: Polytope(_CUBE_HS[_CUBE_HS[:, 2] < 0.5], _CUBE.vertices),
             UnboundedRegionError,
             "outward normals fail to span direction [-0. -0.  1.]",
             id="span",
@@ -349,7 +356,7 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             id="polygon-too-few",
         ),
         pytest.param(
-            lambda: HalfSpace([3.0, 4.0], 10.0),
+            lambda: Polytope([[3.0, 4.0, 10.0]], [[2.0, 1.0]]),
             InputError,
             "halfspace normal is not unit (norm 5.0)",
             id="non-unit-normal",
@@ -361,7 +368,7 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             id="no-halfspace",
         ),
         pytest.param(
-            lambda: Polytope([HalfSpace.of([1.0, 0.0], 1.0)], [[0.0, 0.0, 0.0]]),
+            lambda: Polytope([[1.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]]),
             DimensionMismatchError,
             "vertices have dim 3, halfspaces have dim 2",
             id="dimension-mismatch",
@@ -373,20 +380,46 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             id="polygon-dimension",
         ),
         pytest.param(
-            lambda: Polytope(
-                [HalfSpace.of([1, 0], 1), HalfSpace.of([1, 0, 0], 1)], [[0, 0]]
-            ),
+            lambda: Polytope([[1, 0, 1], [1, 0, 0, 1]], [[0, 0]]),
             DimensionMismatchError,
             "halfspace 1 has dim 3, halfspace 0 has dim 2",
             id="mixed-halfspace-dimensions",
         ),
         pytest.param(
             lambda: Polytope.from_halfspaces(
-                _SQUARE_HS[:3] + (HalfSpace.of([0, 0, -1], 0),)
+                _SQUARE_HS[:3].tolist() + [[0, 0, -1, 0]]
             ),
             DimensionMismatchError,
             "halfspace 3 has dim 3, halfspace 0 has dim 2",
             id="mixed-halfspace-dimensions-enumerated",
+        ),
+        pytest.param(
+            lambda: Polytope(np.array([1.0, 0.0, 1.0]), _SQUARE_VERTS),
+            InputError,
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows with dim >= 1, got shape (3,)",
+            id="rows-1d",
+        ),
+        pytest.param(
+            lambda: Polytope.from_halfspaces(np.array([1.0, 0.0, 1.0])),
+            InputError,
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows with dim >= 1, got shape (3,)",
+            id="rows-1d-enumerated",
+        ),
+        pytest.param(
+            lambda: Polytope([_SQUARE_HS.tolist()], _SQUARE_VERTS),
+            InputError,
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows with dim >= 1, got shape (1, 4, 3)",
+            id="rows-nested-too-deep",
+        ),
+        pytest.param(
+            lambda: Polytope(np.ones((4, 1)), _SQUARE_VERTS),
+            InputError,
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows with dim >= 1, got shape (4, 1)",
+            id="rows-without-normal",
         ),
     ],
 )
@@ -422,16 +455,65 @@ def test_construction_errors_are_pinned(build, error, message):
             id="empty-list",
         ),
         pytest.param(
-            lambda: HalfSpace.of([1.0, 0.0], math.inf),
+            lambda: _unit_rows(np.array([[1.0, 0.0, math.inf]])),
             "halfspace offset must be finite, got inf",
             id="inf-offset",
         ),
         pytest.param(
             lambda: Polytope.from_halfspaces(
-                _SQUARE_HS[:3] + (HalfSpace.of([0.0, -1.0], math.nan),)
+                np.vstack([_SQUARE_HS[:3], [0.0, -1.0, math.nan]])
             ),
-            "halfspace offset must be finite, got nan",
+            "halfspace 3 has non-finite data: normal [ 0. -1.], offset nan",
             id="nan-offset",
+        ),
+        pytest.param(
+            lambda: _unit_rows(np.array([[1.0, 0.0, 1.0], [1e200, 1e200, 1.0]])),
+            "halfspace 1 has a normal coordinate of magnitude 1e+200; its "
+            "squared length overflows",
+            id="normal-square-overflows",
+        ),
+        pytest.param(
+            lambda: _unit_rows(np.array([[1e-300, 0.0, 1.0]])),
+            "halfspace 0 has a normal coordinate of magnitude 1e-300; its "
+            "squared length underflows",
+            id="normal-square-underflows",
+        ),
+        pytest.param(
+            # a subnormal square has lost the precision a unit normal needs
+            lambda: _unit_rows(np.array([[1e-160, 0.0, 1.0]])),
+            "halfspace 0 has a normal coordinate of magnitude 1e-160; its "
+            "squared length underflows",
+            id="normal-square-subnormal",
+        ),
+        pytest.param(
+            lambda: Polytope.box([-1e200, -1e200], [1e200, 1e200]),
+            "vertex 0 has a coordinate of magnitude 1e+200; polytope coordinates "
+            "must be at most 1e+153, or squared edge lengths overflow",
+            id="box-overflow",
+        ),
+        pytest.param(
+            lambda: Polytope(_SQUARE_HS, [[0, 0], [1, 0], [1, 1], [0, -3e160]]),
+            "vertex 3 has a coordinate of magnitude 3e+160; polytope coordinates "
+            "must be at most 1e+153, or squared edge lengths overflow",
+            id="polytope-overflow",
+        ),
+        pytest.param(
+            lambda: Polytope.from_point_cloud(
+                [[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200],
+                 [-1e200, -1e200, -1e200]]
+            ),
+            "vertex 0 has a coordinate of magnitude 1e+200; point cloud "
+            "coordinates must be at most 1e+76, or squared edge lengths overflow",
+            id="cloud-overflow",
+        ),
+        pytest.param(
+            # qhull fails in 3D from about 1e77 on
+            lambda: Polytope.from_point_cloud(
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1e100]]
+            ),
+            "vertex 3 has a coordinate of magnitude 1e+100; point cloud "
+            "coordinates must be at most 1e+76, or squared edge lengths overflow",
+            id="cloud-overflow-qhull",
         ),
         pytest.param(
             lambda: Polytope.convex_polygon([[0, 0], [1, 0], [0, math.nan]]),
@@ -484,12 +566,20 @@ def test_polygon_at_the_coordinate_limit_builds_without_warnings():
         assert table.contains([0.0, 0.0]).location is Location.INTERIOR
 
 
+def test_box_and_cloud_at_their_coordinate_limits_build_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = Polytope.box([-1e153, -1e153, -1e153], [1e153, 1e153, 1e153])
+        assert box.contains([0.0, 0.0, 0.0]).location is Location.INTERIOR
+        hull = Polytope.from_point_cloud(
+            [[1e76, 0, 0], [0, 1e76, 0], [0, 0, 1e76], [-1e76, -1e76, -1e76]]
+        )
+        assert hull.contains([0.0, 0.0, 0.0]).location is Location.INTERIOR
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
-        Polytope(
-            [HalfSpace.of([1.0, 0.0], 1.0)],
-            np.array([[0.0, 0.0, 0.0]]),
-        )
+        Polytope([[1.0, 0.0, 1.0]], np.array([[0.0, 0.0, 0.0]]))
 
 
 # -- cone membership with certified witness ----------------------------------

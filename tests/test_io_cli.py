@@ -130,8 +130,10 @@ def test_mismatched_facet_vertices_rejected():
     data = {
         "dim": 2,
         "halfspaces": [
-            {"normal": h.normal.tolist(), "offset": h.offset}
-            for h in square.halfspaces
+            {"normal": normal, "offset": offset}
+            for normal, offset in zip(
+                square.normals.tolist(), square.offsets.tolist()
+            )
         ],
         "vertices": square.vertices.tolist(),
         "facet_vertices": [[0, 1]] * 4,  # wrong incidences
@@ -293,6 +295,65 @@ def test_cli_refuses_a_table_file_with_non_finite_data(
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"billiards: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "normal, message",
+    [
+        (
+            [1e200, 1e200],
+            "halfspace 0 has a normal coordinate of magnitude 1e+200; its "
+            "squared length overflows",
+        ),
+        (
+            [1e-300, 0.0],
+            "halfspace 0 has a normal coordinate of magnitude 1e-300; its "
+            "squared length underflows",
+        ),
+    ],
+)
+def test_cli_refuses_a_table_file_whose_normal_square_leaves_the_range(
+    normal, message, tmp_path, capsys
+):
+    data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+    data["halfspaces"][0]["normal"] = normal
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-alcove", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"billiards: error: {message}\n"
+
+
+_ZERO = ({"normal": [0.0, 0.0], "offset": 1.0}, "halfspace normal may not be zero")
+_WIDE = (
+    {"normal": [1.0, 0.0, 0.0], "offset": 1.0},
+    "halfspace normal [1.0, 0.0, 0.0] does not have the declared dimension 2",
+)
+_NAN_OFFSET = (
+    {"normal": [0.0, 3.0], "offset": math.nan},
+    "halfspace offset must be finite, got nan",
+)
+
+
+@pytest.mark.parametrize("vertices", [False, True])
+@pytest.mark.parametrize(
+    "first, second",
+    [(_ZERO, _WIDE), (_WIDE, _ZERO), (_NAN_OFFSET, _WIDE), (_WIDE, _NAN_OFFSET)],
+)
+def test_loader_reports_the_first_faulty_entry(first, second, vertices):
+    data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+    if not vertices:
+        del data["vertices"], data["facet_vertices"]
+    data["halfspaces"][1] = first[0]
+    data["halfspaces"][3] = second[0]
+    with pytest.raises(InputError) as info:
+        table_from_data(data)
+    assert type(info.value) is InputError
+    assert str(info.value) == first[1]
 
 
 def test_cli_budget_exit_4(monkeypatch, capsys):

@@ -38,11 +38,11 @@ def circle_polygons(draw):
 @st.composite
 def boundary_polar_cases(draw):
     poly = draw(circle_polygons())
-    facet = draw(st.integers(0, 100)) % len(poly.halfspaces)
+    facet = draw(st.integers(0, 100)) % poly.n_facets
     a, b = poly.facet_vertices[facet]
     t = draw(st.floats(0.05, 0.95))
     point = (1.0 - t) * poly.vertices[a] + t * poly.vertices[b]
-    normal = poly.halfspaces[facet].normal
+    normal = poly.normals[facet]
     directions = []
     for _ in range(2):
         angle = draw(st.floats(0.0, 2.0 * math.pi))

@@ -17,7 +17,11 @@ The runs are:
 
 It also hashes ``Polytope.contains`` (location, active set and the bytes of
 ``worst_violation``) at seeded points on, near, inside and outside some of
-those tables.
+those tables, and the tables themselves: the bytes of ``normals``,
+``offsets``, ``vertices`` and ``facet_vertices`` of every bundled polytope,
+through ``load_table`` and through ``tables.build``, and what
+``table_from_data`` makes of un-normalized and malformed table payloads (the
+same arrays, or the error's class and message).
 
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
@@ -41,6 +45,8 @@ from billiards.dynamics import (
 )
 from billiards.errors import BilliardsError
 from billiards.geometry import Polytope
+from billiards.io import bundled_table_names, load_table, table_from_data
+from billiards.tables import build
 
 
 def _polygon(rng) -> Polytope:
@@ -138,11 +144,66 @@ def _containment(digest) -> None:
             digest.update(np.float64(c.worst_violation).tobytes())
 
 
+def _update_table(digest, table) -> None:
+    for arr in (table.normals, table.offsets, table.vertices):
+        digest.update(arr.tobytes())
+    digest.update(repr(table.facet_vertices).encode())
+
+
+def _payloads():
+    """Table payloads with un-normalized normals, with and without vertex
+    data: as given, and with faults at chosen entries (one fault, or two in
+    both orders)."""
+    inf, nan = float("inf"), float("nan")
+    rows = [([3.0, 0.0], 3.0), ([-5.0, 0.0], 0.0), ([0.0, 2.0], 2.0),
+            ([0.0, -7.0], 0.0), ([1.0, 1.0], 1.5)]
+    faults = {
+        "wrong dimension": ([1.0, 0.0, 0.0], 1.0),
+        "zero normal": ([0.0, 0.0], 1.0),
+        "inf normal": ([inf, 0.0], 1.0),
+        "nan normal": ([0.0, nan], 1.0),
+        "inf offset": ([0.0, 1.0], inf),
+        "nan offset": ([1.0, 0.0], nan),
+        "-inf offset": ([0.0, -4.0], -inf),
+        "offset overflows when rescaled": ([1e-100, 0.0], 1e300),
+    }
+    cases = [{}] + [{k: fault} for k in (0, 2, 4) for fault in faults.values()]
+    names = list(faults)
+    for a in names:
+        for b in names:
+            if a != b:
+                cases.append({1: faults[a], 3: faults[b]})
+    # the unit square with the corner x + y > 1.5 cut off
+    vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 1.0]]
+    for case in cases:
+        halfspaces = [
+            {"normal": n, "offset": c}
+            for n, c in (case.get(k, row) for k, row in enumerate(rows))
+        ]
+        yield {"dim": 2, "halfspaces": halfspaces}
+        yield {"dim": 2, "halfspaces": halfspaces, "vertices": vertices}
+
+
+def _tables(digest) -> None:
+    for name in bundled_table_names():
+        for table in (load_table(name), build(name)):
+            if isinstance(table, Polytope):
+                _update_table(digest, table)
+    for data in _payloads():
+        try:
+            table = table_from_data(data)
+        except BilliardsError as err:
+            digest.update(f"{type(err).__name__}: {err}".encode())
+        else:
+            _update_table(digest, table)
+
+
 GROUPS = (
     ("random tables, STRICT", _random_tables),
     ("boxes, POINT_REFLECT", _boxes),
     ("alcove vertex shots, folded_flow", _alcove_vertex_shots),
     ("Polytope.contains on seeded points", _containment),
+    ("tables, bundled and from payloads", _tables),
 )
 
 
