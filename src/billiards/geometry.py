@@ -479,6 +479,17 @@ class Polytope:
         rows = _checked_rows(halfspaces)
         normals, offsets = rows[:, :-1], rows[:, -1]
         n_facets, dim = normals.shape
+        # every point of a facet lies at distance |offset| from the origin
+        # (unit normals), so a coordinate of its vertices reaches
+        # |offset| / sqrt(dim): refuse what the constructor would refuse,
+        # before the enumeration squares such coordinates
+        far = np.abs(offsets) > _MAX_COORDINATE * math.sqrt(dim)
+        if far.any():
+            k = int(far.argmax())
+            raise InputError(
+                f"halfspace {k} has offset {float(offsets[k])}; its facet has "
+                f"no point with coordinates at most {_MAX_COORDINATE}"
+            )
         max_subsets = 200_000
         if math.comb(n_facets, dim) > max_subsets:
             raise InputError(
@@ -486,17 +497,20 @@ class Polytope:
                 f"the cap {max_subsets}; supply vertices explicitly"
             )
         verts: list[np.ndarray] = []
-        for subset in itertools.combinations(range(n_facets), dim):
-            a = normals[list(subset)]
-            b = offsets[list(subset)]
-            try:
-                x = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                continue
-            slack = normals @ x - offsets
-            if np.max(slack) <= 1e-9 * max(1.0, float(np.linalg.norm(x))):
-                if not any(np.linalg.norm(x - v) <= 1e-9 for v in verts):
-                    verts.append(x)
+        # nearly parallel facets meet far out; a vertex there is refused by
+        # the constructor, and its squares may overflow on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            for subset in itertools.combinations(range(n_facets), dim):
+                a = normals[list(subset)]
+                b = offsets[list(subset)]
+                try:
+                    x = np.linalg.solve(a, b)
+                except np.linalg.LinAlgError:
+                    continue
+                slack = normals @ x - offsets
+                if np.max(slack) <= 1e-9 * max(1.0, float(np.linalg.norm(x))):
+                    if not any(np.linalg.norm(x - v) <= 1e-9 for v in verts):
+                        verts.append(x)
         if len(verts) < dim + 1:
             raise UnboundedRegionError(
                 "halfspace intersection has too few vertices to be a bounded "
@@ -584,7 +598,13 @@ class Polytope:
         and missing, non-finite or huge vertices. Returns the largest vertex
         coordinate, at least 1, the scale of every tolerance in the checks
         that follow."""
-        lengths = np.sqrt(np.vecdot(self.normals, self.normals))
+        if max(map(abs, self.normals.ravel().tolist())) <= 1.0 + 1e-12:
+            lengths = np.sqrt(np.vecdot(self.normals, self.normals))
+        else:
+            # not unit, as a unit normal has no coordinate above 1; a huge
+            # coordinate squares to inf, without numpy's overflow warning
+            with np.errstate(over="ignore"):
+                lengths = np.sqrt(np.vecdot(self.normals, self.normals))
         off_unit = np.abs(lengths - 1.0) > 1e-12
         if off_unit.any():
             length = float(lengths[off_unit.argmax()])

@@ -103,8 +103,21 @@ def validate_report_data(data) -> None:
 # -- building tables from parsed JSON ---------------------------------------
 
 def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
-    """Build a table object from parsed JSON, validating the schema first."""
+    """Build a table object from parsed JSON, validating the schema first.
+
+    JSON numbers have no range: a number no float holds (an integer literal
+    of 309 digits, say) is refused with ``InputError``.
+    """
     validate_table_data(data)
+    try:
+        return _build_table(data)
+    except OverflowError as exc:
+        raise InputError(
+            f"table data leaves the float range ({exc.args[-1]})"
+        ) from None
+
+
+def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
     if "halfspaces" in data:
         dim = int(data["dim"])
         rows = [[*entry["normal"], entry["offset"]] for entry in data["halfspaces"]]
@@ -197,7 +210,7 @@ def load_table(name_or_path) -> Polytope | SurfaceMesh | SmoothTable:
     path = resolve_table(name_or_path)
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return table_from_data(data)
 

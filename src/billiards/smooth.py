@@ -12,9 +12,13 @@ sagitta (the deepest the chord dips away from the arc) is ``1 - cos(alpha)``.
 
 Tables expose exact local geometry (point, tangent, curvature) and a
 ``ray_exit`` solved in closed form for conics and by sign-change bracketing
-plus bisection (to 1e-12) for generic curves. The experiment helpers run
-bounce sequences across a ladder of launch angles and fit log-log slopes, so
-the quadratic laws show up as measured exponents near two.
+plus bisection (to 1e-12) for generic curves. ``point`` and ``velocity``
+also evaluate an array of parameters, with the same formulas and bits. The
+experiment helpers run bounce sequences across a ladder of launch angles and
+fit log-log slopes, so the quadratic laws show up as measured exponents near
+two. A run's distance from the boundary is measured by sampling every chord
+and polishing all samples of the run in one array Newton for their nearest
+boundary points (the circle's sagitta is exact).
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ __all__ = [
 ]
 
 
+def _trig(theta):
+    """The module whose ``cos``/``sin`` evaluate ``theta``: ``numpy`` for an
+    array of parameters, ``math`` for one. Each table formula is written once
+    and serves a bounce and a batch alike; the tests check that the two give
+    the same bits."""
+    return np if isinstance(theta, np.ndarray) else math
+
+
 class SmoothTable:
     """Strictly convex planar table, boundary parametrized CCW by ``theta``."""
 
@@ -53,10 +65,12 @@ class SmoothTable:
     # theta_of_point
 
     def point(self, theta: float) -> tuple[float, float]:
+        """Boundary point at ``theta``; elementwise for an array of thetas."""
         raise NotImplementedError
 
     def velocity(self, theta: float) -> tuple[float, float]:
-        """Derivative of the parametrization (not normalized)."""
+        """Derivative of the parametrization (not normalized); elementwise
+        for an array of thetas."""
         raise NotImplementedError
 
     def curvature(self, theta: float) -> float:
@@ -97,30 +111,6 @@ class SmoothTable:
         ca, sa = math.cos(alpha), math.sin(alpha)
         return ca * side * tx + sa * nx, ca * side * ty + sa * ny
 
-    # nearest boundary point, used for deviation measurements
-    def nearest_theta(self, x: float, y: float, guess: float) -> float:
-        theta = guess
-        for _ in range(12):
-            px, py = self.point(theta)
-            vx, vy = self.velocity(theta)
-            h = 1e-6
-            vx2, vy2 = self.velocity(theta + h)
-            ax, ay = (vx2 - vx) / h, (vy2 - vy) / h
-            f = (px - x) * vx + (py - y) * vy
-            fp = vx * vx + vy * vy + (px - x) * ax + (py - y) * ay
-            if fp == 0.0:
-                break
-            step = f / fp
-            theta -= step
-            if abs(step) < 1e-14:
-                break
-        return theta
-
-    def distance_to_boundary(self, x: float, y: float, guess: float) -> float:
-        theta = self.nearest_theta(x, y, guess)
-        px, py = self.point(theta)
-        return math.hypot(px - x, py - y)
-
 
 class Circle(SmoothTable):
     name = "circle"
@@ -151,7 +141,7 @@ class Circle(SmoothTable):
     def theta_of_point(self, x, y):
         return math.atan2(y, x)
 
-    def distance_to_boundary(self, x, y, guess=None):
+    def distance_to_boundary(self, x, y):
         return abs(self.radius - math.hypot(x, y))
 
 
@@ -165,10 +155,12 @@ class Ellipse(SmoothTable):
         self.b = float(b)
 
     def point(self, theta):
-        return self.a * math.cos(theta), self.b * math.sin(theta)
+        trig = _trig(theta)
+        return self.a * trig.cos(theta), self.b * trig.sin(theta)
 
     def velocity(self, theta):
-        return -self.a * math.sin(theta), self.b * math.cos(theta)
+        trig = _trig(theta)
+        return -self.a * trig.sin(theta), self.b * trig.cos(theta)
 
     def curvature(self, theta):
         s, c = math.sin(theta), math.cos(theta)
@@ -212,22 +204,25 @@ class PerturbedCircle(SmoothTable):
                 f"delta={delta} with k={k} is not strictly convex"
             )
 
-    def _r(self, theta):
-        return 1.0 + self.delta * math.cos(self.k * theta)
+    # ``trig`` is ``_trig(theta)``; the default serves the scalar callers
+    def _r(self, theta, trig=math):
+        return 1.0 + self.delta * trig.cos(self.k * theta)
 
-    def _r1(self, theta):
-        return -self.delta * self.k * math.sin(self.k * theta)
+    def _r1(self, theta, trig=math):
+        return -self.delta * self.k * trig.sin(self.k * theta)
 
     def _r2(self, theta):
         return -self.delta * self.k * self.k * math.cos(self.k * theta)
 
     def point(self, theta):
-        r = self._r(theta)
-        return r * math.cos(theta), r * math.sin(theta)
+        trig = _trig(theta)
+        r = self._r(theta, trig)
+        return r * trig.cos(theta), r * trig.sin(theta)
 
     def velocity(self, theta):
-        r, r1 = self._r(theta), self._r1(theta)
-        c, s = math.cos(theta), math.sin(theta)
+        trig = _trig(theta)
+        r, r1 = self._r(theta, trig), self._r1(theta, trig)
+        c, s = trig.cos(theta), trig.sin(theta)
         return r1 * c - r * s, r1 * s + r * c
 
     def curvature(self, theta):
@@ -360,6 +355,71 @@ def base_angle_run(
     )
 
 
+_SAMPLES = np.linspace(0.0, 1.0, 17)
+
+
+def _chord_deviations(
+    table: SmoothTable,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    theta0: np.ndarray,
+    theta1: np.ndarray,
+) -> list[float]:
+    """Largest distance to the boundary of each chord ``p0[i] -> p1[i]``.
+
+    Each chord is sampled at 17 points, with the chord's parameters
+    interpolated as starting guesses. One masked Newton then finds the
+    nearest boundary parameter of every sample of every chord at once, on
+    ``f(theta) = (point(theta) - sample) . velocity(theta)`` with the
+    acceleration by forward difference (step ``1e-6``). A sample stops after
+    12 steps, on ``f' == 0`` (without stepping) or on a step below ``1e-14``.
+    Each chord's largest sample distance is refined by the parabola through
+    it and its two neighbours.
+    """
+    n = len(theta0)
+    x = p0[:, :1] + _SAMPLES * (p1[:, :1] - p0[:, :1])
+    y = p0[:, 1:] + _SAMPLES * (p1[:, 1:] - p0[:, 1:])
+    theta = theta0[:, None] + _SAMPLES * (theta1 - theta0)[:, None]
+    x, y, theta = x.ravel(), y.ravel(), theta.ravel()
+    h = 1e-6
+    live = np.arange(theta.size)
+    for _ in range(12):
+        t = theta[live]
+        px, py = table.point(t)
+        vx, vy = table.velocity(t)
+        vx2, vy2 = table.velocity(t + h)
+        ax, ay = (vx2 - vx) / h, (vy2 - vy) / h
+        ex, ey = px - x[live], py - y[live]
+        f = ex * vx + ey * vy
+        fp = vx * vx + vy * vy + ex * ax + ey * ay
+        moving = fp != 0.0
+        live = live[moving]
+        step = f[moving] / fp[moving]
+        theta[live] = t[moving] - step
+        live = live[~(np.abs(step) < 1e-14)]
+        if not live.size:
+            break
+    px, py = table.point(theta)
+    # math.hypot, not np.hypot: the two differ in the last bit
+    dists = np.fromiter(
+        map(math.hypot, px - x, py - y), float, count=x.size
+    ).reshape(n, len(_SAMPLES))
+    k = np.argmax(dists, axis=1)
+    top = dists[np.arange(n), k].tolist()
+    # the vertex of the parabola through an inner top sample and its two
+    # neighbours, on Python floats: their ``** 2`` is C's pow, which an
+    # array's square does not match in the last bit
+    rows = np.flatnonzero((k > 0) & (k < len(_SAMPLES) - 1))
+    lows = dists[rows, k[rows] - 1].tolist()
+    highs = dists[rows, k[rows] + 1].tolist()
+    for row, y0, y2 in zip(rows.tolist(), lows, highs):
+        y1 = top[row]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0.0:
+            top[row] = y1 - 0.125 * (y2 - y0) ** 2 / denom
+    return top
+
+
 def chord_deviation(
     table: SmoothTable,
     p0: tuple[float, float],
@@ -370,11 +430,10 @@ def chord_deviation(
     """Largest distance from the chord ``p0 -> p1`` to the boundary set.
 
     For the circle this is the exact sagitta (center-to-chord geometry); for
-    other tables the chord is sampled and each sample's nearest boundary
-    point is polished by Newton, with a parabolic refinement of the max.
+    other tables it is the array Newton that measures a whole run, over this
+    one chord's samples, with a parabolic refinement of the max.
     """
     if isinstance(table, Circle):
-        mx, my = 0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])
         ux, uy = p1[0] - p0[0], p1[1] - p0[1]
         norm = math.hypot(ux, uy)
         if norm < 1e-300:
@@ -384,40 +443,37 @@ def chord_deviation(
         tproj = max(0.0, min(1.0, tproj))
         cx, cy = p0[0] + tproj * ux, p0[1] + tproj * uy
         return table.radius - math.hypot(cx, cy)
-    samples = 17
-    svals = np.linspace(0.0, 1.0, samples)
-    devs = []
-    for s in svals:
-        x = p0[0] + s * (p1[0] - p0[0])
-        y = p0[1] + s * (p1[1] - p0[1])
-        guess = theta0 + s * (theta1 - theta0)
-        devs.append(table.distance_to_boundary(x, y, guess))
-    devs = np.array(devs)
-    k = int(np.argmax(devs))
-    if 0 < k < samples - 1:
-        # parabola through the top three samples
-        y0, y1, y2 = devs[k - 1], devs[k], devs[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-    return float(devs[k])
+    return _chord_deviations(
+        table,
+        np.array([p0], dtype=float),
+        np.array([p1], dtype=float),
+        np.array([theta0], dtype=float),
+        np.array([theta1], dtype=float),
+    )[0]
 
 
 def _worst_chord_deviation(table: SmoothTable, run: BounceRun) -> float:
     """The largest :func:`chord_deviation` over the chords of a run."""
-    worst = 0.0
-    for k in range(run.n_bounces):
-        worst = max(
-            worst,
+    if isinstance(table, Circle):
+        devs = [
             chord_deviation(
                 table,
                 tuple(run.points[k]),
                 tuple(run.points[k + 1]),
                 run.thetas[k],
                 run.thetas[k + 1],
-            ),
+            )
+            for k in range(run.n_bounces)
+        ]
+    else:
+        devs = _chord_deviations(
+            table,
+            run.points[:-1],
+            run.points[1:],
+            run.thetas[:-1],
+            run.thetas[1:],
         )
-    return worst
+    return max([0.0, *devs])
 
 
 def loglog_slope(xs, ys) -> float:

@@ -486,6 +486,22 @@ def test_construction_errors_are_pinned(build, error, message):
             id="normal-square-subnormal",
         ),
         pytest.param(
+            # a unit normal has no coordinate above 1; this one squares to inf
+            lambda: Polytope(
+                [[1e200, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]], _SQUARE_VERTS
+            ),
+            "halfspace normal is not unit (norm inf)",
+            id="huge-normal",
+        ),
+        pytest.param(
+            lambda: Polytope.from_halfspaces(
+                np.column_stack([_SQUARE_HS[:, :-1], np.full(4, 1e200)])
+            ),
+            "halfspace 0 has offset 1e+200; its facet has no point with "
+            "coordinates at most 1e+153",
+            id="from-halfspaces-far-facet",
+        ),
+        pytest.param(
             lambda: Polytope.box([-1e200, -1e200], [1e200, 1e200]),
             "vertex 0 has a coordinate of magnitude 1e+200; polytope coordinates "
             "must be at most 1e+153, or squared edge lengths overflow",
@@ -575,6 +591,23 @@ def test_box_and_cloud_at_their_coordinate_limits_build_without_warnings():
             [[1e76, 0, 0], [0, 1e76, 0], [0, 0, 1e76], [-1e76, -1e76, -1e76]]
         )
         assert hull.contains([0.0, 0.0, 0.0]).location is Location.INTERIOR
+
+
+def test_from_halfspaces_refuses_a_far_vertex_without_warnings():
+    """Nearly parallel facets with small offsets can still meet beyond the
+    coordinate limit; enumerating them squares that vertex quietly."""
+    tilt = 1e-10
+    rows = [
+        [1.0, 0.0, 1e145],
+        [-1.0, 0.0, 1e145],
+        [0.0, -1.0, 1e145],
+        [-math.sin(tilt), math.cos(tilt), 1e145],
+        [math.sin(tilt), math.cos(tilt), 1e145],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="polytope coordinates must be at most"):
+            Polytope.from_halfspaces(rows)
 
 
 def test_dimension_mismatch_rejected():

@@ -328,6 +328,47 @@ def test_cli_refuses_a_table_file_whose_normal_square_leaves_the_range(
     assert captured.err == f"billiards: error: {message}\n"
 
 
+def _square_rows(offset):
+    return [
+        {"normal": normal, "offset": offset}
+        for normal in ([1, 0], [-1, 0], [0, 1], [0, -1])
+    ]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(
+            {"dim": 2, "halfspaces": [
+                {"normal": [1, 0], "offset": 10**400}, *_square_rows(1)[1:]
+            ]},
+            "table data leaves the float range (int too large to convert to float)",
+            id="integer-offset-beyond-floats",
+        ),
+        pytest.param(
+            {"dim": 2, "halfspaces": _square_rows(1e200)},
+            "halfspace 0 has offset 1e+200; its facet has no point with "
+            "coordinates at most 1e+153",
+            id="huge-offsets-no-vertices",
+        ),
+    ],
+)
+def test_cli_refuses_out_of_range_table_numbers_in_one_line(
+    data, message, tmp_path, capsys
+):
+    """A number no float holds, or offsets whose vertices no check could
+    square, end in one error line: no traceback and no numpy warning."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check-alcove", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"billiards: error: {message}\n"
+
+
 _ZERO = ({"normal": [0.0, 0.0], "offset": 1.0}, "halfspace normal may not be zero")
 _WIDE = (
     {"normal": [1.0, 0.0, 0.0], "offset": 1.0},
@@ -512,6 +553,17 @@ def test_cli_smooth_laws_and_converge(capsys):
     result = json.loads(out)["result"]
     assert result["monotone_decreasing"] is True
     assert len(result["rows"]) == 3
+
+
+@pytest.mark.parametrize("mode", ["--laws", "--converge"])
+def test_cli_smooth_perturbed(mode, capsys):
+    code, out = _run_cli(
+        capsys, "smooth", "perturbed", mode, "--alphas", "0.04,0.02"
+    )
+    assert code == 0
+    report = json.loads(out)
+    validate_report_data(report)
+    assert report["table"] == "perturbed"
 
 
 def test_cli_simulate_svg(tmp_path, capsys):

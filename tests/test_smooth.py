@@ -10,6 +10,7 @@ from billiards.smooth import (
     Circle,
     Ellipse,
     PerturbedCircle,
+    _chord_deviations,
     base_angle_run,
     boundary_convergence_experiment,
     chord_deviation,
@@ -174,6 +175,87 @@ def test_ellipse_deviation_below_1e4_at_milli_angle():
         )
         worst = max(worst, dev)
     assert worst < 1e-4
+
+
+# -- the array Newton against a scalar one -----------------------------------
+
+def _scalar_chord_deviation(table, p0, p1, theta0, theta1):
+    """A chord's deviation measured one sample at a time: each of 17 samples
+    gets its own scalar Newton for the nearest boundary parameter, then the
+    largest distance gets a parabolic refinement."""
+    samples = 17
+    devs = []
+    for s in np.linspace(0.0, 1.0, samples):
+        x = p0[0] + s * (p1[0] - p0[0])
+        y = p0[1] + s * (p1[1] - p0[1])
+        theta = theta0 + s * (theta1 - theta0)
+        for _ in range(12):
+            px, py = table.point(theta)
+            vx, vy = table.velocity(theta)
+            h = 1e-6
+            vx2, vy2 = table.velocity(theta + h)
+            ax, ay = (vx2 - vx) / h, (vy2 - vy) / h
+            f = (px - x) * vx + (py - y) * vy
+            fp = vx * vx + vy * vy + (px - x) * ax + (py - y) * ay
+            if fp == 0.0:
+                break
+            step = f / fp
+            theta -= step
+            if abs(step) < 1e-14:
+                break
+        px, py = table.point(theta)
+        devs.append(math.hypot(px - x, py - y))
+    devs = np.array(devs)
+    k = int(np.argmax(devs))
+    if 0 < k < samples - 1:
+        y0, y1, y2 = devs[k - 1], devs[k], devs[k + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0.0:
+            return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
+    return float(devs[k])
+
+
+def _scalar_chords(table, run):
+    return [
+        _scalar_chord_deviation(
+            table, tuple(run.points[k]), tuple(run.points[k + 1]),
+            run.thetas[k], run.thetas[k + 1],
+        )
+        for k in range(run.n_bounces)
+    ]
+
+
+OVALS = [Ellipse(2.0, 1.0), PerturbedCircle(0.05, 3)]
+
+
+@pytest.mark.parametrize("table", OVALS, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("theta0", [0.1, 2.0, 4.5])
+def test_worst_deviation_equals_a_scalar_newton_per_sample(table, theta0):
+    """Polishing every sample of a run in one array Newton changes no bit of
+    the measured boundary layer."""
+    alphas = (0.04, 0.02, 0.01)
+    report = boundary_convergence_experiment(table, alphas, theta0=theta0)
+    expected = []
+    for alpha in report.alphas:
+        run = base_angle_run(table, theta0, alpha, int(math.ceil(math.pi / alpha)))
+        expected.append(max([0.0, *_scalar_chords(table, run)]))
+    assert report.max_deviations.tolist() == expected
+
+
+@pytest.mark.parametrize("table", OVALS, ids=lambda t: type(t).__name__)
+def test_chord_deviation_is_the_kernel_on_one_chord(table):
+    run = base_angle_run(table, 0.7, 0.03, 120)
+    kernel = _chord_deviations(
+        table, run.points[:-1], run.points[1:], run.thetas[:-1], run.thetas[1:]
+    )
+    single = [
+        chord_deviation(
+            table, tuple(run.points[k]), tuple(run.points[k + 1]),
+            run.thetas[k], run.thetas[k + 1],
+        )
+        for k in range(run.n_bounces)
+    ]
+    assert single == kernel == _scalar_chords(table, run)
 
 
 def test_rejects_flat_and_reversed_launch_angles():
