@@ -82,7 +82,6 @@ def dihedral_angles(polytope: Polytope) -> DihedralAngles:
     ``pi - acos(<n_i, n_j>)``."""
     h = polytope.n_facets
     dim = polytope.dim
-    scale = max(1.0, float(np.abs(polytope.vertices).max()))
     first, second, spread = facet_pairs(h)
     pairs = list(zip(first.tolist(), second.tolist()))
     normals = polytope.normals
@@ -97,7 +96,7 @@ def dihedral_angles(polytope: Polytope) -> DihedralAngles:
         if len(shared) >= max(dim - 1, 1):
             candidates.append(k)
             shared_sets.append(sorted(shared))
-    ranks = affine_ranks(polytope.vertices, shared_sets, 1e-9 * scale)
+    ranks = affine_ranks(polytope.vertices, shared_sets, 1e-9 * polytope.scale)
     meets = {k for k, rank in zip(candidates, ranks) if rank == dim - 2}
     # one value per pair, then a last one for the diagonal
     pair_adjacent = [False] * (len(pairs) + 1)
@@ -488,12 +487,11 @@ def fold_point(
         _require_alcove(polytope)
     max_words = 100_000
     y = as_point(x, polytope.dim).copy()
-    scale = max(1.0, float(np.max(np.abs(polytope.vertices))))
     word: list[int] = []
     for _ in range(max_words):
         slack = polytope.normals @ y - polytope.offsets
         k = int(np.argmax(slack))
-        if slack[k] <= TOL.active * scale:
+        if slack[k] <= TOL.active * polytope.scale:
             return y, word
         y = y - 2.0 * slack[k] * polytope.normals[k]
         word.append(k)

@@ -169,14 +169,21 @@ def _cmd_simulate(args) -> dict:
 
     events = [
         {
-            "time": e.time,
-            "point": _vec_list(e.point),
-            "incoming": _vec_list(e.incoming),
-            "outgoing": _vec_list(e.outgoing),
-            "active": list(e.active),
-            "kind": e.kind.value,
+            "time": t,
+            "point": point,
+            "incoming": incoming,
+            "outgoing": outgoing,
+            "active": list(active),
+            "kind": kind.value,
         }
-        for e in trajectory.events
+        for t, point, incoming, outgoing, active, kind in zip(
+            trajectory.times[1:-1].tolist(),
+            trajectory.points[1:-1].tolist(),
+            trajectory.incoming.tolist(),
+            trajectory.directions[1:].tolist(),
+            trajectory.active,
+            trajectory.kinds,
+        )
     ]
     result = {
         "dim": table.dim,

@@ -26,12 +26,19 @@ trajectory as a single straight line composed with an accumulating affine
 isometry (one mirror per bounce), so positions reach each event through a
 different arithmetic path. Agreement of the two is a meaningful consistency
 check, not a tautology.
+
+Both return a :class:`Trajectory`, whose read-only knot arrays are the run:
+the knot times and points (start, each hit, end), the direction of each
+segment and the incoming direction of each hit. The loops collect one plain
+tuple per hit and stack them once, in ``_trajectory``; the
+:class:`BounceEvent` list is built from the arrays on first access.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -136,49 +143,89 @@ class BounceResolution:
     word: tuple[int, ...]  # facet indices of the mirrors applied, in order
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A billiard run of ``n`` hits as read-only knot arrays.
+
+    ``times`` ``(n+2,)``
+        0, each hit time, then ``horizon``.
+    ``points`` ``(n+2, d)``
+        the start point, each hit point, then the end point.
+    ``directions`` ``(n+1, d)``
+        the travel direction of each segment: the start direction, then the
+        outgoing direction of each hit.
+    ``incoming`` ``(n, d)``
+        the travel direction with which each hit is reached. It is kept
+        apart from ``directions``, since ``simulate_unfolded`` computes it
+        through its isometry, not as the previous outgoing direction.
+    ``active``, ``kinds``
+        tuples with the active set and the :class:`BounceKind` of each hit.
+
+    ``start`` and ``end`` are the states at times 0 and ``horizon``.
+    """
+
     start: TrajectoryState
-    events: list[BounceEvent]
     end: TrajectoryState
     horizon: float
     policy: CornerPolicy
-    _knot_times: np.ndarray = field(default=None, repr=False)
-    _knot_points: np.ndarray = field(default=None, repr=False)
-    _segment_dirs: np.ndarray = field(default=None, repr=False)
+    times: np.ndarray
+    points: np.ndarray
+    directions: np.ndarray
+    incoming: np.ndarray
+    active: tuple[tuple[int, ...], ...]
+    kinds: tuple[BounceKind, ...]
 
     @property
     def n_bounces(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
 
-    def _knots(self):
-        if self._knot_times is None:
-            times = [0.0] + [e.time for e in self.events] + [self.horizon]
-            points = (
-                [self.start.point]
-                + [e.point for e in self.events]
-                + [self.end.point]
+    @functools.cached_property
+    def events(self) -> list[BounceEvent]:
+        """The hits as :class:`BounceEvent` objects, built on first access
+        from rows of the knot arrays."""
+        return [
+            BounceEvent(*hit)
+            for hit in zip(
+                self.times[1:-1].tolist(),
+                self.points[1:-1],
+                self.incoming,
+                self.directions[1:],
+                self.active,
+                self.kinds,
             )
-            dirs = [self.start.direction] + [e.outgoing for e in self.events]
-            self._knot_times = np.array(times)
-            self._knot_points = np.array(points)
-            self._segment_dirs = np.array(dirs)
-        return self._knot_times, self._knot_points, self._segment_dirs
+        ]
 
     def position_at(self, t: float) -> np.ndarray:
-        times, points, dirs = self._knots()
-        t = min(max(float(t), 0.0), self.horizon)
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(dirs) - 1)
-        return points[i] + (t - times[i]) * dirs[i]
+        return self.sample([t])[0]
 
     def sample(self, ts) -> np.ndarray:
-        """:meth:`position_at` for each of the times ``ts``, one row each."""
-        times, points, dirs = self._knots()
+        """The position at each of the times ``ts`` (clipped to ``[0,
+        horizon]``), one row each."""
+        times, points, dirs = self.times, self.points, self.directions
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, self.horizon)
         i = np.searchsorted(times, ts, side="right") - 1
         i = np.clip(i, 0, len(dirs) - 1)
         return points[i] + (ts - times[i])[:, None] * dirs[i]
+
+
+def _trajectory(
+    start: TrajectoryState, hits: list[tuple], end: TrajectoryState, policy: CornerPolicy
+) -> Trajectory:
+    """Stack a run's ``(time, point, incoming, outgoing, active, kind)`` hit
+    tuples into the read-only arrays of a :class:`Trajectory` that ends at
+    ``end.time``."""
+    times, points, incoming, outgoing, active, kinds = (
+        zip(*hits) if hits else ((),) * 6
+    )
+    arrays = (
+        np.array([0.0, *times, end.time]),
+        np.array([start.point, *points, end.point]),
+        np.array([start.direction, *outgoing]),
+        np.array(incoming).reshape(len(kinds), start.dim),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Trajectory(start, end, end.time, policy, *arrays, active, kinds)
 
 
 def default_bounce_budget(polytope: Polytope, horizon: float) -> int:
@@ -389,7 +436,7 @@ def simulate(
     d = state.direction.copy()
     slack = None
     t = 0.0
-    events: list[BounceEvent] = []
+    hits: list[tuple] = []
     while horizon - t > eps_time:
         hit, dt, active, d_unit, hit_slack, hit_here = _advance(
             polytope, p, d, slack, here
@@ -400,14 +447,14 @@ def simulate(
             break
         t = t + dt
         outgoing, kind, _ = _resolve(polytope, hit, d_unit, active, policy)
-        events.append(BounceEvent(t, hit, d, outgoing, active, kind))
-        if len(events) > budget:
+        hits.append((t, hit, d, outgoing, active, kind))
+        if len(hits) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
         p, d, slack, here = hit, outgoing, hit_slack, hit_here
     end = TrajectoryState(p, d, horizon)
-    return Trajectory(state, events, end, horizon, policy)
+    return _trajectory(state, hits, end, policy)
 
 
 def _mirror(n: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +491,7 @@ def simulate_unfolded(
     ]
     t = 0.0
     line = x0 + t * d0  # the straight line at time t, before any isometry
-    events: list[BounceEvent] = []
+    hits: list[tuple] = []
     while horizon - t > eps_time:
         p = q @ line + shift
         d = q @ d0
@@ -459,8 +506,8 @@ def simulate_unfolded(
         line = x0 + t * d0
         outgoing, kind, word = _resolve(polytope, hit, d_unit, active, policy)
         table_hit = q @ line + shift
-        events.append(BounceEvent(t, table_hit, d, outgoing, active, kind))
-        if len(events) > budget:
+        hits.append((t, table_hit, d, outgoing, active, kind))
+        if len(hits) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
@@ -476,4 +523,4 @@ def simulate_unfolded(
     end_point = q @ (x0 + horizon * d0) + shift
     end_dir = q @ d0
     end = TrajectoryState(end_point, end_dir, horizon)
-    return Trajectory(state, events, end, horizon, policy)
+    return _trajectory(state, hits, end, policy)

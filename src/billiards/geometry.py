@@ -429,7 +429,9 @@ class Polytope:
 
     A table is two read-only arrays, ``normals`` (one unit outward normal per
     row) and ``offsets``, with ``normals @ x <= offsets`` inside; every
-    check and every derived quantity is computed from them.
+    check and every derived quantity is computed from them. ``scale``, the
+    largest vertex coordinate and at least 1, is the table's one length
+    scale for tolerances.
 
     The first argument is an ``(H, dim + 1)`` array-like of ``[normal |
     offset]`` rows with unit normals. Construction refuses any other shape,
@@ -448,13 +450,13 @@ class Polytope:
         self.offsets: np.ndarray = np.array(rows[:, -1])
         self.dim: int = self.normals.shape[1]
         self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
-        scale = self._checked_scale()
+        self.scale: float = self._checked_scale()
         # read-only, so that what is derived from a table (such as its alcove
         # verdict) stays true of it
         for arr in (self.normals, self.offsets, self.vertices):
             arr.setflags(write=False)
         slack = self.vertices @ self.normals.T - self.offsets  # (V, H)
-        computed = self._tight_vertex_sets(slack, scale)
+        computed = self._tight_vertex_sets(slack)
         if facet_vertices is None:
             self.facet_vertices = computed
         else:
@@ -464,7 +466,7 @@ class Polytope:
                     "facet_vertices disagree with the tight-vertex sets "
                     "computed from the halfspaces"
                 )
-        self._validate(slack, scale)
+        self._validate(slack)
 
     # -- construction ------------------------------------------------------
 
@@ -621,10 +623,8 @@ class Polytope:
             _checked_points(self.vertices, "polytope")
         return max(1.0, scale)
 
-    def _tight_vertex_sets(
-        self, slack: np.ndarray, scale: float
-    ) -> tuple[tuple[int, ...], ...]:
-        tight = np.abs(slack.T) <= 1e-9 * scale  # (H, V)
+    def _tight_vertex_sets(self, slack: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        tight = np.abs(slack.T) <= 1e-9 * self.scale  # (H, V)
         facets, verts = np.nonzero(tight)
         verts = verts.tolist()
         sets = []
@@ -634,9 +634,9 @@ class Polytope:
             start += count
         return tuple(sets)
 
-    def _validate(self, slack: np.ndarray, scale: float) -> None:
-        """Checks on the vertex-by-halfspace ``slack`` matrix, with ``scale``
-        the largest vertex coordinate (at least 1)."""
+    def _validate(self, slack: np.ndarray) -> None:
+        """Checks on the vertex-by-halfspace ``slack`` matrix."""
+        scale = self.scale
         worst = float(slack.max())
         if worst > 1e-9 * scale:
             raise InputError(

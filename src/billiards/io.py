@@ -331,9 +331,10 @@ def trajectory_rows(trajectory) -> list[list]:
     boundary hit (event ``facet`` or ``corner``), then the final position
     (event ``end``).
     """
-    rows: list[list] = []
-    rows.append([0.0, *trajectory.start.point.tolist(), "start"])
-    for event in trajectory.events:
-        rows.append([event.time, *event.point.tolist(), event.kind.value])
-    rows.append([trajectory.horizon, *trajectory.end.point.tolist(), "end"])
-    return rows
+    kinds = ["start", *(kind.value for kind in trajectory.kinds), "end"]
+    return [
+        [t, *point, kind]
+        for t, point, kind in zip(
+            trajectory.times.tolist(), trajectory.points.tolist(), kinds
+        )
+    ]

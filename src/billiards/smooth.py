@@ -56,6 +56,15 @@ def _trig(theta):
     return np if isinstance(theta, np.ndarray) else math
 
 
+def _checked_size(name: str, value) -> float:
+    """``value`` as a float, refused unless it lies in [1e-100, 1e100]: a
+    table of that size has curvatures that neither overflow nor underflow."""
+    value = float(value)
+    if not 1e-100 <= value <= 1e100:
+        raise InputError(f"{name} must be in [1e-100, 1e100], got {value}")
+    return value
+
+
 class SmoothTable:
     """Strictly convex planar table, boundary parametrized CCW by ``theta``."""
 
@@ -116,9 +125,7 @@ class Circle(SmoothTable):
     name = "circle"
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise InputError("radius must be positive")
-        self.radius = float(radius)
+        self.radius = _checked_size("radius", radius)
 
     def point(self, theta):
         return self.radius * math.cos(theta), self.radius * math.sin(theta)
@@ -149,10 +156,8 @@ class Ellipse(SmoothTable):
     name = "ellipse"
 
     def __init__(self, a: float = 1.5, b: float = 1.0):
-        if a <= 0 or b <= 0:
-            raise InputError("semi-axes must be positive")
-        self.a = float(a)
-        self.b = float(b)
+        self.a = _checked_size("semi-axis a", a)
+        self.b = _checked_size("semi-axis b", b)
 
     def point(self, theta):
         trig = _trig(theta)
@@ -188,20 +193,27 @@ class Ellipse(SmoothTable):
 
 class PerturbedCircle(SmoothTable):
     """Polar curve ``r(theta) = 1 + delta * cos(k * theta)``; strictly convex
-    for small ``delta``."""
+    exactly when ``|delta| * (1 + k^2) < 1``, which construction requires.
+
+    With ``c = cos(k * theta)`` the curvature's numerator ``r^2 + 2 r'^2 - r
+    r''`` is ``1 + 2 delta^2 k^2 + delta (2 + k^2) c + delta^2 (1 - k^2)
+    c^2``, concave in ``c``, so its least value over ``[-1, 1]`` is at ``c =
+    +-1``: ``(1 +- delta) (1 +- delta (1 + k^2))``. The condition also keeps
+    ``r`` positive and refuses a non-finite ``delta``. ``k`` is at most
+    2^53, the last integer that ``k * theta`` carries exactly as a float.
+    """
 
     name = "perturbed-circle"
 
     def __init__(self, delta: float = 0.05, k: int = 3):
         self.delta = float(delta)
         self.k = int(k)
-        if self.k < 1:
-            raise InputError("harmonic k must be >= 1")
-        # strict convexity: kappa > 0 needs r^2 + 2 r'^2 - r r'' > 0
-        thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-        if min(self.curvature(t) for t in thetas) <= 0.0:
+        if not 1 <= self.k <= 2**53:
+            raise InputError(f"harmonic k must be in [1, 2**53], got {k}")
+        if not abs(self.delta) * (1 + self.k**2) < 1.0:
             raise InputError(
-                f"delta={delta} with k={k} is not strictly convex"
+                f"delta must satisfy |delta| * (1 + k^2) < 1 for a strictly "
+                f"convex table, got delta={delta} with k={k}"
             )
 
     # ``trig`` is ``_trig(theta)``; the default serves the scalar callers

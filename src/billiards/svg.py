@@ -123,15 +123,10 @@ def trajectory_svg(table, trajectory) -> str:
     scene = Scene()
     boundary = _ordered_boundary(table)
     scene.polygon(boundary)
-    knots = (
-        [trajectory.start.point]
-        + [e.point for e in trajectory.events]
-        + [trajectory.end.point]
-    )
-    scene.polyline(knots)
-    for event in trajectory.events:
-        scene.dot(event.point)
-    scene.dot(trajectory.start.point, radius_px=4.0, fill="#27ae60")
+    scene.polyline(trajectory.points)
+    for hit in trajectory.points[1:-1]:
+        scene.dot(hit)
+    scene.dot(trajectory.points[0], radius_px=4.0, fill="#27ae60")
     return scene.to_svg()
 
 

@@ -20,7 +20,12 @@ from billiards.alcove import (
 from billiards.corner import limit_reflection
 from billiards.dynamics import BounceKind, CornerPolicy, TrajectoryState, simulate
 from billiards.errors import NotAnAlcoveError
-from billiards.geometry import Polytope, affine_rank, affine_ranks
+from billiards.geometry import (
+    Polytope,
+    affine_rank,
+    affine_ranks,
+    nearest_pi_over_m,
+)
 from billiards.tables import triangle_A2, triangle_nonalcove
 from conftest import random_polytope_3d, random_triangle
 
@@ -386,3 +391,46 @@ def test_straddling_a_pi_over_three_prism_edge_closes_up(corner):
         assert limit.continuous
         assert abs(above - below) <= 1e-12
         assert abs(above - limit.outgoing_above) <= 1e-12
+
+
+def test_straddling_a_generic_tetrahedron_edge_splits_by_the_gap():
+    """Theorem 1 without product structure: a tetrahedron with no pi/k angle
+    at its edge 0-1 is no prism. Shots in the plane orthogonal to the edge,
+    parallel to the bisector of the wedge its two facets make and offset by
+    ``+delta`` toward the upper facet and by ``-delta`` toward the lower one,
+    make the wedge's m facet hits and leave along its two one-sided limits."""
+    v0, v1, v2, v3 = np.array(
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.3, 0.9, 0.0), (0.35, 0.3, 0.8)]
+    )
+    tet = Polytope.from_point_cloud([v0, v1, v2, v3])
+    edge = (v1 - v0) / np.linalg.norm(v1 - v0)
+
+    def across(v):
+        """The unit part of ``v`` orthogonal to the edge."""
+        w = v - (v @ edge) * edge
+        return w / np.linalg.norm(w)
+
+    lower, upper = across(v2 - v0), across(v3 - v0)
+    alpha = math.acos(float(lower @ upper))
+    _, err = nearest_pi_over_m(alpha)
+    assert err > 0.1
+    limit = limit_reflection(alpha)
+    assert limit.m == 3 and not limit.continuous
+    normal = across(upper - (upper @ lower) * lower)  # in the plane, off lower
+    bisector = math.cos(0.5 * alpha) * lower + math.sin(0.5 * alpha) * normal
+    toward_upper = -math.sin(0.5 * alpha) * lower + math.cos(0.5 * alpha) * normal
+    for delta in (1e-3, 1e-5, 1e-7):
+        for sign, want in ((+1.0, limit.outgoing_above), (-1.0, limit.outgoing_below)):
+            x0 = 0.5 * (v0 + v1) + 0.1 * bisector + sign * delta * toward_upper
+            run = simulate(
+                tet, TrajectoryState(x0, -bisector), 0.25, CornerPolicy.STRICT
+            )
+            near = run.events[: limit.m]
+            assert len(near) == limit.m
+            for event in near:
+                assert event.kind is BounceKind.FACET
+                off_edge = event.point - v0 - ((event.point - v0) @ edge) * edge
+                assert np.linalg.norm(off_edge) <= 100.0 * delta
+            out = near[-1].outgoing
+            assert abs(out @ edge) <= 1e-15
+            assert abs(math.atan2(out @ normal, out @ lower) - want) <= 1e-12

@@ -298,6 +298,61 @@ def test_sample_equals_position_at_bit_for_bit(rng):
     assert np.array_equal(run.sample(ts), want)
 
 
+@pytest.mark.parametrize("runner", [simulate, simulate_unfolded])
+def test_events_are_the_rows_of_the_knot_arrays(runner, rng):
+    poly = random_polytope_3d(rng)
+    run = runner(poly, random_interior_state(rng, poly), 8.0)
+    n = run.n_bounces
+    assert n > 0
+    assert run.times.shape == (n + 2,) and run.points.shape == (n + 2, 3)
+    assert run.directions.shape == (n + 1, 3) and run.incoming.shape == (n, 3)
+    assert len(run.active) == len(run.kinds) == len(run.events) == n
+    assert run.times[0] == 0.0 and run.times[-1] == run.horizon
+    assert np.array_equal(run.points[0], run.start.point)
+    assert np.array_equal(run.points[-1], run.end.point)
+    assert np.array_equal(run.directions[0], run.start.direction)
+    for k, event in enumerate(run.events):
+        assert event.time == run.times[k + 1]
+        assert np.array_equal(event.point, run.points[k + 1])
+        assert np.array_equal(event.incoming, run.incoming[k])
+        assert np.array_equal(event.outgoing, run.directions[k + 1])
+        assert event.active == run.active[k]
+        assert event.kind is run.kinds[k]
+    assert run.events is run.events  # built once
+
+
+@pytest.mark.parametrize("runner", [simulate, simulate_unfolded])
+def test_a_run_that_ends_before_its_first_hit_has_two_knots(runner):
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    run = runner(square, TrajectoryState((0.5, 0.5), (1.0, 0.0)), 0.25)
+    assert run.times.shape == (2,) and run.points.shape == (2, 2)
+    assert run.directions.shape == (1, 2) and run.incoming.shape == (0, 2)
+    assert run.active == () and run.kinds == () and run.events == []
+    assert run.n_bounces == 0
+    assert np.array_equal(run.sample([0.0, 0.25]), run.points)
+
+
+@pytest.mark.parametrize("runner", [simulate, simulate_unfolded])
+def test_sample_at_the_knot_times_returns_the_knots(runner, rng):
+    """Bit for bit at the start and at every hit. The end knot is the
+    loop's own end state, which ``simulate_unfolded`` computes through its
+    isometry, so it is not sampled here."""
+    poly = random_polytope_3d(rng)
+    run = runner(poly, random_interior_state(rng, poly), 8.0)
+    assert run.n_bounces > 0
+    assert np.array_equal(run.sample(run.times[:-1]), run.points[:-1])
+
+
+def test_the_knot_arrays_are_read_only(rng):
+    poly = random_polytope_3d(rng)
+    run = simulate(poly, random_interior_state(rng, poly), 8.0)
+    rows = (run.events[0].point, run.events[0].incoming, run.events[0].outgoing)
+    for arr in (run.times, run.points, run.directions, run.incoming, *rows):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_time_reversal_returns_to_start(rng):
     for _ in range(10):
         poly = random_convex_polygon(rng)

@@ -369,6 +369,33 @@ def test_cli_refuses_out_of_range_table_numbers_in_one_line(
     assert captured.err == f"billiards: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ({"kind": "perturbed", "delta": -1.0, "k": 2}, "delta"),
+        ({"kind": "perturbed", "delta": 1.5, "k": 1}, "delta"),
+        ({"kind": "ellipse", "a": 1e200, "b": 1}, "semi-axis a"),
+        ({"kind": "ellipse", "a": 1e-200, "b": 1}, "semi-axis a"),
+    ],
+)
+def test_cli_smooth_refuses_a_table_that_is_no_oval_in_one_line(
+    params, name, tmp_path, capsys
+):
+    """A perturbed circle whose radius reaches zero or goes negative, or an
+    ellipse whose curvature leaves the float range, is refused when the
+    table is built."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"smooth2d": params}))
+    code = main(["smooth", str(path), "--laws"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"billiards: error: {name} must")
+
+
 _ZERO = ({"normal": [0.0, 0.0], "offset": 1.0}, "halfspace normal may not be zero")
 _WIDE = (
     {"normal": [1.0, 0.0, 0.0], "offset": 1.0},

@@ -63,6 +63,54 @@ def test_overly_wavy_perturbation_rejected():
         PerturbedCircle(0.2, 5)  # curvature changes sign
 
 
+@pytest.mark.parametrize(
+    "cls, args, name",
+    [
+        pytest.param(PerturbedCircle, (-1.0, 2), "delta", id="radius-reaches-0"),
+        pytest.param(PerturbedCircle, (1.5, 1), "delta", id="radius-below-0"),
+        pytest.param(PerturbedCircle, (math.nan, 3), "delta", id="delta-nan"),
+        pytest.param(PerturbedCircle, (math.inf, 3), "delta", id="delta-inf"),
+        # curvature -2.9e4 between samples of a grid of 720 angles
+        pytest.param(PerturbedCircle, (0.05, 720), "delta", id="k-aliases"),
+        pytest.param(PerturbedCircle, (0.05, 10**200), "harmonic k", id="k-huge"),
+        pytest.param(PerturbedCircle, (0.05, 0), "harmonic k", id="k-0"),
+        pytest.param(Circle, (0.0,), "radius", id="radius-0"),
+        pytest.param(Circle, (1e101,), "radius", id="radius-1e101"),
+        pytest.param(Circle, (math.nan,), "radius", id="radius-nan"),
+        pytest.param(Ellipse, (1e200, 1.0), "semi-axis a", id="a-1e200"),
+        pytest.param(Ellipse, (1e-200, 1.0), "semi-axis a", id="a-1e-200"),
+        pytest.param(Ellipse, (1.0, math.inf), "semi-axis b", id="b-inf"),
+        pytest.param(Ellipse, (1.0, -1.0), "semi-axis b", id="b-negative"),
+    ],
+)
+def test_smooth_tables_refuse_what_they_are_not(cls, args, name):
+    with pytest.raises(InputError, match=name):
+        cls(*args)
+
+
+def test_perturbed_circle_convexity_condition_is_exact():
+    """``|delta| * (1 + k^2) < 1`` against the curvature on a fine grid."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 20001)
+    for k in (1, 2, 3, 7, 20):
+        edge = 1.0 / (1 + k * k)
+        for delta in (0.9 * edge, -0.9 * edge):
+            table = PerturbedCircle(delta, k)
+            assert min(table.curvature(t) for t in thetas) > 0.0
+        for delta in (1.1 * edge, -1.1 * edge):
+            with pytest.raises(InputError, match="delta"):
+                PerturbedCircle(delta, k)
+            r = 1.0 + delta * np.cos(k * thetas)
+            r1 = -delta * k * np.sin(k * thetas)
+            r2 = -delta * k * k * np.cos(k * thetas)
+            assert (r * r + 2.0 * r1 * r1 - r * r2).min() < 0.0
+
+
+def test_smooth_table_sizes_at_the_ends_of_the_range_build():
+    for size in (1e-100, 1e100):
+        assert Circle(size).curvature(0.0) == 1.0 / size
+        assert 0.0 < Ellipse(size, 1.0).curvature(0.3) < math.inf
+
+
 def test_circle_distance_to_boundary():
     circle = Circle(1.0)
     assert math.isclose(

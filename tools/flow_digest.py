@@ -1,5 +1,5 @@
-"""Print one sha256 over the events and end states of a fixed set of seeded
-billiard runs, so two trees can be shown to step bit for bit alike.
+"""Print one sha256 over the events, end states and samples of a fixed set of
+seeded billiard runs, so two trees can be shown to step bit for bit alike.
 
 Run from the repository root::
 
@@ -25,8 +25,9 @@ same arrays, or the error's class and message).
 
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
-and time. With ``-v`` one short digest per group of runs is printed as well,
-to find the group where two trees part.
+and time. One more group hashes ``Trajectory.sample`` on each of these runs,
+at seeded times and at every event time. With ``-v`` one short digest per
+group of runs is printed as well, to find the group where two trees part.
 """
 
 from __future__ import annotations
@@ -77,11 +78,17 @@ def _start(rng, table: Polytope) -> TrajectoryState:
     return TrajectoryState(point, rng.normal(size=table.dim))
 
 
-def _record(digest, run, table, state, horizon, *args) -> None:
+def _run(run, table, state, horizon, *args):
+    """The trajectory, or the error's class and message as bytes."""
     try:
-        traj = run(table, state, horizon, *args)
+        return run(table, state, horizon, *args)
     except BilliardsError as err:
-        digest.update(f"{type(err).__name__}: {err}".encode())
+        return f"{type(err).__name__}: {err}".encode()
+
+
+def _record(digest, traj) -> None:
+    if isinstance(traj, bytes):
+        digest.update(traj)
         return
     for e in traj.events:
         digest.update(np.float64(e.time).tobytes())
@@ -94,16 +101,16 @@ def _record(digest, run, table, state, horizon, *args) -> None:
     digest.update(np.float64(traj.end.time).tobytes())
 
 
-def _random_tables(digest) -> None:
+def _random_table_runs():
     rng = np.random.default_rng(801)
     for k in range(60):
         table = _polygon(rng) if k % 2 == 0 else _hull(rng)
         state = _start(rng, table)
         for run in (simulate, simulate_unfolded):
-            _record(digest, run, table, state, 40.0, CornerPolicy.STRICT)
+            yield run, table, state, 40.0, CornerPolicy.STRICT
 
 
-def _boxes(digest) -> None:
+def _box_runs():
     rng = np.random.default_rng(802)
     for dim in (2, 3):
         box = Polytope.box(-np.ones(dim), np.linspace(1.0, 2.0, dim))
@@ -112,18 +119,48 @@ def _boxes(digest) -> None:
         shots += [TrajectoryState(center, v - center) for v in box.vertices]
         for state in shots:
             for run in (simulate, simulate_unfolded):
-                _record(digest, run, box, state, 20.0, CornerPolicy.POINT_REFLECT)
+                yield run, box, state, 20.0, CornerPolicy.POINT_REFLECT
         # under STRICT a corner shot records the error's message
         for run in (simulate, simulate_unfolded):
-            _record(digest, run, box, shots[-1], 20.0, CornerPolicy.STRICT)
+            yield run, box, shots[-1], 20.0, CornerPolicy.STRICT
 
 
-def _alcove_vertex_shots(digest) -> None:
+def _alcove_vertex_shot_runs():
     for label in standard_alcove_labels(8):
         alcove = standard_alcove(label)
         x0 = alcove.interior_point()
         for v in alcove.vertices:
-            _record(digest, folded_flow, alcove, TrajectoryState(x0, v - x0), 30.0)
+            yield folded_flow, alcove, TrajectoryState(x0, v - x0), 30.0
+
+
+def _events(runs):
+    """The group that records every run of ``runs``."""
+
+    def group(digest) -> None:
+        for call in runs():
+            _record(digest, _run(*call))
+
+    return group
+
+
+def _samples(digest) -> None:
+    """``sample`` on every run above, at 50 seeded times in ``[-1, horizon +
+    1]`` (so clipped ones too), at 0 and the horizon, and at every event
+    time."""
+    rng = np.random.default_rng(804)
+    for runs in (_random_table_runs, _box_runs, _alcove_vertex_shot_runs):
+        for call in runs():
+            traj = _run(*call)
+            if isinstance(traj, bytes):
+                digest.update(traj)
+                continue
+            horizon = call[3]
+            ts = np.concatenate([
+                rng.uniform(-1.0, horizon + 1.0, 50),
+                [0.0, horizon],
+                [e.time for e in traj.events],
+            ])
+            digest.update(traj.sample(ts).tobytes())
 
 
 def _containment(digest) -> None:
@@ -199,9 +236,10 @@ def _tables(digest) -> None:
 
 
 GROUPS = (
-    ("random tables, STRICT", _random_tables),
-    ("boxes, POINT_REFLECT", _boxes),
-    ("alcove vertex shots, folded_flow", _alcove_vertex_shots),
+    ("random tables, STRICT", _events(_random_table_runs)),
+    ("boxes, POINT_REFLECT", _events(_box_runs)),
+    ("alcove vertex shots, folded_flow", _events(_alcove_vertex_shot_runs)),
+    ("Trajectory.sample on every run", _samples),
     ("Polytope.contains on seeded points", _containment),
     ("tables, bundled and from payloads", _tables),
 )
