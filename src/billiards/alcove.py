@@ -451,8 +451,8 @@ def standard_alcove(label: str) -> Polytope:
 
 
 # Each table's verdict at the default tolerance, computed on its first
-# fold_point or folded_flow call. A Polytope's arrays are read-only and TOL is
-# frozen, so the verdict cannot go stale; the weak keys let a table and its
+# fold_point call or FOLD_GROUP run. A Polytope's arrays are read-only and TOL
+# is frozen, so the verdict cannot go stale; the weak keys let a table and its
 # verdict be freed together.
 _VERDICTS: weakref.WeakKeyDictionary[Polytope, AlcoveVerdict] = (
     weakref.WeakKeyDictionary()
@@ -511,11 +511,10 @@ def folded_flow(
 
     Equivalent to the billiard flow with the group-fold corner rule, with
     positions computed through the accumulated folding isometry. Raises
-    ``NotAnAlcoveError`` when the table fails the dihedral criterion. The
-    table is verified once, as in :func:`fold_point`: its verdict is
-    remembered for as long as the table lives.
+    ``NotAnAlcoveError`` when the table fails the dihedral criterion: that is
+    ``FOLD_GROUP``'s precondition, which ``simulate_unfolded`` checks once
+    per table, as :func:`fold_point` does.
     """
-    _require_alcove(polytope)
     return simulate_unfolded(
         polytope, state, horizon, CornerPolicy.FOLD_GROUP, bounce_budget
     )

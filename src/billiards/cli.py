@@ -531,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--policy",
         default="point-reflect",
-        help="corner rule: strict, pointreflect, or foldgroup",
+        help="corner rule: strict, pointreflect, or foldgroup (foldgroup "
+        "needs an alcove table)",
     )
     p_sim.add_argument(
         "--unfold",

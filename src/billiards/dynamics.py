@@ -17,9 +17,9 @@ law, and at a corner (two or more active facets) a policy decides:
     cone, which is the price of an always-defined involution.
 ``FOLD_GROUP``
     reflect the incoming direction across the active walls until it points
-    inward. This is the reflection-group continuation and is only meaningful
-    when the active walls meet at angles pi/m; the corner is checked locally
-    and ``NotAnAlcoveError`` is raised otherwise.
+    inward: the reflection-group continuation, defined only on an alcove.
+    The public entry points check the table once and raise
+    ``NotAnAlcoveError`` before a run on any other table starts.
 
 ``simulate_unfolded`` replays the same event logic but represents the
 trajectory as a single straight line composed with an accumulating affine
@@ -50,7 +50,6 @@ from .errors import (
     DegenerateStartError,
     InputError,
     NoProgressError,
-    NotAnAlcoveError,
     OutsideTableError,
 )
 from .geometry import (
@@ -59,7 +58,6 @@ from .geometry import (
     as_point,
     classify_slack,
     fold_direction_into_cone,
-    nearest_pi_over_m,
     reflected,
     unit,
 )
@@ -229,8 +227,14 @@ def _trajectory(
 
 
 def default_bounce_budget(polytope: Polytope, horizon: float) -> int:
-    """Linear-in-time cap on the number of bounces, scaled by facet count."""
-    return int(math.ceil(10.0 * (horizon + 1.0) * polytope.n_facets))
+    """Linear-in-time cap on the number of bounces, scaled by facet count.
+    A horizon whose cap overflows a float is refused with ``InputError``."""
+    cap = 10.0 * (horizon + 1.0) * polytope.n_facets
+    if not math.isfinite(cap):
+        raise InputError(
+            f"horizon {horizon} is too long: its bounce budget overflows"
+        )
+    return int(math.ceil(cap))
 
 
 def advance_to_boundary(
@@ -258,10 +262,14 @@ def reflect_at(
     active,
     policy: CornerPolicy = CornerPolicy.POINT_REFLECT,
 ) -> BounceResolution:
-    """Outgoing travel direction for a hit with the given active set."""
+    """Outgoing travel direction for a hit with the given active set.
+    ``FOLD_GROUP`` needs an alcove table, else ``NotAnAlcoveError``."""
     active = tuple(active)
     if not active:
         raise InputError("reflect_at needs a nonempty active set")
+    if policy is CornerPolicy.FOLD_GROUP:
+        from .alcove import _require_alcove  # alcove imports this module
+        _require_alcove(polytope)
     d = unit(as_point(incoming, polytope.dim))
     return BounceResolution(*_resolve(polytope, point, d, active, policy))
 
@@ -369,18 +377,8 @@ def _resolve(
         raise CornerAmbiguousError(as_point(point, polytope.dim), active)
     if policy is CornerPolicy.POINT_REFLECT:
         return -d, BounceKind.CORNER, ()
-    # FOLD_GROUP: the active walls must meet at reflection-group angles
+    # FOLD_GROUP: the caller has checked that the table is an alcove
     normals = polytope.normals[list(active)]
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            cos_ij = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
-            dihedral = math.pi - math.acos(cos_ij)
-            _, err = nearest_pi_over_m(dihedral)
-            if err > 100.0 * TOL.angle:
-                raise NotAnAlcoveError(
-                    f"facets {active[i]} and {active[j]} meet at dihedral "
-                    f"{dihedral:.12f}, not a pi/m angle"
-                )
     folded, local_word = fold_direction_into_cone(normals, d)
     return folded, BounceKind.CORNER, tuple(active[k] for k in local_word)
 
@@ -389,19 +387,24 @@ def _begin(
     polytope: Polytope,
     state: TrajectoryState,
     horizon: float,
+    policy: CornerPolicy,
     bounce_budget: int | None,
 ) -> tuple[float, int, float, _Classification]:
     """The checks at the start of a run, shared by both loops.
 
-    Refuses a bad horizon, a state of another dimension, and a start outside
-    or leaving the table. Returns ``(horizon, budget, eps_time, here)``, with
-    ``here`` the classification of the start point.
+    Refuses a bad horizon, a state of another dimension, ``FOLD_GROUP`` on a
+    non-alcove, and a start outside or leaving the table. Returns
+    ``(horizon, budget, eps_time, here)``, with ``here`` the classification
+    of the start point.
     """
     horizon = float(horizon)
     if horizon < 0 or not np.isfinite(horizon):
         raise InputError(f"horizon must be finite and >= 0, got {horizon}")
     if state.dim != polytope.dim:
         raise InputError("state and table dimensions differ")
+    if policy is CornerPolicy.FOLD_GROUP:
+        from .alcove import _require_alcove  # alcove imports this module
+        _require_alcove(polytope)
     loc = polytope.contains(state.point)
     if loc.location is Location.OUTSIDE:
         raise OutsideTableError(
@@ -430,7 +433,7 @@ def simulate(
 ) -> Trajectory:
     """Run the billiard flow for total arclength ``horizon``."""
     horizon, budget, eps_time, here = _begin(
-        polytope, state, horizon, bounce_budget
+        polytope, state, horizon, policy, bounce_budget
     )
     p = state.point.copy()
     d = state.direction.copy()
@@ -481,7 +484,9 @@ def simulate_unfolded(
     flows through a genuinely different computation than the segment-chaining
     integrator.
     """
-    horizon, budget, eps_time, _ = _begin(polytope, state, horizon, bounce_budget)
+    horizon, budget, eps_time, _ = _begin(
+        polytope, state, horizon, policy, bounce_budget
+    )
     x0 = state.point.copy()
     d0 = state.direction.copy()
     q = np.eye(polytope.dim)

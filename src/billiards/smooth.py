@@ -344,13 +344,23 @@ def base_angle_run(
     n_bounces: int,
     side: int = +1,
 ) -> BounceRun:
-    """Iterate the chord map ``n_bounces`` times from ``(theta0, alpha0)``."""
+    """Iterate the chord map ``n_bounces`` times from ``(theta0, alpha0)``.
+
+    A run whose base angle leaves (0, pi/2) is refused with ``InputError``
+    naming the table, the launch angle, the bounce and the angle reached.
+    """
     thetas = [float(theta0)]
     alphas = [float(alpha0)]
     chords = []
     points = [table.point(theta0)]
     theta, alpha = float(theta0), float(alpha0)
-    for _ in range(n_bounces):
+    for k in range(n_bounces):
+        if k and not 0.0 < alpha < 0.5 * math.pi:
+            raise InputError(
+                f"the {table.name} run launched at base angle {alphas[0]!r} "
+                f"reached base angle {alpha!r} after bounce {k}, outside "
+                f"(0, pi/2)"
+            )
         step = smooth_bounce(table, theta, alpha, side)
         theta, alpha = step.theta_next, step.alpha_next
         thetas.append(theta)

@@ -18,7 +18,15 @@ from billiards.alcove import (
     CoxeterDiagram,
 )
 from billiards.corner import limit_reflection
-from billiards.dynamics import BounceKind, CornerPolicy, TrajectoryState, simulate
+from billiards.dynamics import (
+    BounceKind,
+    CornerPolicy,
+    TrajectoryState,
+    advance_to_boundary,
+    reflect_at,
+    simulate,
+    simulate_unfolded,
+)
 from billiards.errors import NotAnAlcoveError
 from billiards.geometry import (
     Polytope,
@@ -306,6 +314,19 @@ def test_folded_flow_refuses_non_alcoves():
             fold_point(tri, (0.4, 0.2))
 
 
+def test_fold_group_refuses_a_non_alcove_before_the_run():
+    """FOLD_GROUP is defined on alcoves only: a run on another table is
+    refused up front, even one that meets nothing but a facet."""
+    tri = triangle_nonalcove()
+    shot = TrajectoryState((0.4, 0.3), (0.0, -1.0))  # one bounce, off (0, 0)
+    for run in (simulate, simulate_unfolded):
+        assert run(tri, shot, 0.5, CornerPolicy.POINT_REFLECT).n_bounces == 1
+        with pytest.raises(NotAnAlcoveError, match="from pi/"):
+            run(tri, shot, 0.5, CornerPolicy.FOLD_GROUP)
+    with pytest.raises(NotAnAlcoveError, match="from pi/"):
+        reflect_at(tri, (0.4, 0.0), (0.0, -1.0), (0,), CornerPolicy.FOLD_GROUP)
+
+
 def test_fold_entry_points_check_each_table_once(monkeypatch):
     import billiards.alcove as alcove_module
 
@@ -318,9 +339,15 @@ def test_fold_entry_points_check_each_table_once(monkeypatch):
     monkeypatch.setattr(alcove_module, "check_alcove", counting_check)
     alcove = standard_alcove("A3~")
     x0 = alcove.interior_point()
+    state = TrajectoryState(x0, (1.0, 0.5, 0.25))
+    fold = CornerPolicy.FOLD_GROUP
     for _ in range(3):
         fold_point(alcove, x0 + 2.0)
-        folded_flow(alcove, TrajectoryState(x0, (1.0, 0.5, 0.25)), 3.0)
+        folded_flow(alcove, state, 3.0)
+        simulate(alcove, state, 3.0, fold)
+        simulate_unfolded(alcove, state, 3.0, fold)
+        hit, _, active = advance_to_boundary(alcove, x0, state.direction)
+        reflect_at(alcove, hit, state.direction, active, fold)
     assert calls == [alcove]
 
 

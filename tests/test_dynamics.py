@@ -428,6 +428,18 @@ def test_unfolded_negative_horizon_rejected():
         simulate_unfolded(square, TrajectoryState((0.5, 0.5), (1.0, 0.0)), -1.0)
 
 
+@pytest.mark.parametrize("run", [simulate, simulate_unfolded])
+def test_a_horizon_whose_bounce_budget_overflows_is_refused(run):
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    shot = TrajectoryState((0.5, 0.5), (1.0, 0.0))
+    for horizon in (5e306, 1e308):  # 10 * (horizon + 1) * 4 facets > max float
+        with pytest.raises(InputError) as info:
+            run(square, shot, horizon)
+        assert str(info.value) == (
+            f"horizon {horizon} is too long: its bounce budget overflows"
+        )
+
+
 def test_unfolded_strict_policy_raises_on_corner_hit():
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
     shot = TrajectoryState((0.25, 0.25), (1.0, 1.0))

@@ -246,6 +246,38 @@ def test_cli_foldgroup_passes_corners(capsys):
     assert "corner" in kinds
 
 
+def _one_error_line(capsys, *argv) -> str:
+    """The single stderr line of a CLI call that must exit 2."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_cli_foldgroup_refuses_a_non_alcove_before_the_run(capsys):
+    # the shot meets one facet and no corner
+    line = _one_error_line(
+        capsys, "simulate", "triangle_nonalcove", "0.4,0.3", "0,-1", "0.5",
+        "--policy", "foldgroup",
+    )
+    assert line.startswith("billiards: error: dihedral angle ")
+    assert "away from pi/" in line
+
+
+def test_cli_refuses_a_horizon_whose_bounce_budget_overflows(capsys):
+    line = _one_error_line(
+        capsys, "simulate", "square", "0.5,0.5", "1,0", "1e308"
+    )
+    assert line == (
+        "billiards: error: horizon 1e+308 is too long: its bounce budget "
+        "overflows"
+    )
+
+
 def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert _run_cli(capsys, "simulate", "nope", "0,0", "1,1", "1")[0] == 2
     assert _run_cli(capsys, "simulate", "square", "5,5", "1,1", "1")[0] == 2
@@ -394,6 +426,23 @@ def test_cli_smooth_refuses_a_table_that_is_no_oval_in_one_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"billiards: error: {name} must")
+
+
+@pytest.mark.parametrize("a", [300.0, 1000.0])
+def test_cli_smooth_refuses_a_run_that_leaves_the_small_angles_in_one_line(
+    a, tmp_path, capsys
+):
+    """On a thin ellipse the first chord of the laws run crosses the table;
+    the refusal names the run, not a base angle the caller never gave."""
+    path = tmp_path / "table.json"
+    table = {"smooth2d": {"kind": "ellipse", "a": a, "b": 1}}
+    path.write_text(json.dumps(table))
+    line = _one_error_line(capsys, "smooth", str(path), "--laws")
+    assert line.startswith(
+        "billiards: error: the ellipse run launched at base angle 0.04 "
+        "reached base angle 3.1"
+    )
+    assert line.endswith(" after bounce 1, outside (0, pi/2)")
 
 
 _ZERO = ({"normal": [0.0, 0.0], "offset": 1.0}, "halfspace normal may not be zero")

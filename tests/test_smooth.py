@@ -311,3 +311,24 @@ def test_rejects_flat_and_reversed_launch_angles():
         smooth_bounce(Circle(1.0), 0.0, 0.0, +1)
     with pytest.raises(InputError):
         smooth_bounce(Circle(1.0), 0.0, math.pi / 2.0, +1)
+
+
+@pytest.mark.parametrize(
+    "table, alpha, reached",
+    [
+        (Ellipse(300.0, 1.0), 0.04, "3.13688362641436"),
+        (Ellipse(1000.0, 1.0), 0.04, "3.11750757942743"),
+        (Circle(1.0), 1e-9, "0.0"),
+    ],
+)
+def test_a_run_that_leaves_the_base_angle_range_is_refused_in_context(
+    table, alpha, reached
+):
+    """A thin ellipse's first chord crosses the table, and on the circle a
+    tiny angle rounds to zero: the refusal names the run and the bounce."""
+    with pytest.raises(InputError) as info:
+        base_angle_run(table, 0.1, alpha, 10)
+    assert str(info.value) == (
+        f"the {table.name} run launched at base angle {alpha!r} reached base "
+        f"angle {reached} after bounce 1, outside (0, pi/2)"
+    )

@@ -12,8 +12,9 @@ The runs are:
   the error's class and message instead of its events);
 * boxes in dimension 2 and 3 under ``POINT_REFLECT``, from random starts and
   aimed at their corners, and one corner shot per box under ``STRICT``;
-* ``folded_flow`` shots from the interior point of each standard alcove up to
-  rank 8 at each of its vertices.
+* shots from the interior point of each standard alcove up to rank 8 at each
+  of its vertices, run by ``folded_flow`` and by ``simulate`` under
+  ``FOLD_GROUP``.
 
 It also hashes ``Polytope.contains`` (location, active set and the bytes of
 ``worst_violation``) at seeded points on, near, inside and outside some of
@@ -25,9 +26,10 @@ same arrays, or the error's class and message).
 
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
-and time. One more group hashes ``Trajectory.sample`` on each of these runs,
-at seeded times and at every event time. With ``-v`` one short digest per
-group of runs is printed as well, to find the group where two trees part.
+and time. One more group hashes ``Trajectory.sample`` on each of these runs
+but the ``simulate`` alcove shots, at seeded times and at every event time.
+With ``-v`` one short digest per group of runs is printed as well, to find the
+group where two trees part.
 """
 
 from __future__ import annotations
@@ -125,12 +127,22 @@ def _box_runs():
             yield run, box, shots[-1], 20.0, CornerPolicy.STRICT
 
 
-def _alcove_vertex_shot_runs():
+def _alcove_vertex_shots():
     for label in standard_alcove_labels(8):
         alcove = standard_alcove(label)
         x0 = alcove.interior_point()
         for v in alcove.vertices:
-            yield folded_flow, alcove, TrajectoryState(x0, v - x0), 30.0
+            yield alcove, TrajectoryState(x0, v - x0)
+
+
+def _alcove_vertex_shot_runs():
+    for alcove, state in _alcove_vertex_shots():
+        yield folded_flow, alcove, state, 30.0
+
+
+def _alcove_vertex_shot_simulate_runs():
+    for alcove, state in _alcove_vertex_shots():
+        yield simulate, alcove, state, 30.0, CornerPolicy.FOLD_GROUP
 
 
 def _events(runs):
@@ -239,6 +251,8 @@ GROUPS = (
     ("random tables, STRICT", _events(_random_table_runs)),
     ("boxes, POINT_REFLECT", _events(_box_runs)),
     ("alcove vertex shots, folded_flow", _events(_alcove_vertex_shot_runs)),
+    ("alcove vertex shots, simulate under FOLD_GROUP",
+     _events(_alcove_vertex_shot_simulate_runs)),
     ("Trajectory.sample on every run", _samples),
     ("Polytope.contains on seeded points", _containment),
     ("tables, bundled and from payloads", _tables),
