@@ -52,6 +52,87 @@ def test_ray_exit_lands_on_the_boundary(table):
         assert abs(table.implicit(px + t * dx, py + t * dy)) < 1e-9
 
 
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("ray", ["outward", "tangent"])
+def test_ray_exit_refuses_a_ray_that_does_not_point_inward(table, ray):
+    """A tangent ray's slope into the table is zero up to rounding; at
+    ``theta = 0.7`` each of these tables rounds it to zero or outward."""
+    px, py = table.point(0.7)
+    if ray == "outward":
+        nx, ny = table.inward_normal(0.7)
+        dx, dy = -nx, -ny
+    else:
+        dx, dy = table.tangent(0.7)
+    with pytest.raises(InputError, match=f"ray leaves the {table.name} immediately"):
+        table.ray_exit(px, py, dx, dy)
+
+
+def _bisection_ray_exit(table, px, py, dx, dy):
+    """The perturbed circle's former root finder: bracket the sign change of
+    ``implicit`` by doubling from 1e-9, then bisect to 1e-13."""
+    t_lo, t_hi, t = 0.0, None, 1e-9
+    for _ in range(120):
+        if table.implicit(px + t * dx, py + t * dy) > 0.0:
+            t_hi = t
+            break
+        t_lo = t
+        t *= 2.0
+        if t > 8.0:
+            break
+    assert t_hi is not None
+    for _ in range(100):
+        mid = 0.5 * (t_lo + t_hi)
+        if table.implicit(px + mid * dx, py + mid * dy) > 0.0:
+            t_hi = mid
+        else:
+            t_lo = mid
+        if t_hi - t_lo < 1e-13:
+            break
+    return 0.5 * (t_lo + t_hi)
+
+
+@pytest.mark.parametrize(
+    "delta, k", [(0.05, 3), (-0.05, 3), (0.009, 10), (0.3, 1), (0.0005, 40)]
+)
+def test_perturbed_ray_exit_agrees_with_bisection(delta, k):
+    """The safeguarded Newton finds the bisection's chord to within its
+    1e-13 bracket plus the rounding noise of ``implicit`` (about 1e-16)
+    divided by the slope ``sin(alpha)``, and lands on the boundary."""
+    table = PerturbedCircle(delta, k)
+    rng = np.random.default_rng(806)
+    for side in (+1, -1):
+        for _ in range(150):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            alpha = math.exp(rng.uniform(math.log(1e-4), math.log(1.55)))
+            px, py = table.point(theta)
+            dx, dy = table.launch_direction(theta, alpha, side)
+            t = table.ray_exit(px, py, dx, dy)
+            t_old = _bisection_ray_exit(table, px, py, dx, dy)
+            assert abs(t - t_old) <= 2e-13 + 1e-15 / math.sin(alpha)
+            assert abs(table.implicit(px + t * dx, py + t * dy)) <= 1e-14
+
+
+def test_perturbed_ray_exit_evaluates_the_boundary_a_few_times(monkeypatch):
+    """About 5 boundary evaluations per bounce; bisection to 1e-13 took 64."""
+    table = PerturbedCircle(0.05, 3)
+    calls = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("implicit", "_implicit_gradient"):
+        monkeypatch.setattr(table, name, counted(getattr(table, name)))
+    for alpha in (0.04, 0.02, 0.01):
+        calls[0] = 0
+        n = int(math.ceil(math.pi / alpha))
+        base_angle_run(table, 0.1, alpha, n)
+        assert calls[0] / n <= 10.0
+
+
 def test_curvature_positive_everywhere():
     for table in TABLES:
         for theta in np.linspace(0.0, 2.0 * math.pi, 73):

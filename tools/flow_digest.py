@@ -24,6 +24,11 @@ through ``load_table`` and through ``tables.build``, and what
 ``table_from_data`` makes of un-normalized and malformed table payloads (the
 same arrays, or the error's class and message).
 
+Three more groups, one per smooth table (circle, ellipse, perturbed circle),
+hash the bytes of the thetas, alphas, chords and points of ``base_angle_run``
+on both sides from seeded launch parameters at base angles 0.04, 0.01 and
+0.0025, one full loop each, and each run's ``_worst_chord_deviation``.
+
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
 and time. One more group hashes ``Trajectory.sample`` on each of these runs
@@ -49,6 +54,13 @@ from billiards.dynamics import (
 from billiards.errors import BilliardsError
 from billiards.geometry import Polytope
 from billiards.io import bundled_table_names, load_table, table_from_data
+from billiards.smooth import (
+    Circle,
+    Ellipse,
+    PerturbedCircle,
+    _worst_chord_deviation,
+    base_angle_run,
+)
 from billiards.tables import build
 
 
@@ -247,6 +259,25 @@ def _tables(digest) -> None:
             _update_table(digest, table)
 
 
+def _smooth_runs(table):
+    """The group that records small-angle runs on the smooth ``table``."""
+
+    def group(digest) -> None:
+        rng = np.random.default_rng(805)
+        for theta0 in rng.uniform(0.0, 2.0 * np.pi, 3):
+            for alpha in (0.04, 0.01, 0.0025):
+                for side in (+1, -1):
+                    n = int(np.ceil(np.pi / alpha))
+                    run = base_angle_run(table, theta0, alpha, n, side)
+                    for arr in (run.thetas, run.alphas, run.chords, run.points):
+                        digest.update(arr.tobytes())
+                    digest.update(
+                        np.float64(_worst_chord_deviation(table, run)).tobytes()
+                    )
+
+    return group
+
+
 GROUPS = (
     ("random tables, STRICT", _events(_random_table_runs)),
     ("boxes, POINT_REFLECT", _events(_box_runs)),
@@ -256,6 +287,9 @@ GROUPS = (
     ("Trajectory.sample on every run", _samples),
     ("Polytope.contains on seeded points", _containment),
     ("tables, bundled and from payloads", _tables),
+    ("smooth runs, circle", _smooth_runs(Circle(1.0))),
+    ("smooth runs, ellipse", _smooth_runs(Ellipse(2.0, 1.0))),
+    ("smooth runs, perturbed circle", _smooth_runs(PerturbedCircle(0.05, 3))),
 )
 
 
