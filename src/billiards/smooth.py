@@ -11,16 +11,18 @@ the angle is conserved, every chord has length ``2*sin(alpha)``, and the
 sagitta (the deepest the chord dips away from the arc) is ``1 - cos(alpha)``.
 
 Tables expose exact local geometry (point, tangent, curvature) and a
-``ray_exit`` that refuses a ray not pointing into the table. It is solved in
-closed form for the conics, and for the perturbed circle by a safeguarded
-Newton on the implicit function with its analytic gradient: started at the
-osculating circle's chord and kept inside a sign-change bracket, it takes
-about five boundary evaluations per bounce. ``point`` and ``velocity``
-also evaluate an array of parameters, with the same formulas and bits. The
-experiment helpers run bounce sequences across a ladder of launch angles and
-fit log-log slopes, so the quadratic laws show up as measured exponents near
-two. A run's distance from the boundary is measured by sampling every chord
-and polishing all samples of the run in one array Newton for their nearest
+``ray_exit`` that refuses a ray not pointing into the table, and a tangent
+ray, whose chord would be at the rounding level of its start point. It is
+solved in closed form for the conics, and for the perturbed circle by a
+safeguarded Newton on the implicit function with its analytic gradient:
+started at the osculating circle's chord and kept inside a sign-change
+bracket, it takes about five boundary evaluations per bounce and about ten
+at most on any ray. ``point`` and ``velocity`` also evaluate an array of
+parameters, with the same formulas and bits. The experiment helpers run
+bounce sequences across a ladder of launch angles and fit log-log slopes,
+so the quadratic laws show up as measured exponents near two. A run's
+distance from the boundary is measured by sampling every chord and
+polishing all samples of the run in one array Newton for their nearest
 boundary points (the circle's sagitta is exact).
 """
 
@@ -73,8 +75,8 @@ class SmoothTable:
 
     name = "table"
 
-    # subclasses implement: point, velocity, curvature, implicit, ray_exit,
-    # theta_of_point
+    # subclasses implement: point, velocity, curvature, implicit,
+    # _exit_distance, theta_of_point
 
     def point(self, theta: float) -> tuple[float, float]:
         """Boundary point at ``theta``; elementwise for an array of thetas."""
@@ -84,6 +86,11 @@ class SmoothTable:
         """Derivative of the parametrization (not normalized); elementwise
         for an array of thetas."""
         raise NotImplementedError
+
+    def _point_velocity(self, theta):
+        """``point(theta)`` and ``velocity(theta)`` as one 4-tuple, with the
+        same bits; a table overrides it to share the trigonometry."""
+        return (*self.point(theta), *self.velocity(theta))
 
     def curvature(self, theta: float) -> float:
         raise NotImplementedError
@@ -95,8 +102,17 @@ class SmoothTable:
     def ray_exit(self, px: float, py: float, dx: float, dy: float) -> float:
         """Distance along the inward ray from a boundary point to the next
         boundary hit. A ray that does not point into the table is refused
-        with ``InputError``; a tangent ray is refused when rounding leaves
-        its slope into the table at zero or outward."""
+        with ``InputError``, and so is a tangent ray. Rounding leaves a
+        tangent ray's slope into the table at zero, outward or just inward;
+        in the last case its chord is at the rounding level of the start
+        point (at most 4 ulps of ``|p|``), and such a chord is refused."""
+        t = self._exit_distance(px, py, dx, dy)
+        if t <= 4.0 * math.ulp(math.hypot(px, py)):
+            raise InputError(f"ray leaves the {self.name} immediately")
+        return t
+
+    def _exit_distance(self, px: float, py: float, dx: float, dy: float) -> float:
+        """:meth:`ray_exit` without the check on the chord's length."""
         raise NotImplementedError
 
     def theta_of_point(self, x: float, y: float) -> float:
@@ -121,7 +137,7 @@ class SmoothTable:
         if side not in (+1, -1):
             raise InputError("side must be +1 or -1")
         tx, ty = self.tangent(theta)
-        nx, ny = self.inward_normal(theta)
+        nx, ny = -ty, tx  # the inward normal
         ca, sa = math.cos(alpha), math.sin(alpha)
         return ca * side * tx + sa * nx, ca * side * ty + sa * ny
 
@@ -144,7 +160,7 @@ class Circle(SmoothTable):
     def implicit(self, x, y):
         return math.hypot(x, y) - self.radius
 
-    def ray_exit(self, px, py, dx, dy):
+    def _exit_distance(self, px, py, dx, dy):
         pd = px * dx + py * dy
         if pd >= 0.0:
             raise InputError("ray leaves the circle immediately")
@@ -172,6 +188,11 @@ class Ellipse(SmoothTable):
         trig = _trig(theta)
         return -self.a * trig.sin(theta), self.b * trig.cos(theta)
 
+    def _point_velocity(self, theta):
+        trig = _trig(theta)
+        c, s = trig.cos(theta), trig.sin(theta)
+        return self.a * c, self.b * s, -self.a * s, self.b * c
+
     def curvature(self, theta):
         s, c = math.sin(theta), math.cos(theta)
         return (
@@ -183,7 +204,7 @@ class Ellipse(SmoothTable):
     def implicit(self, x, y):
         return (x / self.a) ** 2 + (y / self.b) ** 2 - 1.0
 
-    def ray_exit(self, px, py, dx, dy):
+    def _exit_distance(self, px, py, dx, dy):
         qa = (dx / self.a) ** 2 + (dy / self.b) ** 2
         qb = 2.0 * (px * dx / self.a**2 + py * dy / self.b**2)
         qc = (px / self.a) ** 2 + (py / self.b) ** 2 - 1.0
@@ -228,9 +249,6 @@ class PerturbedCircle(SmoothTable):
     def _r1(self, theta, trig=math):
         return -self.delta * self.k * trig.sin(self.k * theta)
 
-    def _r2(self, theta):
-        return -self.delta * self.k * self.k * math.cos(self.k * theta)
-
     def point(self, theta):
         trig = _trig(theta)
         r = self._r(theta, trig)
@@ -242,8 +260,17 @@ class PerturbedCircle(SmoothTable):
         c, s = trig.cos(theta), trig.sin(theta)
         return r1 * c - r * s, r1 * s + r * c
 
+    def _point_velocity(self, theta):
+        trig = _trig(theta)
+        r, r1 = self._r(theta, trig), self._r1(theta, trig)
+        c, s = trig.cos(theta), trig.sin(theta)
+        return r * c, r * s, r1 * c - r * s, r1 * s + r * c
+
     def curvature(self, theta):
-        r, r1, r2 = self._r(theta), self._r1(theta), self._r2(theta)
+        k_theta = self.k * theta
+        r = 1.0 + self.delta * math.cos(k_theta)
+        r1 = -self.delta * self.k * math.sin(k_theta)
+        r2 = -self.delta * self.k * self.k * math.cos(k_theta)
         return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
     def implicit(self, x, y):
@@ -254,19 +281,23 @@ class PerturbedCircle(SmoothTable):
         -x) / rho^2``, in polar ``(rho, phi)``: one boundary evaluation of
         :meth:`ray_exit`."""
         rho = math.hypot(x, y)
-        phi = math.atan2(y, x)
-        r1 = self._r1(phi) / (rho * rho)
-        return rho - self._r(phi), x / rho + r1 * y, y / rho - r1 * x
+        k_phi = self.k * math.atan2(y, x)
+        # _r1 and _r written out: this is the solver's inner loop
+        r1 = -self.delta * self.k * math.sin(k_phi) / (rho * rho)
+        r = 1.0 + self.delta * math.cos(k_phi)
+        return rho - r, x / rho + r1 * y, y / rho - r1 * x
 
-    def ray_exit(self, px, py, dx, dy):
+    def _exit_distance(self, px, py, dx, dy):
         """Safeguarded Newton on ``g(t) = implicit(p + t d)`` (Numerical
         Recipes' ``rtsafe``), started at the osculating circle's chord ``2
         sin(alpha) / curvature``. The sign of ``g`` keeps a bracket ``[lo,
-        hi]``; a Newton step that leaves it, or that fails to halve ``|g|``,
-        is replaced by a bisection, or by doubling ``t`` while ``hi`` is
-        unbounded. The search stops on a Newton step of at most 1e-14 or a
-        bracket of width at most 1e-13. Below a base angle of about 1e-4
-        ``g`` is rounding noise near the root, and the bracket ends the
+        hi]``; a Newton step that leaves it, that more than doubles ``t``, or
+        that fails to halve ``|g|``, is replaced by a bisection, or by
+        doubling ``t`` while ``hi`` is unbounded. The search stops on a
+        Newton step of at most 1e-14, a bracket of width at most 1e-13, or
+        ``|g|`` at the rounding floor (one ulp of the radius, about 2.2e-16),
+        tested in that order. Below a base angle of about 1e-4 ``g`` is
+        rounding noise near the root, and the bracket or the floor ends the
         search."""
         _, gx, gy = self._implicit_gradient(px, py)
         slope = gx * dx + gy * dy
@@ -289,8 +320,12 @@ class PerturbedCircle(SmoothTable):
                 return t - step
             if hi - lo <= 1e-13:
                 return 0.5 * (lo + hi)
+            # |g| at the rounding floor: bisecting further only walks the
+            # bracket down through rounding noise
+            if abs(g) <= 2.3e-16:
+                return t
             t_next = t - step
-            if lo < t_next < hi and abs(g) <= 0.5 * g_last:
+            if lo < t_next < hi and t_next <= 2.0 * t and abs(g) <= 0.5 * g_last:
                 g_last = abs(g)
             else:
                 t_next = 2.0 * t if hi == math.inf else 0.5 * (lo + hi)
@@ -433,8 +468,7 @@ def _chord_deviations(
     live = np.arange(theta.size)
     for _ in range(12):
         t = theta[live]
-        px, py = table.point(t)
-        vx, vy = table.velocity(t)
+        px, py, vx, vy = table._point_velocity(t)
         vx2, vy2 = table.velocity(t + h)
         ax, ay = (vx2 - vx) / h, (vy2 - vy) / h
         ex, ey = px - x[live], py - y[live]

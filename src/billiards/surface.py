@@ -286,22 +286,29 @@ class VertexReport:
     orbifold_order: int | None
 
 
-def _corner_angle(mesh: SurfaceMesh, face: tuple[int, ...], at: int) -> float:
-    pos = face.index(at)
-    p = mesh.vertices[at]
-    prev_v = mesh.vertices[face[pos - 1]]
-    next_v = mesh.vertices[face[(pos + 1) % len(face)]]
-    a = unit(prev_v - p)
-    b = unit(next_v - p)
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
+    """Per-vertex sum of the incident face angles, in face order.
 
-
-def _cone_angle_sums(mesh: SurfaceMesh) -> np.ndarray:
-    """Per-vertex sum of the incident face angles, in face order."""
-    sums = np.zeros(mesh.n_vertices)
-    for face in mesh.faces:
-        for v in face:
-            sums[v] += _corner_angle(mesh, face, v)
+    The angles at all face corners come from one array pass, each from the
+    unit vectors towards the corner's two neighbours on its face; they are
+    then added vertex by vertex in a plain loop, corner by corner in face
+    order, since another order moves the last bit of a sum.
+    """
+    at = [v for face in mesh.faces for v in face]
+    before = [v for face in mesh.faces for v in face[-1:] + face[:-1]]
+    after = [v for face in mesh.faces for v in face[1:] + face[:1]]
+    corner = mesh.vertices[at]
+    a = mesh.vertices[before] - corner
+    b = mesh.vertices[after] - corner
+    len_a, len_b = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    if min(float(len_a.min()), float(len_b.min())) < 1e-300:
+        raise InputError("cannot normalize the zero vector")
+    a = a / len_a[:, None]
+    b = b / len_b[:, None]
+    angles = np.arccos(np.clip(np.vecdot(a, b), -1.0, 1.0))
+    sums = [0.0] * mesh.n_vertices
+    for v, angle in zip(at, angles.tolist()):
+        sums[v] += angle
     return sums
 
 
@@ -541,27 +548,42 @@ class _Unfolder:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.a @ x + self.o
 
-    def rotate(self, rot: np.ndarray, pivot: np.ndarray) -> None:
-        self.o = self.o + self.a @ (pivot - rot @ pivot)
+    def rotate(self, rot: np.ndarray, shift: np.ndarray) -> None:
+        """Compose with the isometry ``x -> rot @ x + shift``."""
+        self.o = self.o + self.a @ shift
         self.a = self.a @ rot
 
 
 def _edge_rotation(
-    mesh: SurfaceMesh, from_face: int, to_face: int, a: int, b: int
+    mesh: SurfaceMesh, from_face: int, to_face: int, va: np.ndarray, vb: np.ndarray
 ) -> np.ndarray:
-    """Rotation about edge {a, b} carrying ``to_face``'s plane onto
-    ``from_face``'s, matching the two outward normals."""
-    if (a, b) in mesh._directed_edges and mesh._directed_edges[(a, b)] == from_face:
-        e_f = unit(mesh.vertices[b] - mesh.vertices[a])
-    else:
-        e_f = unit(mesh.vertices[a] - mesh.vertices[b])
+    """Rotation about the edge ``va -> vb`` of ``from_face`` (in its order)
+    carrying ``to_face``'s plane onto ``from_face``'s, matching the two
+    outward normals."""
+    e_f = normalized(vb - va)
     n_f = mesh.face_normal(from_face)
     n_g = mesh.face_normal(to_face)
     m_f = normalized(_cross(e_f, n_f))   # out of from_face, in its plane
     m_g = normalized(_cross(-e_f, n_g))  # out of to_face, in its plane
-    t = np.column_stack([e_f, m_f, n_f])
-    s = np.column_stack([e_f, -m_g, n_g])
-    return t @ s.T
+    # the frames as columns, [e_f | m_f | n_f] @ [e_f | -m_g | n_g].T, laid
+    # out in memory as np.column_stack would, so the product keeps its bits
+    t = np.array([e_f, m_f, n_f], order="F").T
+    s_t = np.array([e_f, -m_g, n_g], order="F")
+    return t @ s_t
+
+
+def _edge_rows(mesh: SurfaceMesh, face: int) -> list[tuple]:
+    """The edges ``(a, b)`` of ``face`` in its order, each with the position
+    of ``a`` and the edge's unit normal in the face plane, pointing out of
+    the face."""
+    poly = mesh.faces[face]
+    n = mesh.face_normal(face)
+    rows = []
+    for i in range(len(poly)):
+        a, b = poly[i], poly[(i + 1) % len(poly)]
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        rows.append((a, b, va, normalized(_cross(vb - va, n))))
+    return rows
 
 
 def trace_surface_geodesic(
@@ -579,8 +601,12 @@ def trace_surface_geodesic(
     geodesic retraces (the developed exit ray equals the entry ray) and a
     ``VertexPassage`` is recorded.
 
-    The arguments are checked here, once; the loop trusts them. Cone angles
-    are computed only when a vertex is hit.
+    The arguments are checked here, once; the loop trusts them. Two tables
+    local to the call spare the loop repeated work: a face's edge normals
+    are built on its first visit, and the rotation across a directed edge,
+    with the shift that carries the unfolding over it, on its first
+    crossing. Nothing is kept on the mesh. Cone angles are computed only
+    when a vertex is hit.
     """
     horizon = float(horizon)
     if horizon < 0 or not np.isfinite(horizon):
@@ -603,20 +629,22 @@ def trace_surface_geodesic(
     crossings: list[EdgeCrossing] = []
     passages: list[VertexPassage] = []
     max_crossings = 100_000
+    edge_rows: dict[int, list[tuple]] = {}  # face -> its _edge_rows
+    # (face, a, b) -> (to_face, rot, shift, rot.T) across the edge a -> b
+    turns: dict[tuple[int, int, int], tuple] = {}
     t = 0.0
     while True:
         remaining = horizon - t
-        face_poly = mesh.faces[face]
         n = mesh.face_normal(face)
+        rows = edge_rows.get(face)
+        if rows is None:
+            rows = edge_rows[face] = _edge_rows(mesh, face)
         best: tuple[float, int, int] | None = None  # (dt, a, b)
-        for i in range(len(face_poly)):
-            a, b = face_poly[i], face_poly[(i + 1) % len(face_poly)]
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            m = normalized(_cross(vb - va, n))  # in-plane, outward of the polygon
-            rate = float(np.dot(d, m))
+        for a, b, va, m in rows:
+            rate = float(d.dot(m))
             if rate <= 1e-14:
                 continue
-            dt = float(np.dot(va - p, m)) / rate
+            dt = float((va - p).dot(m)) / rate
             if dt < -1e-12 * scale:
                 continue
             dt = max(dt, 0.0)
@@ -648,7 +676,7 @@ def trace_surface_geodesic(
         near_b = vector_norm(hit - vb) <= 1e-9 * scale
         if near_a or near_b:
             v_idx = a if near_a else b
-            cone = float(_cone_angle_sums(mesh)[v_idx])
+            cone = _cone_angle_sums(mesh)[v_idx]
             if abs(cone - math.pi) > TOL.vertex_hit:
                 raise VertexHitError(v_idx, hit)
             # retrace: at cone angle pi the developed continuation folds back
@@ -660,8 +688,12 @@ def trace_surface_geodesic(
             unfolder = _Unfolder(p, d, n)
             segment = [unfolder.apply(p)]
             continue
-        to_face = mesh.neighbor_across(face, a, b)
-        rot = _edge_rotation(mesh, face, to_face, a, b)
+        turn = turns.get((face, a, b))
+        if turn is None:
+            to_face = mesh.neighbor_across(face, a, b)
+            rot = _edge_rotation(mesh, face, to_face, va, vb)
+            turn = turns[(face, a, b)] = (to_face, rot, va - rot @ va, rot.T)
+        to_face, rot, shift, rot_t = turn
         crossing_unfolded = unfolder.apply(hit)
         segment.append(crossing_unfolded)
         crossings.append(
@@ -676,9 +708,9 @@ def trace_surface_geodesic(
         )
         if len(crossings) > max_crossings:
             raise InputError(f"geodesic exceeded {max_crossings} edge crossings")
-        unfolder.rotate(rot, mesh.vertices[a])
-        d = rot.T @ d
+        unfolder.rotate(rot, shift)
+        d = rot_t @ d
         n_new = mesh.face_normal(to_face)
-        d = normalized(d - float(np.dot(d, n_new)) * n_new)
+        d = normalized(d - float(d.dot(n_new)) * n_new)
         p = hit
         face = to_face

@@ -67,6 +67,25 @@ def test_ray_exit_refuses_a_ray_that_does_not_point_inward(table, ray):
         table.ray_exit(px, py, dx, dy)
 
 
+@pytest.mark.parametrize(
+    "table, theta, side",
+    [(Ellipse(2.0, 1.0), 2.0, +1), (PerturbedCircle(0.05, 3), 0.7, -1),
+     (Circle(1.0), 0.263631815907954, +1)],
+    ids=lambda x: type(x).__name__ if isinstance(x, (Circle, Ellipse, PerturbedCircle)) else str(x),
+)
+def test_a_tangent_ray_that_rounding_tips_inward_is_refused(table, theta, side):
+    """Rounding gives these tangent rays a slope just into the table, and
+    the solvers a chord at the rounding level of the start point (1.9e-16,
+    1.4e-16 and 1.1e-16), which ``ray_exit`` refuses."""
+    px, py = table.point(theta)
+    tx, ty = table.tangent(theta)
+    dx, dy = side * tx, side * ty
+    chord = table._exit_distance(px, py, dx, dy)
+    assert 0.0 < chord <= 4.0 * math.ulp(math.hypot(px, py))
+    with pytest.raises(InputError, match=f"ray leaves the {table.name} immediately"):
+        table.ray_exit(px, py, dx, dy)
+
+
 def _bisection_ray_exit(table, px, py, dx, dy):
     """The perturbed circle's former root finder: bracket the sign change of
     ``implicit`` by doubling from 1e-9, then bisect to 1e-13."""
@@ -131,6 +150,36 @@ def test_perturbed_ray_exit_evaluates_the_boundary_a_few_times(monkeypatch):
         n = int(math.ceil(math.pi / alpha))
         base_angle_run(table, 0.1, alpha, n)
         assert calls[0] / n <= 10.0
+
+
+def test_perturbed_ray_exit_stops_at_the_rounding_floor():
+    """No ray takes more than 12 boundary evaluations. Newton converging
+    from outside the table leaves ``lo`` at 0; once ``|g|`` sits at one ulp
+    it no longer halves, and bisecting ``[0, hi]`` down to 1e-13 took up to
+    36 evaluations on these launches before the search stopped at the
+    rounding floor."""
+    for delta, k in ((0.05, 3), (0.01, 5), (0.002, 20), (-0.05, 3)):
+        table = PerturbedCircle(delta, k)
+        calls = [0]
+        gradient = table._implicit_gradient
+
+        def counted(x, y):
+            calls[0] += 1
+            return gradient(x, y)
+
+        table._implicit_gradient = counted
+        rng = np.random.default_rng(807)
+        worst = 0
+        for _ in range(3000):
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            alpha = math.exp(rng.uniform(math.log(1e-6), math.log(1.55)))
+            side = int(rng.choice([+1, -1]))
+            px, py = table.point(theta)
+            dx, dy = table.launch_direction(theta, alpha, side)
+            calls[0] = 0
+            table.ray_exit(px, py, dx, dy)
+            worst = max(worst, calls[0])
+        assert worst <= 12, (delta, k, worst)
 
 
 def test_curvature_positive_everywhere():

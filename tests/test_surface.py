@@ -1,6 +1,7 @@
 """Closed polyhedral surfaces: curvature, orbifold test, geodesics."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from billiards.surface import (
     trace_surface_geodesic,
     triangulate_check,
 )
-from billiards.surface import _cross
-from billiards.geometry import unit
+from billiards.surface import _cone_angle_sums, _cross
+from billiards.geometry import Polytope, unit
 from conftest import random_tetrahedron_vertices, random_acute_triple
 
 
@@ -325,6 +326,88 @@ def test_cone_angles_keep_their_values_bit_for_bit():
     geo = trace_surface_geodesic(mesh, 0, start, tri[2] - start, 2.0 * dist)
     (passage,) = geo.vertex_passages
     assert passage.cone_angle.hex() == _DISPHENOID_456_CONE_ANGLES[passage.vertex]
+
+
+def _per_corner_cone_angle_sums(mesh):
+    """The former per-corner kernel, the oracle of the batched one: one
+    ``arccos`` per corner, each corner's two unit edge vectors taken
+    separately, added per vertex in face order."""
+
+    def corner_angle(face, at):
+        pos = face.index(at)
+        p = mesh.vertices[at]
+        a = unit(mesh.vertices[face[pos - 1]] - p)
+        b = unit(mesh.vertices[face[(pos + 1) % len(face)]] - p)
+        return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+
+    sums = np.zeros(mesh.n_vertices)
+    for face in mesh.faces:
+        for v in face:
+            sums[v] += corner_angle(face, v)
+    return sums
+
+
+def _cut_box(rng):
+    """A box with one corner cut off: faces of three, four and five sides."""
+    lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+    box = Polytope.box(lo, hi)
+    corner = int(np.argmax(box.vertices.sum(axis=1)))
+    cut = hi - np.diag(rng.uniform(0.1, 0.4, 3))  # one point on each edge at hi
+    pts = np.concatenate([np.delete(box.vertices, corner, axis=0), cut])
+    return Polytope.from_point_cloud(pts)
+
+
+def test_batched_cone_angles_match_the_per_corner_sums_bit_for_bit(rng):
+    meshes = [SurfaceMesh.cube(1.0), SurfaceMesh.cube(3.7),
+              SurfaceMesh.regular_tetrahedron(2.0),
+              tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0)),
+              SurfaceMesh.from_polytope(Polytope.box([-1.0, -2.0, 0.5], [0.3, 1.0, 4.0]))]
+    for _ in range(40):
+        meshes.append(tetrahedron_mesh(random_tetrahedron_vertices(rng)))
+        pts = rng.normal(size=(int(rng.integers(5, 30)), 3))
+        meshes.append(convex_hull_mesh(pts * 10.0 ** rng.uniform(-3.0, 3.0)))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        meshes.append(SurfaceMesh.from_polytope(Polytope.from_point_cloud(pts)))
+        meshes.append(SurfaceMesh.from_polytope(_cut_box(rng)))
+    assert any(len(f) == 5 for f in meshes[-1].faces)
+    for mesh in meshes:
+        got = np.array(_cone_angle_sums(mesh))
+        assert got.tobytes() == _per_corner_cone_angle_sums(mesh).tobytes()
+        reports = cone_angles(mesh)
+        assert np.array([r.cone_angle for r in reports]).tobytes() == got.tobytes()
+
+
+def test_cone_angles_refuse_a_zero_length_edge():
+    """A triangular prism whose top corner 3 sits on bottom corner 0 passes
+    the mesh checks (its side faces stay planar), but the corners next to
+    the edge {0, 3} have no angle."""
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    faces = [(0, 2, 1), (3, 4, 5), (0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5)]
+    mesh = SurfaceMesh(verts, faces)
+    with pytest.raises(InputError, match="cannot normalize the zero vector"):
+        cone_angles(mesh)
+
+
+def test_a_long_trace_revisits_every_face_and_leaves_the_mesh_alone():
+    """Hundreds of crossings on a tetrahedron, so every face and directed
+    edge is met again and again through the trace's own tables: the mesh's
+    attributes are the same bytes afterwards, and the trace matches one on
+    a freshly built mesh bit for bit."""
+    rng = np.random.default_rng(62)
+    verts = random_tetrahedron_vertices(rng)
+    mesh = tetrahedron_mesh(verts)
+    before = pickle.dumps(vars(mesh))
+    tri = mesh.vertices[list(mesh.faces[1])]
+    p, d = np.array([0.5, 0.3, 0.2]) @ tri, tri[1] - tri[0] + 0.37 * (tri[2] - tri[0])
+    geo = trace_surface_geodesic(mesh, 1, p, d, 400.0)
+    assert geo.n_crossings >= 300
+    visits = [c.to_face for c in geo.crossings]
+    assert min(visits.count(f) for f in range(4)) >= 50
+    assert pickle.dumps(vars(mesh)) == before
+    fresh = trace_surface_geodesic(tetrahedron_mesh(verts), 1, p, d, 400.0)
+    assert _geodesic_bits(geo) == _geodesic_bits(fresh)
+    assert geo.max_collinearity_residual() < 1e-9
 
 
 # -- Theorem 2, dynamically: straddling a vertex ----------------------------

@@ -29,6 +29,17 @@ hash the bytes of the thetas, alphas, chords and points of ``base_angle_run``
 on both sides from seeded launch parameters at base angles 0.04, 0.01 and
 0.0025, one full loop each, and each run's ``_worst_chord_deviation``.
 
+Two groups cover closed surfaces. One traces seeded geodesics on random
+tetrahedra, on ``SurfaceMesh.from_polytope`` hulls (faces with more than
+three sides among them) and on the cube, long enough to come back to every
+face, some aimed at a vertex, and one retrace through a cone-angle-pi vertex
+of a disphenoid. It hashes the bytes of each crossing's time, point, edge,
+faces and unfolded point, each vertex passage, every segment and the end
+state, or a refused trace's error class and message. The other hashes
+``cone_angles``, ``gauss_bonnet_total`` and ``is_orbifold_boundary`` on the
+bundled meshes and on seeded ``from_polytope`` and ``convex_hull_mesh``
+hulls.
+
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
 and time. One more group hashes ``Trajectory.sample`` on each of these runs
@@ -60,6 +71,16 @@ from billiards.smooth import (
     PerturbedCircle,
     _worst_chord_deviation,
     base_angle_run,
+)
+from billiards.surface import (
+    SurfaceMesh,
+    cone_angles,
+    convex_hull_mesh,
+    gauss_bonnet_total,
+    is_orbifold_boundary,
+    make_disphenoid,
+    tetrahedron_mesh,
+    trace_surface_geodesic,
 )
 from billiards.tables import build
 
@@ -278,6 +299,94 @@ def _smooth_runs(table):
     return group
 
 
+def _sphere_points(rng, n: int) -> np.ndarray:
+    pts = rng.normal(size=(n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _trace_meshes(rng):
+    """Random tetrahedra, boxy hulls with quadrilateral faces, round hulls
+    and the cube."""
+    for k in range(24):
+        yield tetrahedron_mesh(rng.normal(size=(4, 3)))
+        if k % 3 == 0:
+            # a box with one corner cut off: faces of three, four and five
+            # sides
+            lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+            box = Polytope.box(lo, hi)
+            corner = int(np.argmax(box.vertices.sum(axis=1)))
+            cut = hi - np.diag(rng.uniform(0.1, 0.4, 3))
+            yield SurfaceMesh.from_polytope(Polytope.from_point_cloud(
+                np.concatenate([np.delete(box.vertices, corner, axis=0), cut])
+            ))
+        elif k % 3 == 1:
+            yield SurfaceMesh.from_polytope(
+                Polytope.from_point_cloud(_sphere_points(rng, int(rng.integers(8, 16))))
+            )
+        else:
+            yield SurfaceMesh.cube(float(rng.uniform(0.5, 2.0)))
+
+
+def _update_geodesic(digest, geo) -> None:
+    for c in geo.crossings:
+        digest.update(np.float64(c.time).tobytes())
+        digest.update(c.point.tobytes())
+        digest.update(repr((c.edge, c.from_face, c.to_face)).encode())
+        digest.update(c.unfolded.tobytes())
+    for v in geo.vertex_passages:
+        digest.update(np.array([v.time, v.cone_angle]).tobytes())
+        digest.update(v.point.tobytes())
+        digest.update(repr(v.vertex).encode())
+    for seg in geo.segments:
+        digest.update(seg.tobytes())
+    digest.update(b"end")
+    digest.update(repr(geo.end_face).encode())
+    digest.update(geo.end_point.tobytes())
+    digest.update(geo.end_direction.tobytes())
+
+
+def _surface_geodesics(digest) -> None:
+    rng = np.random.default_rng(806)
+    for mesh in _trace_meshes(rng):
+        scale = float(np.max(np.ptp(mesh.vertices, axis=0)))
+        for aimed in (False, True):
+            face = int(rng.integers(len(mesh.faces)))
+            corners = mesh.vertices[list(mesh.faces[face])]
+            p = rng.dirichlet(np.ones(len(corners))) @ corners
+            d = (corners[int(rng.integers(len(corners)))] - p if aimed
+                 else rng.normal(size=3))
+            try:
+                geo = trace_surface_geodesic(mesh, face, p, d, 40.0 * scale)
+            except BilliardsError as err:
+                digest.update(f"{type(err).__name__}: {err}".encode())
+            else:
+                _update_geodesic(digest, geo)
+    # through a vertex of cone angle pi and back
+    mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
+    tri = mesh.vertices[list(mesh.faces[0])]
+    start = tri.mean(axis=0)
+    dist = float(np.linalg.norm(tri[2] - start))
+    _update_geodesic(
+        digest, trace_surface_geodesic(mesh, 0, start, tri[2] - start, 3.0 * dist)
+    )
+
+
+def _cone_angles(digest) -> None:
+    rng = np.random.default_rng(807)
+    meshes = [t for t in map(load_table, bundled_table_names())
+              if isinstance(t, SurfaceMesh)]
+    for _ in range(20):
+        pts = _sphere_points(rng, int(rng.integers(5, 30)))
+        meshes.append(SurfaceMesh.from_polytope(Polytope.from_point_cloud(pts)))
+        meshes.append(convex_hull_mesh(pts * rng.uniform(0.1, 10.0)))
+    for mesh in meshes:
+        for r in cone_angles(mesh):
+            digest.update(np.array([r.cone_angle, r.curvature]).tobytes())
+            digest.update(repr((r.index, r.orbifold_order)).encode())
+        digest.update(np.float64(gauss_bonnet_total(mesh)).tobytes())
+        digest.update(repr(is_orbifold_boundary(mesh)).encode())
+
+
 GROUPS = (
     ("random tables, STRICT", _events(_random_table_runs)),
     ("boxes, POINT_REFLECT", _events(_box_runs)),
@@ -290,6 +399,8 @@ GROUPS = (
     ("smooth runs, circle", _smooth_runs(Circle(1.0))),
     ("smooth runs, ellipse", _smooth_runs(Ellipse(2.0, 1.0))),
     ("smooth runs, perturbed circle", _smooth_runs(PerturbedCircle(0.05, 3))),
+    ("surface geodesics", _surface_geodesics),
+    ("cone angles", _cone_angles),
 )
 
 
