@@ -21,7 +21,6 @@ it, and assembles the simplex with those wall normals at offset one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import warnings
@@ -182,14 +181,16 @@ class AlcoveVerdict:
         return " x ".join(sorted(c.label for c in self.components))
 
 
-def check_alcove(polytope: Polytope, eps: float | None = None) -> AlcoveVerdict:
+def check_alcove(polytope: Polytope) -> AlcoveVerdict:
     """Decide the alcove property and classify on success.
 
-    Every codim-2 dihedral angle must sit within ``eps`` of ``pi/m`` for
-    some integer ``m`` in [2, 64]. Failures carry the offending pair, the
-    measured angle, and the nearest admissible bin.
+    Every codim-2 dihedral angle must sit within ``TOL.angle`` of ``pi/m``
+    for some integer ``m`` in [2, 64]. Failures carry the offending pair,
+    the measured angle, and the nearest admissible bin. An accepted angle
+    within ten times that tolerance of a second bin warns with
+    ``AngleNearBinBoundary``.
     """
-    eps = TOL.angle if eps is None else eps
+    eps = TOL.angle
     geom = dihedral_angles(polytope)
     h = polytope.n_facets
     failures: list[AlcoveFailure] = []
@@ -242,8 +243,8 @@ def _not_an_alcove(verdict: AlcoveVerdict) -> NotAnAlcoveError:
     )
 
 
-def coxeter_diagram(polytope: Polytope, eps: float | None = None) -> CoxeterDiagram:
-    verdict = check_alcove(polytope, eps)
+def coxeter_diagram(polytope: Polytope) -> CoxeterDiagram:
+    verdict = check_alcove(polytope)
     if not verdict.is_alcove:
         raise _not_an_alcove(verdict)
     return verdict.diagram
@@ -260,115 +261,108 @@ def classify(diagram: CoxeterDiagram) -> tuple[Component, ...]:
 # -- affine catalogue -------------------------------------------------------
 
 
+# The ranks of each affine family (Humphreys 1990, section 4.7), in the order
+# standard_alcove_labels lists them; A~1 is the slab.
+_FAMILY_RANKS: dict[str, tuple[int, float]] = {
+    "A": (1, INF), "B": (3, INF), "C": (2, INF), "D": (4, INF),
+    "E": (6, 8), "F": (4, 4), "G": (2, 2),
+}
+
+
 def _catalogue_edges(family: str, rank: int) -> dict[tuple[int, int], float]:
     """Edge map of the affine diagram of the given family and rank, on nodes
     0..rank (rank+1 nodes)."""
     n = rank
-    if family == "A" and n == 1:
-        return {(0, 1): INF}
-    if family == "A" and n >= 2:
+    ranks = _FAMILY_RANKS.get(family)
+    if ranks is None or not ranks[0] <= n <= ranks[1]:
+        raise InputError(f"no affine family {family}~{n}")
+    if family == "A":
+        if n == 1:
+            return {(0, 1): INF}
         edges = {(i, i + 1): 3.0 for i in range(n)}
         edges[(0, n)] = 3.0
         return edges
-    if family == "B" and n >= 3:
+    if family == "B":
         edges = {(0, 2): 3.0, (1, 2): 3.0}
         for i in range(2, n - 1):
             edges[(i, i + 1)] = 3.0
         edges[(n - 1, n)] = 4.0
         return edges
-    if family == "C" and n >= 2:
+    if family == "C":
         edges = {(i, i + 1): 3.0 for i in range(1, n - 1)}
         edges[(0, 1)] = 4.0
         edges[(n - 1, n)] = 4.0
         return edges
-    if family == "D" and n >= 4:
+    if family == "D":
         edges = {(0, 2): 3.0, (1, 2): 3.0, (n - 2, n - 1): 3.0, (n - 2, n): 3.0}
         for i in range(2, n - 2):
             edges[(i, i + 1)] = 3.0
         return edges
-    if family == "E" and n == 6:
+    if family == "F":
+        return {(0, 1): 3.0, (1, 2): 3.0, (2, 3): 4.0, (3, 4): 3.0}
+    if family == "G":
+        return {(0, 1): 6.0, (1, 2): 3.0}
+    if n == 6:
         return {
             (0, 1): 3.0, (1, 2): 3.0,
             (0, 3): 3.0, (3, 4): 3.0,
             (0, 5): 3.0, (5, 6): 3.0,
         }
-    if family == "E" and n == 7:
+    if n == 7:
         return {
             (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0,
             (0, 4): 3.0, (4, 5): 3.0, (5, 6): 3.0,
             (0, 7): 3.0,
         }
-    if family == "E" and n == 8:
-        return {
-            (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0, (3, 4): 3.0, (4, 5): 3.0,
-            (0, 6): 3.0, (6, 7): 3.0,
-            (0, 8): 3.0,
-        }
-    if family == "F" and n == 4:
-        return {(0, 1): 3.0, (1, 2): 3.0, (2, 3): 4.0, (3, 4): 3.0}
-    if family == "G" and n == 2:
-        return {(0, 1): 6.0, (1, 2): 3.0}
-    raise InputError(f"no affine family {family}~{n}")
+    return {
+        (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0, (3, 4): 3.0, (4, 5): 3.0,
+        (0, 6): 3.0, (6, 7): 3.0,
+        (0, 8): 3.0,
+    }
 
 
 def standard_alcove_labels(max_rank: int = 8) -> list[str]:
-    """All irreducible affine labels up to the given rank."""
-    labels = ["A1~"]
-    for n in range(2, max_rank + 1):
-        labels.append(f"A{n}~")
-    for n in range(3, max_rank + 1):
-        labels.append(f"B{n}~")
-    for n in range(2, max_rank + 1):
-        labels.append(f"C{n}~")
-    for n in range(4, max_rank + 1):
-        labels.append(f"D{n}~")
-    for n in (6, 7, 8):
-        if n <= max_rank:
-            labels.append(f"E{n}~")
-    if max_rank >= 4:
-        labels.append("F4~")
-    if max_rank >= 2:
-        labels.append("G2~")
-    return labels
+    """All irreducible affine labels up to the given rank, family by family
+    in the order A, B, C, D, E, F, G and by rank within a family; none below
+    rank one."""
+    return [
+        f"{family}{n}~"
+        for family, (lo, hi) in _FAMILY_RANKS.items()
+        for n in range(lo, min(hi, max_rank) + 1)
+    ]
 
 
 def _candidate_labels(n_nodes: int) -> list[tuple[str, dict]]:
     rank = n_nodes - 1
-    out = []
-    for family in "ABCDEFG":
-        try:
-            out.append((f"{family}{rank}~", _catalogue_edges(family, rank)))
-        except InputError:
-            continue
-    return out
+    return [
+        (f"{family}{rank}~", _catalogue_edges(family, rank))
+        for family, (lo, hi) in _FAMILY_RANKS.items()
+        if lo <= rank <= hi
+    ]
 
 
-def _node_signatures(n_nodes: int, edges: dict) -> list[tuple]:
-    incident: list[list[float]] = [[] for _ in range(n_nodes)]
+def _adjacency(n_nodes: int, edges: dict) -> list[dict[int, float]]:
+    """Each node's neighbours, mapped to the labels of the edges to them."""
+    adjacency: list[dict[int, float]] = [{} for _ in range(n_nodes)]
     for (i, j), m in edges.items():
-        incident[i].append(m)
-        incident[j].append(m)
-    return [tuple(sorted(inc)) for inc in incident]
+        adjacency[i][j] = m
+        adjacency[j][i] = m
+    return adjacency
 
 
 def _isomorphic(n_nodes: int, edges_a: dict, edges_b: dict) -> bool:
-    """Labeled graph isomorphism by backtracking with signature pruning."""
+    """Labeled graph isomorphism by backtracking with signature pruning: a
+    node's signature is the sorted labels of its edges."""
     if len(edges_a) != len(edges_b):
         return False
     if sorted(edges_a.values()) != sorted(edges_b.values()):
         return False
-    sig_a = _node_signatures(n_nodes, edges_a)
-    sig_b = _node_signatures(n_nodes, edges_b)
+    adj_a = _adjacency(n_nodes, edges_a)
+    adj_b = _adjacency(n_nodes, edges_b)
+    sig_a = [tuple(sorted(nbrs.values())) for nbrs in adj_a]
+    sig_b = [tuple(sorted(nbrs.values())) for nbrs in adj_b]
     if sorted(sig_a) != sorted(sig_b):
         return False
-    adj_a: list[dict[int, float]] = [dict() for _ in range(n_nodes)]
-    adj_b: list[dict[int, float]] = [dict() for _ in range(n_nodes)]
-    for (i, j), m in edges_a.items():
-        adj_a[i][j] = m
-        adj_a[j][i] = m
-    for (i, j), m in edges_b.items():
-        adj_b[i][j] = m
-        adj_b[j][i] = m
     mapping: dict[int, int] = {}
     used: set[int] = set()
     order = sorted(range(n_nodes), key=lambda v: -len(adj_a[v]))
@@ -450,8 +444,8 @@ def standard_alcove(label: str) -> Polytope:
 # -- folding ---------------------------------------------------------------
 
 
-# Each table's verdict at the default tolerance, computed on its first
-# fold_point call or FOLD_GROUP run. A Polytope's arrays are read-only and TOL
+# Each table's verdict, computed on its first fold_point call or FOLD_GROUP
+# run. A Polytope's arrays are read-only and TOL
 # is frozen, so the verdict cannot go stale; the weak keys let a table and its
 # verdict be freed together.
 _VERDICTS: weakref.WeakKeyDictionary[Polytope, AlcoveVerdict] = (

@@ -22,8 +22,8 @@ requested for a non-2D table); 3 ambiguous corner or irregular incidence
 under a policy that refuses to choose; 4 the run could not finish (a
 bounce/word/iteration budget exhausted, or no forward progress).
 
-The environment variable ``BILLIARDS_EPS`` overrides the default geometric
-tolerance for the whole process.
+The environment variable ``BILLIARDS_EPS`` is the one tolerance setting: it
+sets the geometric tolerance (default 1e-9) for the whole process.
 """
 
 from __future__ import annotations
@@ -100,13 +100,11 @@ def _vec_list(v) -> list[float]:
     return [float(x) for x in np.asarray(v, dtype=float)]
 
 
-def _load_polytope(name: str) -> Polytope:
+def _load(name: str, kind: type, what: str):
+    """The table ``name`` names, refused unless it is a ``kind``."""
     table = load_table(name)
-    if not isinstance(table, Polytope):
-        raise InputError(
-            f"{name!r} is not a polytope table (got "
-            f"{type(table).__name__})"
-        )
+    if not isinstance(table, kind):
+        raise InputError(f"{name!r} is not a {what} (got {type(table).__name__})")
     return table
 
 
@@ -120,16 +118,6 @@ def _load_mesh(name: str) -> SurfaceMesh:
         f"{name!r} is not a surface mesh (or 3D polytope); got "
         f"{type(table).__name__}"
     )
-
-
-def _load_smooth(name: str) -> SmoothTable:
-    table = load_table(name)
-    if not isinstance(table, SmoothTable):
-        raise InputError(
-            f"{name!r} is not a smooth 2D table (got "
-            f"{type(table).__name__})"
-        )
-    return table
 
 
 def _envelope(command: str, table: str | None, parameters: dict, result: dict,
@@ -147,7 +135,7 @@ def _envelope(command: str, table: str | None, parameters: dict, result: dict,
 # -- simulate ----------------------------------------------------------------
 
 def _cmd_simulate(args) -> dict:
-    table = _load_polytope(args.table)
+    table = _load(args.table, Polytope, "polytope table")
     start = _parse_vector(args.start)
     direction = _parse_vector(args.direction)
     horizon = _parse_float(args.horizon, "horizon")
@@ -208,7 +196,7 @@ def _cmd_simulate(args) -> dict:
 # -- check-alcove ------------------------------------------------------------
 
 def _cmd_check_alcove(args) -> dict:
-    table = _load_polytope(args.table)
+    table = _load(args.table, Polytope, "polytope table")
     verdict = check_alcove(table)
     diagram = None
     if verdict.diagram is not None:
@@ -449,9 +437,9 @@ def _cmd_surface(args) -> dict:
 
 # -- smooth ------------------------------------------------------------------
 
-def _parse_alphas(text: str | None, default) -> tuple[float, ...]:
+def _parse_alphas(text: str | None) -> tuple[float, ...]:
     if text is None:
-        return tuple(default)
+        return (0.04, 0.02, 0.01, 0.005, 0.0025)
     alphas = _parse_vector(text)
     if any(a <= 0 or a >= 0.5 * math.pi for a in alphas):
         raise InputError("launch angles must lie in (0, pi/2)")
@@ -459,9 +447,9 @@ def _parse_alphas(text: str | None, default) -> tuple[float, ...]:
 
 
 def _cmd_smooth(args) -> dict:
-    table = _load_smooth(args.table)
+    table = _load(args.table, SmoothTable, "smooth 2D table")
+    alphas = _parse_alphas(args.alphas)
     if args.laws:
-        alphas = _parse_alphas(args.alphas, (0.04, 0.02, 0.01, 0.005, 0.0025))
         report = verify_base_angle_laws(table, alphas)
         result = {
             "mode": "laws",
@@ -482,7 +470,6 @@ def _cmd_smooth(args) -> dict:
         }
         parameters = {"mode": "laws", "alphas": list(alphas)}
     else:
-        alphas = _parse_alphas(args.alphas, (0.04, 0.02, 0.01, 0.005, 0.0025))
         report = boundary_convergence_experiment(table, alphas)
         rows = []
         for i, a in enumerate(report.alphas):

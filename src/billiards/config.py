@@ -1,10 +1,11 @@
 """Numerical tolerances used throughout the package.
 
 All geometric predicates (activity of a constraint, polarity of a direction
-pair, angle binning) share one default epsilon so that "on the boundary"
-means the same thing everywhere. The environment variable ``BILLIARDS_EPS``
-overrides that shared default at import time; individual functions also accept
-explicit ``eps`` arguments for localized control.
+pair, angle binning) share one epsilon so that "on the boundary" means the
+same thing everywhere. ``TOL`` is the one source of every tolerance: the
+environment variable ``BILLIARDS_EPS``, read once at import time, sets that
+shared epsilon for the whole process, and no function takes a tolerance
+argument.
 """
 
 from __future__ import annotations

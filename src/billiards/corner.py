@@ -49,12 +49,12 @@ class WedgeLimit:
     bounce_count: int
 
 
-def limit_reflection(alpha: float, eps_gap: float | None = None) -> WedgeLimit:
-    """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi)."""
+def limit_reflection(alpha: float) -> WedgeLimit:
+    """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi);
+    the limit is continuous when its gap is at most ``TOL.gap``."""
     alpha = float(alpha)
     if not 0.0 < alpha < math.pi:
         raise InputError(f"wedge opening must be in (0, pi), got {alpha}")
-    eps_gap = TOL.gap if eps_gap is None else eps_gap
     m = math.ceil(math.pi / alpha - 0.5 - 1e-12)
     beta = max((m + 0.5) * alpha - math.pi, 0.0)
     gap = abs(alpha - 2.0 * beta)
@@ -65,7 +65,7 @@ def limit_reflection(alpha: float, eps_gap: float | None = None) -> WedgeLimit:
         m=m,
         beta=beta,
         gap=gap,
-        continuous=gap <= eps_gap,
+        continuous=gap <= TOL.gap,
         outgoing_above=above,
         outgoing_below=below,
         direction_above=np.array([math.cos(above), math.sin(above)]),

@@ -2,13 +2,14 @@
 bounce rule is built on.
 
 A table is ``K = {x : <n_i, x> <= c_i}`` with unit outward normals ``n_i``.
-At a boundary point the *active* constraints are those tight within ``eps``;
-they span the outward normal cone ``N_p = cone{n_i}`` and cut the tangent
-cone ``T_p = {u : <n_i, u> <= 0}``. A bounce from incoming direction ``u`` to
-outgoing ``v`` is *polar* when ``-(u+v)`` lies in ``N_p``: membership is
-decided by nonnegative least squares with the residual thresholded at
-``eps``. On a facet (one active normal) this reduces to the mirror law, and
-the unique polar partner of ``u`` is ``reflect(-u, n)``.
+At a boundary point the *active* constraints are those tight within
+``TOL.active``; they span the outward normal cone ``N_p = cone{n_i}`` and
+cut the tangent cone ``T_p = {u : <n_i, u> <= 0}``. A bounce from incoming
+direction ``u`` to outgoing ``v`` is *polar* when ``-(u+v)`` lies in
+``N_p``: membership is decided by nonnegative least squares with the
+residual thresholded at ``TOL.polar``. On a facet (one active normal) this
+reduces to the mirror law, and the unique polar partner of ``u`` is
+``reflect(-u, n)``.
 
 A :class:`Polytope` is two read-only arrays, the unit normals (one row per
 facet) and the offsets, plus its vertices; a halfspace has one form, a
@@ -529,9 +530,7 @@ class Polytope:
         if pts.shape[0] < 3:
             raise InputError("a polygon needs at least 3 vertices")
         _checked_points(pts, "polygon")
-        center = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-        pts = pts[order]
+        pts = ccw_order(pts)
         edges = np.concatenate((pts[1:], pts[:1])) - pts
         if (np.sqrt(np.vecdot(edges, edges)) < 1e-12).any():
             raise InputError("polygon has a repeated vertex")
@@ -707,10 +706,11 @@ class Polytope:
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def contains(self, x, eps: float | None = None) -> Containment:
-        eps = TOL.active if eps is None else eps
+    def contains(self, x) -> Containment:
         x = as_point(x, self.dim)
-        return Containment(*classify_slack(self.normals @ x - self.offsets, x, eps))
+        return Containment(
+            *classify_slack(self.normals @ x - self.offsets, x, TOL.active)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -719,17 +719,14 @@ class Polytope:
         )
 
 
-def is_polar(
-    polytope: Polytope, p, u, v, eps: float | None = None
-) -> bool:
+def is_polar(polytope: Polytope, p, u, v) -> bool:
     """Decide whether ``(u, v)`` is a legal bounce pair at ``p``.
 
     Both directions must lie in the tangent cone at ``p``; the pair is polar
     when ``-(u+v)`` is a nonnegative combination of the active outward
-    normals, with least squares residual at most ``eps``. At interior points
-    the normal cone is trivial and polarity means ``v = -u``.
+    normals, with least squares residual at most ``TOL.polar``. At interior
+    points the normal cone is trivial and polarity means ``v = -u``.
     """
-    eps = TOL.polar if eps is None else eps
     uu = unit(u)
     vv = unit(v)
     normals = polytope.normals[list(_active_at(polytope, p))]
@@ -738,7 +735,7 @@ def is_polar(
         limit = TOL.active * max(1.0, vector_norm(w))
         if len(normals) and np.max(normals @ w) > limit:
             raise InputError(f"{name} direction is not in the tangent cone")
-    ok, _, _ = cone_membership(normals, -(uu + vv), eps)
+    ok, _, _ = cone_membership(normals, -(uu + vv), TOL.polar)
     return ok
 
 
@@ -765,12 +762,10 @@ def _active_at(polytope: Polytope, p) -> tuple[int, ...]:
 
 
 def fold_direction_into_cone(
-    normals: np.ndarray,
-    v: np.ndarray,
-    *,
-    eps: float | None = None,
+    normals: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
-    """Reflect ``v`` across the given unit normals until it points inward.
+    """Reflect ``v`` across the given unit normals until it points inward,
+    that is until no normal makes a product above ``TOL.active`` with it.
 
     Greedy: repeatedly mirror across the most violated wall. On a reflection
     group's chamber cone this lands in the chamber after finitely many steps
@@ -779,7 +774,6 @@ def fold_direction_into_cone(
     (input, output) is always polar: the difference is a nonnegative
     combination of the walls crossed.
     """
-    eps = TOL.active if eps is None else eps
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     w = as_point(v).copy()
     word: list[int] = []
@@ -787,13 +781,21 @@ def fold_direction_into_cone(
     for _ in range(max_iters):
         viol = normals @ w
         k = int(np.argmax(viol))
-        if viol[k] <= eps:
+        if viol[k] <= TOL.active:
             return w, word
         w = w - 2.0 * viol[k] * normals[k]
         word.append(k)
     raise WordBudgetExceededError(
         f"direction folding did not terminate within {max_iters} reflections"
     )
+
+
+def ccw_order(points: np.ndarray) -> np.ndarray:
+    """The rows of an ``(k, 2)`` array of points in counterclockwise order
+    of their angle about the centroid, starting nearest the angle -pi."""
+    center = points.mean(axis=0)
+    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
+    return points[np.argsort(angles)]
 
 
 def nearest_pi_over_m(angle: float) -> tuple[int, float]:

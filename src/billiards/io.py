@@ -102,6 +102,15 @@ def validate_report_data(data) -> None:
 
 # -- building tables from parsed JSON ---------------------------------------
 
+# The ``smooth2d`` kinds. A smooth table's attributes are its constructor's
+# parameters, so ``vars`` of a table is its payload.
+_SMOOTH_KINDS: dict[str, type[SmoothTable]] = {
+    "circle": Circle,
+    "ellipse": Ellipse,
+    "perturbed": PerturbedCircle,
+}
+
+
 def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
     """Build a table object from parsed JSON, validating the schema first.
 
@@ -140,12 +149,7 @@ def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
         faces = [tuple(int(i) for i in face) for face in body["faces"]]
         return SurfaceMesh(vertices, faces)
     params = dict(data["smooth2d"])
-    kind = params.pop("kind")
-    if kind == "circle":
-        return Circle(**params)
-    if kind == "ellipse":
-        return Ellipse(**params)
-    return PerturbedCircle(**params)
+    return _SMOOTH_KINDS[params.pop("kind")](**params)
 
 
 def table_to_data(table) -> dict:
@@ -169,12 +173,9 @@ def table_to_data(table) -> dict:
                 "faces": [list(f) for f in table.faces],
             }
         }
-    if isinstance(table, Circle):
-        return {"smooth2d": {"kind": "circle", "radius": table.radius}}
-    if isinstance(table, Ellipse):
-        return {"smooth2d": {"kind": "ellipse", "a": table.a, "b": table.b}}
-    if isinstance(table, PerturbedCircle):
-        return {"smooth2d": {"kind": "perturbed", "delta": table.delta, "k": table.k}}
+    for kind, cls in _SMOOTH_KINDS.items():
+        if isinstance(table, cls):
+            return {"smooth2d": {"kind": kind, **vars(table)}}
     raise InputError(f"cannot serialize object of type {type(table).__name__}")
 
 

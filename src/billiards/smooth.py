@@ -118,6 +118,13 @@ class SmoothTable:
     def theta_of_point(self, x: float, y: float) -> float:
         raise NotImplementedError
 
+    def _deviations(self, p0, p1, theta0, theta1) -> list[float]:
+        """Largest distance to the boundary of each chord ``p0[i] ->
+        p1[i]`` (arrays of points and of their parameters), by
+        :func:`_chord_deviations`; the circle overrides it with its exact
+        sagitta."""
+        return _chord_deviations(self, p0, p1, theta0, theta1)
+
     # -- shared geometry ---------------------------------------------------
 
     def tangent(self, theta: float) -> tuple[float, float]:
@@ -169,8 +176,19 @@ class Circle(SmoothTable):
     def theta_of_point(self, x, y):
         return math.atan2(y, x)
 
-    def distance_to_boundary(self, x, y):
-        return abs(self.radius - math.hypot(x, y))
+    def _deviations(self, p0, p1, theta0, theta1):
+        """The exact sagitta: the deepest point of a chord is its closest
+        approach to the center."""
+        devs = []
+        for x0, y0, x1, y1 in zip(*p0.T.tolist(), *p1.T.tolist()):
+            ux, uy = x1 - x0, y1 - y0
+            norm = math.hypot(ux, uy)
+            if norm < 1e-300:
+                devs.append(0.0)
+                continue
+            t = max(0.0, min(1.0, -(x0 * ux + y0 * uy) / (norm * norm)))
+            devs.append(self.radius - math.hypot(x0 + t * ux, y0 + t * uy))
+        return devs
 
 
 class Ellipse(SmoothTable):
@@ -515,18 +533,7 @@ def chord_deviation(
     other tables it is the array Newton that measures a whole run, over this
     one chord's samples, with a parabolic refinement of the max.
     """
-    if isinstance(table, Circle):
-        ux, uy = p1[0] - p0[0], p1[1] - p0[1]
-        norm = math.hypot(ux, uy)
-        if norm < 1e-300:
-            return 0.0
-        # the deepest point of the chord is its closest approach to the center
-        tproj = -(p0[0] * ux + p0[1] * uy) / (norm * norm)
-        tproj = max(0.0, min(1.0, tproj))
-        cx, cy = p0[0] + tproj * ux, p0[1] + tproj * uy
-        return table.radius - math.hypot(cx, cy)
-    return _chord_deviations(
-        table,
+    return table._deviations(
         np.array([p0], dtype=float),
         np.array([p1], dtype=float),
         np.array([theta0], dtype=float),
@@ -536,26 +543,21 @@ def chord_deviation(
 
 def _worst_chord_deviation(table: SmoothTable, run: BounceRun) -> float:
     """The largest :func:`chord_deviation` over the chords of a run."""
-    if isinstance(table, Circle):
-        devs = [
-            chord_deviation(
-                table,
-                tuple(run.points[k]),
-                tuple(run.points[k + 1]),
-                run.thetas[k],
-                run.thetas[k + 1],
-            )
-            for k in range(run.n_bounces)
-        ]
-    else:
-        devs = _chord_deviations(
-            table,
-            run.points[:-1],
-            run.points[1:],
-            run.thetas[:-1],
-            run.thetas[1:],
-        )
+    devs = table._deviations(
+        run.points[:-1], run.points[1:], run.thetas[:-1], run.thetas[1:]
+    )
     return max([0.0, *devs])
+
+
+def _ladder(table: SmoothTable, alphas, theta0: float):
+    """The launch angles from the largest down, as an array, and a generator
+    of one full-loop run from ``theta0`` per angle, in that order."""
+    alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
+    runs = (
+        base_angle_run(table, theta0, float(alpha), int(math.ceil(math.pi / alpha)))
+        for alpha in alphas
+    )
+    return alphas, runs
 
 
 def loglog_slope(xs, ys) -> float:
@@ -587,13 +589,8 @@ def boundary_convergence_experiment(
     boundary-layer law (2 in theory). On the circle the deviation is also
     compared with the exact sagitta ``1 - cos(alpha)``.
     """
-    alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
-    devs = []
-    for alpha in alphas:
-        n = int(math.ceil(math.pi / alpha))
-        run = base_angle_run(table, theta0, float(alpha), n)
-        devs.append(_worst_chord_deviation(table, run))
-    devs = np.array(devs)
+    alphas, runs = _ladder(table, alphas, theta0)
+    devs = np.array([_worst_chord_deviation(table, run) for run in runs])
     if isinstance(table, Circle):
         predictions = table.radius * (1.0 - np.cos(alphas))
         max_err = float(np.max(np.abs(devs - predictions)))
@@ -630,11 +627,9 @@ def verify_base_angle_laws(
     """Run full-loop bounce sequences across an angle ladder and measure the
     small-angle laws: linear chords, quadratic increments, quadratic
     boundary layer."""
-    alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
+    alphas, runs = _ladder(table, alphas, theta0)
     max_incs, min_ratio, devs, spreads = [], [], [], []
-    for alpha in alphas:
-        n = int(math.ceil(math.pi / alpha))
-        run = base_angle_run(table, theta0, float(alpha), n)
+    for alpha, run in zip(alphas, runs):
         inc = np.diff(run.alphas)
         max_incs.append(float(np.max(inc)))
         min_ratio.append(float(np.min(run.chords / run.alphas[:-1])))

@@ -143,7 +143,6 @@ class SurfaceMesh:
                         "orientation is inconsistent"
                     )
                 directed[(a, b)] = k
-        self._directed_edges = directed
         edges: dict[tuple[int, int], list[int]] = {}
         for (a, b), k in directed.items():
             edges.setdefault((min(a, b), max(a, b)), []).append(k)
@@ -153,14 +152,12 @@ class SurfaceMesh:
         used = {i for f in self.faces for i in f}
         if used != set(range(len(self.vertices))):
             raise InputError("faces must reference every vertex exactly")
+        # _build_edges refused a repeated directed edge, so an edge with two
+        # faces has one in each direction
         for (a, b), ks in self.edges.items():
             if len(ks) != 2:
                 raise OpenSurfaceError(
                     f"edge {(a, b)} borders {len(ks)} faces, expected 2"
-                )
-            if (a, b) in self._directed_edges and (b, a) not in self._directed_edges:
-                raise OpenSurfaceError(
-                    f"edge {(a, b)} is traversed twice in the same direction"
                 )
         v, e, f = len(self.vertices), len(self.edges), len(self.faces)
         if v - e + f != 2:
@@ -169,6 +166,14 @@ class SurfaceMesh:
             )
         # the length scale of every absolute tolerance on this mesh
         self._scale = max(1.0, float(np.max(np.abs(self.vertices))))
+        points = self.vertices.tolist()
+        for a, b in self.edges:
+            length = math.dist(points[a], points[b])
+            if length < 1e-9 * self._scale:
+                raise InputError(
+                    f"edge {(a, b)} has length {length:.3e}: vertex {a} at "
+                    f"{points[a]} and vertex {b} at {points[b]} (nearly) coincide"
+                )
         for k, face in enumerate(self.faces):
             pts = self.vertices[list(face)]
             if len(face) > 3:
@@ -300,11 +305,8 @@ def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
     corner = mesh.vertices[at]
     a = mesh.vertices[before] - corner
     b = mesh.vertices[after] - corner
-    len_a, len_b = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
-    if min(float(len_a.min()), float(len_b.min())) < 1e-300:
-        raise InputError("cannot normalize the zero vector")
-    a = a / len_a[:, None]
-    b = b / len_b[:, None]
+    a = a / np.sqrt(np.vecdot(a, a))[:, None]
+    b = b / np.sqrt(np.vecdot(b, b))[:, None]
     angles = np.arccos(np.clip(np.vecdot(a, b), -1.0, 1.0))
     sums = [0.0] * mesh.n_vertices
     for v, angle in zip(at, angles.tolist()):
@@ -312,14 +314,15 @@ def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
     return sums
 
 
-def cone_angles(mesh: SurfaceMesh, eps: float | None = None) -> list[VertexReport]:
-    """Per-vertex cone angle, angular defect, and orbifold order if any."""
-    eps = TOL.angle if eps is None else eps
+def cone_angles(mesh: SurfaceMesh) -> list[VertexReport]:
+    """Per-vertex cone angle, angular defect, and orbifold order if any: a
+    vertex has order ``n`` when its angle is within ``TOL.angle`` of
+    ``2*pi/n``."""
     reports = []
     for v, angle in enumerate(_cone_angle_sums(mesh)):
         order = None
         n = max(1, round(2.0 * math.pi / angle)) if angle > 0 else None
-        if n is not None and abs(angle - 2.0 * math.pi / n) <= eps:
+        if n is not None and abs(angle - 2.0 * math.pi / n) <= TOL.angle:
             order = n
         reports.append(
             VertexReport(v, float(angle), float(2.0 * math.pi - angle), order)
@@ -343,7 +346,7 @@ class OrbifoldVerdict:
         return self.is_orbifold
 
 
-def is_orbifold_boundary(mesh: SurfaceMesh, eps: float | None = None) -> OrbifoldVerdict:
+def is_orbifold_boundary(mesh: SurfaceMesh) -> OrbifoldVerdict:
     """Is every vertex a cone point of angle ``2*pi/n``?
 
     On success the orders must satisfy ``sum(1/n_i) == k - 2`` exactly (an
@@ -351,7 +354,7 @@ def is_orbifold_boundary(mesh: SurfaceMesh, eps: float | None = None) -> Orbifol
     check, and for a closed convex surface it pins down four vertices of
     order two.
     """
-    reports = cone_angles(mesh, eps)
+    reports = cone_angles(mesh)
     failing = tuple(r.index for r in reports if r.orbifold_order is None)
     if failing:
         return OrbifoldVerdict(False, None, failing, None)
@@ -378,9 +381,9 @@ _OPPOSITE_EDGE_PAIRS = (
 )
 
 
-def is_disphenoid(vertices, eps: float | None = None) -> DisphenoidCheck:
-    """Equality of the three opposite-edge length pairs of a tetrahedron."""
-    eps = TOL.angle if eps is None else eps
+def is_disphenoid(vertices) -> DisphenoidCheck:
+    """Equality of the three opposite-edge length pairs of a tetrahedron,
+    within ``TOL.angle`` times the tetrahedron's scale."""
     verts, scale = _tetrahedron(vertices, "is_disphenoid expects four 3D vertices")
     lengths = []
     mismatch = 0.0
@@ -390,7 +393,7 @@ def is_disphenoid(vertices, eps: float | None = None) -> DisphenoidCheck:
         lengths.append((l1, l2))
         mismatch = max(mismatch, abs(l1 - l2))
     return DisphenoidCheck(
-        mismatch <= eps * scale, _OPPOSITE_EDGE_PAIRS, tuple(lengths), mismatch
+        mismatch <= TOL.angle * scale, _OPPOSITE_EDGE_PAIRS, tuple(lengths), mismatch
     )
 
 

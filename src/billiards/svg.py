@@ -100,18 +100,13 @@ class Scene:
 
 def _ordered_boundary(table) -> np.ndarray:
     """Closed boundary loop of a 2D table as an (k, 2) array."""
-    from .geometry import Polytope
+    from .geometry import Polytope, ccw_order
     from .smooth import SmoothTable
 
     if isinstance(table, Polytope):
         if table.dim != 2:
             raise InputError("SVG output needs a 2D table")
-        pts = table.vertices
-        center = pts.mean(axis=0)
-        order = np.argsort(
-            np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-        )
-        return pts[order]
+        return ccw_order(table.vertices)
     if isinstance(table, SmoothTable):
         thetas = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
         return np.array([table.point(t) for t in thetas])

@@ -1,6 +1,9 @@
 """Alcove recognition, diagram classification, folding maps."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from billiards.alcove import (
     standard_alcove_labels,
     CoxeterDiagram,
 )
+from billiards.alcove import _candidate_labels, _catalogue_edges
 from billiards.corner import limit_reflection
 from billiards.dynamics import (
     BounceKind,
@@ -27,7 +31,7 @@ from billiards.dynamics import (
     simulate,
     simulate_unfolded,
 )
-from billiards.errors import NotAnAlcoveError
+from billiards.errors import InputError, NotAnAlcoveError
 from billiards.geometry import (
     Polytope,
     affine_rank,
@@ -203,12 +207,29 @@ def test_diagram_raises_with_worst_failure_when_not_alcove():
 
 
 def test_near_bin_boundary_warning():
-    angle = math.pi / 64.0 + 5e-5
-    tri = Polytope.convex_polygon(
-        [[0.0, 0.0], [1.0, 0.0], [math.cos(angle), math.sin(angle)]]
+    """Under ``BILLIARDS_EPS=1e-4`` the angle pi/64 + 5e-5 is accepted in
+    the pi/64 bin and lies within ten tolerances of pi/63, so the check
+    warns. The tolerance is set once per process, so it runs in a child."""
+    code = (
+        "import math, warnings\n"
+        "from billiards.alcove import check_alcove\n"
+        "from billiards.geometry import Polytope\n"
+        "angle = math.pi / 64.0 + 5e-5\n"
+        "tri = Polytope.convex_polygon(\n"
+        "    [[0.0, 0.0], [1.0, 0.0], [math.cos(angle), math.sin(angle)]])\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    check_alcove(tri)\n"
+        "print([type(w.message).__name__ for w in caught])\n"
     )
-    with pytest.warns(AngleNearBinBoundary):
-        check_alcove(tri, eps=1e-4)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "BILLIARDS_EPS": "1e-4"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[{AngleNearBinBoundary.__name__!r}]\n"
 
 
 def test_random_triangles_never_classify(rng):
@@ -219,12 +240,59 @@ def test_random_triangles_never_classify(rng):
 
 # -- the standard alcove catalogue -------------------------------------------
 
+# The 31 labels up to rank 8, in the order the benchmark's alcove workload
+# cycles through them.
+_LABELS_UP_TO_8 = [
+    "A1~", "A2~", "A3~", "A4~", "A5~", "A6~", "A7~", "A8~",
+    "B3~", "B4~", "B5~", "B6~", "B7~", "B8~",
+    "C2~", "C3~", "C4~", "C5~", "C6~", "C7~", "C8~",
+    "D4~", "D5~", "D6~", "D7~", "D8~",
+    "E6~", "E7~", "E8~", "F4~", "G2~",
+]
+
+
+def _has_family(family: str, n: int) -> bool:
+    """Which (family, rank) pairs name an affine diagram: the catalogue's
+    earlier rule, one branch per family, kept as the reference for its
+    table of ranks."""
+    return (
+        (family == "A" and n == 1)
+        or (family == "A" and n >= 2)
+        or (family == "B" and n >= 3)
+        or (family == "C" and n >= 2)
+        or (family == "D" and n >= 4)
+        or (family == "E" and n in (6, 7, 8))
+        or (family == "F" and n == 4)
+        or (family == "G" and n == 2)
+    )
+
+
+def test_the_catalogue_keeps_its_families_ranks_and_order():
+    assert standard_alcove_labels(8) == _LABELS_UP_TO_8
+    assert standard_alcove_labels() == _LABELS_UP_TO_8
+    # no affine diagram has rank 0 (A~1 is the first), so nothing is listed
+    assert standard_alcove_labels(0) == standard_alcove_labels(-3) == []
+    for rank in range(0, 13):
+        listed = set(standard_alcove_labels(rank))
+        candidates = [label for label, _ in _candidate_labels(rank + 1)]
+        for family in "ABCDEFGH":
+            label = f"{family}{rank}~"
+            assert (label in listed) == _has_family(family, rank), label
+            assert (label in candidates) == _has_family(family, rank), label
+            if _has_family(family, rank):
+                assert len(_catalogue_edges(family, rank)) >= rank
+            else:
+                with pytest.raises(InputError, match="no affine family"):
+                    _catalogue_edges(family, rank)
+        if rank:
+            below = standard_alcove_labels(rank - 1)
+            assert [x for x in standard_alcove_labels(rank) if x in below] == below
+
+
 def test_standard_alcoves_roundtrip_their_labels():
     """Build the canonical simplex for every affine label up to rank 8 and
     recover exactly that label from its dihedral angles."""
-    labels = standard_alcove_labels(max_rank=8)
-    assert len(labels) >= 15
-    for label in labels:
+    for label in _LABELS_UP_TO_8:
         alcove = standard_alcove(label)
         verdict = check_alcove(alcove)
         assert verdict.is_alcove, label
@@ -332,9 +400,9 @@ def test_fold_entry_points_check_each_table_once(monkeypatch):
 
     calls = []
 
-    def counting_check(polytope, eps=None):
+    def counting_check(polytope):
         calls.append(polytope)
-        return check_alcove(polytope, eps)
+        return check_alcove(polytope)
 
     monkeypatch.setattr(alcove_module, "check_alcove", counting_check)
     alcove = standard_alcove("A3~")

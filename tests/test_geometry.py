@@ -803,9 +803,7 @@ def test_fold_direction_word_matches_wedge_oracle():
     n_upper = np.array([-math.sin(ang), math.cos(ang)])
     v = np.array([math.cos(math.radians(210.0)),
                   math.sin(math.radians(210.0))])
-    folded, word = fold_direction_into_cone(
-        np.array([n_lower, n_upper]), v, eps=1e-9
-    )
+    folded, word = fold_direction_into_cone(np.array([n_lower, n_upper]), v)
     expected = np.array([math.cos(math.radians(30.0)),
                          math.sin(math.radians(30.0))])
     assert np.allclose(folded, expected, atol=1e-12)
@@ -815,7 +813,7 @@ def test_fold_direction_word_matches_wedge_oracle():
 def test_fold_direction_fixed_point_inside_cone():
     normals = np.array([[0.0, -1.0], [-1.0, 0.0]])
     v = unit([0.7, 0.4])
-    folded, word = fold_direction_into_cone(normals, v, eps=1e-9)
+    folded, word = fold_direction_into_cone(normals, v)
     assert np.allclose(folded, v, atol=1e-15)
     assert word == []
 

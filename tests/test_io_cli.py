@@ -614,6 +614,22 @@ def test_cli_surface_disphenoid_mode(capsys):
     assert result["all_cone_angles_pi"] is True
 
 
+def test_cli_surface_refuses_a_zero_length_edge(tmp_path, capsys):
+    """A triangular prism whose top corner 3 sits on bottom corner 0: both
+    modes refuse the mesh in one line that names the edge."""
+    path = tmp_path / "prism.json"
+    path.write_text(json.dumps({"surface": {
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                     [0, 0, 0], [1, 0, 1], [0, 1, 1]],
+        "faces": [[0, 2, 1], [3, 4, 5], [0, 1, 4, 3], [1, 2, 5, 4],
+                  [2, 0, 3, 5]],
+    }}))
+    for mode in (["--report"], ["--geodesic", "0", "0.2,0.2,0", "1,0.3,0", "3"]):
+        line = _one_error_line(capsys, "surface", str(path), *mode)
+        assert "edge (0, 3) has length 0.000e+00: vertex 0" in line
+        assert "vertex 3" in line
+
+
 def test_cli_smooth_laws_and_converge(capsys):
     code, out = _run_cli(
         capsys, "smooth", "circle", "--laws", "--alphas", "0.04,0.02"

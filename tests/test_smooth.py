@@ -241,13 +241,6 @@ def test_smooth_table_sizes_at_the_ends_of_the_range_build():
         assert 0.0 < Ellipse(size, 1.0).curvature(0.3) < math.inf
 
 
-def test_circle_distance_to_boundary():
-    circle = Circle(1.0)
-    assert math.isclose(
-        circle.distance_to_boundary(0.3, 0.0), 0.7, abs_tol=1e-9
-    )
-
-
 # -- the circle is exactly solvable ------------------------------------------
 
 def test_circle_bounce_is_exact():

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -378,15 +379,21 @@ def test_batched_cone_angles_match_the_per_corner_sums_bit_for_bit(rng):
 
 
 def test_cone_angles_refuse_a_zero_length_edge():
-    """A triangular prism whose top corner 3 sits on bottom corner 0 passes
-    the mesh checks (its side faces stay planar), but the corners next to
-    the edge {0, 3} have no angle."""
+    """A triangular prism whose top corner 3 sits on (or within 1e-9 of)
+    bottom corner 0 keeps its side faces planar, but the corners next to the
+    edge {0, 3} have no angle: the mesh is refused at construction, naming
+    the edge and both its vertices. A 1e-8 edge is kept."""
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                       [0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     faces = [(0, 2, 1), (3, 4, 5), (0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5)]
-    mesh = SurfaceMesh(verts, faces)
-    with pytest.raises(InputError, match="cannot normalize the zero vector"):
-        cone_angles(mesh)
+    for height in (0.0, 5e-10):
+        verts[3, 2] = height
+        want = (f"edge (0, 3) has length {height:.3e}: vertex 0 at "
+                f"[0.0, 0.0, 0.0] and vertex 3 at {verts[3].tolist()}")
+        with pytest.raises(InputError, match=f"^{re.escape(want)}"):
+            SurfaceMesh(verts, faces)
+    verts[3, 2] = 1e-8
+    assert len(cone_angles(SurfaceMesh(verts, faces))) == 6
 
 
 def test_a_long_trace_revisits_every_face_and_leaves_the_mesh_alone():

@@ -40,6 +40,15 @@ state, or a refused trace's error class and message. The other hashes
 bundled meshes and on seeded ``from_polytope`` and ``convex_hull_mesh``
 hulls.
 
+One group hashes the small verdicts: ``check_alcove`` on every bundled
+polytope, every standard alcove and seeded triangles near and far from the
+pi/m grid (``is_alcove``, the label, the diagram edges, the failures'
+bytes and any warning); ``limit_reflection`` at seeded openings;
+``is_disphenoid`` on seeded and constructed tetrahedra; the public
+``chord_deviation`` on each smooth table from tuple inputs; and the
+``dumps_json`` text of ``table_to_data`` for the bundled and seeded smooth
+tables.
+
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
 and time. One more group hashes ``Trajectory.sample`` on each of these runs
@@ -51,11 +60,19 @@ group where two trees part.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
+import warnings
 
 import numpy as np
 
-from billiards.alcove import folded_flow, standard_alcove, standard_alcove_labels
+from billiards.alcove import (
+    check_alcove,
+    folded_flow,
+    standard_alcove,
+    standard_alcove_labels,
+)
+from billiards.corner import limit_reflection
 from billiards.dynamics import (
     CornerPolicy,
     TrajectoryState,
@@ -64,19 +81,28 @@ from billiards.dynamics import (
 )
 from billiards.errors import BilliardsError
 from billiards.geometry import Polytope
-from billiards.io import bundled_table_names, load_table, table_from_data
+from billiards.io import (
+    bundled_table_names,
+    dumps_json,
+    load_table,
+    table_from_data,
+    table_to_data,
+)
 from billiards.smooth import (
     Circle,
     Ellipse,
     PerturbedCircle,
+    SmoothTable,
     _worst_chord_deviation,
     base_angle_run,
+    chord_deviation,
 )
 from billiards.surface import (
     SurfaceMesh,
     cone_angles,
     convex_hull_mesh,
     gauss_bonnet_total,
+    is_disphenoid,
     is_orbifold_boundary,
     make_disphenoid,
     tetrahedron_mesh,
@@ -387,6 +413,118 @@ def _cone_angles(digest) -> None:
         digest.update(repr(is_orbifold_boundary(mesh)).encode())
 
 
+def _error(err: BilliardsError) -> bytes:
+    return f"{type(err).__name__}: {err}".encode()
+
+
+def _triangle(a: float, b: float) -> Polytope:
+    """The triangle on (0, 0) and (1, 0) with angles ``a`` and ``b`` there."""
+    t = math.sin(b) / math.sin(a + b)
+    return Polytope.convex_polygon(
+        [[0.0, 0.0], [1.0, 0.0], [t * math.cos(a), t * math.sin(a)]]
+    )
+
+
+def _alcove_verdicts(digest, rng) -> None:
+    tables = [t for t in map(load_table, bundled_table_names())
+              if isinstance(t, Polytope)]
+    tables += [standard_alcove(label) for label in standard_alcove_labels(8)]
+    tables += [_polygon(rng) for _ in range(20)]
+    # right-angled and pi/m triangles, on the grid and off it by 1e-12 to
+    # 1e-4, so that some angles land on each side of the tolerance
+    for p, q in ((2, 4), (3, 3), (2, 3), (2, 6), (4, 4), (3, 6), (5, 7)):
+        for shift in (0.0, 1e-12, 1e-10, 3e-9, 1e-8, 1e-6, 1e-4):
+            off = shift * rng.choice((-1.0, 1.0))
+            tables.append(_triangle(math.pi / p + off, math.pi / q))
+    for table in tables:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verdict = check_alcove(table)
+        digest.update(repr((verdict.is_alcove, verdict.label)).encode())
+        digest.update(repr([str(w.message) for w in caught]).encode())
+        if verdict.diagram is not None:
+            digest.update(repr(sorted(verdict.diagram.edges.items())).encode())
+        digest.update(repr([c.label for c in verdict.components]).encode())
+        for f in verdict.failures:
+            digest.update(repr((f.facets, f.nearest_m)).encode())
+            digest.update(np.array([f.angle, f.nearest_angle, f.error]).tobytes())
+
+
+def _wedge_limits(digest, rng) -> None:
+    alphas = list(rng.uniform(1e-3, math.pi - 1e-3, 200))
+    for k in range(2, 40):
+        for e in (0.0, 1e-9, 1e-8, 1e-7, 1e-6):
+            alphas += [math.pi / k + e, math.pi / k - e]
+    for alpha in alphas:
+        limit = limit_reflection(alpha)
+        digest.update(repr((limit.m, limit.continuous, limit.bounce_count)).encode())
+        digest.update(np.array([
+            limit.alpha, limit.beta, limit.gap,
+            limit.outgoing_above, limit.outgoing_below,
+        ]).tobytes())
+        digest.update(limit.direction_above.tobytes())
+        digest.update(limit.direction_below.tobytes())
+
+
+def _disphenoid_checks(digest, rng) -> None:
+    tetrahedra = [rng.normal(size=(4, 3)) for _ in range(20)]
+    for _ in range(20):
+        a, b, c = rng.uniform(4.0, 6.0, 3)
+        verts = make_disphenoid(a, b, c) * rng.uniform(0.1, 10.0)
+        tetrahedra.append(verts)
+        for size in (1e-12, 1e-10, 1e-9, 1e-8):
+            tetrahedra.append(verts + size * rng.normal(size=(4, 3)))
+    tetrahedra.append(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+    for verts in tetrahedra:
+        try:
+            check = is_disphenoid(verts)
+        except BilliardsError as err:
+            digest.update(_error(err))
+            continue
+        digest.update(repr((check.is_disphenoid, check.opposite_pairs)).encode())
+        digest.update(np.array([*np.ravel(check.lengths), check.max_mismatch]).tobytes())
+
+
+def _smooth_tables() -> list[SmoothTable]:
+    tables = [t for t in map(load_table, bundled_table_names())
+              if isinstance(t, SmoothTable)]
+    return tables + [Circle(2.5), Ellipse(1.5, 0.75), PerturbedCircle(-0.02, 5)]
+
+
+def _chord_deviations(digest, rng) -> None:
+    for table in _smooth_tables():
+        for theta0 in rng.uniform(0.0, 2.0 * math.pi, 10):
+            for width in (0.5, 0.05, 0.005):
+                theta1 = theta0 + width
+                p0, p1 = table.point(theta0), table.point(theta1)
+                chords = [(p0, p1), (p0, p0)]
+                # a chord from inside the table
+                chords.append((tuple(0.5 * x for x in p0), p1))
+                for q0, q1 in chords:
+                    digest.update(np.float64(
+                        chord_deviation(table, q0, q1, theta0, theta1)
+                    ).tobytes())
+
+
+def _smooth_table_data(digest) -> None:
+    for table in _smooth_tables():
+        digest.update(dumps_json(table_to_data(table)).encode())
+    for name in bundled_table_names():
+        table = build(name)
+        if isinstance(table, SmoothTable):
+            digest.update(dumps_json(table_to_data(table)).encode())
+
+
+def _small_verdicts(digest) -> None:
+    rng = np.random.default_rng(808)
+    _alcove_verdicts(digest, rng)
+    _wedge_limits(digest, rng)
+    _disphenoid_checks(digest, rng)
+    _chord_deviations(digest, rng)
+    _smooth_table_data(digest)
+
+
 GROUPS = (
     ("random tables, STRICT", _events(_random_table_runs)),
     ("boxes, POINT_REFLECT", _events(_box_runs)),
@@ -401,6 +539,7 @@ GROUPS = (
     ("smooth runs, perturbed circle", _smooth_runs(PerturbedCircle(0.05, 3))),
     ("surface geodesics", _surface_geodesics),
     ("cone angles", _cone_angles),
+    ("small verdicts", _small_verdicts),
 )
 
 
