@@ -298,27 +298,27 @@ def _catalogue_edges(family: str, rank: int) -> dict[tuple[int, int], float]:
         for i in range(2, n - 2):
             edges[(i, i + 1)] = 3.0
         return edges
-    if family == "F":
-        return {(0, 1): 3.0, (1, 2): 3.0, (2, 3): 4.0, (3, 4): 3.0}
-    if family == "G":
-        return {(0, 1): 6.0, (1, 2): 3.0}
-    if n == 6:
+    if family == "E" and n == 6:
         return {
             (0, 1): 3.0, (1, 2): 3.0,
             (0, 3): 3.0, (3, 4): 3.0,
             (0, 5): 3.0, (5, 6): 3.0,
         }
-    if n == 7:
+    if family == "E" and n == 7:
         return {
             (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0,
             (0, 4): 3.0, (4, 5): 3.0, (5, 6): 3.0,
             (0, 7): 3.0,
         }
-    return {
-        (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0, (3, 4): 3.0, (4, 5): 3.0,
-        (0, 6): 3.0, (6, 7): 3.0,
-        (0, 8): 3.0,
-    }
+    if family == "E":  # E~8
+        return {
+            (0, 1): 3.0, (1, 2): 3.0, (2, 3): 3.0, (3, 4): 3.0, (4, 5): 3.0,
+            (0, 6): 3.0, (6, 7): 3.0,
+            (0, 8): 3.0,
+        }
+    if family == "F":
+        return {(0, 1): 3.0, (1, 2): 3.0, (2, 3): 4.0, (3, 4): 3.0}
+    return {(0, 1): 6.0, (1, 2): 3.0}  # G~2
 
 
 def standard_alcove_labels(max_rank: int = 8) -> list[str]:
