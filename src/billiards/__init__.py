@@ -46,7 +46,6 @@ from .geometry import (
     fold_direction_into_cone,
     is_polar,
     nearest_pi_over_m,
-    polar_partner,
     reflect,
     unit,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "fold_direction_into_cone",
     "is_polar",
     "nearest_pi_over_m",
-    "polar_partner",
     "reflect",
     "unit",
     # dynamics

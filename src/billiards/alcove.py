@@ -77,8 +77,8 @@ class DihedralAngles:
 def dihedral_angles(polytope: Polytope) -> DihedralAngles:
     """Facets ``i`` and ``j`` are adjacent when their shared vertices span a
     codimension-2 face, and parallel when they are not adjacent and their
-    normals are opposite within 1e-9; an adjacent pair meets at the angle
-    ``pi - acos(<n_i, n_j>)``."""
+    normals are opposite within ``TOL.eps``; an adjacent pair meets at the
+    angle ``pi - acos(<n_i, n_j>)``."""
     h = polytope.n_facets
     dim = polytope.dim
     first, second, spread = facet_pairs(h)
@@ -95,7 +95,7 @@ def dihedral_angles(polytope: Polytope) -> DihedralAngles:
         if len(shared) >= max(dim - 1, 1):
             candidates.append(k)
             shared_sets.append(sorted(shared))
-    ranks = affine_ranks(polytope.vertices, shared_sets, 1e-9 * polytope.scale)
+    ranks = affine_ranks(polytope.vertices, shared_sets, TOL.eps * polytope.scale)
     meets = {k for k, rank in zip(candidates, ranks) if rank == dim - 2}
     # one value per pair, then a last one for the diagonal
     pair_adjacent = [False] * (len(pairs) + 1)
@@ -106,7 +106,7 @@ def dihedral_angles(polytope: Polytope) -> DihedralAngles:
         if k in meets:
             pair_adjacent[k] = True
             pair_angle[k] = math.pi - math.acos(cos_ij)
-        elif cos_ij <= -1.0 + 1e-9:
+        elif cos_ij <= -1.0 + TOL.eps:
             pair_parallel[k] = True
     adjacent = np.array(pair_adjacent)[spread]
     parallel = np.array(pair_parallel)[spread]
@@ -184,13 +184,13 @@ class AlcoveVerdict:
 def check_alcove(polytope: Polytope) -> AlcoveVerdict:
     """Decide the alcove property and classify on success.
 
-    Every codim-2 dihedral angle must sit within ``TOL.angle`` of ``pi/m``
+    Every codim-2 dihedral angle must sit within ``TOL.eps`` of ``pi/m``
     for some integer ``m`` in [2, 64]. Failures carry the offending pair,
     the measured angle, and the nearest admissible bin. An accepted angle
     within ten times that tolerance of a second bin warns with
     ``AngleNearBinBoundary``.
     """
-    eps = TOL.angle
+    eps = TOL.eps
     geom = dihedral_angles(polytope)
     h = polytope.n_facets
     failures: list[AlcoveFailure] = []
@@ -485,7 +485,7 @@ def fold_point(
     for _ in range(max_words):
         slack = polytope.normals @ y - polytope.offsets
         k = int(np.argmax(slack))
-        if slack[k] <= TOL.active * polytope.scale:
+        if slack[k] <= TOL.eps * polytope.scale:
             return y, word
         y = y - 2.0 * slack[k] * polytope.normals[k]
         word.append(k)

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .alcove import check_alcove
+from .config import TOL
 from .corner import limit_reflection, unfold_wedge
 from .dynamics import CornerPolicy, TrajectoryState, simulate, simulate_unfolded
 from .errors import (
@@ -408,7 +409,7 @@ def _surface_disphenoid(mesh: SurfaceMesh) -> dict:
         "max_length_mismatch": check.max_mismatch,
         "cone_angles": angles,
         "all_cone_angles_pi": bool(
-            max(abs(a - math.pi) for a in angles) <= 1e-9
+            max(abs(a - math.pi) for a in angles) <= TOL.eps
         ),
     }
 

@@ -1,11 +1,12 @@
 """Numerical tolerances used throughout the package.
 
-All geometric predicates (activity of a constraint, polarity of a direction
-pair, angle binning) share one epsilon so that "on the boundary" means the
-same thing everywhere. ``TOL`` is the one source of every tolerance: the
-environment variable ``BILLIARDS_EPS``, read once at import time, sets that
-shared epsilon for the whole process, and no function takes a tolerance
-argument.
+Every incidence test (is a point on a face, are two points one vertex, is
+an angle pi/m) reads one epsilon, ``TOL.eps``, so that "on the boundary"
+means the same thing everywhere; a test on lengths multiplies it by the
+table's one length, :func:`billiards.geometry.length_scale`. ``TOL`` is the
+one source of every tolerance: the environment variable ``BILLIARDS_EPS``,
+read once at import time, sets ``TOL.eps`` for the whole process, and no
+function takes a tolerance argument.
 """
 
 from __future__ import annotations
@@ -29,16 +30,13 @@ def _env_eps(default: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of epsilons. ``active``/``polar``/``angle`` share the global
-    default; the rest are fixed scale guards."""
+    """Bundle of epsilons. ``eps`` follows ``BILLIARDS_EPS``; the rest are
+    fixed scale guards."""
 
-    active: float = field(default_factory=_env_eps)   # constraint tightness
-    polar: float = field(default_factory=_env_eps)    # cone-membership residual
-    angle: float = field(default_factory=_env_eps)    # dihedral angle binning
+    eps: float = field(default_factory=_env_eps)  # incidence: faces, vertices, pi/m
     step: float = 1e-12        # minimal forward progress along a ray
     tangential: float = 1e-10  # |<dir, normal>| below this counts as sliding
     gap: float = 1e-7          # corner-continuity gap threshold
-    vertex_hit: float = 1e-9   # cone-angle window for vertex passage
     m_max: int = 64            # largest m considered when binning to pi/m
 
 

@@ -314,7 +314,7 @@ def _advance(
 
     ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
     ``slack`` is ``normals @ p - offsets`` and ``here`` is
-    ``classify_slack(slack, p, TOL.active)``, if the caller has them.
+    ``classify_slack(slack, p, TOL.eps)``, if the caller has them.
     Returns ``(hit, dt, active, unit_direction, slack_at_hit,
     classification_at_hit)`` and raises what :func:`advance_to_boundary`
     raises. ``active`` is the active set of the classification at the hit,
@@ -328,7 +328,7 @@ def _advance(
     if slack is None:
         slack = normals.dot(p) - offsets
     if here is None:
-        here = classify_slack(slack, p, TOL.active)
+        here = classify_slack(slack, p, TOL.eps)
     location, active, worst = here
     if location is Location.OUTSIDE:
         raise OutsideTableError(
@@ -357,7 +357,7 @@ def _advance(
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
     hit_slack = normals.dot(hit) - offsets
-    hit_here = classify_slack(hit_slack, hit, TOL.active)
+    hit_here = classify_slack(hit_slack, hit, TOL.eps)
     # the minimizing facet must be tight; recover it directly
     return hit, dt, hit_here[1] or (k,), d, hit_slack, hit_here
 

@@ -3,11 +3,11 @@ bounce rule is built on.
 
 A table is ``K = {x : <n_i, x> <= c_i}`` with unit outward normals ``n_i``.
 At a boundary point the *active* constraints are those tight within
-``TOL.active``; they span the outward normal cone ``N_p = cone{n_i}`` and
+``TOL.eps``; they span the outward normal cone ``N_p = cone{n_i}`` and
 cut the tangent cone ``T_p = {u : <n_i, u> <= 0}``. A bounce from incoming
 direction ``u`` to outgoing ``v`` is *polar* when ``-(u+v)`` lies in
 ``N_p``: membership is decided by nonnegative least squares with the
-residual thresholded at ``TOL.polar``. On a facet (one active normal) this
+residual thresholded at ``TOL.eps``. On a facet (one active normal) this
 reduces to the mirror law, and the unique polar partner of ``u`` is
 ``reflect(-u, n)``.
 
@@ -51,7 +51,6 @@ __all__ = [
     "reflect",
     "cone_membership",
     "is_polar",
-    "polar_partner",
     "fold_direction_into_cone",
     "nearest_pi_over_m",
 ]
@@ -310,6 +309,13 @@ def affine_ranks(points: np.ndarray, sets, tol: float) -> list[int]:
     return ranks
 
 
+def length_scale(points: np.ndarray) -> float:
+    """The one length every incidence tolerance on a table or a mesh is
+    taken against: the largest absolute coordinate of its points, at least
+    1. A NaN coordinate makes it NaN."""
+    return max(float(np.abs(points).max()), 1.0)
+
+
 def facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The facet pairs ``i < j`` of a table with ``n_facets`` facets, in the
     order of a loop over ``i`` and then ``j``: their row and column indices,
@@ -431,8 +437,8 @@ class Polytope:
     A table is two read-only arrays, ``normals`` (one unit outward normal per
     row) and ``offsets``, with ``normals @ x <= offsets`` inside; every
     check and every derived quantity is computed from them. ``scale``, the
-    largest vertex coordinate and at least 1, is the table's one length
-    scale for tolerances.
+    :func:`length_scale` of the vertices, is the one length that
+    ``TOL.eps`` is multiplied by in the table's tests on lengths.
 
     The first argument is an ``(H, dim + 1)`` array-like of ``[normal |
     offset]`` rows with unit normals. Construction refuses any other shape,
@@ -510,9 +516,13 @@ class Polytope:
                     x = np.linalg.solve(a, b)
                 except np.linalg.LinAlgError:
                     continue
+                if not np.isfinite(x).all():
+                    continue
                 slack = normals @ x - offsets
-                if np.max(slack) <= 1e-9 * max(1.0, float(np.linalg.norm(x))):
-                    if not any(np.linalg.norm(x - v) <= 1e-9 for v in verts):
+                location, _, worst = classify_slack(slack, x, TOL.eps)
+                # a slack is NaN only where |x| overflows: no vertex there
+                if location is not Location.OUTSIDE and not math.isnan(worst):
+                    if not any(np.linalg.norm(x - v) <= TOL.eps for v in verts):
                         verts.append(x)
         if len(verts) < dim + 1:
             raise UnboundedRegionError(
@@ -561,7 +571,7 @@ class Polytope:
         # qhull splits a facet into triangles that repeat its plane: keep a
         # row unless a row kept before it gives the same plane
         same = (np.vecdot(normals[:, None], normals[None]) > 1.0 - 1e-10) & (
-            np.abs(offsets[:, None] - offsets[None]) <= 1e-9
+            np.abs(offsets[:, None] - offsets[None]) <= TOL.eps
         )
         same = same.tolist()
         keep: list[int] = []
@@ -596,8 +606,8 @@ class Polytope:
 
     def _checked_scale(self) -> float:
         """Refuse data no arithmetic should see: normals that are not unit,
-        and missing, non-finite or huge vertices. Returns the largest vertex
-        coordinate, at least 1, the scale of every tolerance in the checks
+        and missing, non-finite or huge vertices. Returns the vertices'
+        :func:`length_scale`, the length of every tolerance in the checks
         that follow."""
         if max(map(abs, self.normals.ravel().tolist())) <= 1.0 + 1e-12:
             lengths = np.sqrt(np.vecdot(self.normals, self.normals))
@@ -617,13 +627,13 @@ class Polytope:
                 f"vertices have dim {self.vertices.shape[1]}, "
                 f"halfspaces have dim {self.dim}"
             )
-        scale = float(np.abs(self.vertices).max())
+        scale = length_scale(self.vertices)
         if not scale <= _MAX_COORDINATE:
             _checked_points(self.vertices, "polytope")
-        return max(1.0, scale)
+        return scale
 
     def _tight_vertex_sets(self, slack: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        tight = np.abs(slack.T) <= 1e-9 * self.scale  # (H, V)
+        tight = np.abs(slack.T) <= TOL.eps * self.scale  # (H, V)
         facets, verts = np.nonzero(tight)
         verts = verts.tolist()
         sets = []
@@ -637,7 +647,7 @@ class Polytope:
         """Checks on the vertex-by-halfspace ``slack`` matrix."""
         scale = self.scale
         worst = float(slack.max())
-        if worst > 1e-9 * scale:
+        if worst > TOL.eps * scale:
             raise InputError(
                 f"vertex violates a halfspace by {worst:.3e} (scale {scale:g})"
             )
@@ -648,14 +658,14 @@ class Polytope:
         )
         if parallel.any():
             coincide = parallel & (
-                np.abs(self.offsets[first] - self.offsets[second]) <= 1e-9 * scale
+                np.abs(self.offsets[first] - self.offsets[second]) <= TOL.eps * scale
             )
             if coincide.any():
                 k = int(coincide.argmax())
                 raise RedundantHalfspaceError(
                     f"halfspaces {first[k]} and {second[k]} coincide"
                 )
-        ranks = affine_ranks(self.vertices, self.facet_vertices, 1e-9 * scale)
+        ranks = affine_ranks(self.vertices, self.facet_vertices, TOL.eps * scale)
         for i, (tight, rank) in enumerate(zip(self.facet_vertices, ranks)):
             if len(tight) < self.dim:
                 raise RedundantHalfspaceError(
@@ -682,14 +692,14 @@ class Polytope:
         # The normals positively span R^d iff they have rank d and -sum(n_i)
         # is in their cone: then sum((1 + mu_i) n_i) = 0 with every weight
         # positive, so each -n_i is in the cone and the cone is the span.
-        rank = int(np.linalg.matrix_rank(self.normals, tol=1e-9))
+        rank = int(np.linalg.matrix_rank(self.normals, tol=TOL.eps))
         if rank < self.dim:
             raise UnboundedRegionError(
                 f"outward normals span only {rank} of {self.dim} dimensions"
             )
         total = self.normals.sum(axis=0)
         ok, _, residual = cone_membership(
-            self.normals, -total, 1e-9 * max(1.0, vector_norm(total))
+            self.normals, -total, TOL.eps * max(1.0, vector_norm(total))
         )
         if not ok:
             raise UnboundedRegionError(
@@ -709,7 +719,7 @@ class Polytope:
     def contains(self, x) -> Containment:
         x = as_point(x, self.dim)
         return Containment(
-            *classify_slack(self.normals @ x - self.offsets, x, TOL.active)
+            *classify_slack(self.normals @ x - self.offsets, x, TOL.eps)
         )
 
     def __repr__(self) -> str:
@@ -724,48 +734,32 @@ def is_polar(polytope: Polytope, p, u, v) -> bool:
 
     Both directions must lie in the tangent cone at ``p``; the pair is polar
     when ``-(u+v)`` is a nonnegative combination of the active outward
-    normals, with least squares residual at most ``TOL.polar``. At interior
+    normals, with least squares residual at most ``TOL.eps``. At interior
     points the normal cone is trivial and polarity means ``v = -u``.
     """
     uu = unit(u)
     vv = unit(v)
-    normals = polytope.normals[list(_active_at(polytope, p))]
-    for w, name in ((uu, "incoming"), (vv, "outgoing")):
-        w = as_point(w, polytope.dim)
-        limit = TOL.active * max(1.0, vector_norm(w))
-        if len(normals) and np.max(normals @ w) > limit:
-            raise InputError(f"{name} direction is not in the tangent cone")
-    ok, _, _ = cone_membership(normals, -(uu + vv), TOL.polar)
-    return ok
-
-
-def polar_partner(polytope: Polytope, p, u) -> np.ndarray:
-    """The unique polar outgoing direction at a smooth boundary point."""
-    active = _active_at(polytope, p)
-    if len(active) != 1:
-        raise InputError(
-            f"polar partner is only unique with one active facet, got "
-            f"{len(active)}"
-        )
-    return reflect(-unit(u), polytope.normals[active[0]])
-
-
-def _active_at(polytope: Polytope, p) -> tuple[int, ...]:
-    """The active facets at ``p``, which must not lie outside the table."""
     loc = polytope.contains(p)
     if loc.location is Location.OUTSIDE:
         raise InputError(
             f"tangent cone requested outside the table (violation "
             f"{loc.worst_violation:.3e})"
         )
-    return loc.active
+    normals = polytope.normals[list(loc.active)]
+    for w, name in ((uu, "incoming"), (vv, "outgoing")):
+        w = as_point(w, polytope.dim)
+        limit = TOL.eps * max(1.0, vector_norm(w))
+        if len(normals) and np.max(normals @ w) > limit:
+            raise InputError(f"{name} direction is not in the tangent cone")
+    ok, _, _ = cone_membership(normals, -(uu + vv), TOL.eps)
+    return ok
 
 
 def fold_direction_into_cone(
     normals: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, list[int]]:
     """Reflect ``v`` across the given unit normals until it points inward,
-    that is until no normal makes a product above ``TOL.active`` with it.
+    that is until no normal makes a product above ``TOL.eps`` with it.
 
     Greedy: repeatedly mirror across the most violated wall. On a reflection
     group's chamber cone this lands in the chamber after finitely many steps
@@ -781,7 +775,7 @@ def fold_direction_into_cone(
     for _ in range(max_iters):
         viol = normals @ w
         k = int(np.argmax(viol))
-        if viol[k] <= TOL.active:
+        if viol[k] <= TOL.eps:
             return w, word
         w = w - 2.0 * viol[k] * normals[k]
         word.append(k)

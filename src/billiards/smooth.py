@@ -29,6 +29,7 @@ boundary points (the circle's sagitta is exact).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,14 @@ class Circle(SmoothTable):
             if norm < 1e-300:
                 devs.append(0.0)
                 continue
-            t = max(0.0, min(1.0, -(x0 * ux + y0 * uy) / (norm * norm)))
+            squared = norm * norm
+            if squared >= sys.float_info.min:
+                t = -(x0 * ux + y0 * uy) / squared
+            else:
+                # the square of a chord this short underflows: project onto
+                # the chord's unit direction instead
+                t = -(x0 * (ux / norm) + y0 * (uy / norm)) / norm
+            t = max(0.0, min(1.0, t))
             devs.append(self.radius - math.hypot(x0 + t * ux, y0 + t * uy))
         return devs
 

@@ -37,7 +37,7 @@ from .errors import (
     OpenSurfaceError,
     VertexHitError,
 )
-from .geometry import as_point, normalized, unit, vector_norm
+from .geometry import as_point, length_scale, normalized, unit, vector_norm
 
 __all__ = [
     "SurfaceMesh",
@@ -165,11 +165,11 @@ class SurfaceMesh:
                 f"Euler characteristic {v - e + f} != 2 (V={v}, E={e}, F={f})"
             )
         # the length scale of every absolute tolerance on this mesh
-        self._scale = max(1.0, float(np.max(np.abs(self.vertices))))
+        self._scale = length_scale(self.vertices)
         points = self.vertices.tolist()
         for a, b in self.edges:
             length = math.dist(points[a], points[b])
-            if length < 1e-9 * self._scale:
+            if length < TOL.eps * self._scale:
                 raise InputError(
                     f"edge {(a, b)} has length {length:.3e}: vertex {a} at "
                     f"{points[a]} and vertex {b} at {points[b]} (nearly) coincide"
@@ -179,7 +179,7 @@ class SurfaceMesh:
             if len(face) > 3:
                 centered = pts - pts.mean(axis=0)
                 sv = np.linalg.svd(centered, compute_uv=False)
-                if sv[2] > 1e-9 * self._scale:
+                if sv[2] > TOL.eps * self._scale:
                     raise InputError(f"face {k} is not planar (thickness {sv[2]:.3e})")
         if self._signed_volume() <= 0.0:
             raise InputError("faces are oriented inward; flip the winding")
@@ -237,13 +237,14 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
-    """Four 3D vertices spanning a nondegenerate tetrahedron, and the scale
-    (largest coordinate, at least 1) its tolerances are taken against."""
+    """Four 3D vertices spanning a nondegenerate tetrahedron, and the
+    :func:`~billiards.geometry.length_scale` its tolerances are taken
+    against."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if verts.shape != (4, 3):
         raise InputError(shape_error)
     vol = float(np.linalg.det(verts[1:] - verts[0]))
-    scale = max(1.0, float(np.max(np.abs(verts))))
+    scale = length_scale(verts)
     if abs(vol) < 1e-12 * scale**3:
         raise InputError("tetrahedron is degenerate (coplanar vertices)")
     return verts, scale
@@ -316,13 +317,13 @@ def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
 
 def cone_angles(mesh: SurfaceMesh) -> list[VertexReport]:
     """Per-vertex cone angle, angular defect, and orbifold order if any: a
-    vertex has order ``n`` when its angle is within ``TOL.angle`` of
+    vertex has order ``n`` when its angle is within ``TOL.eps`` of
     ``2*pi/n``."""
     reports = []
     for v, angle in enumerate(_cone_angle_sums(mesh)):
         order = None
         n = max(1, round(2.0 * math.pi / angle)) if angle > 0 else None
-        if n is not None and abs(angle - 2.0 * math.pi / n) <= TOL.angle:
+        if n is not None and abs(angle - 2.0 * math.pi / n) <= TOL.eps:
             order = n
         reports.append(
             VertexReport(v, float(angle), float(2.0 * math.pi - angle), order)
@@ -383,7 +384,7 @@ _OPPOSITE_EDGE_PAIRS = (
 
 def is_disphenoid(vertices) -> DisphenoidCheck:
     """Equality of the three opposite-edge length pairs of a tetrahedron,
-    within ``TOL.angle`` times the tetrahedron's scale."""
+    within ``TOL.eps`` times the tetrahedron's scale."""
     verts, scale = _tetrahedron(vertices, "is_disphenoid expects four 3D vertices")
     lengths = []
     mismatch = 0.0
@@ -393,7 +394,7 @@ def is_disphenoid(vertices) -> DisphenoidCheck:
         lengths.append((l1, l2))
         mismatch = max(mismatch, abs(l1 - l2))
     return DisphenoidCheck(
-        mismatch <= TOL.angle * scale, _OPPOSITE_EDGE_PAIRS, tuple(lengths), mismatch
+        mismatch <= TOL.eps * scale, _OPPOSITE_EDGE_PAIRS, tuple(lengths), mismatch
     )
 
 
@@ -599,10 +600,12 @@ def trace_surface_geodesic(
     """Trace the straight-line flow on the surface for arclength ``horizon``.
 
     The start point must lie on the given face; the direction is projected
-    into the face plane. Hitting a vertex raises ``VertexHitError`` unless
-    the cone angle there is ``pi`` within tolerance, in which case the
-    geodesic retraces (the developed exit ray equals the entry ray) and a
-    ``VertexPassage`` is recorded.
+    into the face plane. A geodesic that comes within ``TOL.eps`` times the
+    mesh's length scale of a vertex hits it. That raises ``VertexHitError``
+    unless the cone angle there is within ``TOL.eps`` of ``pi``, where
+    :func:`cone_angles` gives the vertex order 2; then the geodesic retraces
+    (the developed exit ray equals the entry ray) and a ``VertexPassage`` is
+    recorded.
 
     The arguments are checked here, once; the loop trusts them. Two tables
     local to the call spare the loop repeated work: a face's edge normals
@@ -675,12 +678,12 @@ def trace_surface_geodesic(
         hit = p + dt * d
         t = t + dt
         va, vb = mesh.vertices[a], mesh.vertices[b]
-        near_a = vector_norm(hit - va) <= 1e-9 * scale
-        near_b = vector_norm(hit - vb) <= 1e-9 * scale
+        near_a = vector_norm(hit - va) <= TOL.eps * scale
+        near_b = vector_norm(hit - vb) <= TOL.eps * scale
         if near_a or near_b:
             v_idx = a if near_a else b
             cone = _cone_angle_sums(mesh)[v_idx]
-            if abs(cone - math.pi) > TOL.vertex_hit:
+            if abs(cone - math.pi) > TOL.eps:
                 raise VertexHitError(v_idx, hit)
             # retrace: at cone angle pi the developed continuation folds back
             passages.append(VertexPassage(t, v_idx, hit.copy(), cone))

@@ -88,7 +88,7 @@ def test_exactly_tied_hit_times_pick_the_lowest_facet(monkeypatch, dim, reverse)
     the bit. With an active band too thin to hold the rounded hit, the hit's
     classification is empty and the facet that set the time is reported:
     the lowest index among the tied ones, in either facet order."""
-    _set_kernel_tolerances(monkeypatch, active=1e-300)
+    _set_kernel_tolerances(monkeypatch, eps=1e-300)
     box = Polytope.box(-np.ones(dim), np.ones(dim))
     rows = np.column_stack((box.normals, box.offsets))
     table = Polytope(rows[::-1] if reverse else rows, box.vertices)
@@ -132,7 +132,7 @@ def test_step_errors_keep_their_messages(monkeypatch):
     with pytest.raises(NoProgressError) as info:
         advance_to_boundary(square, (0.5, 0.5), (1.0, 0.3))
     assert str(info.value) == "no constraint is approached; table corrupt?"
-    _set_kernel_tolerances(monkeypatch, active=1e-300)
+    _set_kernel_tolerances(monkeypatch, eps=1e-300)
     for d, message in (
         ((1.0, 0.0), "forward crossing at dt=2.842e-14 is too small"),
         ((1.0, 1.0), "forward crossing at dt=4.019e-14 is too small"),

@@ -274,6 +274,15 @@ def test_circle_chord_deviation_is_the_sagitta():
     assert math.isclose(dev, 1.0 - math.cos(alpha), abs_tol=1e-14)
 
 
+def test_circle_chord_deviation_of_a_chord_whose_square_underflows():
+    """A chord of length 1e-170 squares to 0.0; its sagitta is still the
+    depth of its closest approach to the center."""
+    circle = Circle(1.0)
+    assert chord_deviation(circle, (1.0, 0.0), (1.0, 1e-170), 0.0, 1e-170) == 0.0
+    dev = chord_deviation(circle, (0.5, -1e-170), (0.5, 1e-170), 0.0, 0.0)
+    assert dev == 0.5
+
+
 # -- parameter advance and the branch cut ------------------------------------
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)

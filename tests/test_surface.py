@@ -1,8 +1,11 @@
 """Closed polyhedral surfaces: curvature, orbifold test, geodesics."""
 
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,42 @@ def test_cube_vertex_hit_raises():
         trace_surface_geodesic(
             cube, face, [0.5, 0.5, 1.0], [1.0, 1.0, 0.0], 2.0
         )
+
+
+def test_vertex_of_order_two_is_where_a_geodesic_retraces():
+    """Under ``BILLIARDS_EPS=1e-6`` a disphenoid with one vertex moved by
+    2e-7 keeps cone angles within 3.2e-8 of pi: ``cone_angles`` gives
+    vertex 0 order 2, and a geodesic aimed at vertex 0 from each face
+    around it retraces there, with that cone angle. The tolerance is set
+    once per process, so it runs in a child."""
+    code = (
+        "import math\n"
+        "from billiards.surface import (\n"
+        "    cone_angles, make_disphenoid, tetrahedron_mesh,\n"
+        "    trace_surface_geodesic)\n"
+        "verts = make_disphenoid(4, 5, 6)\n"
+        "verts[1, 2] += 2e-7\n"
+        "mesh = tetrahedron_mesh(verts)\n"
+        "report = cone_angles(mesh)[0]\n"
+        "assert abs(report.cone_angle - math.pi) > 1e-8\n"
+        "print(report.orbifold_order)\n"
+        "for k, face in enumerate(mesh.faces):\n"
+        "    if 0 in face:\n"
+        "        start = mesh.vertices[list(face)].mean(axis=0)\n"
+        "        d = mesh.vertices[0] - start\n"
+        "        horizon = 1.5 * math.hypot(*d)\n"
+        "        geo = trace_surface_geodesic(mesh, k, start, d, horizon)\n"
+        "        (passage,) = geo.vertex_passages\n"
+        "        print(passage.vertex, passage.cone_angle == report.cone_angle)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "BILLIARDS_EPS": "1e-6"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n" + "0 True\n" * 3
 
 
 def test_disphenoid_vertex_passage_retraces(rng):
