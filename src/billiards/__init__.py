@@ -65,7 +65,6 @@ from .alcove import (
     CoxeterDiagram,
     check_alcove,
     classify,
-    coxeter_diagram,
     dihedral_angles,
     fold_point,
     folded_flow,
@@ -149,7 +148,6 @@ __all__ = [
     "CoxeterDiagram",
     "check_alcove",
     "classify",
-    "coxeter_diagram",
     "dihedral_angles",
     "fold_point",
     "folded_flow",

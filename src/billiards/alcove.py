@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -41,7 +40,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "AngleNearBinBoundary",
     "DihedralAngles",
     "AlcoveFailure",
     "AlcoveVerdict",
@@ -49,7 +47,6 @@ __all__ = [
     "Component",
     "dihedral_angles",
     "check_alcove",
-    "coxeter_diagram",
     "classify",
     "standard_alcove",
     "standard_alcove_labels",
@@ -58,10 +55,6 @@ __all__ = [
 ]
 
 INF = math.inf
-
-
-class AngleNearBinBoundary(UserWarning):
-    """A dihedral angle sits suspiciously close to the edge of a pi/m bin."""
 
 
 @dataclass(frozen=True)
@@ -186,9 +179,7 @@ def check_alcove(polytope: Polytope) -> AlcoveVerdict:
 
     Every codim-2 dihedral angle must sit within ``TOL.eps`` of ``pi/m``
     for some integer ``m`` in [2, 64]. Failures carry the offending pair,
-    the measured angle, and the nearest admissible bin. An accepted angle
-    within ten times that tolerance of a second bin warns with
-    ``AngleNearBinBoundary``.
+    the measured angle, and the nearest admissible bin.
     """
     eps = TOL.eps
     geom = dihedral_angles(polytope)
@@ -212,26 +203,12 @@ def check_alcove(polytope: Polytope) -> AlcoveVerdict:
                     AlcoveFailure((i, j), ang, m, math.pi / m, err)
                 )
                 continue
-            if eps < _distance_to_other_bins(ang, m) <= 10.0 * eps:
-                warnings.warn(
-                    f"dihedral angle {ang!r} is within 10*eps of a second "
-                    f"pi/m bin",
-                    AngleNearBinBoundary,
-                )
             if m >= 3:
                 edges[(i, j)] = float(m)
     if failures:
         return AlcoveVerdict(False, tuple(failures), None, ())
     diagram = CoxeterDiagram(h, edges)
     return AlcoveVerdict(True, (), diagram, classify(diagram))
-
-
-def _distance_to_other_bins(angle: float, matched_m: int) -> float:
-    best = math.inf
-    for m in (matched_m - 1, matched_m + 1):
-        if 2 <= m <= TOL.m_max:
-            best = min(best, abs(angle - math.pi / m))
-    return best
 
 
 def _not_an_alcove(verdict: AlcoveVerdict) -> NotAnAlcoveError:
@@ -241,13 +218,6 @@ def _not_an_alcove(verdict: AlcoveVerdict) -> NotAnAlcoveError:
         f"dihedral angle {worst.angle:.12f} between facets {worst.facets} "
         f"is {worst.error:.3e} away from pi/{worst.nearest_m}"
     )
-
-
-def coxeter_diagram(polytope: Polytope) -> CoxeterDiagram:
-    verdict = check_alcove(polytope)
-    if not verdict.is_alcove:
-        raise _not_an_alcove(verdict)
-    return verdict.diagram
 
 
 def classify(diagram: CoxeterDiagram) -> tuple[Component, ...]:
@@ -498,7 +468,6 @@ def folded_flow(
     polytope: Polytope,
     state: TrajectoryState,
     horizon: float,
-    bounce_budget: int | None = None,
 ) -> Trajectory:
     """Geodesic flow on the alcove orbifold: a straight line pushed through
     the folding map.
@@ -509,6 +478,4 @@ def folded_flow(
     ``FOLD_GROUP``'s precondition, which ``simulate_unfolded`` checks once
     per table, as :func:`fold_point` does.
     """
-    return simulate_unfolded(
-        polytope, state, horizon, CornerPolicy.FOLD_GROUP, bounce_budget
-    )
+    return simulate_unfolded(polytope, state, horizon, CornerPolicy.FOLD_GROUP)

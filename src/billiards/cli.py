@@ -59,6 +59,7 @@ from .io import (
     write_csv,
 )
 from .smooth import (
+    LAUNCH_ANGLES,
     SmoothTable,
     boundary_convergence_experiment,
     verify_base_angle_laws,
@@ -229,6 +230,10 @@ def _cmd_check_alcove(args) -> dict:
 
 # -- corner ------------------------------------------------------------------
 
+# the most openings one sweep samples
+_MAX_SWEEP = 1_000_000
+
+
 def _corner_single(args) -> dict:
     alpha = _parse_float(args.alpha, "opening angle")
     limit = limit_reflection(alpha)
@@ -279,6 +284,8 @@ def _corner_sweep(args) -> dict:
         raise InputError(
             "sweep needs 0 < LO < HI < pi and at least two samples"
         )
+    if n > _MAX_SWEEP:
+        raise InputError(f"sweep count {n} is above the limit of {_MAX_SWEEP}")
     alphas = np.linspace(lo, hi, n)
     limits = [limit_reflection(float(a)) for a in alphas]
 
@@ -440,7 +447,7 @@ def _cmd_surface(args) -> dict:
 
 def _parse_alphas(text: str | None) -> tuple[float, ...]:
     if text is None:
-        return (0.04, 0.02, 0.01, 0.005, 0.0025)
+        return LAUNCH_ANGLES
     alphas = _parse_vector(text)
     if any(a <= 0 or a >= 0.5 * math.pi for a in alphas):
         raise InputError("launch angles must lie in (0, pi/2)")

@@ -15,10 +15,10 @@ import os
 from dataclasses import dataclass, field
 
 
-def _env_eps(default: float = 1e-9) -> float:
+def _env_eps() -> float:
     raw = os.environ.get("BILLIARDS_EPS")
     if raw is None:
-        return default
+        return 1e-9
     try:
         value = float(raw)
     except ValueError as exc:

@@ -29,6 +29,20 @@ from .errors import InputError
 __all__ = ["WedgeLimit", "WedgeShot", "limit_reflection", "unfold_wedge"]
 
 
+# the most bounces unfold_wedge traces; a shot makes about pi/alpha of them
+_MAX_BOUNCES = 100_000
+
+
+def _checked_opening(alpha) -> float:
+    """``alpha`` as a float in (0, pi) whose ``pi / alpha`` is finite."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.pi:
+        raise InputError(f"wedge opening must be in (0, pi), got {alpha}")
+    if not math.isfinite(math.pi / alpha):
+        raise InputError(f"wedge opening {alpha} is too small: pi/alpha overflows")
+    return alpha
+
+
 @dataclass(frozen=True)
 class WedgeLimit:
     """One-sided limits of the corner map at opening ``alpha``.
@@ -52,9 +66,7 @@ class WedgeLimit:
 def limit_reflection(alpha: float) -> WedgeLimit:
     """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi);
     the limit is continuous when its gap is at most ``TOL.gap``."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.pi:
-        raise InputError(f"wedge opening must be in (0, pi), got {alpha}")
+    alpha = _checked_opening(alpha)
     m = math.ceil(math.pi / alpha - 0.5 - 1e-12)
     beta = max((m + 0.5) * alpha - math.pi, 0.0)
     gap = abs(alpha - 2.0 * beta)
@@ -94,12 +106,17 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
     to the bisector, displaced by the signed perpendicular ``offset``
     (positive toward the upper face). Bounces are computed by intersecting
     rays with the two faces; the trace ends when no forward face crossing
-    remains and the shot escapes.
+    remains and the shot escapes. A shot makes about ``pi / alpha`` bounces,
+    so an opening with more than 100 000 is refused, as is an offset whose
+    crossing times overflow.
     """
-    alpha = float(alpha)
+    alpha = _checked_opening(alpha)
     offset = float(offset)
-    if not 0.0 < alpha < math.pi:
-        raise InputError(f"wedge opening must be in (0, pi), got {alpha}")
+    if math.pi / alpha > _MAX_BOUNCES:
+        raise InputError(
+            f"wedge opening {alpha} is too small to trace: a shot makes more "
+            f"than {_MAX_BOUNCES} bounces"
+        )
     if not math.isfinite(offset):
         raise InputError(f"offset must be finite, got {offset}")
     if offset == 0.0:
@@ -120,6 +137,12 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
             "asymptotically far out (opening at a parity boundary)"
         )
     start_radius = max(1.0, 4.0 * abs(offset) / s_min)
+    # a crossing time divides a coordinate, at most start_radius + |offset|,
+    # by a direction component down to 1e-15
+    if not math.isfinite(1e16 * (start_radius + abs(offset))):
+        raise InputError(
+            f"offset {offset} is too large: the shot's crossing times overflow"
+        )
     p = start_radius * bisector + offset * perp
     d = -bisector
     ang = math.atan2(p[1], p[0])

@@ -388,7 +388,6 @@ def _begin(
     state: TrajectoryState,
     horizon: float,
     policy: CornerPolicy,
-    bounce_budget: int | None,
 ) -> tuple[float, int, float, _Classification]:
     """The checks at the start of a run, shared by both loops.
 
@@ -417,9 +416,7 @@ def _begin(
             raise DegenerateStartError(
                 "trajectory starts on the boundary pointing outward"
             )
-    budget = bounce_budget if bounce_budget is not None else default_bounce_budget(
-        polytope, horizon
-    )
+    budget = default_bounce_budget(polytope, horizon)
     eps_time = TOL.step * (1.0 + horizon)
     return horizon, budget, eps_time, (loc.location, loc.active, loc.worst_violation)
 
@@ -429,12 +426,11 @@ def simulate(
     state: TrajectoryState,
     horizon: float,
     policy: CornerPolicy = CornerPolicy.POINT_REFLECT,
-    bounce_budget: int | None = None,
 ) -> Trajectory:
-    """Run the billiard flow for total arclength ``horizon``."""
-    horizon, budget, eps_time, here = _begin(
-        polytope, state, horizon, policy, bounce_budget
-    )
+    """Run the billiard flow for total arclength ``horizon``. A run that
+    needs more than :func:`default_bounce_budget` bounces raises
+    ``BounceBudgetExceededError``."""
+    horizon, budget, eps_time, here = _begin(polytope, state, horizon, policy)
     p = state.point.copy()
     d = state.direction.copy()
     slack = None
@@ -473,7 +469,6 @@ def simulate_unfolded(
     state: TrajectoryState,
     horizon: float,
     policy: CornerPolicy = CornerPolicy.POINT_REFLECT,
-    bounce_budget: int | None = None,
 ) -> Trajectory:
     """Same flow as :func:`simulate`, positions built by unfolding.
 
@@ -484,9 +479,7 @@ def simulate_unfolded(
     flows through a genuinely different computation than the segment-chaining
     integrator.
     """
-    horizon, budget, eps_time, _ = _begin(
-        polytope, state, horizon, policy, bounce_budget
-    )
+    horizon, budget, eps_time, _ = _begin(polytope, state, horizon, policy)
     x0 = state.point.copy()
     d0 = state.direction.copy()
     q = np.eye(polytope.dim)

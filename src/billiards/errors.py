@@ -42,13 +42,10 @@ class NoProgressError(BilliardsError):
 class CornerAmbiguousError(BilliardsError):
     """A corner was hit under the strict policy, which refuses to choose."""
 
-    def __init__(self, point, active, message=None):
+    def __init__(self, point, active):
         self.point = point
         self.active = tuple(active)
-        super().__init__(
-            message
-            or f"corner hit at {point} with active facets {self.active}"
-        )
+        super().__init__(f"corner hit at {point} with active facets {self.active}")
 
 
 class BudgetExceededError(BilliardsError):
@@ -78,9 +75,7 @@ class OpenSurfaceError(InputError):
 class VertexHitError(BilliardsError):
     """A surface geodesic ran into a vertex with no defined continuation."""
 
-    def __init__(self, vertex_index, point, message=None):
+    def __init__(self, vertex_index, point):
         self.vertex_index = vertex_index
         self.point = point
-        super().__init__(
-            message or f"geodesic hit vertex {vertex_index} at {point}"
-        )
+        super().__init__(f"geodesic hit vertex {vertex_index} at {point}")

@@ -343,8 +343,9 @@ def _shared_facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 # squared edge lengths, at most 4 d c^2 in dimension d for coordinates of
 # magnitude at most c, stay finite for c = 1e153 below dimension 45
 _MAX_COORDINATE = 1e153
-# qhull's facet normals in 3D are cross products of edges, whose squared
-# lengths grow as the fourth power of the coordinates
+# qhull's facet normals in 3D and a surface mesh's Newell normals are cross
+# products of edges, whose squared lengths grow as the fourth power of the
+# coordinates
 _MAX_HULL_COORDINATE = 1e76
 
 

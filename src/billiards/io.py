@@ -28,7 +28,6 @@ import math
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import InputError
@@ -68,15 +67,19 @@ def _validator(filename: str):
     """One validator per shipped schema. ``jsonschema.validate`` would also
     check the schema against its metaschema on every call; the test suite
     does that once instead."""
+    import jsonschema
+
     schema = _schema(filename)
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def _validate(data, filename: str) -> None:
-    """Raise the error ``jsonschema.validate`` raises for ``data``, if any."""
-    error = jsonschema.exceptions.best_match(_validator(filename).iter_errors(data))
-    if error is not None:
-        raise error
+def _schema_error(data, filename: str):
+    """The error ``jsonschema.validate`` raises for ``data``, or None.
+    ``jsonschema`` is imported here, on first use, so that ``import
+    billiards`` does not pay for it."""
+    import jsonschema
+
+    return jsonschema.exceptions.best_match(_validator(filename).iter_errors(data))
 
 
 def table_schema() -> dict:
@@ -90,14 +93,17 @@ def report_schema() -> dict:
 
 
 def validate_table_data(data) -> None:
-    try:
-        _validate(data, "table.schema.json")
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"table file fails schema validation: {exc.message}") from exc
+    error = _schema_error(data, "table.schema.json")
+    if error is not None:
+        raise InputError(
+            f"table file fails schema validation: {error.message}"
+        ) from error
 
 
 def validate_report_data(data) -> None:
-    _validate(data, "report.schema.json")
+    error = _schema_error(data, "report.schema.json")
+    if error is not None:
+        raise error
 
 
 # -- building tables from parsed JSON ---------------------------------------

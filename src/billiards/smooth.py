@@ -557,6 +557,10 @@ def _worst_chord_deviation(table: SmoothTable, run: BounceRun) -> float:
     return max([0.0, *devs])
 
 
+# the launch angles a laws or convergence run uses unless given others
+LAUNCH_ANGLES = (0.04, 0.02, 0.01, 0.005, 0.0025)
+
+
 def _ladder(table: SmoothTable, alphas, theta0: float):
     """The launch angles from the largest down, as an array, and a generator
     of one full-loop run from ``theta0`` per angle, in that order."""
@@ -629,7 +633,7 @@ class LawsReport:
 
 def verify_base_angle_laws(
     table: SmoothTable,
-    alphas=(0.04, 0.02, 0.01, 0.005, 0.0025),
+    alphas=LAUNCH_ANGLES,
     theta0: float = 0.1,
 ) -> LawsReport:
     """Run full-loop bounce sequences across an angle ladder and measure the

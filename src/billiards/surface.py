@@ -37,6 +37,7 @@ from .errors import (
     OpenSurfaceError,
     VertexHitError,
 )
+from .geometry import _MAX_HULL_COORDINATE, _checked_points
 from .geometry import as_point, length_scale, normalized, unit, vector_norm
 
 __all__ = [
@@ -73,6 +74,7 @@ class SurfaceMesh:
         self.vertices: np.ndarray = np.array(vertices, dtype=float, ndmin=2)
         if self.vertices.shape[1] != 3:
             raise InputError("surface vertices must be 3D")
+        _checked_points(self.vertices, "surface", _MAX_HULL_COORDINATE)
         # read-only, so that what is derived from it below stays true of it
         self.vertices.setflags(write=False)
         self.faces: tuple[tuple[int, ...], ...] = tuple(
@@ -243,6 +245,7 @@ def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if verts.shape != (4, 3):
         raise InputError(shape_error)
+    _checked_points(verts, "surface", _MAX_HULL_COORDINATE)
     vol = float(np.linalg.det(verts[1:] - verts[0]))
     scale = length_scale(verts)
     if abs(vol) < 1e-12 * scale**3:

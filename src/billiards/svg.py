@@ -34,17 +34,17 @@ class Scene:
             self._xs.append(float(x))
             self._ys.append(float(y))
 
-    def polygon(self, pts, stroke="#1f3b73", width=2.0, fill="none") -> None:
+    def polygon(self, pts) -> None:
         pts = [(float(p[0]), float(p[1])) for p in pts]
         self._track(pts)
-        self._elements.append(("polygon", pts, stroke, width, fill))
+        self._elements.append(("polygon", pts, "#1f3b73", 2.0))
 
     def polyline(self, pts, stroke="#c0392b", width=1.5) -> None:
         pts = [(float(p[0]), float(p[1])) for p in pts]
         self._track(pts)
-        self._elements.append(("polyline", pts, stroke, width, None))
+        self._elements.append(("polyline", pts, stroke, width))
 
-    def segment(self, a, b, stroke="#7f8c8d", width=1.0) -> None:
+    def segment(self, a, b, stroke, width) -> None:
         self.polyline([a, b], stroke=stroke, width=width)
 
     def dot(self, p, radius_px=3.0, fill="#2c3e50") -> None:
@@ -77,13 +77,12 @@ class Scene:
         for element in self._elements:
             kind = element[0]
             if kind in ("polygon", "polyline"):
-                _, pts, stroke, width, fill = element
+                _, pts, stroke, width = element
                 coords = " ".join(
                     f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, pts)
                 )
-                fill_attr = fill if fill is not None else "none"
                 parts.append(
-                    f'  <{kind} points="{coords}" fill="{fill_attr}" '
+                    f'  <{kind} points="{coords}" fill="none" '
                     f'stroke="{stroke}" stroke-width="{_fmt(width)}" '
                     'stroke-linejoin="round" stroke-linecap="round"/>\n'
                 )

@@ -1,18 +1,14 @@
 """Alcove recognition, diagram classification, folding maps."""
 
 import math
-import os
-import subprocess
-import sys
+import re
 
 import numpy as np
 import pytest
 
 from billiards.alcove import (
-    AngleNearBinBoundary,
     check_alcove,
     classify,
-    coxeter_diagram,
     dihedral_angles,
     fold_point,
     folded_flow,
@@ -200,36 +196,13 @@ def test_generic_triangle_rejected_with_nearest_bins():
             assert abs(failure.angle - math.pi / m) >= failure.error - 1e-15
 
 
-def test_diagram_raises_with_worst_failure_when_not_alcove():
+def test_fold_point_raises_with_worst_failure_when_not_alcove():
     tri = Polytope.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
-    with pytest.raises(NotAnAlcoveError):
-        coxeter_diagram(tri)
-
-
-def test_near_bin_boundary_warning():
-    """Under ``BILLIARDS_EPS=1e-4`` the angle pi/64 + 5e-5 is accepted in
-    the pi/64 bin and lies within ten tolerances of pi/63, so the check
-    warns. The tolerance is set once per process, so it runs in a child."""
-    code = (
-        "import math, warnings\n"
-        "from billiards.alcove import check_alcove\n"
-        "from billiards.geometry import Polytope\n"
-        "angle = math.pi / 64.0 + 5e-5\n"
-        "tri = Polytope.convex_polygon(\n"
-        "    [[0.0, 0.0], [1.0, 0.0], [math.cos(angle), math.sin(angle)]])\n"
-        "with warnings.catch_warnings(record=True) as caught:\n"
-        "    warnings.simplefilter('always')\n"
-        "    check_alcove(tri)\n"
-        "print([type(w.message).__name__ for w in caught])\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "BILLIARDS_EPS": "1e-4"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"[{AngleNearBinBoundary.__name__!r}]\n"
+    worst = max(check_alcove(tri).failures, key=lambda f: f.error)
+    with pytest.raises(
+        NotAnAlcoveError, match=re.escape(f"between facets {worst.facets} ")
+    ):
+        fold_point(tri, (0.4, 0.2))
 
 
 def test_random_triangles_never_classify(rng):

@@ -1,6 +1,7 @@
 """One-sided limits of the wedge reflection map and the ray-traced oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -116,6 +117,36 @@ def test_wedge_shot_refuses_a_non_finite_offset_up_front(offset):
         with pytest.raises(InputError) as info:
             unfold_wedge(1.1, offset)
     assert str(info.value) == f"offset must be finite, got {offset}"
+
+
+def test_wedge_shot_refuses_an_opening_it_cannot_trace_quickly():
+    """A shot makes about pi/alpha bounces, so an opening with
+    ceil(pi/alpha) above 100 000 is refused before any tracing; the closed
+    form still answers for it."""
+    alpha = 1e-3
+    assert unfold_wedge(alpha, 1e-9).bounce_count == limit_reflection(alpha).m
+    for alpha in (math.pi / 100_000.5, 1e-7, 1e-300):
+        with pytest.raises(InputError, match=f"^wedge opening {alpha} is too small"):
+            unfold_wedge(alpha, 1e-9)
+        assert limit_reflection(alpha).m >= 100_000
+
+
+def test_an_opening_whose_pi_over_alpha_overflows_is_refused():
+    for run in (limit_reflection, lambda a: unfold_wedge(a, 1e-9)):
+        with pytest.raises(InputError, match="pi/alpha overflows"):
+            run(5e-324)
+
+
+def test_wedge_shot_refuses_an_offset_whose_trace_overflows():
+    """The count does not depend on the offset's size until the shot's
+    crossing times would overflow; such an offset is refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in (1e290, -1e290):
+            assert unfold_wedge(1.0, offset).bounce_count == 3
+        for offset in (1e308, -1e308, 4e307, 1e293):
+            with pytest.raises(InputError, match=re.escape(f"offset {offset} is too large")):
+                unfold_wedge(1.0, offset)
 
 
 def test_discontinuous_example_two_pi_fifths():

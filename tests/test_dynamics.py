@@ -378,15 +378,11 @@ def test_boundary_start_moving_outward_rejected():
         simulate(square, TrajectoryState((0.5, 0.0), (0.1, -1.0)), 1.0)
 
 
-def test_bounce_budget_enforced():
+def test_bounce_budget_enforced(monkeypatch):
+    monkeypatch.setattr(dynamics, "default_bounce_budget", lambda p, h: 3)
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(BounceBudgetExceededError):
-        simulate(
-            square,
-            TrajectoryState((0.25, 0.0), (0.0, 1.0)),
-            50.0,
-            bounce_budget=3,
-        )
+    with pytest.raises(BounceBudgetExceededError, match="budget 3 before"):
+        simulate(square, TrajectoryState((0.25, 0.0), (0.0, 1.0)), 50.0)
 
 
 def test_negative_horizon_rejected():
@@ -411,15 +407,11 @@ def test_unfolded_boundary_start_moving_outward_rejected():
         )
 
 
-def test_unfolded_bounce_budget_enforced():
+def test_unfolded_bounce_budget_enforced(monkeypatch):
+    monkeypatch.setattr(dynamics, "default_bounce_budget", lambda p, h: 3)
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(BounceBudgetExceededError):
-        simulate_unfolded(
-            square,
-            TrajectoryState((0.25, 0.0), (0.0, 1.0)),
-            50.0,
-            bounce_budget=3,
-        )
+    with pytest.raises(BounceBudgetExceededError, match="budget 3 before"):
+        simulate_unfolded(square, TrajectoryState((0.25, 0.0), (0.0, 1.0)), 50.0)
 
 
 def test_unfolded_negative_horizon_rejected():

@@ -301,6 +301,64 @@ def test_cli_corner_refuses_a_non_finite_offset(offset, capsys):
     assert captured.err == f"billiards: error: offset must be finite, got {offset}\n"
 
 
+def _refusal(capsys, *argv) -> str:
+    """The one error line of a CLI call that must exit 2, with every warning
+    raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _one_error_line(capsys, *argv)
+
+
+@pytest.mark.parametrize("alpha", ["1e-7", "1e-300"])
+def test_cli_corner_refuses_an_opening_too_small_to_trace(alpha, capsys):
+    line = _refusal(capsys, "corner", alpha)
+    assert line == (
+        f"billiards: error: wedge opening {float(alpha)} is too small to "
+        "trace: a shot makes more than 100000 bounces"
+    )
+
+
+def test_cli_corner_refuses_an_offset_whose_trace_overflows(capsys):
+    line = _refusal(capsys, "corner", "1", "--offset", "1e308")
+    assert line == (
+        "billiards: error: offset 1e+308 is too large: the shot's crossing "
+        "times overflow"
+    )
+    code, out = _run_cli(capsys, "corner", "1", "--offset", "1e290")
+    shots = json.loads(out)["result"]["shots"]
+    assert code == 0
+    assert shots["above"]["bounce_count"] == shots["below"]["bounce_count"] == 3
+
+
+def test_cli_corner_refuses_a_sweep_count_above_a_million(capsys):
+    line = _refusal(capsys, "corner", "--sweep", "0.1", "3", "1000000000000")
+    assert line == (
+        "billiards: error: sweep count 1000000000000 is above the limit of "
+        "1000000"
+    )
+
+
+@pytest.mark.parametrize("mode", ["--report", "--disphenoid"])
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        ([1.0, 0.0, math.nan], "vertex 1 has non-finite coordinates [ 1.  0. nan]"),
+        ([1e120, 0.0, 0.0], "vertex 1 has a coordinate of magnitude 1e+120; "
+         "surface coordinates must be at most 1e+76"),
+    ],
+)
+def test_cli_surface_refuses_a_vertex_it_cannot_measure(
+    mode, vertex, message, tmp_path, capsys
+):
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps({"surface": {
+        "vertices": [[0, 0, 0], vertex, [0, 1, 0], [0, 0, 1]],
+        "faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]],
+    }}))
+    line = _refusal(capsys, "surface", str(path), mode)
+    assert line.startswith(f"billiards: error: {message}")
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -724,6 +782,21 @@ def test_env_tolerance_override_applies_at_import():
         "{'eps': 1e-06, 'step': 1e-12, 'tangential': 1e-10, 'gap': 1e-07, "
         "'m_max': 64}\n"
     )
+
+
+def test_import_billiards_loads_no_jsonschema():
+    """``jsonschema`` is imported on the first validation, not by ``import
+    billiards``."""
+    code = (
+        "import sys, billiards\n"
+        "print('jsonschema' in sys.modules)\n"
+        "billiards.io.validate_report_data({})\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert "jsonschema.exceptions.ValidationError" in proc.stderr
 
 
 def test_cli_import_path_loads_no_scipy():

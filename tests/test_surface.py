@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,44 @@ def test_cone_angles_refuse_a_zero_length_edge():
             SurfaceMesh(verts, faces)
     verts[3, 2] = 1e-8
     assert len(cone_angles(SurfaceMesh(verts, faces))) == 6
+
+
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        ([1.0, 0.0, math.nan], "vertex 1 has non-finite coordinates"),
+        ([1e120, 0.0, 0.0], "vertex 1 has a coordinate of magnitude 1e+120"),
+        ([1e77, 0.0, 0.0], "vertex 1 has a coordinate of magnitude 1e+77"),
+    ],
+)
+def test_a_vertex_the_mesh_cannot_measure_is_refused(vertex, message):
+    """Past 1e76 the squared lengths of the Newell normals overflow, so every
+    mesh and tetrahedron entry point refuses a vertex there, or a
+    non-finite one, by its row and without a numpy warning."""
+    verts = np.array([[0.0, 0.0, 0.0], vertex, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    faces = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (
+            lambda: SurfaceMesh(verts, faces),
+            lambda: tetrahedron_mesh(verts),
+            lambda: is_disphenoid(verts),
+        ):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+                build()
+
+
+def test_surface_coordinates_stop_at_1e76():
+    """A polytope may reach 1e153, its surface only 1e76."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big_box = Polytope.box((0.0, 0.0, 0.0), (1e100, 1e100, 1e100))
+        with pytest.raises(InputError, match="must be at most 1e\\+76"):
+            SurfaceMesh.from_polytope(big_box)
+        scaled = 1e76 * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                  [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mesh = tetrahedron_mesh(scaled)
+        assert gauss_bonnet_total(mesh) == pytest.approx(4.0 * math.pi)
 
 
 def test_a_long_trace_revisits_every_face_and_leaves_the_mesh_alone():
