@@ -17,174 +17,122 @@ Quick start::
 
 The ``billiards`` command-line tool exposes the same operations on JSON
 table files; see :mod:`billiards.cli`.
+
+``import billiards`` loads only :mod:`~billiards.config` and
+:mod:`~billiards.errors` (neither needs numpy), so ``BILLIARDS_EPS`` is read
+and checked at import. Every other name, and every submodule named as an
+attribute (``billiards.io``), is imported on first access (PEP 562).
 """
 
-from .config import TOL, Tolerances
-from .errors import (
-    BilliardsError,
-    BounceBudgetExceededError,
-    BudgetExceededError,
-    CornerAmbiguousError,
-    DegenerateStartError,
-    DimensionMismatchError,
-    InputError,
-    NoProgressError,
-    NotAcuteError,
-    NotAnAlcoveError,
-    OpenSurfaceError,
-    OutsideTableError,
-    RedundantHalfspaceError,
-    UnboundedRegionError,
-    VertexHitError,
-    WordBudgetExceededError,
-)
-from .geometry import (
-    Containment,
-    Location,
-    Polytope,
-    cone_membership,
-    fold_direction_into_cone,
-    is_polar,
-    nearest_pi_over_m,
-    reflect,
-    unit,
-)
-from .dynamics import (
-    BounceEvent,
-    BounceKind,
-    CornerPolicy,
-    Trajectory,
-    TrajectoryState,
-    advance_to_boundary,
-    reflect_at,
-    simulate,
-    simulate_unfolded,
-)
-from .alcove import (
-    AlcoveVerdict,
-    CoxeterDiagram,
-    check_alcove,
-    classify,
-    dihedral_angles,
-    fold_point,
-    folded_flow,
-    standard_alcove,
-    standard_alcove_labels,
-)
-from .corner import WedgeLimit, WedgeShot, limit_reflection, unfold_wedge
-from .surface import (
-    OrbifoldVerdict,
-    SurfaceGeodesic,
-    SurfaceMesh,
-    TriangulationReport,
-    VertexReport,
-    cone_angles,
-    convex_hull_mesh,
-    disk_inequality,
-    gauss_bonnet_total,
-    is_disphenoid,
-    is_orbifold_boundary,
-    make_disphenoid,
-    tetrahedron_mesh,
-    trace_surface_geodesic,
-    triangulate_check,
-)
-from .smooth import (
-    Circle,
-    Ellipse,
-    PerturbedCircle,
-    SmoothTable,
-    base_angle_run,
-    boundary_convergence_experiment,
-    smooth_bounce,
-    verify_base_angle_laws,
-)
-from .io import load_table, save_table
+import importlib
+
+from . import config, errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOL",
-    "Tolerances",
-    # errors
-    "BilliardsError",
-    "BounceBudgetExceededError",
-    "BudgetExceededError",
-    "CornerAmbiguousError",
-    "DegenerateStartError",
-    "DimensionMismatchError",
-    "InputError",
-    "NoProgressError",
-    "NotAcuteError",
-    "NotAnAlcoveError",
-    "OpenSurfaceError",
-    "OutsideTableError",
-    "RedundantHalfspaceError",
-    "UnboundedRegionError",
-    "VertexHitError",
-    "WordBudgetExceededError",
-    # geometry
-    "Containment",
-    "Location",
-    "Polytope",
-    "cone_membership",
-    "fold_direction_into_cone",
-    "is_polar",
-    "nearest_pi_over_m",
-    "reflect",
-    "unit",
-    # dynamics
-    "BounceEvent",
-    "BounceKind",
-    "CornerPolicy",
-    "Trajectory",
-    "TrajectoryState",
-    "advance_to_boundary",
-    "reflect_at",
-    "simulate",
-    "simulate_unfolded",
-    # alcoves
-    "AlcoveVerdict",
-    "CoxeterDiagram",
-    "check_alcove",
-    "classify",
-    "dihedral_angles",
-    "fold_point",
-    "folded_flow",
-    "standard_alcove",
-    "standard_alcove_labels",
-    # corners
-    "WedgeLimit",
-    "WedgeShot",
-    "limit_reflection",
-    "unfold_wedge",
-    # surfaces
-    "OrbifoldVerdict",
-    "SurfaceGeodesic",
-    "SurfaceMesh",
-    "TriangulationReport",
-    "VertexReport",
-    "cone_angles",
-    "convex_hull_mesh",
-    "disk_inequality",
-    "gauss_bonnet_total",
-    "is_disphenoid",
-    "is_orbifold_boundary",
-    "make_disphenoid",
-    "tetrahedron_mesh",
-    "trace_surface_geodesic",
-    "triangulate_check",
-    # smooth tables
-    "Circle",
-    "Ellipse",
-    "PerturbedCircle",
-    "SmoothTable",
-    "base_angle_run",
-    "boundary_convergence_experiment",
-    "smooth_bounce",
-    "verify_base_angle_laws",
-    # files
-    "load_table",
-    "save_table",
-    "__version__",
-]
+# the names each submodule exports, in the order of ``__all__``
+_EXPORTS = {
+    "config": ("TOL", "Tolerances"),
+    "errors": (
+        "BilliardsError",
+        "BounceBudgetExceededError",
+        "BudgetExceededError",
+        "CornerAmbiguousError",
+        "DegenerateStartError",
+        "DimensionMismatchError",
+        "InputError",
+        "NoProgressError",
+        "NotAcuteError",
+        "NotAnAlcoveError",
+        "OpenSurfaceError",
+        "OutsideTableError",
+        "RedundantHalfspaceError",
+        "UnboundedRegionError",
+        "VertexHitError",
+        "WordBudgetExceededError",
+    ),
+    "geometry": (
+        "Containment",
+        "Location",
+        "Polytope",
+        "cone_membership",
+        "fold_direction_into_cone",
+        "is_polar",
+        "nearest_pi_over_m",
+        "reflect",
+        "unit",
+    ),
+    "dynamics": (
+        "BounceEvent",
+        "BounceKind",
+        "CornerPolicy",
+        "Trajectory",
+        "TrajectoryState",
+        "advance_to_boundary",
+        "reflect_at",
+        "simulate",
+        "simulate_unfolded",
+    ),
+    "alcove": (
+        "AlcoveVerdict",
+        "CoxeterDiagram",
+        "check_alcove",
+        "classify",
+        "dihedral_angles",
+        "fold_point",
+        "folded_flow",
+        "standard_alcove",
+        "standard_alcove_labels",
+    ),
+    "corner": ("WedgeLimit", "WedgeShot", "limit_reflection", "unfold_wedge"),
+    "surface": (
+        "OrbifoldVerdict",
+        "SurfaceGeodesic",
+        "SurfaceMesh",
+        "TriangulationReport",
+        "VertexReport",
+        "cone_angles",
+        "convex_hull_mesh",
+        "disk_inequality",
+        "gauss_bonnet_total",
+        "is_disphenoid",
+        "is_orbifold_boundary",
+        "make_disphenoid",
+        "tetrahedron_mesh",
+        "trace_surface_geodesic",
+        "triangulate_check",
+    ),
+    "smooth": (
+        "Circle",
+        "Ellipse",
+        "PerturbedCircle",
+        "SmoothTable",
+        "base_angle_run",
+        "boundary_convergence_experiment",
+        "smooth_bounce",
+        "verify_base_angle_laws",
+    ),
+    "io": ("load_table", "save_table"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "svg", "tables"})
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the submodule that owns ``name`` (or is ``name``) on first
+    access; an exported value is then kept in the package's globals, so
+    later lookups do not come back here."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -25,11 +25,11 @@ import math
 import re
 import weakref
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import TOL
-from .dynamics import CornerPolicy, Trajectory, TrajectoryState, simulate_unfolded
 from .errors import InputError, NotAnAlcoveError, WordBudgetExceededError
 from .geometry import (
     Polytope,
@@ -38,6 +38,9 @@ from .geometry import (
     facet_pairs,
     nearest_pi_over_m,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory, TrajectoryState
 
 __all__ = [
     "DihedralAngles",
@@ -478,4 +481,7 @@ def folded_flow(
     ``FOLD_GROUP``'s precondition, which ``simulate_unfolded`` checks once
     per table, as :func:`fold_point` does.
     """
+    # imported here, so that recognizing an alcove compiles no flow code
+    from .dynamics import CornerPolicy, simulate_unfolded
+
     return simulate_unfolded(polytope, state, horizon, CornerPolicy.FOLD_GROUP)

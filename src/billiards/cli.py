@@ -33,13 +33,12 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .alcove import check_alcove
 from .config import TOL
-from .corner import limit_reflection, unfold_wedge
-from .dynamics import CornerPolicy, TrajectoryState, simulate, simulate_unfolded
+from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
 from .errors import (
     BudgetExceededError,
     CornerAmbiguousError,
@@ -49,7 +48,6 @@ from .errors import (
     NotAnAlcoveError,
     VertexHitError,
 )
-from .geometry import Polytope
 from .io import (
     dumps_json,
     load_table,
@@ -58,22 +56,14 @@ from .io import (
     validate_report_data,
     write_csv,
 )
-from .smooth import (
-    LAUNCH_ANGLES,
-    SmoothTable,
-    boundary_convergence_experiment,
-    verify_base_angle_laws,
-)
-from .surface import (
-    SurfaceMesh,
-    cone_angles,
-    gauss_bonnet_total,
-    is_disphenoid,
-    is_orbifold_boundary,
-    trace_surface_geodesic,
-    triangulate_check,
-)
-from .svg import trajectory_svg, wedge_fan_svg
+
+if TYPE_CHECKING:
+    from .surface import SurfaceMesh
+
+# Each handler imports the modules it runs when it runs, so a cold process
+# compiles only what its subcommand needs (and svg only for --svg). corner
+# is small and stays imported here: perfbench's tracer looks it up in
+# sys.modules right after importing billiards.cli.
 
 __all__ = ["main", "build_parser"]
 
@@ -111,6 +101,9 @@ def _load(name: str, kind: type, what: str):
 
 
 def _load_mesh(name: str) -> SurfaceMesh:
+    from .geometry import Polytope
+    from .surface import SurfaceMesh
+
     table = load_table(name)
     if isinstance(table, SurfaceMesh):
         return table
@@ -137,6 +130,9 @@ def _envelope(command: str, table: str | None, parameters: dict, result: dict,
 # -- simulate ----------------------------------------------------------------
 
 def _cmd_simulate(args) -> dict:
+    from .dynamics import CornerPolicy, TrajectoryState, simulate, simulate_unfolded
+    from .geometry import Polytope
+
     table = _load(args.table, Polytope, "polytope table")
     start = _parse_vector(args.start)
     direction = _parse_vector(args.direction)
@@ -154,6 +150,8 @@ def _cmd_simulate(args) -> dict:
     if args.svg:
         if table.dim != 2:
             raise InputError("SVG output is only available for 2D tables")
+        from .svg import trajectory_svg
+
         Path(args.svg).write_text(trajectory_svg(table, trajectory))
         artifacts["svg"] = args.svg
 
@@ -198,6 +196,9 @@ def _cmd_simulate(args) -> dict:
 # -- check-alcove ------------------------------------------------------------
 
 def _cmd_check_alcove(args) -> dict:
+    from .alcove import check_alcove
+    from .geometry import Polytope
+
     table = _load(args.table, Polytope, "polytope table")
     verdict = check_alcove(table)
     diagram = None
@@ -243,6 +244,8 @@ def _corner_single(args) -> dict:
 
     artifacts = {}
     if args.svg:
+        from .svg import wedge_fan_svg
+
         Path(args.svg).write_text(wedge_fan_svg(limit, shot_above))
         artifacts["svg"] = args.svg
 
@@ -286,24 +289,29 @@ def _corner_sweep(args) -> dict:
         )
     if n > _MAX_SWEEP:
         raise InputError(f"sweep count {n} is above the limit of {_MAX_SWEEP}")
-    alphas = np.linspace(lo, hi, n)
-    limits = [limit_reflection(float(a)) for a in alphas]
+    # the closed form's scalars, without a WedgeLimit (and its two direction
+    # arrays) per opening
+    gaps = []
+    rows = []
+    for a in np.linspace(lo, hi, n).tolist():
+        alpha = _checked_opening(a)
+        m, beta, gap, _, _ = _closed_form(alpha)
+        gaps.append(gap)
+        if args.csv:
+            rows.append([alpha, m, beta, gap, gap <= TOL.gap])
 
     artifacts = {}
     if args.csv:
-        rows = [
-            [l.alpha, l.m, l.beta, l.gap, l.continuous]
-            for l in limits
-        ]
         write_csv(args.csv, ["alpha", "m", "beta", "gap", "continuous"], rows)
         artifacts["csv"] = args.csv
 
-    gaps = np.array([l.gap for l in limits])
+    n_continuous = sum(1 for gap in gaps if gap <= TOL.gap)
+    gaps = np.array(gaps)
     result = {
         "lo": lo,
         "hi": hi,
         "n": n,
-        "n_continuous": int(sum(1 for l in limits if l.continuous)),
+        "n_continuous": n_continuous,
         "min_gap": float(gaps.min()),
         "max_gap": float(gaps.max()),
         "mean_gap": float(gaps.mean()),
@@ -323,6 +331,13 @@ def _cmd_corner(args) -> dict:
 # -- surface -----------------------------------------------------------------
 
 def _surface_report(mesh: SurfaceMesh) -> dict:
+    from .surface import (
+        cone_angles,
+        gauss_bonnet_total,
+        is_orbifold_boundary,
+        triangulate_check,
+    )
+
     reports = cone_angles(mesh)
     total = gauss_bonnet_total(mesh)
     orbifold = is_orbifold_boundary(mesh)
@@ -362,6 +377,8 @@ def _surface_report(mesh: SurfaceMesh) -> dict:
 
 
 def _surface_geodesic(mesh: SurfaceMesh, args) -> tuple[dict, dict]:
+    from .surface import trace_surface_geodesic
+
     face = int(_parse_float(args.geodesic[0], "face index"))
     point = _parse_vector(args.geodesic[1])
     direction = _parse_vector(args.geodesic[2])
@@ -400,6 +417,8 @@ def _surface_geodesic(mesh: SurfaceMesh, args) -> tuple[dict, dict]:
 
 
 def _surface_disphenoid(mesh: SurfaceMesh) -> dict:
+    from .surface import cone_angles, is_disphenoid
+
     if len(mesh.vertices) != 4:
         raise InputError(
             "the disphenoid check needs a tetrahedron mesh (4 vertices), "
@@ -447,6 +466,8 @@ def _cmd_surface(args) -> dict:
 
 def _parse_alphas(text: str | None) -> tuple[float, ...]:
     if text is None:
+        from .smooth import LAUNCH_ANGLES
+
         return LAUNCH_ANGLES
     alphas = _parse_vector(text)
     if any(a <= 0 or a >= 0.5 * math.pi for a in alphas):
@@ -455,6 +476,12 @@ def _parse_alphas(text: str | None) -> tuple[float, ...]:
 
 
 def _cmd_smooth(args) -> dict:
+    from .smooth import (
+        SmoothTable,
+        boundary_convergence_experiment,
+        verify_base_angle_laws,
+    )
+
     table = _load(args.table, SmoothTable, "smooth 2D table")
     alphas = _parse_alphas(args.alphas)
     if args.laws:

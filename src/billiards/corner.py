@@ -63,15 +63,22 @@ class WedgeLimit:
     bounce_count: int
 
 
-def limit_reflection(alpha: float) -> WedgeLimit:
-    """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi);
-    the limit is continuous when its gap is at most ``TOL.gap``."""
-    alpha = _checked_opening(alpha)
+def _closed_form(alpha: float) -> tuple[int, float, float, float, float]:
+    """``m``, ``beta``, ``gap`` and the outgoing angles above and below at a
+    checked opening ``alpha``, on Python floats: the one formula of the
+    limit, which ``limit_reflection`` wraps and a sweep reads directly."""
     m = math.ceil(math.pi / alpha - 0.5 - 1e-12)
     beta = max((m + 0.5) * alpha - math.pi, 0.0)
     gap = abs(alpha - 2.0 * beta)
     above = alpha - beta if m % 2 == 0 else beta
-    below = alpha - above
+    return m, beta, gap, above, alpha - above
+
+
+def limit_reflection(alpha: float) -> WedgeLimit:
+    """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi);
+    the limit is continuous when its gap is at most ``TOL.gap``."""
+    alpha = _checked_opening(alpha)
+    m, beta, gap, above, below = _closed_form(alpha)
     return WedgeLimit(
         alpha=alpha,
         m=m,

@@ -268,7 +268,7 @@ def reflect_at(
     if not active:
         raise InputError("reflect_at needs a nonempty active set")
     if policy is CornerPolicy.FOLD_GROUP:
-        from .alcove import _require_alcove  # alcove imports this module
+        from .alcove import _require_alcove  # only FOLD_GROUP runs need alcove
         _require_alcove(polytope)
     d = unit(as_point(incoming, polytope.dim))
     return BounceResolution(*_resolve(polytope, point, d, active, policy))
@@ -402,7 +402,7 @@ def _begin(
     if state.dim != polytope.dim:
         raise InputError("state and table dimensions differ")
     if policy is CornerPolicy.FOLD_GROUP:
-        from .alcove import _require_alcove  # alcove imports this module
+        from .alcove import _require_alcove  # only FOLD_GROUP runs need alcove
         _require_alcove(polytope)
     loc = polytope.contains(state.point)
     if loc.location is Location.OUTSIDE:

@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,19 +341,29 @@ def _shared_facet_pairs(n_facets: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return first, second, spread
 
 
+class _CoordinateLimit(NamedTuple):
+    """The largest coordinate magnitude a point array may have, and what
+    would overflow above it."""
+
+    bound: float
+    overflows: str
+
+
 # squared edge lengths, at most 4 d c^2 in dimension d for coordinates of
 # magnitude at most c, stay finite for c = 1e153 below dimension 45
-_MAX_COORDINATE = 1e153
+_MAX_COORDINATE = _CoordinateLimit(1e153, "squared edge lengths")
 # qhull's facet normals in 3D and a surface mesh's Newell normals are cross
 # products of edges, whose squared lengths grow as the fourth power of the
 # coordinates
-_MAX_HULL_COORDINATE = 1e76
+_MAX_HULL_COORDINATE = _CoordinateLimit(1e76, "squared lengths of face normals")
 
 
-def _checked_points(pts, kind: str, limit: float = _MAX_COORDINATE) -> None:
+def _checked_points(
+    pts, kind: str, limit: _CoordinateLimit = _MAX_COORDINATE
+) -> None:
     """Refuse a point array with a non-finite coordinate or one of magnitude
-    above ``limit``, naming its row; ``kind`` names the points."""
-    if float(np.abs(pts).max(initial=0.0)) <= limit:
+    above ``limit.bound``, naming its row; ``kind`` names the points."""
+    if float(np.abs(pts).max(initial=0.0)) <= limit.bound:
         return
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
@@ -362,8 +373,8 @@ def _checked_points(pts, kind: str, limit: float = _MAX_COORDINATE) -> None:
     k = int(sizes.argmax())
     raise InputError(
         f"vertex {k} has a coordinate of magnitude {float(sizes[k])}; "
-        f"{kind} coordinates must be at most {limit}, "
-        "or squared edge lengths overflow"
+        f"{kind} coordinates must be at most {limit.bound}, "
+        f"or {limit.overflows} overflow"
     )
 
 
@@ -493,12 +504,12 @@ class Polytope:
         # (unit normals), so a coordinate of its vertices reaches
         # |offset| / sqrt(dim): refuse what the constructor would refuse,
         # before the enumeration squares such coordinates
-        far = np.abs(offsets) > _MAX_COORDINATE * math.sqrt(dim)
+        far = np.abs(offsets) > _MAX_COORDINATE.bound * math.sqrt(dim)
         if far.any():
             k = int(far.argmax())
             raise InputError(
                 f"halfspace {k} has offset {float(offsets[k])}; its facet has "
-                f"no point with coordinates at most {_MAX_COORDINATE}"
+                f"no point with coordinates at most {_MAX_COORDINATE.bound}"
             )
         max_subsets = 200_000
         if math.comb(n_facets, dim) > max_subsets:
@@ -629,7 +640,7 @@ class Polytope:
                 f"halfspaces have dim {self.dim}"
             )
         scale = length_scale(self.vertices)
-        if not scale <= _MAX_COORDINATE:
+        if not scale <= _MAX_COORDINATE.bound:
             _checked_points(self.vertices, "polytope")
         return scale
 

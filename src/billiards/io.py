@@ -27,13 +27,16 @@ import json
 import math
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import Polytope, _unit_rows
-from .smooth import Circle, Ellipse, PerturbedCircle, SmoothTable
-from .surface import SurfaceMesh
+
+if TYPE_CHECKING:
+    from .geometry import Polytope
+    from .smooth import SmoothTable
+    from .surface import SurfaceMesh
 
 __all__ = [
     "table_schema",
@@ -108,13 +111,15 @@ def validate_report_data(data) -> None:
 
 # -- building tables from parsed JSON ---------------------------------------
 
-# The ``smooth2d`` kinds. A smooth table's attributes are its constructor's
-# parameters, so ``vars`` of a table is its payload.
-_SMOOTH_KINDS: dict[str, type[SmoothTable]] = {
-    "circle": Circle,
-    "ellipse": Ellipse,
-    "perturbed": PerturbedCircle,
-}
+# Each kind of table imports its module in the branch that builds or
+# serializes it, so that loading a smooth table compiles no polytope code.
+
+def _smooth_kinds() -> dict[str, type[SmoothTable]]:
+    """The ``smooth2d`` kinds. A smooth table's attributes are its
+    constructor's parameters, so ``vars`` of a table is its payload."""
+    from .smooth import Circle, Ellipse, PerturbedCircle
+
+    return {"circle": Circle, "ellipse": Ellipse, "perturbed": PerturbedCircle}
 
 
 def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
@@ -134,6 +139,8 @@ def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
 
 def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
     if "halfspaces" in data:
+        from .geometry import Polytope, _unit_rows
+
         dim = int(data["dim"])
         rows = [[*entry["normal"], entry["offset"]] for entry in data["halfspaces"]]
         for k, row in enumerate(rows):
@@ -150,16 +157,20 @@ def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
             return Polytope(rows, vertices, data.get("facet_vertices"))
         return Polytope.from_halfspaces(rows)
     if "surface" in data:
+        from .surface import SurfaceMesh
+
         body = data["surface"]
         vertices = np.asarray(body["vertices"], dtype=float)
         faces = [tuple(int(i) for i in face) for face in body["faces"]]
         return SurfaceMesh(vertices, faces)
     params = dict(data["smooth2d"])
-    return _SMOOTH_KINDS[params.pop("kind")](**params)
+    return _smooth_kinds()[params.pop("kind")](**params)
 
 
 def table_to_data(table) -> dict:
     """Serialize a table object to its JSON-ready dictionary."""
+    from .geometry import Polytope
+
     if isinstance(table, Polytope):
         return {
             "dim": table.dim,
@@ -172,6 +183,8 @@ def table_to_data(table) -> dict:
             "vertices": table.vertices.tolist(),
             "facet_vertices": [list(f) for f in table.facet_vertices],
         }
+    from .surface import SurfaceMesh
+
     if isinstance(table, SurfaceMesh):
         return {
             "surface": {
@@ -179,7 +192,7 @@ def table_to_data(table) -> dict:
                 "faces": [list(f) for f in table.faces],
             }
         }
-    for kind, cls in _SMOOTH_KINDS.items():
+    for kind, cls in _smooth_kinds().items():
         if isinstance(table, cls):
             return {"smooth2d": {"kind": kind, **vars(table)}}
     raise InputError(f"cannot serialize object of type {type(table).__name__}")

@@ -521,7 +521,8 @@ def test_construction_errors_are_pinned(build, error, message):
                  [-1e200, -1e200, -1e200]]
             ),
             "vertex 0 has a coordinate of magnitude 1e+200; point cloud "
-            "coordinates must be at most 1e+76, or squared edge lengths overflow",
+            "coordinates must be at most 1e+76, or squared lengths of face "
+            "normals overflow",
             id="cloud-overflow",
         ),
         pytest.param(
@@ -530,7 +531,8 @@ def test_construction_errors_are_pinned(build, error, message):
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1e100]]
             ),
             "vertex 3 has a coordinate of magnitude 1e+100; point cloud "
-            "coordinates must be at most 1e+76, or squared edge lengths overflow",
+            "coordinates must be at most 1e+76, or squared lengths of face "
+            "normals overflow",
             id="cloud-overflow-qhull",
         ),
         pytest.param(

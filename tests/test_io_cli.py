@@ -532,12 +532,13 @@ def test_loader_reports_the_first_faulty_entry(first, second, vertices):
 
 
 def test_cli_budget_exit_4(monkeypatch, capsys):
-    import billiards.cli as cli_module
+    import billiards.dynamics
 
     def explode(*args, **kwargs):
         raise BounceBudgetExceededError("budget gone")
 
-    monkeypatch.setattr(cli_module, "simulate", explode)
+    # the simulate handler reads the function from its module at call time
+    monkeypatch.setattr(billiards.dynamics, "simulate", explode)
     code, _ = _run_cli(capsys, "simulate", "square", "0.5,0.5", "1,0", "1")
     assert code == 4
 
@@ -812,3 +813,67 @@ def test_cli_import_path_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["is_alcove"]
     assert proc.stderr.strip() == "0 []"
+
+
+def test_import_billiards_loads_only_config_and_errors():
+    """``import billiards`` reads ``BILLIARDS_EPS`` and loads no numpy; every
+    other submodule and exported name is imported on first access."""
+    code = (
+        "import sys, billiards\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('billiards', 'numpy')))\n"
+        "print(billiards.io.__name__, billiards.simulate.__module__,\n"
+        "      hasattr(billiards, 'no_such_name'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['billiards', 'billiards.config', 'billiards.errors']",
+        "billiards.io billiards.dynamics False",
+    ]
+
+
+_CORNER_UNUSED = {
+    "geometry", "dynamics", "alcove", "surface", "smooth", "svg", "tables"
+}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        pytest.param(["simulate", "square", "0.3,0.4", "0.6,0.8", "4"],
+                     {"alcove", "surface", "smooth", "svg", "tables"},
+                     id="simulate"),
+        pytest.param(["check-alcove", "simplex_A3"],
+                     {"dynamics", "surface", "smooth", "svg", "tables"},
+                     id="check-alcove"),
+        pytest.param(["corner", "1.0"], _CORNER_UNUSED, id="corner"),
+        pytest.param(["corner", "--sweep", "0.3", "2.6", "200"], _CORNER_UNUSED,
+                     id="corner-sweep"),
+        pytest.param(["surface", "cube", "--report"],
+                     {"dynamics", "alcove", "smooth", "svg", "tables"},
+                     id="surface-report"),
+        pytest.param(["smooth", "circle", "--laws", "--alphas", "0.08,0.04"],
+                     {"geometry", "dynamics", "alcove", "surface", "svg", "tables"},
+                     id="smooth-laws"),
+    ],
+)
+def test_cold_cli_loads_only_what_its_subcommand_runs(argv, unused):
+    """A fresh ``python -m billiards.cli`` process, one per command shape of
+    the benchmark's ``cli`` workload, imports no module the command does not
+    run; ``-X importtime`` names every module the process imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "billiards.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert not {f"billiards.{name}" for name in unused} & loaded
+    assert "billiards.corner" in loaded
