@@ -289,21 +289,28 @@ def _corner_sweep(args) -> dict:
         )
     if n > _MAX_SWEEP:
         raise InputError(f"sweep count {n} is above the limit of {_MAX_SWEEP}")
-    # the closed form's scalars, without a WedgeLimit (and its two direction
-    # arrays) per opening
+    # pi/alpha is largest at lo, where linspace starts, so a sweep that would
+    # be refused is refused here, before its CSV file is opened
+    _checked_opening(lo)
     gaps = []
-    rows = []
-    for a in np.linspace(lo, hi, n).tolist():
-        alpha = _checked_opening(a)
-        m, beta, gap, _, _ = _closed_form(alpha)
-        gaps.append(gap)
-        if args.csv:
-            rows.append([alpha, m, beta, gap, gap <= TOL.gap])
 
+    def rows(alphas):
+        # the closed form's scalars, without a WedgeLimit (and its two
+        # direction arrays) per opening, each row written as it is evaluated
+        for a in alphas:
+            alpha = _checked_opening(a)
+            m, beta, gap, _, _ = _closed_form(alpha)
+            gaps.append(gap)
+            yield alpha, m, beta, gap, gap <= TOL.gap
+
+    sweep = rows(np.linspace(lo, hi, n).tolist())
     artifacts = {}
     if args.csv:
-        write_csv(args.csv, ["alpha", "m", "beta", "gap", "continuous"], rows)
+        write_csv(args.csv, ["alpha", "m", "beta", "gap", "continuous"], sweep)
         artifacts["csv"] = args.csv
+    else:
+        for _ in sweep:
+            pass
 
     n_continuous = sum(1 for gap in gaps if gap <= TOL.gap)
     gaps = np.array(gaps)

@@ -78,11 +78,13 @@ class SurfaceMesh:
         # read-only, so that what is derived from it below stays true of it
         self.vertices.setflags(write=False)
         self.faces: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(i) for i in f) for f in faces
+            tuple(map(int, f)) for f in faces
         )
         self._build_edges()
-        self._validate()
-        self._normals = tuple(self._face_normal(k) for k in range(len(self.faces)))
+        groups = _size_groups(self.faces)
+        self._validate(groups)
+        # rows of one read-only array, so each normal is read-only too
+        self._normals = tuple(_newell_normals(self.vertices, groups, len(self.faces)))
 
     # -- construction ------------------------------------------------------
 
@@ -116,18 +118,25 @@ class SurfaceMesh:
 
     @classmethod
     def from_polytope(cls, polytope) -> "SurfaceMesh":
-        """Boundary surface of a 3D polytope, facet polygons ordered CCW."""
+        """Boundary surface of a 3D polytope, facet polygons ordered CCW by
+        their angle about the centroid from the first vertex: the facets of
+        one size in one array pass, with the arithmetic of a lone facet."""
         if polytope.dim != 3:
             raise InputError("surface extraction needs a 3D polytope")
-        faces = []
-        for i, tight in enumerate(polytope.facet_vertices):
-            n = polytope.normals[i]
-            pts = polytope.vertices[list(tight)]
-            center = pts.mean(axis=0)
-            u = unit(pts[0] - center)
-            v = _cross(n, u)
-            ang = np.arctan2((pts - center) @ v, (pts - center) @ u)
-            faces.append(tuple(np.array(tight)[np.argsort(ang)].tolist()))
+        faces: list = [None] * len(polytope.facet_vertices)
+        for ks, idx in _size_groups(polytope.facet_vertices):
+            pts = polytope.vertices[idx]
+            center = pts.mean(axis=1)
+            u = pts[:, 0] - center
+            u /= np.sqrt(np.vecdot(u, u))[:, None]
+            v = _cross_rows(polytope.normals[ks], u)
+            rel = pts - center[:, None]
+            # stacks of (k, 3) @ (3, 1) products, each the gemv of one facet
+            x, y = (rel @ u[:, :, None])[..., 0], (rel @ v[:, :, None])[..., 0]
+            ang = np.arctan2(y, x)
+            order = np.take_along_axis(idx, np.argsort(ang, axis=1), axis=1)
+            for k, face in zip(ks, order.tolist()):
+                faces[k] = tuple(face)
         return cls(polytope.vertices, faces)
 
     # -- combinatorial structure -------------------------------------------
@@ -137,20 +146,19 @@ class SurfaceMesh:
         for k, face in enumerate(self.faces):
             if len(face) < 3 or len(set(face)) != len(face):
                 raise InputError(f"face {k} is degenerate: {face}")
-            for i in range(len(face)):
-                a, b = face[i], face[(i + 1) % len(face)]
-                if (a, b) in directed:
+            # a face's own directed edges are distinct, as its vertices are
+            for ab in zip(face, face[1:] + face[:1]):
+                if directed.setdefault(ab, k) != k:
                     raise OpenSurfaceError(
-                        f"directed edge {(a, b)} appears in two faces; "
+                        f"directed edge {ab} appears in two faces; "
                         "orientation is inconsistent"
                     )
-                directed[(a, b)] = k
         edges: dict[tuple[int, int], list[int]] = {}
         for (a, b), k in directed.items():
-            edges.setdefault((min(a, b), max(a, b)), []).append(k)
+            edges.setdefault((a, b) if a < b else (b, a), []).append(k)
         self.edges = edges
 
-    def _validate(self) -> None:
+    def _validate(self, groups: list[tuple[list[int], np.ndarray]]) -> None:
         used = {i for f in self.faces for i in f}
         if used != set(range(len(self.vertices))):
             raise InputError("faces must reference every vertex exactly")
@@ -168,21 +176,33 @@ class SurfaceMesh:
             )
         # the length scale of every absolute tolerance on this mesh
         self._scale = length_scale(self.vertices)
-        points = self.vertices.tolist()
-        for a, b in self.edges:
-            length = math.dist(points[a], points[b])
-            if length < TOL.eps * self._scale:
+        limit = TOL.eps * self._scale
+        edges = list(self.edges)
+        ends = self.vertices[np.array(edges)]
+        diff = ends[:, 1] - ends[:, 0]
+        # one array pass picks out the edges that may be short, and math.dist
+        # decides each in edge order (the factor 2 covers the rounding and
+        # underflow of the squared lengths)
+        short = np.flatnonzero(np.sqrt(np.vecdot(diff, diff)) < 2.0 * limit)
+        for a, b in (edges[i] for i in short.tolist()):
+            pa, pb = self.vertices[a].tolist(), self.vertices[b].tolist()
+            length = math.dist(pa, pb)
+            if length < limit:
                 raise InputError(
                     f"edge {(a, b)} has length {length:.3e}: vertex {a} at "
-                    f"{points[a]} and vertex {b} at {points[b]} (nearly) coincide"
+                    f"{pa} and vertex {b} at {pb} (nearly) coincide"
                 )
-        for k, face in enumerate(self.faces):
-            pts = self.vertices[list(face)]
-            if len(face) > 3:
-                centered = pts - pts.mean(axis=0)
-                sv = np.linalg.svd(centered, compute_uv=False)
-                if sv[2] > TOL.eps * self._scale:
-                    raise InputError(f"face {k} is not planar (thickness {sv[2]:.3e})")
+        # one batched SVD per face size; the lowest non-planar face is named
+        bent = []
+        for ks, idx in groups:
+            if idx.shape[1] > 3:
+                pts = self.vertices[idx]
+                centered = pts - pts.mean(axis=1, keepdims=True)
+                sv = np.linalg.svd(centered, compute_uv=False)[:, 2]
+                bent += [(ks[i], sv[i]) for i in np.flatnonzero(sv > limit).tolist()]
+        if bent:
+            k, thickness = min(bent)
+            raise InputError(f"face {k} is not planar (thickness {thickness:.3e})")
         if self._signed_volume() <= 0.0:
             raise InputError("faces are oriented inward; flip the winding")
 
@@ -198,18 +218,6 @@ class SurfaceMesh:
         for det in np.linalg.det(self.vertices[fan]).tolist():
             total += det
         return total / 6.0
-
-    def _face_normal(self, k: int) -> np.ndarray:
-        face = self.faces[k]
-        pts = self.vertices[list(face)]
-        # Newell's formula; robust for any planar polygon
-        n = np.zeros(3)
-        for i in range(len(face)):
-            p, q = pts[i], pts[(i + 1) % len(face)]
-            n += _cross(p, q)
-        n = unit(n)
-        n.setflags(write=False)
-        return n
 
     def face_normal(self, k: int) -> np.ndarray:
         return self._normals[k]
@@ -238,6 +246,48 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1])
 
 
+# u x v in the component order of np.cross: u[i+1] v[i+2] - u[i+2] v[i+1]
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`_cross` along the last axis of two stacks of 3-vectors, bit for
+    bit, in one array pass per product."""
+    return u[..., _NEXT] * v[..., _AFTER] - u[..., _AFTER] * v[..., _NEXT]
+
+
+def _size_groups(faces) -> list[tuple[list[int], np.ndarray]]:
+    """The faces grouped by their number of vertices: each group's face
+    numbers in face order, with its ``(n, k)`` array of vertex indices."""
+    groups: dict[int, list[int]] = {}
+    for k, face in enumerate(faces):
+        groups.setdefault(len(face), []).append(k)
+    return [(ks, np.array([faces[k] for k in ks])) for ks in groups.values()]
+
+
+def _newell_normals(
+    vertices: np.ndarray, groups: list[tuple[list[int], np.ndarray]], n_faces: int
+) -> np.ndarray:
+    """Read-only unit face normals by Newell's formula, robust for any planar
+    polygon: the cross products in one array pass per face size, then each
+    face's terms added in face order from zero, as a per-face loop adds them,
+    since another order moves the last bit of a sum."""
+    normals = np.empty((n_faces, 3))
+    for ks, idx in groups:
+        pts = vertices[idx]
+        terms = _cross_rows(pts, np.concatenate((pts[:, 1:], pts[:, :1]), axis=1))
+        total = np.zeros((len(ks), 3))
+        for i in range(idx.shape[1]):
+            total += terms[:, i]
+        normals[ks] = total
+    length = np.sqrt(np.vecdot(normals, normals))
+    if (length < 1e-300).any():
+        raise InputError("cannot normalize the zero vector")
+    normals /= length[:, None]
+    normals.setflags(write=False)
+    return normals
+
+
 def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
     """Four 3D vertices spanning a nondegenerate tetrahedron, and the
     :func:`~billiards.geometry.length_scale` its tolerances are taken
@@ -253,17 +303,29 @@ def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
     return verts, scale
 
 
+# the faces of a tetrahedron, face ``s`` leaving out vertex ``s``
+_TETRAHEDRON_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _oriented(faces: np.ndarray, verts: np.ndarray, outward: np.ndarray) -> list:
+    """The triangles ``(a, b, c)`` of an ``(n, 3)`` index array, each turned to
+    ``(a, c, b)`` where its normal ``(b - a) x (c - a)`` points against its
+    row of ``outward``, in one cross-then-dot pass."""
+    a, b, c = faces.T
+    n = _cross_rows(verts[b] - verts[a], verts[c] - verts[a])
+    flip = np.vecdot(n, outward) < 0
+    return [
+        (i, k, j) if turn else (i, j, k)
+        for (i, j, k), turn in zip(faces.tolist(), flip.tolist())
+    ]
+
+
 def tetrahedron_mesh(vertices) -> SurfaceMesh:
     """Outward-oriented boundary of a nondegenerate tetrahedron."""
     verts, _ = _tetrahedron(vertices, "a tetrahedron needs exactly four 3D vertices")
-    faces = []
-    for skip in range(4):
-        i, j, k = [t for t in range(4) if t != skip]
-        n = _cross(verts[j] - verts[i], verts[k] - verts[i])
-        if float(np.dot(n, verts[skip] - verts[i])) > 0:
-            j, k = k, j
-        faces.append((i, j, k))
-    return SurfaceMesh(verts, faces)
+    # from the vertex each face leaves out to the face
+    outward = verts[_TETRAHEDRON_FACES[:, 0]] - verts
+    return SurfaceMesh(verts, _oriented(_TETRAHEDRON_FACES, verts, outward))
 
 
 def convex_hull_mesh(points) -> SurfaceMesh:
@@ -272,15 +334,10 @@ def convex_hull_mesh(points) -> SurfaceMesh:
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     hull = ConvexHull(pts)
-    index = {int(v): i for i, v in enumerate(hull.vertices)}
+    index = np.empty(len(pts), dtype=int)
+    index[hull.vertices] = np.arange(len(hull.vertices))
     verts = pts[hull.vertices]
-    faces = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        a, b, c = (index[int(s)] for s in simplex)
-        n = _cross(verts[b] - verts[a], verts[c] - verts[a])
-        if float(np.dot(n, eq[:3])) < 0:
-            b, c = c, b
-        faces.append((a, b, c))
+    faces = _oriented(index[hull.simplices], verts, hull.equations[:, :3])
     return SurfaceMesh(verts, faces)
 
 

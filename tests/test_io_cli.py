@@ -619,6 +619,19 @@ def test_cli_corner_single_and_sweep(tmp_path, capsys):
     assert len(rows) == 51
 
 
+def test_cli_refused_sweep_writes_no_csv(tmp_path, capsys):
+    """The rows are written as they are evaluated, but an opening whose
+    pi/alpha overflows is refused before the CSV file is opened."""
+    csv_path = tmp_path / "gaps.csv"
+    line = _refusal(
+        capsys, "corner", "--sweep", "1e-310", "1.0", "10", "--csv", str(csv_path)
+    )
+    assert line == (
+        "billiards: error: wedge opening 1e-310 is too small: pi/alpha overflows"
+    )
+    assert not csv_path.exists()
+
+
 def test_cli_corner_svg(tmp_path, capsys):
     svg_path = tmp_path / "fan.svg"
     code, _ = _run_cli(

@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
+from billiards.config import TOL
 from billiards.errors import (
     InputError,
     NotAcuteError,
@@ -416,6 +418,115 @@ def test_batched_cone_angles_match_the_per_corner_sums_bit_for_bit(rng):
         assert got.tobytes() == _per_corner_cone_angle_sums(mesh).tobytes()
         reports = cone_angles(mesh)
         assert np.array([r.cone_angle for r in reports]).tobytes() == got.tobytes()
+
+
+def _per_face_newell_normals(mesh):
+    """The former per-face normal loop, the oracle of the batched one:
+    Newell's formula, one ``_cross`` per edge added in face order from
+    zero, then ``unit``."""
+    normals = []
+    for face in mesh.faces:
+        pts = mesh.vertices[list(face)]
+        n = np.zeros(3)
+        for i in range(len(face)):
+            n += _cross(pts[i], pts[(i + 1) % len(face)])
+        normals.append(unit(n))
+    return np.array(normals)
+
+
+def _per_facet_faces(polytope):
+    """The former per-facet ordering of ``from_polytope``: each facet's
+    vertices sorted by ``arctan2`` about its centroid, from its first
+    vertex."""
+    faces = []
+    for i, tight in enumerate(polytope.facet_vertices):
+        pts = polytope.vertices[list(tight)]
+        center = pts.mean(axis=0)
+        u = unit(pts[0] - center)
+        v = _cross(polytope.normals[i], u)
+        ang = np.arctan2((pts - center) @ v, (pts - center) @ u)
+        faces.append(tuple(np.array(tight)[np.argsort(ang)].tolist()))
+    return tuple(faces)
+
+
+def _per_triangle_faces(verts, triangles, outward):
+    """The former per-triangle orientation of ``tetrahedron_mesh`` and
+    ``convex_hull_mesh``: ``(a, b, c)`` turned to ``(a, c, b)`` where its
+    normal points against ``outward``."""
+    faces = []
+    for (a, b, c), out in zip(triangles, outward):
+        n = _cross(verts[b] - verts[a], verts[c] - verts[a])
+        if float(np.dot(n, out)) < 0:
+            b, c = c, b
+        faces.append((a, b, c))
+    return tuple(faces)
+
+
+def test_batched_mesh_build_matches_the_per_face_loops_bit_for_bit(rng):
+    """Faces and normal bytes of meshes built in array passes equal those of
+    the per-face loops: boxes (quadrilaterals with a vertex at angle +-pi
+    from the first), cut boxes (pentagons), sphere hulls, ``convex_hull_mesh``
+    from 1e-3 to 1e3 and random tetrahedra."""
+    polytopes = [Polytope.box([-1.0, -2.0, 0.5], [0.3, 1.0, 4.0]),
+                 Polytope.box(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3))]
+    meshes = [SurfaceMesh.cube(1.0), SurfaceMesh.cube(3.7)]
+    for _ in range(30):
+        pts = rng.normal(size=(int(rng.integers(5, 30)), 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        polytopes += [Polytope.from_point_cloud(pts), _cut_box(rng)]
+        for scale in 10.0 ** np.arange(-3.0, 4.0):
+            hull = ConvexHull(pts * scale)
+            verts = pts[hull.vertices] * scale
+            index = {int(v): i for i, v in enumerate(hull.vertices)}
+            triangles = [[index[int(s)] for s in simplex] for simplex in hull.simplices]
+            mesh = convex_hull_mesh(pts * scale)
+            assert mesh.faces == _per_triangle_faces(
+                verts, triangles, hull.equations[:, :3])
+            meshes.append(mesh)
+        verts = random_tetrahedron_vertices(rng)
+        mesh = tetrahedron_mesh(verts)
+        triangles = [[t for t in range(4) if t != skip] for skip in range(4)]
+        inward = [verts[skip] - verts[t[0]] for skip, t in enumerate(triangles)]
+        assert mesh.faces == _per_triangle_faces(verts, triangles, -np.array(inward))
+        meshes.append(mesh)
+    assert {len(f) for p in polytopes[:2] for f in p.facet_vertices} == {4}
+    assert any(len(f) == 5 for f in polytopes[-1].facet_vertices)
+    for polytope in polytopes:
+        mesh = SurfaceMesh.from_polytope(polytope)
+        assert mesh.faces == _per_facet_faces(polytope)
+        meshes.append(mesh)
+    for mesh in meshes:
+        normals = np.array([mesh.face_normal(k) for k in range(len(mesh.faces))])
+        assert normals.tobytes() == _per_face_newell_normals(mesh).tobytes()
+
+
+def test_of_two_bent_faces_the_lower_one_is_named():
+    """A box corner next to the cut corner of a cut box lies on two
+    pentagons and a quadrilateral; moving it bends all three. With a planar
+    quadrilateral first, the bent pentagons come before the bent
+    quadrilateral, so the lowest bent face is not in the first size group:
+    the refusal names it, with the thickness of the per-face SVD."""
+    mesh = SurfaceMesh.from_polytope(_cut_box(np.random.default_rng(3)))
+    sizes = [sorted(len(f) for f in mesh.faces if v in f) for v in range(mesh.n_vertices)]
+    corner = sizes.index([4, 5, 5])
+    verts = mesh.vertices.copy()
+    verts[corner] += 0.05
+    bent = [f for f in mesh.faces if corner in f]
+    flat = [f for f in mesh.faces if corner not in f]
+    quad = next(f for f in flat if len(f) == 4)
+    faces = [quad] + sorted(bent, key=len, reverse=True)
+    faces += [f for f in flat if f != quad]
+    scale = max(float(np.abs(verts).max()), 1.0)
+    want = []
+    for k, face in enumerate(faces):
+        pts = verts[list(face)]
+        if len(face) > 3:
+            sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            if sv[2] > TOL.eps * scale:
+                want.append(f"face {k} is not planar (thickness {sv[2]:.3e})")
+    assert [m.split()[1] for m in want] == ["1", "2", "3"]
+    with pytest.raises(InputError, match=f"^{re.escape(want[0])}$"):
+        SurfaceMesh(verts, faces)
 
 
 def test_cone_angles_refuse_a_zero_length_edge():

@@ -29,16 +29,18 @@ hash the bytes of the thetas, alphas, chords and points of ``base_angle_run``
 on both sides from seeded launch parameters at base angles 0.04, 0.01 and
 0.0025, one full loop each, and each run's ``_worst_chord_deviation``.
 
-Two groups cover closed surfaces. One traces seeded geodesics on random
+Three groups cover closed surfaces. One traces seeded geodesics on random
 tetrahedra, on ``SurfaceMesh.from_polytope`` hulls (faces with more than
 three sides among them) and on the cube, long enough to come back to every
 face, some aimed at a vertex, and one retrace through a cone-angle-pi vertex
 of a disphenoid. It hashes the bytes of each crossing's time, point, edge,
 faces and unfolded point, each vertex passage, every segment and the end
-state, or a refused trace's error class and message. The other hashes
+state, or a refused trace's error class and message. The second hashes
 ``cone_angles``, ``gauss_bonnet_total`` and ``is_orbifold_boundary`` on the
 bundled meshes and on seeded ``from_polytope`` and ``convex_hull_mesh``
-hulls.
+hulls. The last, "meshes", hashes the faces and face normals of seeded
+boxes, cut boxes, hulls and tetrahedra, built by ``from_polytope``,
+``convex_hull_mesh`` and ``tetrahedron_mesh``.
 
 One group hashes the small verdicts: ``check_alcove`` on every bundled
 polytope, every standard alcove and seeded triangles near and far from the
@@ -330,21 +332,24 @@ def _sphere_points(rng, n: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _cut_box(rng) -> Polytope:
+    """A box with one corner cut off: faces of three, four and five sides."""
+    lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+    box = Polytope.box(lo, hi)
+    corner = int(np.argmax(box.vertices.sum(axis=1)))
+    cut = hi - np.diag(rng.uniform(0.1, 0.4, 3))
+    return Polytope.from_point_cloud(
+        np.concatenate([np.delete(box.vertices, corner, axis=0), cut])
+    )
+
+
 def _trace_meshes(rng):
     """Random tetrahedra, boxy hulls with quadrilateral faces, round hulls
     and the cube."""
     for k in range(24):
         yield tetrahedron_mesh(rng.normal(size=(4, 3)))
         if k % 3 == 0:
-            # a box with one corner cut off: faces of three, four and five
-            # sides
-            lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
-            box = Polytope.box(lo, hi)
-            corner = int(np.argmax(box.vertices.sum(axis=1)))
-            cut = hi - np.diag(rng.uniform(0.1, 0.4, 3))
-            yield SurfaceMesh.from_polytope(Polytope.from_point_cloud(
-                np.concatenate([np.delete(box.vertices, corner, axis=0), cut])
-            ))
+            yield SurfaceMesh.from_polytope(_cut_box(rng))
         elif k % 3 == 1:
             yield SurfaceMesh.from_polytope(
                 Polytope.from_point_cloud(_sphere_points(rng, int(rng.integers(8, 16))))
@@ -411,6 +416,28 @@ def _cone_angles(digest) -> None:
             digest.update(repr((r.index, r.orbifold_order)).encode())
         digest.update(np.float64(gauss_bonnet_total(mesh)).tobytes())
         digest.update(repr(is_orbifold_boundary(mesh)).encode())
+
+
+def _meshes(digest) -> None:
+    """The faces and the bytes of every face normal of the cube and of seeded
+    meshes: ``from_polytope`` on boxes, cut boxes and sphere hulls,
+    ``convex_hull_mesh`` from 1e-3 to 1e3 and ``tetrahedron_mesh``."""
+    rng = np.random.default_rng(809)
+    meshes = [SurfaceMesh.cube(1.0)]
+    for _ in range(100):
+        box = Polytope.box(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3))
+        pts = _sphere_points(rng, int(rng.integers(5, 30)))
+        meshes += [
+            SurfaceMesh.from_polytope(box),
+            SurfaceMesh.from_polytope(_cut_box(rng)),
+            SurfaceMesh.from_polytope(Polytope.from_point_cloud(pts)),
+            convex_hull_mesh(pts * 10.0 ** rng.uniform(-3.0, 3.0)),
+            tetrahedron_mesh(rng.normal(size=(4, 3))),
+        ]
+    for mesh in meshes:
+        digest.update(repr(mesh.faces).encode())
+        for k in range(len(mesh.faces)):
+            digest.update(mesh.face_normal(k).tobytes())
 
 
 def _error(err: BilliardsError) -> bytes:
@@ -540,6 +567,7 @@ GROUPS = (
     ("surface geodesics", _surface_geodesics),
     ("cone angles", _cone_angles),
     ("small verdicts", _small_verdicts),
+    ("meshes", _meshes),
 )
 
 
