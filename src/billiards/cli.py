@@ -157,21 +157,14 @@ def _cmd_simulate(args) -> dict:
 
     events = [
         {
-            "time": t,
-            "point": point,
-            "incoming": incoming,
-            "outgoing": outgoing,
-            "active": list(active),
-            "kind": kind.value,
+            "time": e.time,
+            "point": e.point.tolist(),
+            "incoming": e.incoming.tolist(),
+            "outgoing": e.outgoing.tolist(),
+            "active": list(e.active),
+            "kind": e.kind.value,
         }
-        for t, point, incoming, outgoing, active, kind in zip(
-            trajectory.times[1:-1].tolist(),
-            trajectory.points[1:-1].tolist(),
-            trajectory.incoming.tolist(),
-            trajectory.directions[1:].tolist(),
-            trajectory.active,
-            trajectory.kinds,
-        )
+        for e in trajectory.events
     ]
     result = {
         "dim": table.dim,
@@ -432,7 +425,7 @@ def _surface_disphenoid(mesh: SurfaceMesh) -> dict:
             f"got {len(mesh.vertices)}"
         )
     check = is_disphenoid(mesh.vertices)
-    angles = [r.cone_angle for r in cone_angles(mesh)]
+    reports = cone_angles(mesh)
     return {
         "is_disphenoid": check.is_disphenoid,
         "opposite_pairs": [
@@ -440,10 +433,9 @@ def _surface_disphenoid(mesh: SurfaceMesh) -> dict:
             for pair, lengths in zip(check.opposite_pairs, check.lengths)
         ],
         "max_length_mismatch": check.max_mismatch,
-        "cone_angles": angles,
-        "all_cone_angles_pi": bool(
-            max(abs(a - math.pi) for a in angles) <= TOL.eps
-        ),
+        "cone_angles": [r.cone_angle for r in reports],
+        # order 2 is a cone angle within TOL.eps of 2*pi/2, which is math.pi
+        "all_cone_angles_pi": all(r.orbifold_order == 2 for r in reports),
     }
 
 

@@ -5,8 +5,11 @@ an angle pi/m) reads one epsilon, ``TOL.eps``, so that "on the boundary"
 means the same thing everywhere; a test on lengths multiplies it by the
 table's one length, :func:`billiards.geometry.length_scale`. ``TOL`` is the
 one source of every tolerance: the environment variable ``BILLIARDS_EPS``,
-read once at import time, sets ``TOL.eps`` for the whole process, and no
-function takes a tolerance argument.
+read once at import time, sets ``TOL.eps`` for the whole process. No function
+takes an ``eps=`` option; the four predicates that take a tolerance argument
+(``classify_slack``, ``cone_membership``, ``affine_rank``, ``affine_ranks``)
+are handed ``TOL.eps`` by their callers, times a length or a norm where they
+compare lengths.
 """
 
 from __future__ import annotations

@@ -77,7 +77,8 @@ class SmoothTable:
     name = "table"
 
     # subclasses implement: point, velocity, curvature, implicit,
-    # _exit_distance, theta_of_point
+    # _exit_distance, theta_of_point, and _point_velocity (point and velocity
+    # as one 4-tuple, with their bits) unless they override _deviations
 
     def point(self, theta: float) -> tuple[float, float]:
         """Boundary point at ``theta``; elementwise for an array of thetas."""
@@ -87,11 +88,6 @@ class SmoothTable:
         """Derivative of the parametrization (not normalized); elementwise
         for an array of thetas."""
         raise NotImplementedError
-
-    def _point_velocity(self, theta):
-        """``point(theta)`` and ``velocity(theta)`` as one 4-tuple, with the
-        same bits; a table overrides it to share the trigonometry."""
-        return (*self.point(theta), *self.velocity(theta))
 
     def curvature(self, theta: float) -> float:
         raise NotImplementedError
@@ -132,10 +128,6 @@ class SmoothTable:
         vx, vy = self.velocity(theta)
         norm = math.hypot(vx, vy)
         return vx / norm, vy / norm
-
-    def inward_normal(self, theta: float) -> tuple[float, float]:
-        tx, ty = self.tangent(theta)
-        return -ty, tx
 
     def launch_direction(
         self, theta: float, alpha: float, side: int = +1

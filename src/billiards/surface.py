@@ -142,33 +142,36 @@ class SurfaceMesh:
     # -- combinatorial structure -------------------------------------------
 
     def _build_edges(self) -> None:
-        directed: dict[tuple[int, int], int] = {}
+        # each directed edge (a, b) -> the face whose boundary runs a -> b; in
+        # a closed oriented mesh the face across (a, b) is the owner of (b, a)
+        owner: dict[tuple[int, int], int] = {}
         for k, face in enumerate(self.faces):
             if len(face) < 3 or len(set(face)) != len(face):
                 raise InputError(f"face {k} is degenerate: {face}")
             # a face's own directed edges are distinct, as its vertices are
             for ab in zip(face, face[1:] + face[:1]):
-                if directed.setdefault(ab, k) != k:
+                if owner.setdefault(ab, k) != k:
                     raise OpenSurfaceError(
                         f"directed edge {ab} appears in two faces; "
                         "orientation is inconsistent"
                     )
-        edges: dict[tuple[int, int], list[int]] = {}
-        for (a, b), k in directed.items():
-            edges.setdefault((a, b) if a < b else (b, a), []).append(k)
-        self.edges = edges
+        self._owner = owner
+        # the undirected edges (a < b), in the order of their first copies
+        self.edges = tuple(dict.fromkeys(
+            (a, b) if a < b else (b, a) for a, b in owner
+        ))
 
     def _validate(self, groups: list[tuple[list[int], np.ndarray]]) -> None:
         used = {i for f in self.faces for i in f}
         if used != set(range(len(self.vertices))):
             raise InputError("faces must reference every vertex exactly")
-        # _build_edges refused a repeated directed edge, so an edge with two
-        # faces has one in each direction
-        for (a, b), ks in self.edges.items():
-            if len(ks) != 2:
-                raise OpenSurfaceError(
-                    f"edge {(a, b)} borders {len(ks)} faces, expected 2"
-                )
+        # _build_edges refused a repeated directed edge, so the mesh is closed
+        # exactly when every edge has a copy in each direction
+        if len(self._owner) != 2 * len(self.edges):
+            a, b = next(ab for ab in self._owner if ab[::-1] not in self._owner)
+            raise OpenSurfaceError(
+                f"edge {(min(a, b), max(a, b))} borders 1 faces, expected 2"
+            )
         v, e, f = len(self.vertices), len(self.edges), len(self.faces)
         if v - e + f != 2:
             raise OpenSurfaceError(
@@ -177,14 +180,13 @@ class SurfaceMesh:
         # the length scale of every absolute tolerance on this mesh
         self._scale = length_scale(self.vertices)
         limit = TOL.eps * self._scale
-        edges = list(self.edges)
-        ends = self.vertices[np.array(edges)]
+        ends = self.vertices[np.array(self.edges)]
         diff = ends[:, 1] - ends[:, 0]
         # one array pass picks out the edges that may be short, and math.dist
         # decides each in edge order (the factor 2 covers the rounding and
         # underflow of the squared lengths)
         short = np.flatnonzero(np.sqrt(np.vecdot(diff, diff)) < 2.0 * limit)
-        for a, b in (edges[i] for i in short.tolist()):
+        for a, b in (self.edges[i] for i in short.tolist()):
             pa, pb = self.vertices[a].tolist(), self.vertices[b].tolist()
             length = math.dist(pa, pb)
             if length < limit:
@@ -221,11 +223,6 @@ class SurfaceMesh:
 
     def face_normal(self, k: int) -> np.ndarray:
         return self._normals[k]
-
-    def neighbor_across(self, face_idx: int, a: int, b: int) -> int:
-        """Face on the other side of the (undirected) edge {a, b}."""
-        ks = self.edges[(min(a, b), max(a, b))]
-        return ks[0] if ks[1] == face_idx else ks[1]
 
     @property
     def n_vertices(self) -> int:
@@ -696,8 +693,9 @@ def trace_surface_geodesic(
     passages: list[VertexPassage] = []
     max_crossings = 100_000
     edge_rows: dict[int, list[tuple]] = {}  # face -> its _edge_rows
-    # (face, a, b) -> (to_face, rot, shift, rot.T) across the edge a -> b
-    turns: dict[tuple[int, int, int], tuple] = {}
+    # (a, b) -> (to_face, rot, shift, rot.T) across the edge a -> b, which
+    # names its face, as _edge_rows yields each edge in its face's order
+    turns: dict[tuple[int, int], tuple] = {}
     t = 0.0
     while True:
         remaining = horizon - t
@@ -754,11 +752,11 @@ def trace_surface_geodesic(
             unfolder = _Unfolder(p, d, n)
             segment = [unfolder.apply(p)]
             continue
-        turn = turns.get((face, a, b))
+        turn = turns.get((a, b))
         if turn is None:
-            to_face = mesh.neighbor_across(face, a, b)
+            to_face = mesh._owner[(b, a)]
             rot = _edge_rotation(mesh, face, to_face, va, vb)
-            turn = turns[(face, a, b)] = (to_face, rot, va - rot @ va, rot.T)
+            turn = turns[(a, b)] = (to_face, rot, va - rot @ va, rot.T)
         to_face, rot, shift, rot_t = turn
         crossing_unfolded = unfolder.apply(hit)
         segment.append(crossing_unfolded)

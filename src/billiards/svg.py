@@ -97,26 +97,13 @@ class Scene:
         return "".join(parts)
 
 
-def _ordered_boundary(table) -> np.ndarray:
-    """Closed boundary loop of a 2D table as an (k, 2) array."""
-    from .geometry import Polytope, ccw_order
-    from .smooth import SmoothTable
-
-    if isinstance(table, Polytope):
-        if table.dim != 2:
-            raise InputError("SVG output needs a 2D table")
-        return ccw_order(table.vertices)
-    if isinstance(table, SmoothTable):
-        thetas = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-        return np.array([table.point(t) for t in thetas])
-    raise InputError("SVG output needs a 2D table")
-
-
 def trajectory_svg(table, trajectory) -> str:
-    """Table outline, trajectory polyline, and dots at the bounce points."""
+    """Outline of a 2D polytope table, trajectory polyline, and dots at the
+    bounce points."""
+    from .geometry import ccw_order
+
     scene = Scene()
-    boundary = _ordered_boundary(table)
-    scene.polygon(boundary)
+    scene.polygon(ccw_order(table.vertices))
     scene.polyline(trajectory.points)
     for hit in trajectory.points[1:-1]:
         scene.dot(hit)

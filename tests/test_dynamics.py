@@ -441,6 +441,36 @@ def test_unfolded_strict_policy_raises_on_corner_hit():
     assert info.value.active == (0, 2)
 
 
+def _corner_shots():
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    triangle = Polytope.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cube = Polytope.box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    quad = Polytope.convex_polygon([[0.0, 0.0], [1.3, 0.1], [1.1, 0.9], [0.2, 1.2]])
+    x0 = quad.interior_point()
+    return [
+        (square, TrajectoryState((0.25, 0.25), (1.0, 1.0))),
+        (triangle, TrajectoryState((0.25, 0.25), (-1.0, -1.0))),
+        (cube, TrajectoryState((0.25, 0.25, 0.25), (1.0, 1.0, 1.0))),
+        (quad, TrajectoryState(x0, quad.vertices[2] - x0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "table, shot", _corner_shots(), ids=["square", "triangle", "cube", "quad"]
+)
+def test_unfolded_point_reflection_matches_simulate(table, shot):
+    """Under POINT_REFLECT the unfolding oracle turns its isometry by the
+    point reflection about each corner it meets; its run must be the one
+    ``simulate`` integrates."""
+    a = simulate(table, shot, 8.0, CornerPolicy.POINT_REFLECT)
+    b = simulate_unfolded(table, shot, 8.0, CornerPolicy.POINT_REFLECT)
+    assert a.active == b.active
+    assert a.kinds == b.kinds
+    assert BounceKind.CORNER in a.kinds
+    assert np.abs(a.times - b.times).max() <= 1e-12
+    assert np.abs(a.points - b.points).max() <= 1e-12
+
+
 @pytest.mark.parametrize("run", [simulate, simulate_unfolded])
 def test_fold_group_refuses_a_non_pi_over_m_corner_in_both_loops(run):
     triangle = Polytope.convex_polygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])

@@ -59,8 +59,8 @@ def test_ray_exit_refuses_a_ray_that_does_not_point_inward(table, ray):
     ``theta = 0.7`` each of these tables rounds it to zero or outward."""
     px, py = table.point(0.7)
     if ray == "outward":
-        nx, ny = table.inward_normal(0.7)
-        dx, dy = -nx, -ny
+        tx, ty = table.tangent(0.7)
+        dx, dy = ty, -tx  # the outward normal
     else:
         dx, dy = table.tangent(0.7)
     with pytest.raises(InputError, match=f"ray leaves the {table.name} immediately"):

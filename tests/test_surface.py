@@ -44,6 +44,12 @@ def test_cube_mesh_is_valid_and_euler_two():
     assert len(cube.vertices) == 8
     assert len(cube.faces) == 6
     assert len(cube.edges) == 12
+    assert repr(cube) == "SurfaceMesh(V=8, E=12, F=6)"
+    # the undirected edges (a < b), in the order of their first directed copies
+    assert cube.edges == (
+        (0, 3), (2, 3), (1, 2), (0, 1), (4, 5), (5, 6),
+        (6, 7), (4, 7), (1, 5), (0, 4), (2, 6), (3, 7),
+    )
 
 
 def test_inward_orientation_rejected():
@@ -57,8 +63,41 @@ def test_inward_orientation_rejected():
 
 def test_open_mesh_rejected():
     cube = SurfaceMesh.cube(1.0)
-    with pytest.raises(OpenSurfaceError):
+    with pytest.raises(OpenSurfaceError) as info:
         SurfaceMesh(cube.vertices, cube.faces[:-1])
+    assert str(info.value) == "edge (0, 3) borders 1 faces, expected 2"
+
+
+@pytest.mark.parametrize(
+    "faces, edge",
+    [
+        # the cube without top and bottom: two holes. The edge named is the
+        # first directed edge whose reverse is missing, not the first edge
+        ([(1, 5, 4, 0), (2, 6, 5, 1), (3, 7, 6, 2), (0, 4, 7, 3)], (4, 5)),
+        ([(6, 5, 1, 2), (5, 4, 0, 1), (2, 3, 7, 6), (0, 4, 7, 3)], (5, 6)),
+    ],
+)
+def test_open_mesh_names_its_first_open_edge(faces, edge):
+    with pytest.raises(OpenSurfaceError) as info:
+        SurfaceMesh(SurfaceMesh.cube(1.0).vertices, faces)
+    assert str(info.value) == f"edge {edge} borders 1 faces, expected 2"
+
+
+def test_closed_meshes_that_are_no_sphere_are_refused():
+    cube = SurfaceMesh.cube(1.0)
+    # a face given twice repeats each of its directed edges
+    with pytest.raises(OpenSurfaceError) as info:
+        SurfaceMesh(cube.vertices, cube.faces + cube.faces[:1])
+    assert str(info.value) == (
+        "directed edge (0, 3) appears in two faces; orientation is inconsistent"
+    )
+    # two disjoint tetrahedra: every edge borders two faces, but V - E + F = 4
+    tet = SurfaceMesh.regular_tetrahedron()
+    verts = np.concatenate((tet.vertices, tet.vertices + 10.0))
+    faces = tet.faces + tuple(tuple(i + 4 for i in f) for f in tet.faces)
+    with pytest.raises(OpenSurfaceError) as info:
+        SurfaceMesh(verts, faces)
+    assert str(info.value) == "Euler characteristic 4 != 2 (V=8, E=12, F=8)"
 
 
 def test_nonplanar_face_rejected():
