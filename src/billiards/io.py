@@ -25,6 +25,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -78,11 +79,138 @@ def _validator(filename: str):
 
 def _schema_error(data, filename: str):
     """The error ``jsonschema.validate`` raises for ``data``, or None.
-    ``jsonschema`` is imported here, on first use, so that ``import
-    billiards`` does not pay for it."""
+
+    The in-house check of :func:`_predicate` answers first. ``jsonschema``,
+    whose import costs about as much as numpy's, is imported only when that
+    answer is no, to word the refusal exactly as it always has.
+    """
+    if _predicate(filename)(data):
+        return None
     import jsonschema
 
     return jsonschema.exceptions.best_match(_validator(filename).iter_errors(data))
+
+
+# A yes/no check with Draft 2020-12 semantics for the keywords the shipped
+# schemas use. Any other keyword raises when a schema is compiled, so the
+# JSON files stay the one copy of the rules.
+
+# annotations, definitions, and ``then``, which its sibling ``if`` applies
+_NOT_CHECKS = frozenset({"$schema", "$id", "title", "description", "$defs", "then"})
+
+
+def _is_number(x) -> bool:
+    # jsonschema's test: numpy scalars count, and a bool is no number
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    # an integral float such as 2.0 is an integer; a bool is not
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool))
+    or (isinstance(x, float) and x.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``true`` is not ``1``, and ``1`` is ``1.0``."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _compile(schema, defs: dict):
+    """The predicate ``instance -> bool`` of ``schema``; ``defs`` maps each
+    name under the root's ``$defs`` to its predicate, looked up at call time
+    so that a reference may precede its definition."""
+    if isinstance(schema, bool):
+        return (lambda x: True) if schema else (lambda x: False)
+    checks = [
+        _keyword(key, value, schema, defs)
+        for key, value in schema.items()
+        if key not in _NOT_CHECKS
+    ]
+    return lambda x: all(check(x) for check in checks)
+
+
+def _keyword(key: str, value, schema: dict, defs: dict):
+    """The check of one keyword of ``schema``. Every check but ``type``,
+    ``enum``, ``const``, ``$ref`` and the combinators passes an instance of a
+    type it does not constrain."""
+    if key == "type":
+        if not isinstance(value, str) or value not in _TYPES:
+            raise ValueError(f"unsupported schema type {value!r}")
+        return _TYPES[value]
+    if key == "enum":
+        return lambda x: any(_equal(x, v) for v in value)
+    if key == "const":
+        return lambda x: _equal(x, value)
+    if key == "required":
+        return lambda x: not isinstance(x, dict) or all(k in x for k in value)
+    if key == "properties":
+        props = {k: _compile(sub, defs) for k, sub in value.items()}
+        return lambda x: not isinstance(x, dict) or all(
+            check(x[k]) for k, check in props.items() if k in x
+        )
+    if key == "additionalProperties":
+        known = frozenset(schema.get("properties", ()))
+        extra = _compile(value, defs)
+        return lambda x: not isinstance(x, dict) or all(
+            extra(x[k]) for k in x if k not in known
+        )
+    if key == "items":
+        item = _compile(value, defs)
+        return lambda x: not isinstance(x, list) or all(map(item, x))
+    if key == "minItems":
+        return lambda x: not isinstance(x, list) or len(x) >= value
+    if key == "maxItems":
+        return lambda x: not isinstance(x, list) or len(x) <= value
+    if key == "minimum":
+        return lambda x: not _is_number(x) or not x < value
+    if key == "exclusiveMinimum":
+        return lambda x: not _is_number(x) or not x <= value
+    if key == "$ref":
+        name = value.removeprefix("#/$defs/")
+        if name == value or name not in defs:
+            raise ValueError(f"unsupported schema reference {value!r}")
+        return lambda x: defs[name](x)
+    if key in ("allOf", "anyOf", "oneOf"):
+        subs = [_compile(sub, defs) for sub in value]
+        if key == "allOf":
+            return lambda x: all(sub(x) for sub in subs)
+        if key == "anyOf":
+            return lambda x: any(sub(x) for sub in subs)
+        return lambda x: sum(sub(x) for sub in subs) == 1
+    if key == "not":
+        sub = _compile(value, defs)
+        return lambda x: not sub(x)
+    if key == "if":
+        # no ``else``: an instance that fails ``if`` passes
+        test, then = _compile(value, defs), _compile(schema.get("then", True), defs)
+        return lambda x: not test(x) or then(x)
+    raise ValueError(f"unsupported schema keyword {key!r}")
+
+
+def _compile_root(schema: dict):
+    """The predicate of a root schema and of everything under its ``$defs``."""
+    defs = dict.fromkeys(schema.get("$defs", {}))
+    for name, sub in schema.get("$defs", {}).items():
+        defs[name] = _compile(sub, defs)
+    return _compile(schema, defs)
+
+
+@functools.cache
+def _predicate(filename: str):
+    """Whether an instance satisfies the shipped schema ``filename``: the
+    verdict of ``jsonschema``'s ``is_valid``, without importing it."""
+    return _compile_root(_schema(filename))
 
 
 def table_schema() -> dict:
@@ -145,14 +273,23 @@ def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
         rows = [[*entry["normal"], entry["offset"]] for entry in data["halfspaces"]]
         for k, row in enumerate(rows):
             if len(row) != dim + 1:
-                # a fault in an earlier entry is the one reported
-                _unit_rows(np.array(rows[:k], dtype=float).reshape(-1, dim + 1))
+                # a fault in an earlier entry is the one reported; there is
+                # none before row 0, and a dim that row 0 does not fit may be
+                # too large to shape any array by
+                if k:
+                    _unit_rows(np.array(rows[:k], dtype=float).reshape(-1, dim + 1))
                 raise InputError(
                     f"halfspace normal {row[:-1]} does not have the declared "
                     f"dimension {dim}"
                 )
         rows = _unit_rows(np.array(rows, dtype=float))
         if "vertices" in data:
+            for k, vertex in enumerate(data["vertices"]):
+                if len(vertex) != dim:
+                    raise InputError(
+                        f"vertex {k} {vertex} does not have the declared "
+                        f"dimension {dim}"
+                    )
             vertices = np.asarray(data["vertices"], dtype=float)
             return Polytope(rows, vertices, data.get("facet_vertices"))
         return Polytope.from_halfspaces(rows)

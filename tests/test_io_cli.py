@@ -1,18 +1,24 @@
 """Table files, deterministic reports, CLI behavior and exit codes."""
 
 import importlib
+import importlib.util
+import itertools
 import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import billiards
 from billiards import errors
@@ -31,6 +37,7 @@ from billiards.io import (
     table_to_data,
     validate_report_data,
 )
+from billiards.io import _compile_root, _predicate
 from billiards.smooth import Ellipse
 from billiards.surface import SurfaceMesh
 from billiards.tables import BUILDERS, build
@@ -109,17 +116,17 @@ def test_normals_normalized_on_load_preserving_geometry():
     assert not poly.contains([1.5, 0.5])
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        {"dim": 2},  # missing halfspaces
-        {"halfspaces": [{"normal": [1, 0], "offset": 1}]},  # missing dim
-        {"smooth2d": {"kind": "hyperbola"}},  # unknown kind
-        {"smooth2d": {"kind": "circle", "a": 2.0}},  # wrong parameter
-        {"surface": {"vertices": [[0, 0, 0]]}},  # missing faces
-        {"dim": 2, "halfspaces": [], "extra": 1},  # extra key
-    ],
-)
+MALFORMED_TABLES = [
+    {"dim": 2},  # missing halfspaces
+    {"halfspaces": [{"normal": [1, 0], "offset": 1}]},  # missing dim
+    {"smooth2d": {"kind": "hyperbola"}},  # unknown kind
+    {"smooth2d": {"kind": "circle", "a": 2.0}},  # wrong parameter
+    {"surface": {"vertices": [[0, 0, 0]]}},  # missing faces
+    {"dim": 2, "halfspaces": [], "extra": 1},  # extra key
+]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_TABLES)
 def test_schema_rejects_malformed_tables(payload):
     with pytest.raises(InputError):
         table_from_data(payload)
@@ -425,24 +432,24 @@ def _square_rows(offset):
     ]
 
 
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        pytest.param(
-            {"dim": 2, "halfspaces": [
-                {"normal": [1, 0], "offset": 10**400}, *_square_rows(1)[1:]
-            ]},
-            "table data leaves the float range (int too large to convert to float)",
-            id="integer-offset-beyond-floats",
-        ),
-        pytest.param(
-            {"dim": 2, "halfspaces": _square_rows(1e200)},
-            "halfspace 0 has offset 1e+200; its facet has no point with "
-            "coordinates at most 1e+153",
-            id="huge-offsets-no-vertices",
-        ),
-    ],
-)
+OUT_OF_RANGE_TABLES = [
+    pytest.param(
+        {"dim": 2, "halfspaces": [
+            {"normal": [1, 0], "offset": 10**400}, *_square_rows(1)[1:]
+        ]},
+        "table data leaves the float range (int too large to convert to float)",
+        id="integer-offset-beyond-floats",
+    ),
+    pytest.param(
+        {"dim": 2, "halfspaces": _square_rows(1e200)},
+        "halfspace 0 has offset 1e+200; its facet has no point with "
+        "coordinates at most 1e+153",
+        id="huge-offsets-no-vertices",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, message", OUT_OF_RANGE_TABLES)
 def test_cli_refuses_out_of_range_table_numbers_in_one_line(
     data, message, tmp_path, capsys
 ):
@@ -459,15 +466,15 @@ def test_cli_refuses_out_of_range_table_numbers_in_one_line(
     assert captured.err == f"billiards: error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "params, name",
-    [
-        ({"kind": "perturbed", "delta": -1.0, "k": 2}, "delta"),
-        ({"kind": "perturbed", "delta": 1.5, "k": 1}, "delta"),
-        ({"kind": "ellipse", "a": 1e200, "b": 1}, "semi-axis a"),
-        ({"kind": "ellipse", "a": 1e-200, "b": 1}, "semi-axis a"),
-    ],
-)
+NO_OVALS = [
+    ({"kind": "perturbed", "delta": -1.0, "k": 2}, "delta"),
+    ({"kind": "perturbed", "delta": 1.5, "k": 1}, "delta"),
+    ({"kind": "ellipse", "a": 1e200, "b": 1}, "semi-axis a"),
+    ({"kind": "ellipse", "a": 1e-200, "b": 1}, "semi-axis a"),
+]
+
+
+@pytest.mark.parametrize("params, name", NO_OVALS)
 def test_cli_smooth_refuses_a_table_that_is_no_oval_in_one_line(
     params, name, tmp_path, capsys
 ):
@@ -529,6 +536,44 @@ def test_loader_reports_the_first_faulty_entry(first, second, vertices):
         table_from_data(data)
     assert type(info.value) is InputError
     assert str(info.value) == first[1]
+
+
+def _bundled_data(name: str) -> dict:
+    text = resources.files("billiards").joinpath(
+        "data", "tables", f"{name}.json"
+    ).read_text()
+    return json.loads(text)
+
+
+# square.json with vertex 1 cut short, or with a dim no array can be shaped by
+SHAPELESS_TABLES = [
+    pytest.param(
+        {"vertices": [[0, 0], [1], [0, 1], [1, 1]]},
+        "vertex 1 [1] does not have the declared dimension 2",
+        id="ragged-vertices",
+    ),
+    pytest.param(
+        {"dim": 2**62},
+        "halfspace normal [1, 0] does not have the declared dimension "
+        "4611686018427387904",
+        id="huge-dim",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", SHAPELESS_TABLES)
+def test_table_whose_rows_fit_no_array_is_refused_in_one_line(
+    edit, message, tmp_path, capsys
+):
+    """Rows of unequal lengths, or a dim too large to shape an array by, are
+    refused by the row that does not fit, before any array is built."""
+    data = {**_bundled_data("square"), **edit}
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        table_from_data(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    line = _one_error_line(capsys, "check-alcove", str(path))
+    assert line == f"billiards: error: {message}"
 
 
 def test_cli_budget_exit_4(monkeypatch, capsys):
@@ -748,6 +793,7 @@ def test_cli_every_report_validates_against_schema(tmp_path, capsys):
         ["corner", "1.1"],
         ["corner", "--sweep", "0.3", "2.0", "10"],
         ["surface", "tetra_regular", "--report"],
+        ["surface", "simplex_A3", "--report"],  # a 3D polytope's surface
         ["surface", "disphenoid_456", "--disphenoid"],
         ["smooth", "circle", "--laws", "--alphas", "0.04,0.02"],
     ]
@@ -755,6 +801,263 @@ def test_cli_every_report_validates_against_schema(tmp_path, capsys):
         code, out = _run_cli(capsys, *argv)
         assert code == 0, argv
         validate_report_data(json.loads(out))
+
+
+# -- the in-house schema check -----------------------------------------------
+
+# jsonschema's verdicts, the oracle of the in-house check
+ORACLES = {
+    name: jsonschema.validators.validator_for(schema)(schema)
+    for name, schema in (
+        ("table.schema.json", table_schema()),
+        ("report.schema.json", report_schema()),
+    )
+}
+
+
+def _agree(data, filename: str) -> bool:
+    """Assert that the two verdicts on ``data`` agree; return the verdict."""
+    verdict = ORACLES[filename].is_valid(data)
+    assert _predicate(filename)(data) is verdict, data
+    return verdict
+
+
+@pytest.fixture(autouse=True)
+def _every_cli_report_agrees(monkeypatch):
+    """Every report a CLI test in this module produces is judged by both."""
+    import billiards.cli as cli_module
+
+    def validate(report):
+        _agree(report, "report.schema.json")
+        validate_report_data(report)
+
+    monkeypatch.setattr(cli_module, "validate_report_data", validate)
+
+
+def _tables_in_tests() -> list:
+    """Every bundled table and every table payload the tests refuse."""
+    boxes = []
+    for first, second in itertools.permutations((_ZERO, _WIDE, _NAN_OFFSET), 2):
+        data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+        data["halfspaces"][1], data["halfspaces"][3] = first[0], second[0]
+        boxes.append(data)
+    for normal in ([1e200, 1e200], [1e-300, 0.0]):
+        data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+        data["halfspaces"][0]["normal"] = normal
+        data["halfspaces"][1]["offset"] = math.inf
+        data["vertices"][3][1] = math.nan
+        boxes.append(data)
+    square = _bundled_data("square")
+    return [
+        *(_bundled_data(name) for name in bundled_table_names()),
+        *MALFORMED_TABLES,
+        *(param.values[0] for param in OUT_OF_RANGE_TABLES),
+        *({**square, **param.values[0]} for param in SHAPELESS_TABLES),
+        *({"smooth2d": params} for params, _ in NO_OVALS),
+        *boxes,
+    ]
+
+
+def test_table_check_agrees_with_jsonschema_on_the_tables_in_tests():
+    """Only the malformed payloads fail the schema; the others are refused
+    when the table is built."""
+    verdicts = [_agree(data, "table.schema.json") for data in _tables_in_tests()]
+    assert verdicts.count(False) == len(MALFORMED_TABLES)
+
+
+# Tables drawn at the edges of the schema (integral floats for integers, 0
+# for ``minimum``, the least double for ``exclusiveMinimum``), and the same
+# tables with one value changed, dropped or added.
+_NUMBERS = st.one_of(
+    st.sampled_from([0, -1, 0.0, -0.0, 2.0, 5e-324, -5e-324, 10**400]),
+    st.floats(),
+)
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1, 1.0, 10**400, math.inf]),
+    st.floats(min_value=0.0, exclude_min=True),
+)
+
+
+def _integers(least: int):
+    return st.one_of(st.integers(least, least + 3),
+                     st.integers(least, least + 3).map(float))
+
+
+def _lists(items, least: int, most: int):
+    return st.lists(items, min_size=least, max_size=most)
+
+
+_POLYTOPES = st.fixed_dictionaries(
+    {"dim": _integers(1),
+     "halfspaces": _lists(st.fixed_dictionaries(
+         {"normal": _lists(_NUMBERS, 1, 3), "offset": _NUMBERS}), 2, 3)},
+    optional={"vertices": _lists(_lists(_NUMBERS, 1, 3), 2, 3),
+              "facet_vertices": _lists(_lists(_integers(0), 1, 2), 0, 2)},
+)
+_SURFACES = st.fixed_dictionaries({"surface": st.fixed_dictionaries({
+    "vertices": _lists(_lists(_NUMBERS, 3, 3), 4, 5),
+    "faces": _lists(_lists(_integers(0), 3, 4), 4, 5),
+})})
+# each kind with its own parameters or with any of them, so that each
+# ``if``/``then`` branch both passes and fails
+_PARAMS = {"radius": _POSITIVE, "a": _POSITIVE, "b": _POSITIVE,
+           "delta": _NUMBERS, "k": _integers(1)}
+_KINDS = {"circle": ("radius",), "ellipse": ("a", "b"), "perturbed": ("delta", "k")}
+_SMOOTH = st.one_of(
+    *(st.fixed_dictionaries({"kind": st.just(kind)},
+                            optional={name: _PARAMS[name] for name in names})
+      for kind, names in _KINDS.items()),
+    st.fixed_dictionaries({"kind": st.sampled_from(list(_KINDS))},
+                          optional=_PARAMS),
+).map(lambda params: {"smooth2d": params})
+_SHAPES = st.one_of(_SMOOTH, _POLYTOPES, _SURFACES)
+# an extra key, a parameter of another smooth kind (each ``if``/``then``
+# branch), or a key of another table shape (the ``oneOf``)
+_ADDED_KEYS = st.sampled_from(
+    ["extra", "kind", "radius", "a", "b", "delta", "k", "dim", "surface",
+     "smooth2d"]
+)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each change, and the values it may apply to
+_CHANGES = {
+    "bool": _is_number,  # a bool where a number goes
+    "bound": _is_number,  # a value at or next to 0 or 1, the schema's bounds
+    "integral": lambda v: _is_number(v) and isinstance(v, int) and abs(v) < 2**53,
+    "other": lambda v: True,  # a value of another type
+    "drop": lambda v: True,
+    "empty": lambda v: isinstance(v, list),
+    "repeat": lambda v: isinstance(v, list) and v,
+}
+
+
+_REPLACEMENTS = {
+    "bool": [True, False],
+    "bound": [-1, -5e-324, -0.0, 0, 0.0, 5e-324, 1, 1.0],
+    "other": [None, "1", [], {}],
+}
+
+
+def _slots(value):
+    """``(container, key)`` of every value nested in ``value``."""
+    if isinstance(value, (dict, list)):
+        for key in list(value) if isinstance(value, dict) else range(len(value)):
+            yield value, key
+            yield from _slots(value[key])
+
+
+@st.composite
+def _tables(draw):
+    """A table as drawn, or with one change: a key added to one of its
+    objects, or one value swapped for a bool, a value at a bound, a float
+    (integral or not) in place of an integer, or a value of another type;
+    or one value dropped, an array emptied, or an array's last item
+    repeated, which makes it one too long."""
+    data = draw(_SHAPES)
+    change = draw(st.sampled_from(["none", "add", *_CHANGES]))
+    if change == "add":
+        objects = [data, *(c[k] for c, k in _slots(data) if isinstance(c[k], dict))]
+        draw(st.sampled_from(objects))[draw(_ADDED_KEYS)] = draw(_POSITIVE)
+        return data
+    if change == "none":
+        return data
+    slots = [(c, k) for c, k in _slots(data) if _CHANGES[change](c[k])]
+    if not slots:
+        return data
+    container, key = draw(st.sampled_from(slots))
+    value = container[key]
+    if change == "drop":
+        del container[key]
+    elif change == "empty":
+        value.clear()
+    elif change == "repeat":
+        value.append(value[-1])
+    elif change == "integral":
+        container[key] = draw(st.sampled_from([float(value), value + 0.5]))
+    else:
+        container[key] = draw(st.sampled_from(_REPLACEMENTS[change]))
+    return data
+
+
+_TABLES = st.one_of(_tables(), st.sampled_from([None, "1", 1, [], {}]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_TABLES)
+def test_table_check_agrees_with_jsonschema_on_schema_shaped_json(data):
+    _agree(data, "table.schema.json")
+
+
+def test_report_check_agrees_with_jsonschema_on_altered_reports(capsys):
+    """The reports of CLI runs are judged by both in the fixture above; these
+    envelopes, each a report with one field altered, test the refusals."""
+    code, out = _run_cli(capsys, "corner", "1.0")
+    assert code == 0
+    report = json.loads(out)
+    altered = [
+        {key: value for key, value in report.items() if key != "result"},
+        {**report, "extra": 1},
+        {**report, "status": "OK"},
+        {**report, "command": True},
+        {**report, "command": "check-alcove"},
+        {**report, "table": 1},
+        {**report, "parameters": []},
+        {**report, "result": None},
+        {**report, "artifacts": {"csv": "gaps.csv", "svg": "fan.svg"}},
+        {**report, "artifacts": {"csv": 1}},
+        {**report, "artifacts": {"pdf": "fan.pdf"}},
+        [report],
+        None,
+    ]
+    verdicts = [_agree(data, "report.schema.json") for data in altered]
+    assert verdicts.count(True) == 2
+
+
+@pytest.mark.parametrize(
+    "schema, instances",
+    [
+        ({"type": "number"}, [True, False, 1, 1.5, 10**400, math.nan, "1"]),
+        ({"type": "integer"}, [True, 2, 2.0, -0.0, 2.5, math.inf, 10**400]),
+        ({"enum": [1, [0], {"a": 1}, "x"]},
+         [True, 1.0, [False], [0.0], {"a": True}, {"a": 1.0}, "x", "1"]),
+        ({"const": False}, [False, 0, 0.0, None, True]),
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, [1, 1.5, "1"]),
+        ({"if": {"const": 1}, "then": False}, [1, 1.0, 2, True]),
+    ],
+)
+def test_schema_check_follows_draft_2020_12(schema, instances):
+    """The rules the shipped schemas do not exercise on their own: a bool is
+    no number, 2.0 is an integer, ``true`` is not ``1``, ``oneOf`` takes
+    exactly one branch, and ``if`` without ``else`` passes when it fails."""
+    oracle = jsonschema.Draft202012Validator(schema)
+    check = _compile_root(schema)
+    for instance in instances:
+        assert check(instance) is oracle.is_valid(instance), instance
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "pattern": "^a"},
+        {"if": {"type": "object"}, "else": False},
+        {"type": ["object", "null"]},
+        {"type": "boolean"},
+        {"$ref": "other.json#/$defs/vector"},
+        {"$ref": "#/$defs/missing", "$defs": {"vector": True}},
+        {"properties": {"a": {"format": "uri"}}},
+        {"$defs": {"vector": {"uniqueItems": True}}},
+    ],
+)
+def test_schema_check_refuses_keywords_it_does_not_know(schema):
+    """A keyword, type or reference outside the shipped subset raises when the
+    schema compiles, so a schema edit cannot be half understood."""
+    with pytest.raises(ValueError, match="^unsupported schema"):
+        _compile_root(schema)
 
 
 def test_every_exported_name_resolves():
@@ -826,6 +1129,35 @@ def test_cli_import_path_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["is_alcove"]
     assert proc.stderr.strip() == "0 []"
+
+
+def _cold_start_shapes() -> dict:
+    """The command shapes ``tools/cold_start.py`` times."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cold_start.py"
+    spec = importlib.util.spec_from_file_location("cold_start", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SHAPES
+
+
+COLD_START_SHAPES = _cold_start_shapes()
+
+
+@pytest.mark.parametrize("argv", COLD_START_SHAPES.values(),
+                         ids=list(COLD_START_SHAPES))
+def test_cli_loads_no_jsonschema_when_it_succeeds(argv):
+    """The in-house check accepts every report and bundled table, so a cold
+    CLI call that succeeds never imports ``jsonschema``."""
+    code = (
+        "import sys, billiards.cli\n"
+        f"status = billiards.cli.main({argv!r})\n"
+        "print(status, 'jsonschema' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0 False\n"
 
 
 def test_import_billiards_loads_only_config_and_errors():

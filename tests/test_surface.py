@@ -252,6 +252,26 @@ def test_cube_vertex_hit_raises():
         )
 
 
+@pytest.mark.parametrize(
+    "face, point, horizon, message",
+    [
+        (0, None, -1.0, "horizon must be finite and >= 0, got -1.0"),
+        (0, None, math.inf, "horizon must be finite and >= 0, got inf"),
+        (0, None, math.nan, "horizon must be finite and >= 0, got nan"),
+        (6, None, 1.0, "face index 6 out of range"),
+        (-1, None, 1.0, "face index -1 out of range"),
+        (0, [5.0, 5.0, 5.0], 1.0,
+         "start point does not lie on the start face's plane"),
+    ],
+)
+def test_geodesic_refuses_bad_arguments(face, point, horizon, message):
+    cube = SurfaceMesh.cube(1.0)
+    if point is None:
+        point = cube.vertices[list(cube.faces[0])].mean(axis=0)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        trace_surface_geodesic(cube, face, point, [1.0, 0.0, 0.0], horizon)
+
+
 def test_vertex_of_order_two_is_where_a_geodesic_retraces():
     """Under ``BILLIARDS_EPS=1e-6`` a disphenoid with one vertex moved by
     2e-7 keeps cone angles within 3.2e-8 of pi: ``cone_angles`` gives

@@ -6,10 +6,11 @@ Run from the repository root::
 
 For each command shape of the benchmark's ``cli`` workload it starts N
 fresh ``python -m billiards.cli`` processes and prints the median wall time,
-then the ``billiards.*`` modules one such process imports (read from ``-X
-importtime``). Each SRC is a ``src`` directory to import ``billiards`` from
-(default: this checkout's); with several, their runs interleave, so two
-trees can be compared on a host whose speed drifts::
+then the ``billiards.*`` modules one such process imports and whether it
+imports ``jsonschema`` (read from ``-X importtime``). Each SRC is a ``src``
+directory to import ``billiards`` from (default: this checkout's); with
+several, their runs interleave, so two trees can be compared on a host whose
+speed drifts::
 
     python tools/cold_start.py --runs 9 ../parent/src src
 
@@ -56,8 +57,8 @@ def run_once(src: Path, argv: list[str]) -> float:
     return time.perf_counter() - t0
 
 
-def loaded_modules(src: Path, argv: list[str]) -> list[str]:
-    """The ``billiards`` submodules one process imports for ``argv``."""
+def loaded_modules(src: Path, argv: list[str]) -> set[str]:
+    """Every module one process imports for ``argv``."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "billiards.cli", *argv],
         env=_env(src),
@@ -66,12 +67,11 @@ def loaded_modules(src: Path, argv: list[str]) -> list[str]:
         text=True,
         check=True,
     )
-    names = {
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return sorted(n[len("billiards."):] for n in names if n.startswith("billiards."))
 
 
 def main() -> None:
@@ -104,7 +104,11 @@ def main() -> None:
         print(f"{shape:<18}{cells}")
     for shape, argv in SHAPES.items():
         for k, src in enumerate(srcs):
-            print(f"[{k}] {shape}: {' '.join(loaded_modules(src, argv))}")
+            names = loaded_modules(src, argv)
+            own = sorted(n[len("billiards."):] for n in names
+                         if n.startswith("billiards."))
+            schema = "yes" if "jsonschema" in names else "no"
+            print(f"[{k}] {shape}: {' '.join(own)} | jsonschema: {schema}")
 
 
 if __name__ == "__main__":
