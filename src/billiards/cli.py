@@ -17,10 +17,8 @@ schema, floats are printed with 17 significant digits, and identical
 invocations produce byte-identical output.  Vectors on the command line are
 comma-separated, e.g. ``0.25,0``.
 
-Exit codes: 0 success; 2 invalid input (bad table file, bad arguments, SVG
-requested for a non-2D table); 3 ambiguous corner or irregular incidence
-under a policy that refuses to choose; 4 the run could not finish (a
-bounce/word/iteration budget exhausted, or no forward progress).
+Exit codes: 0 success; otherwise the code that each error class of
+:mod:`billiards.errors` carries, with one line on stderr.
 
 The environment variable ``BILLIARDS_EPS`` is the one tolerance setting: it
 sets the geometric tolerance (default 1e-9) for the whole process.
@@ -39,15 +37,7 @@ import numpy as np
 
 from .config import TOL
 from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
-from .errors import (
-    BudgetExceededError,
-    CornerAmbiguousError,
-    DegenerateStartError,
-    InputError,
-    NoProgressError,
-    NotAnAlcoveError,
-    VertexHitError,
-)
+from .errors import BilliardsError, InputError
 from .io import (
     dumps_json,
     load_table,
@@ -379,26 +369,17 @@ def _surface_report(mesh: SurfaceMesh) -> dict:
 def _surface_geodesic(mesh: SurfaceMesh, args) -> tuple[dict, dict]:
     from .surface import trace_surface_geodesic
 
-    face = int(_parse_float(args.geodesic[0], "face index"))
+    face = _parse_float(args.geodesic[0], "face index")
+    if not face.is_integer():  # nor NaN, nor infinite
+        raise InputError(f"face index {args.geodesic[0]!r} is not an integer")
     point = _parse_vector(args.geodesic[1])
     direction = _parse_vector(args.geodesic[2])
     horizon = _parse_float(args.geodesic[3], "horizon")
-    geo = trace_surface_geodesic(mesh, face, point, direction, horizon)
+    geo = trace_surface_geodesic(mesh, int(face), point, direction, horizon)
 
     artifacts = {}
     if args.csv:
-        rows: list[list] = [[0.0, *_vec_list(geo.start_point), "start"]]
-        hits = [
-            (c.time, c.point, f"edge {c.edge[0]}-{c.edge[1]}")
-            for c in geo.crossings
-        ] + [
-            (p.time, p.point, f"vertex {p.vertex}")
-            for p in geo.vertex_passages
-        ]
-        for t, p, label in sorted(hits, key=lambda h: h[0]):
-            rows.append([t, *_vec_list(p), label])
-        rows.append([geo.horizon, *_vec_list(geo.end_point), "end"])
-        write_csv(args.csv, trajectory_header(3), rows)
+        write_csv(args.csv, trajectory_header(3), trajectory_rows(geo))
         artifacts["csv"] = args.csv
 
     result = {
@@ -468,10 +449,7 @@ def _parse_alphas(text: str | None) -> tuple[float, ...]:
         from .smooth import LAUNCH_ANGLES
 
         return LAUNCH_ANGLES
-    alphas = _parse_vector(text)
-    if any(a <= 0 or a >= 0.5 * math.pi for a in alphas):
-        raise InputError("launch angles must lie in (0, pi/2)")
-    return alphas
+    return _parse_vector(text)
 
 
 def _cmd_smooth(args) -> dict:
@@ -677,18 +655,9 @@ def main(argv=None) -> int:
         return 2
     try:
         report = args.handler(args)
-    except (InputError, DegenerateStartError, NotAnAlcoveError) as exc:
-        print(f"billiards: error: {exc}", file=sys.stderr)
-        return 2
-    except (CornerAmbiguousError, VertexHitError) as exc:
-        print(f"billiards: ambiguous incidence: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as exc:
-        print(f"billiards: budget exhausted: {exc}", file=sys.stderr)
-        return 4
-    except NoProgressError as exc:
-        print(f"billiards: no progress: {exc}", file=sys.stderr)
-        return 4
+    except BilliardsError as exc:
+        print(f"billiards: {exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     validate_report_data(report)
     text = dumps_json(report)
     sys.stdout.write(text)

@@ -193,6 +193,10 @@ class Trajectory:
             )
         ]
 
+    def _event_names(self) -> list[str]:
+        """Each hit's name in a CSV row: its kind."""
+        return [kind.value for kind in self.kinds]
+
     def position_at(self, t: float) -> np.ndarray:
         return self.sample([t])[0]
 

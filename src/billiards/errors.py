@@ -1,18 +1,21 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: InputError, DegenerateStartError and
-NotAnAlcoveError -> 2; CornerAmbiguousError and VertexHitError -> 3;
-BudgetExceededError and NoProgressError -> 4. Everything else is an ordinary
-crash (1).
+Each class carries the CLI's exit code for it and the prefix of the one line
+``billiards: PREFIX: message`` that the CLI prints for it. Any other
+exception is an ordinary crash (1).
 """
 
 
 class BilliardsError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code, prefix = 1, "error"
+
 
 class InputError(BilliardsError):
     """Malformed user input: bad table data, schema violation, bad arguments."""
+
+    exit_code = 2
 
 
 class DimensionMismatchError(InputError):
@@ -34,13 +37,19 @@ class OutsideTableError(InputError):
 class DegenerateStartError(BilliardsError):
     """Trajectory start sits on the boundary with an outward direction."""
 
+    exit_code = 2
+
 
 class NoProgressError(BilliardsError):
     """No forward boundary crossing exists; the table data is corrupt."""
 
+    exit_code, prefix = 4, "no progress"
+
 
 class CornerAmbiguousError(BilliardsError):
     """A corner was hit under the strict policy, which refuses to choose."""
+
+    exit_code, prefix = 3, "ambiguous incidence"
 
     def __init__(self, point, active):
         self.point = point
@@ -50,6 +59,8 @@ class CornerAmbiguousError(BilliardsError):
 
 class BudgetExceededError(BilliardsError):
     """A bounce or word budget ran out before the run completed."""
+
+    exit_code, prefix = 4, "budget exhausted"
 
 
 class BounceBudgetExceededError(BudgetExceededError):
@@ -63,6 +74,8 @@ class WordBudgetExceededError(BudgetExceededError):
 class NotAnAlcoveError(BilliardsError):
     """Group folding was requested on a region that is not an alcove."""
 
+    exit_code = 2
+
 
 class NotAcuteError(InputError):
     """Disphenoid construction needs a triangle with three acute angles."""
@@ -74,6 +87,8 @@ class OpenSurfaceError(InputError):
 
 class VertexHitError(BilliardsError):
     """A surface geodesic ran into a vertex with no defined continuation."""
+
+    exit_code, prefix = 3, "ambiguous incidence"
 
     def __init__(self, vertex_index, point):
         self.vertex_index = vertex_index

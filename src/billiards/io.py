@@ -60,8 +60,9 @@ __all__ = [
 
 # -- schemas ----------------------------------------------------------------
 
-@functools.cache
 def _schema(filename: str) -> dict:
+    """A fresh parse of a shipped schema, which its caller may change: the
+    cached checks each compile their own."""
     text = resources.files("billiards").joinpath("data", filename).read_text()
     return json.loads(text)
 
@@ -481,17 +482,14 @@ def trajectory_header(dim: int) -> list[str]:
     return ["t"] + [f"x{i}" for i in range(1, dim + 1)] + ["event"]
 
 
-def trajectory_rows(trajectory) -> list[list]:
-    """Fixed-order rows ``t, x1..xn, event`` for a polytope trajectory.
-
-    The first row is the launch state (event ``start``), then one row per
-    boundary hit (event ``facet`` or ``corner``), then the final position
-    (event ``end``).
+def trajectory_rows(run) -> list[list]:
+    """Fixed-order rows ``t, x1..xn, event`` for a polytope trajectory or a
+    surface geodesic: the launch state (event ``start``), one row per event
+    (``facet`` or ``corner`` for a polytope hit, ``edge a-b`` or ``vertex v``
+    for a geodesic), then the final position (event ``end``).
     """
-    kinds = ["start", *(kind.value for kind in trajectory.kinds), "end"]
+    names = ["start", *run._event_names(), "end"]
     return [
-        [t, *point, kind]
-        for t, point, kind in zip(
-            trajectory.times.tolist(), trajectory.points.tolist(), kinds
-        )
+        [t, *point, name]
+        for t, point, name in zip(run.times.tolist(), run.points.tolist(), names)
     ]

@@ -555,8 +555,19 @@ LAUNCH_ANGLES = (0.04, 0.02, 0.01, 0.005, 0.0025)
 
 def _ladder(table: SmoothTable, alphas, theta0: float):
     """The launch angles from the largest down, as an array, and a generator
-    of one full-loop run from ``theta0`` per angle, in that order."""
+    of one full-loop run from ``theta0`` per angle, in that order.
+
+    An angle outside (0, pi/2), NaN among them, is refused with
+    ``InputError``, and so is a ladder of fewer than two distinct angles,
+    through which no slope can be fitted.
+    """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
+    if not all(0.0 < a < 0.5 * math.pi for a in alphas.tolist()):
+        raise InputError("launch angles must lie in (0, pi/2)")
+    if len(set(alphas.tolist())) < 2:
+        raise InputError(
+            f"a fitted slope needs two distinct launch angles, got {alphas.tolist()}"
+        )
     runs = (
         base_angle_run(table, theta0, float(alpha), int(math.ceil(math.pi / alpha)))
         for alpha in alphas

@@ -24,8 +24,9 @@ coincides with the entry ray and the geodesic retraces itself.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -560,40 +561,91 @@ class VertexPassage:
     cone_angle: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SurfaceGeodesic:
-    start_face: int
-    start_point: np.ndarray
-    start_direction: np.ndarray
-    horizon: float
-    crossings: list[EdgeCrossing]
-    vertex_passages: list[VertexPassage]
-    end_face: int
-    end_point: np.ndarray
-    end_direction: np.ndarray
-    segments: list[np.ndarray] = field(default_factory=list)
-    """Unfolded 2D points per straight run (between vertex passages),
-    including the run's endpoints; each run's points are collinear up to
-    accumulated rounding."""
+    """A geodesic through ``n`` events, each an edge crossing or a vertex
+    passage, as read-only knot arrays, like a polytope
+    :class:`~billiards.dynamics.Trajectory`.
 
-    @property
-    def n_crossings(self) -> int:
-        return len(self.crossings)
+    ``times`` ``(n+2,)``
+        0, each event time, then ``horizon``.
+    ``points`` ``(n+2, 3)``
+        the start point, each event point, then the end point.
+    ``unfolded`` ``(n+2, 2)``
+        each knot's image under the unfolding of the straight run that
+        reaches it. A run starts at the start or at a vertex passage, which
+        its unfolding maps to the origin, the start's row.
+    ``faces``, ``sites``
+        tuples with the face of each of the ``n+1`` segments, and the edge
+        ``(a, b)``, ``a < b``, that each event crosses or the vertex ``(v,)``
+        that it passes.
+
+    ``crossings``, ``vertex_passages`` and ``segments`` are built on first
+    access from rows of the knot arrays.
+    """
+
+    mesh: SurfaceMesh
+    start_direction: np.ndarray
+    end_direction: np.ndarray
+    times: np.ndarray
+    points: np.ndarray
+    unfolded: np.ndarray
+    faces: tuple[int, ...]
+    sites: tuple[tuple[int, ...], ...]
+
+    horizon = property(lambda self: float(self.times[-1]))
+    start_face = property(lambda self: self.faces[0])
+    start_point = property(lambda self: self.points[0])
+    end_face = property(lambda self: self.faces[-1])
+    end_point = property(lambda self: self.points[-1])
+    n_crossings = property(lambda self: sum(len(s) == 2 for s in self.sites))
+
+    @functools.cached_property
+    def crossings(self) -> list[EdgeCrossing]:
+        t, f, uv = self.times.tolist(), self.faces, self.unfolded
+        return [
+            EdgeCrossing(t[k], self.points[k], s, f[k - 1], f[k], uv[k])
+            for k, s in enumerate(self.sites, 1) if len(s) == 2
+        ]
+
+    @functools.cached_property
+    def vertex_passages(self) -> list[VertexPassage]:
+        hits = [(k, s[0]) for k, s in enumerate(self.sites, 1) if len(s) == 1]
+        cones = _cone_angle_sums(self.mesh) if hits else []
+        return [
+            VertexPassage(float(self.times[k]), v, self.points[k], cones[v])
+            for k, v in hits
+        ]
+
+    @functools.cached_property
+    def segments(self) -> list[np.ndarray]:
+        """Unfolded 2D points per straight run (between vertex passages),
+        including the run's endpoints; each run's points are collinear up to
+        accumulated rounding."""
+        cuts = [k for k, s in enumerate(self.sites, 1) if len(s) == 1]
+        return [
+            np.concatenate((self.unfolded[:1], self.unfolded[i + 1 : j + 1]))
+            for i, j in zip([0, *cuts], [*cuts, len(self.times) - 1])
+        ]
+
+    def _event_names(self) -> list[str]:
+        """Each event's name in a CSV row: ``edge a-b`` or ``vertex v``."""
+        return [
+            f"edge {s[0]}-{s[1]}" if len(s) == 2 else f"vertex {s[0]}"
+            for s in self.sites
+        ]
 
     def max_collinearity_residual(self) -> float:
+        """The largest distance of an unfolded knot from the chord of its
+        straight run."""
         worst = 0.0
         for seg in self.segments:
-            if len(seg) < 3:
-                continue
-            p0, p1 = seg[0], seg[-1]
-            d = p1 - p0
+            d = seg[-1] - seg[0]
             norm = float(np.linalg.norm(d))
-            if norm < 1e-300:
-                continue
-            d = d / norm
-            rel = seg - p0
-            cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
-            worst = max(worst, float(np.max(cross)))
+            if len(seg) > 2 and norm >= 1e-300:
+                d, rel = d / norm, seg - seg[0]
+                cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
+                worst = max(worst, float(np.max(cross)))
         return worst
 
 
@@ -685,13 +737,12 @@ def trace_surface_geodesic(
     d = d - float(np.dot(d, n)) * n
     d = unit(d)
     scale = mesh._scale
-    start_point, start_dir, start_face = p.copy(), d.copy(), face
+    start_dir = d
     unfolder = _Unfolder(p, d, n)
-    segment: list[np.ndarray] = [unfolder.apply(p)]
-    segments: list[np.ndarray] = []
-    crossings: list[EdgeCrossing] = []
-    passages: list[VertexPassage] = []
-    max_crossings = 100_000
+    # (time, point, unfolded, site, face) per knot, the start's first; a
+    # run's unfolding maps its first point to the origin
+    knots: list[tuple] = [(0.0, p, np.zeros(2), None, face)]
+    n_crossings, max_crossings = 0, 100_000
     edge_rows: dict[int, list[tuple]] = {}  # face -> its _edge_rows
     # (a, b) -> (to_face, rot, shift, rot.T) across the edge a -> b, which
     # names its face, as _edge_rows yields each edge in its face's order
@@ -719,20 +770,12 @@ def trace_surface_geodesic(
         dt, a, b = best
         if dt >= remaining:
             end_point = p + remaining * d
-            segment.append(unfolder.apply(end_point))
-            segments.append(np.array(segment))
-            return SurfaceGeodesic(
-                start_face=start_face,
-                start_point=start_point,
-                start_direction=start_dir,
-                horizon=horizon,
-                crossings=crossings,
-                vertex_passages=passages,
-                end_face=face,
-                end_point=end_point,
-                end_direction=d,
-                segments=segments,
-            )
+            knots.append((horizon, end_point, unfolder.apply(end_point), None, None))
+            times, points, unfolded, sites, faces = zip(*knots)
+            arrays = np.array(times), np.array(points), np.array(unfolded)
+            for arr in arrays:
+                arr.setflags(write=False)
+            return SurfaceGeodesic(mesh, start_dir, d, *arrays, faces[:-1], sites[1:-1])
         hit = p + dt * d
         t = t + dt
         va, vb = mesh.vertices[a], mesh.vertices[b]
@@ -744,13 +787,10 @@ def trace_surface_geodesic(
             if abs(cone - math.pi) > TOL.eps:
                 raise VertexHitError(v_idx, hit)
             # retrace: at cone angle pi the developed continuation folds back
-            passages.append(VertexPassage(t, v_idx, hit.copy(), cone))
-            segment.append(unfolder.apply(hit))
-            segments.append(np.array(segment))
+            knots.append((t, hit, unfolder.apply(hit), (v_idx,), face))
             d = -d
             p = hit
             unfolder = _Unfolder(p, d, n)
-            segment = [unfolder.apply(p)]
             continue
         turn = turns.get((a, b))
         if turn is None:
@@ -758,19 +798,9 @@ def trace_surface_geodesic(
             rot = _edge_rotation(mesh, face, to_face, va, vb)
             turn = turns[(a, b)] = (to_face, rot, va - rot @ va, rot.T)
         to_face, rot, shift, rot_t = turn
-        crossing_unfolded = unfolder.apply(hit)
-        segment.append(crossing_unfolded)
-        crossings.append(
-            EdgeCrossing(
-                time=t,
-                point=hit.copy(),
-                edge=(min(a, b), max(a, b)),
-                from_face=face,
-                to_face=to_face,
-                unfolded=crossing_unfolded,
-            )
-        )
-        if len(crossings) > max_crossings:
+        knots.append((t, hit, unfolder.apply(hit), (min(a, b), max(a, b)), to_face))
+        n_crossings += 1
+        if n_crossings > max_crossings:
             raise InputError(f"geodesic exceeded {max_crossings} edge crossings")
         unfolder.rotate(rot, shift)
         d = rot_t @ d

@@ -36,8 +36,9 @@ from billiards.io import (
     table_schema,
     table_to_data,
     validate_report_data,
+    validate_table_data,
 )
-from billiards.io import _compile_root, _predicate
+from billiards.io import _compile_root, _predicate, _validator
 from billiards.smooth import Ellipse
 from billiards.surface import SurfaceMesh
 from billiards.tables import BUILDERS, build
@@ -263,6 +264,55 @@ def _one_error_line(capsys, *argv) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1
     return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("simulate", "square", "", "0,1", "1"), "empty vector argument ''"),
+        (("simulate", "square", "0.25,x", "0,1", "1"),
+         "cannot parse vector argument '0.25,x'"),
+        (("simulate", "circle", "0.25,0", "0,1", "1"),
+         "'circle' is not a polytope table (got Circle)"),
+        (("surface", "circle", "--report"), "'circle' is not a surface mesh"),
+        (("corner", "--sweep", "0.1", "1.0", "many"),
+         "sweep count 'many' is not an integer"),
+        (("corner", "--sweep", "1.0", "0.1", "5"), "sweep needs 0 < LO < HI < pi"),
+        (("corner",), "corner needs exactly one of ALPHA or --sweep"),
+        (("corner", "0.7", "--sweep", "0.1", "1.0", "5"),
+         "corner needs exactly one of ALPHA or --sweep"),
+        (("surface", "cube", "--disphenoid"), "needs a tetrahedron mesh"),
+        (("surface", "cube", "--geodesic", "nan", "0.5,0.5,0", "1,0,0", "1"),
+         "face index 'nan' is not an integer"),
+        (("surface", "cube", "--geodesic", "inf", "0.5,0.5,0", "1,0,0", "1"),
+         "face index 'inf' is not an integer"),
+        (("surface", "cube", "--geodesic", "1.5", "0.5,0.5,0", "1,0,0", "1"),
+         "face index '1.5' is not an integer"),
+        (("smooth", "circle", "--laws", "--alphas", "2"),
+         "launch angles must lie in (0, pi/2)"),
+        (("smooth", "circle", "--laws", "--alphas", "nan"),
+         "launch angles must lie in (0, pi/2)"),
+        (("smooth", "circle", "--converge", "--alphas", "0.02,nan"),
+         "launch angles must lie in (0, pi/2)"),
+        (("smooth", "circle", "--laws", "--alphas", "0.01"),
+         "needs two distinct launch angles"),
+        (("smooth", "circle", "--converge", "--alphas", "0.02,0.02"),
+         "needs two distinct launch angles"),
+    ],
+)
+def test_cli_refuses_bad_arguments_in_one_line(capsys, argv, fragment):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = _one_error_line(capsys, *argv)
+    assert line.startswith("billiards: error: ")
+    assert fragment in line
+
+
+def test_cli_without_a_subcommand_prints_usage(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: billiards")
 
 
 def test_cli_foldgroup_refuses_a_non_alcove_before_the_run(capsys):
@@ -723,6 +773,30 @@ def test_cli_surface_geodesic_with_csv(tmp_path, capsys):
     assert rows[-1].endswith("end")
 
 
+def test_cli_geodesic_csv_rows_pass_vertices_in_time_order(tmp_path, capsys):
+    """From the centroid of face 0 of disphenoid_456 towards vertex 2: the
+    geodesic retraces there, crosses edge 1-3 and retraces at vertex 0."""
+    csv_path = tmp_path / "geo.csv"
+    code, out = _run_cli(
+        capsys, "surface", "disphenoid_456",
+        "--geodesic", "0",
+        "3.1622776601683795,2.4494897427831783,1.0540925533894598",
+        "1.5811388300841895,-2.4494897427831783,0.5270462766947299",
+        "12",
+        "--csv", str(csv_path),
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["n_crossings"], result["n_vertex_passages"]) == (1, 2)
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == [
+        "start", "vertex 2", "edge 1-3", "vertex 0", "end"
+    ]
+    times = [float(row[0]) for row in rows]
+    assert times == sorted(times)
+    assert times[-1] == 12.0
+
+
 def test_cli_surface_disphenoid_mode(capsys):
     code, out = _run_cli(capsys, "surface", "disphenoid_456", "--disphenoid")
     assert code == 0
@@ -801,6 +875,25 @@ def test_cli_every_report_validates_against_schema(tmp_path, capsys):
         code, out = _run_cli(capsys, *argv)
         assert code == 0, argv
         validate_report_data(json.loads(out))
+
+
+def test_editing_a_returned_schema_changes_no_verdict(capsys):
+    """The schema functions hand out copies: editing one changes no verdict,
+    neither before the checks are first compiled nor after."""
+    assert main(["corner", "1.1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for compiled in (False, True):
+        if not compiled:
+            _predicate.cache_clear()
+            _validator.cache_clear()
+        report_schema()["properties"]["status"]["const"] = "bad"
+        table_schema().clear()
+        validate_report_data(report)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report_data({**report, "status": "bad"})
+        with pytest.raises(InputError, match="fails schema validation"):
+            validate_table_data({})
+    assert report_schema()["properties"]["status"] == {"const": "ok"}
 
 
 # -- the in-house schema check -----------------------------------------------

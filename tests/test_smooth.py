@@ -1,6 +1,7 @@
 """Smooth strictly convex tables: chords, base angles, small-angle laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,31 @@ def test_rejects_flat_and_reversed_launch_angles():
         smooth_bounce(Circle(1.0), 0.0, 0.0, +1)
     with pytest.raises(InputError):
         smooth_bounce(Circle(1.0), 0.0, math.pi / 2.0, +1)
+
+
+@pytest.mark.parametrize(
+    "experiment", [verify_base_angle_laws, boundary_convergence_experiment]
+)
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        ((math.nan,), "launch angles must lie in (0, pi/2)"),
+        ((0.02, math.nan), "launch angles must lie in (0, pi/2)"),
+        ((0.02, 0.0), "launch angles must lie in (0, pi/2)"),
+        ((0.02, math.pi / 2.0), "launch angles must lie in (0, pi/2)"),
+        ((0.01,), "a fitted slope needs two distinct launch angles, got [0.01]"),
+        ((0.02, 0.02), "a fitted slope needs two distinct launch angles"),
+    ],
+)
+def test_a_ladder_that_fits_no_slope_is_refused(experiment, alphas, message):
+    """NaN, an angle outside (0, pi/2), and a ladder of one distinct angle,
+    through which numpy would fit a line with a RankWarning, are refused
+    before any run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as info:
+            experiment(Circle(1.0), alphas)
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize(

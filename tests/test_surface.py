@@ -324,6 +324,47 @@ def test_disphenoid_vertex_passage_retraces(rng):
     assert np.allclose(geo.end_direction, -d, atol=1e-9)
 
 
+def test_a_geodesic_is_knot_arrays_and_its_views_are_their_rows():
+    """A geodesic that retraces at two vertices of cone angle pi and crosses
+    edges between them: its knots are read-only and in time order, and the
+    crossings, passages and straight runs are built from their rows."""
+    mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
+    tri = mesh.vertices[list(mesh.faces[0])]
+    start = tri.mean(axis=0)
+    geo = trace_surface_geodesic(mesh, 0, start, tri[2] - start, 30.0)
+    n = len(geo.sites)
+    assert geo.times.shape == (n + 2,) and geo.points.shape == (n + 2, 3)
+    assert geo.unfolded.shape == (n + 2, 2) and len(geo.faces) == n + 1
+    for arr in (geo.times, geo.points, geo.unfolded):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert geo.times[0] == 0.0 and geo.times[-1] == geo.horizon == 30.0
+    assert np.all(np.diff(geo.times) > 0.0)
+    assert _bits(geo.start_point) == _bits(start)
+    assert (geo.start_face, geo.end_face) == (geo.faces[0], geo.faces[-1])
+    crossed = [k for k, site in enumerate(geo.sites, 1) if len(site) == 2]
+    passed = [k for k, site in enumerate(geo.sites, 1) if len(site) == 1]
+    assert len(crossed) == geo.n_crossings > 0 and len(passed) > 1
+    for k, c in zip(crossed, geo.crossings, strict=True):
+        assert (c.time, c.edge) == (geo.times[k], geo.sites[k - 1])
+        assert (c.from_face, c.to_face) == geo.faces[k - 1 : k + 1]
+        shared = set(mesh.faces[c.from_face]) & set(mesh.faces[c.to_face])
+        assert set(c.edge) <= shared
+        assert _bits(c.point) == _bits(geo.points[k])
+        assert _bits(c.unfolded) == _bits(geo.unfolded[k])
+    for k, v in zip(passed, geo.vertex_passages, strict=True):
+        assert (v.time, (v.vertex,)) == (geo.times[k], geo.sites[k - 1])
+        assert geo.faces[k - 1] == geo.faces[k]
+        assert v.cone_angle == _cone_angle_sums(mesh)[v.vertex]
+        assert np.linalg.norm(v.point - mesh.vertices[v.vertex]) < 1e-9
+    # a straight run from the start or a passage, to the next or the end
+    assert len(geo.segments) == len(passed) + 1
+    assert sum(map(len, geo.segments)) == n + 2 + len(passed)
+    for seg in geo.segments:
+        assert _bits(seg[0]) == _bits([0.0, 0.0])
+    assert geo.max_collinearity_residual() < 1e-9
+
+
 # -- immutable mesh and a stateless kernel ----------------------------------
 
 def test_surface_mesh_arrays_are_read_only():
@@ -360,15 +401,9 @@ def test_scalar_cross_is_np_cross_bit_for_bit():
 
 
 def _geodesic_bits(geo) -> list[bytes]:
-    out = [_bits(geo.start_point), _bits(geo.start_direction)]
-    for c in geo.crossings:
-        out += [_bits([c.time]), _bits(c.point), repr(
-            (c.edge, c.from_face, c.to_face)).encode(), _bits(c.unfolded)]
-    for v in geo.vertex_passages:
-        out += [_bits([v.time, v.cone_angle]), _bits(v.point), repr(v.vertex).encode()]
-    out += [repr(geo.end_face).encode(), _bits(geo.end_point), _bits(geo.end_direction)]
-    out += [_bits(seg) for seg in geo.segments]
-    return out
+    arrays = (geo.times, geo.points, geo.unfolded)
+    out = [_bits(arr) for arr in (*arrays, geo.start_direction, geo.end_direction)]
+    return out + [repr((geo.faces, geo.sites)).encode()]
 
 
 def test_a_traced_mesh_traces_like_a_fresh_mesh(rng):
@@ -657,7 +692,7 @@ def test_a_long_trace_revisits_every_face_and_leaves_the_mesh_alone():
     p, d = np.array([0.5, 0.3, 0.2]) @ tri, tri[1] - tri[0] + 0.37 * (tri[2] - tri[0])
     geo = trace_surface_geodesic(mesh, 1, p, d, 400.0)
     assert geo.n_crossings >= 300
-    visits = [c.to_face for c in geo.crossings]
+    visits = list(geo.faces[1:])
     assert min(visits.count(f) for f in range(4)) >= 50
     assert pickle.dumps(vars(mesh)) == before
     fresh = trace_surface_geodesic(tetrahedron_mesh(verts), 1, p, d, 400.0)
@@ -683,21 +718,11 @@ def _angle(u, v) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _knots(geo):
-    """(time, point) at the start, every crossing and passage, and the end."""
-    events = [(c.time, c.point) for c in geo.crossings]
-    events += [(v.time, v.point) for v in geo.vertex_passages]
-    events.sort(key=lambda e: e[0])
-    times = np.array([0.0] + [t for t, _ in events] + [geo.horizon])
-    points = np.array([geo.start_point] + [p for _, p in events] + [geo.end_point])
-    return times, points
-
-
 def _sup_distance(g1, g2) -> float:
     """Largest distance in R^3 between the two paths at equal times. Both
     are linear between knots, so the distance is convex there and peaks at
     a knot of one of them."""
-    (t1, p1), (t2, p2) = _knots(g1), _knots(g2)
+    (t1, p1), (t2, p2) = (g1.times, g1.points), (g2.times, g2.points)
     ts = np.union1d(t1, t2)
     at1 = np.column_stack([np.interp(ts, t1, p1[:, k]) for k in range(3)])
     at2 = np.column_stack([np.interp(ts, t2, p2[:, k]) for k in range(3)])
