@@ -33,8 +33,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .config import TOL
 from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
 from .errors import BilliardsError, InputError
@@ -53,7 +51,9 @@ if TYPE_CHECKING:
 # Each handler imports the modules it runs when it runs, so a cold process
 # compiles only what its subcommand needs (and svg only for --svg). corner
 # is small and stays imported here: perfbench's tracer looks it up in
-# sys.modules right after importing billiards.cli.
+# sys.modules right after importing billiards.cli. Nothing here imports
+# numpy: corner and io run on Python floats, so `billiards corner` (without
+# --svg) never loads it.
 
 __all__ = ["main", "build_parser"]
 
@@ -79,7 +79,7 @@ def _parse_float(text: str, what: str) -> float:
 
 
 def _vec_list(v) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float)]
+    return [float(x) for x in v]
 
 
 def _load(name: str, kind: type, what: str):
@@ -168,7 +168,7 @@ def _cmd_simulate(args) -> dict:
     }
     parameters = {
         "start": _vec_list(start),
-        "direction": _vec_list(np.asarray(state.direction)),
+        "direction": _vec_list(state.direction),
         "horizon": horizon,
         "policy": policy.value,
         "unfold": bool(args.unfold),
@@ -216,6 +216,54 @@ def _cmd_check_alcove(args) -> dict:
 
 # the most openings one sweep samples
 _MAX_SWEEP = 1_000_000
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` for n >= 2, by its formula:
+    ``i * step + lo``, or ``i / (n - 1) * (hi - lo) + lo`` when the step
+    underflows to zero, with the last value set to ``hi``."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(n)]
+    else:
+        values = [i * step + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
+def _pairwise_sum(xs: list[float], start: int, n: int) -> float:
+    """The sum of ``xs[start:start + n]`` in numpy's pairwise order: one
+    running sum below 8 values, 8 running sums (added as a tree, then the
+    rest one by one) up to 128, and above that two halves split at a
+    multiple of 8."""
+    if n < 8:
+        total = 0.0
+        for x in xs[start:start + n]:
+            total += x
+        return total
+    if n <= 128:
+        whole = start + n - n % 8
+        r = []
+        for k in range(start, start + 8):
+            acc = xs[k]
+            for x in xs[k + 8:whole:8]:
+                acc += x
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[whole:start + n]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, start, half) + _pairwise_sum(xs, start + half, n - half)
+
+
+def _mean(xs: list[float]) -> float:
+    """``float(np.mean(xs))``: numpy adds the pairwise sum to a 0.0 and
+    divides by the count."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
 
 
 def _corner_single(args) -> dict:
@@ -286,7 +334,7 @@ def _corner_sweep(args) -> dict:
             gaps.append(gap)
             yield alpha, m, beta, gap, gap <= TOL.gap
 
-    sweep = rows(np.linspace(lo, hi, n).tolist())
+    sweep = rows(_linspace(lo, hi, n))
     artifacts = {}
     if args.csv:
         write_csv(args.csv, ["alpha", "m", "beta", "gap", "continuous"], sweep)
@@ -296,15 +344,14 @@ def _corner_sweep(args) -> dict:
             pass
 
     n_continuous = sum(1 for gap in gaps if gap <= TOL.gap)
-    gaps = np.array(gaps)
     result = {
         "lo": lo,
         "hi": hi,
         "n": n,
         "n_continuous": n_continuous,
-        "min_gap": float(gaps.min()),
-        "max_gap": float(gaps.max()),
-        "mean_gap": float(gaps.mean()),
+        "min_gap": min(gaps),
+        "max_gap": max(gaps),
+        "mean_gap": _mean(gaps),
     }
     parameters = {"sweep": [lo, hi, n]}
     return _envelope("corner", None, parameters, result, artifacts)

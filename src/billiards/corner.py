@@ -13,7 +13,9 @@ and the trajectory returns along the bisector.
 
 ``limit_reflection`` evaluates the closed form. ``unfold_wedge`` is a direct
 ray tracer in the wedge, sharing no formulas with the closed form beyond
-elementary trigonometry, so the two can check each other.
+elementary trigonometry, so the two can check each other. Both work on
+Python floats, and return points and directions as ``(x, y)`` tuples, so
+that importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import TOL
 from .errors import InputError
 
 __all__ = ["WedgeLimit", "WedgeShot", "limit_reflection", "unfold_wedge"]
 
 
-# the most bounces unfold_wedge traces; a shot makes about pi/alpha of them
+# the most bounces unfold_wedge traces, and the most a smooth-table ladder
+# runs per launch angle: both make about pi/alpha of them
 _MAX_BOUNCES = 100_000
 
 
@@ -58,8 +59,8 @@ class WedgeLimit:
     continuous: bool
     outgoing_above: float
     outgoing_below: float
-    direction_above: np.ndarray
-    direction_below: np.ndarray
+    direction_above: tuple[float, float]
+    direction_below: tuple[float, float]
     bounce_count: int
 
 
@@ -87,22 +88,23 @@ def limit_reflection(alpha: float) -> WedgeLimit:
         continuous=gap <= TOL.gap,
         outgoing_above=above,
         outgoing_below=below,
-        direction_above=np.array([math.cos(above), math.sin(above)]),
-        direction_below=np.array([math.cos(below), math.sin(below)]),
+        direction_above=(math.cos(above), math.sin(above)),
+        direction_below=(math.cos(below), math.sin(below)),
         bounce_count=m,
     )
 
 
 @dataclass(frozen=True)
 class WedgeShot:
-    """Result of tracing one bisector-parallel shot at finite offset."""
+    """Result of tracing one bisector-parallel shot at finite offset; points
+    and directions are ``(x, y)`` tuples of floats."""
 
     alpha: float
     offset: float
-    start: np.ndarray
-    bounce_points: tuple[np.ndarray, ...]
+    start: tuple[float, float]
+    bounce_points: tuple[tuple[float, float], ...]
     bounce_count: int
-    outgoing_direction: np.ndarray
+    outgoing_direction: tuple[float, float]
     outgoing_angle: float
 
 
@@ -128,8 +130,7 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
         raise InputError(f"offset must be finite, got {offset}")
     if offset == 0.0:
         raise InputError("offset 0 aims exactly at the apex; the hit is ambiguous")
-    bisector = np.array([math.cos(alpha / 2.0), math.sin(alpha / 2.0)])
-    perp = np.array([-bisector[1], bisector[0]])
+    bx, by = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
     # a-priori bound on how far from the apex any face crossing can sit
     k_max = math.ceil(math.pi / alpha) + 2
     sines = [
@@ -150,15 +151,18 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
         raise InputError(
             f"offset {offset} is too large: the shot's crossing times overflow"
         )
-    p = start_radius * bisector + offset * perp
-    d = -bisector
+    # start_radius along the bisector (bx, by) plus offset along its left
+    # normal (-by, bx)
+    start = (start_radius * bx + offset * -by, start_radius * by + offset * bx)
+    p = start
+    d = (-bx, -by)
     ang = math.atan2(p[1], p[0])
     if not 0.0 < ang < alpha:
         raise InputError("start point fell outside the wedge; enlarge start_radius")
     cap = math.ceil(math.pi / alpha) + 10
     apex_guard = 1e-13 * start_radius
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    bounces: list[np.ndarray] = []
+    bounces: list[tuple[float, float]] = []
     while True:
         candidates: list[tuple[float, int]] = []
         if d[1] < -1e-15:
@@ -179,18 +183,18 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
         if not candidates:
             break
         t, face = min(candidates)
-        p = p + t * d
-        if np.hypot(p[0], p[1]) <= apex_guard:
+        p = (p[0] + t * d[0], p[1] + t * d[1])
+        if math.hypot(p[0], p[1]) <= apex_guard:
             raise InputError(
                 "shot ran into the apex; offset is effectively zero at this scale"
             )
         if face == 0:
-            d = np.array([d[0], -d[1]])
+            d = (d[0], -d[1])
         else:
             ddx = cos_a * d[0] + sin_a * d[1]
             ddy = -(-sin_a * d[0] + cos_a * d[1])
-            d = np.array([cos_a * ddx - sin_a * ddy, sin_a * ddx + cos_a * ddy])
-        bounces.append(p.copy())
+            d = (cos_a * ddx - sin_a * ddy, sin_a * ddx + cos_a * ddy)
+        bounces.append(p)
         if len(bounces) > cap:
             raise InputError(
                 f"wedge trace exceeded {cap} bounces; geometry degenerate"
@@ -201,7 +205,7 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
     return WedgeShot(
         alpha=alpha,
         offset=offset,
-        start=start_radius * bisector + offset * perp,
+        start=start,
         bounce_points=tuple(bounces),
         bounce_count=len(bounces),
         outgoing_direction=d,

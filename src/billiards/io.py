@@ -17,6 +17,12 @@ JSON emitted by :func:`dumps_json` is deterministic: insertion-ordered
 keys, floats printed with 17 significant digits (which round-trips every
 double exactly), and infinities encoded as the strings ``"inf"`` /
 ``"-inf"``.  Identical inputs therefore produce byte-identical files.
+
+Only building a polytope or a mesh from parsed JSON imports numpy. The JSON
+and CSV writers accept numpy scalars and arrays, but look numpy up in
+``sys.modules`` instead of importing it (a process that never imported numpy
+holds no numpy value), so writing a report of Python floats, as the
+``corner`` subcommand does, needs no numpy.
 """
 
 from __future__ import annotations
@@ -26,11 +32,10 @@ import functools
 import json
 import math
 import numbers
+import sys
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import InputError
 
@@ -267,6 +272,8 @@ def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
 
 
 def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
+    import numpy as np
+
     if "halfspaces" in data:
         from .geometry import Polytope, _unit_rows
 
@@ -390,14 +397,26 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+def _value_types() -> tuple:
+    """``(bools, ints, floats, arrays)``, the types a JSON or CSV value may
+    have: Python's, and numpy's once this process has imported numpy. A
+    process that never imported numpy holds no numpy value, so the check
+    imports nothing."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return bool, int, float, ()
+    return (bool, np.bool_), (int, np.integer), (float, np.floating), np.ndarray
+
+
+def _json_scalar(value, types) -> str:
+    bools, ints, floats, _ = types
+    if isinstance(value, bools):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, ints):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, floats):
         v = float(value)
         if math.isinf(v):
             return '"inf"' if v > 0 else '"-inf"'
@@ -407,16 +426,15 @@ def _json_scalar(value) -> str:
     raise InputError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(
-        value, (bool, int, float, str, np.bool_, np.integer, np.floating)
-    )
+def _is_scalar(value, types) -> bool:
+    bools, ints, floats, _ = types
+    return value is None or isinstance(value, (str, bools, ints, floats))
 
 
-def _emit(value, out: list[str], level: int) -> None:
+def _emit(value, out: list[str], level: int, types: tuple) -> None:
     pad = "  " * level
     inner = "  " * (level + 1)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, types[3]):  # a numpy array
         value = value.tolist()
     if isinstance(value, dict):
         if not value:
@@ -427,7 +445,7 @@ def _emit(value, out: list[str], level: int) -> None:
             if not isinstance(key, str):
                 raise InputError("JSON object keys must be strings")
             out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(item, out, level + 1)
+            _emit(item, out, level + 1, types)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(pad + "}")
         return
@@ -436,35 +454,38 @@ def _emit(value, out: list[str], level: int) -> None:
         if not items:
             out.append("[]")
             return
-        if all(_is_scalar(item) for item in items):
-            out.append("[" + ", ".join(_json_scalar(item) for item in items) + "]")
+        if all(_is_scalar(item, types) for item in items):
+            out.append(
+                "[" + ", ".join(_json_scalar(item, types) for item in items) + "]"
+            )
             return
         out.append("[\n")
         for i, item in enumerate(items):
             out.append(inner)
-            _emit(item, out, level + 1)
+            _emit(item, out, level + 1, types)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
         return
-    out.append(_json_scalar(value))
+    out.append(_json_scalar(value, types))
 
 
 def dumps_json(data) -> str:
     """Deterministic JSON text (fixed float formatting, insertion order)."""
     out: list[str] = []
-    _emit(data, out, 0)
+    _emit(data, out, 0, _value_types())
     out.append("\n")
     return "".join(out)
 
 
 # -- CSV ---------------------------------------------------------------------
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+def _csv_cell(value, types) -> str:
+    bools, ints, floats, _ = types
+    if isinstance(value, bools):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, floats):
         return format_float(float(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, ints):
         return str(int(value))
     return str(value)
 
@@ -475,7 +496,9 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+            # per row: a generator of rows may import numpy as it goes
+            types = _value_types()
+            writer.writerow([_csv_cell(cell, types) for cell in row])
 
 
 def trajectory_header(dim: int) -> list[str]:

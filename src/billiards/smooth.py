@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corner import _MAX_BOUNCES
 from .errors import InputError
 
 __all__ = [
@@ -558,12 +559,19 @@ def _ladder(table: SmoothTable, alphas, theta0: float):
     of one full-loop run from ``theta0`` per angle, in that order.
 
     An angle outside (0, pi/2), NaN among them, is refused with
-    ``InputError``, and so is a ladder of fewer than two distinct angles,
-    through which no slope can be fitted.
+    ``InputError``, and so is an angle whose run would make more than
+    ``_MAX_BOUNCES`` bounces (the cap of a wedge shot), and a ladder of fewer
+    than two distinct angles, through which no slope can be fitted.
     """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
     if not all(0.0 < a < 0.5 * math.pi for a in alphas.tolist()):
         raise InputError("launch angles must lie in (0, pi/2)")
+    smallest = float(alphas[-1])
+    if math.pi / smallest > _MAX_BOUNCES:
+        raise InputError(
+            f"launch angle {smallest} is too small: a full loop makes more "
+            f"than {_MAX_BOUNCES} bounces"
+        )
     if len(set(alphas.tolist())) < 2:
         raise InputError(
             f"a fitted slope needs two distinct launch angles, got {alphas.tolist()}"

@@ -52,6 +52,17 @@ def test_beta_range_and_bounce_count():
         assert -1e-12 <= limit.outgoing_below <= alpha + 1e-12
 
 
+def test_wedge_points_and_directions_are_tuples_of_floats():
+    limit = limit_reflection(0.7)
+    shot = unfold_wedge(0.7, 1e-3)
+    assert type(shot.bounce_points) is tuple
+    assert len(shot.bounce_points) == shot.bounce_count == limit.m
+    for vec in (limit.direction_above, limit.direction_below, shot.start,
+                shot.outgoing_direction, *shot.bounce_points):
+        assert type(vec) is tuple
+        assert [type(x) for x in vec] == [float, float]
+
+
 def test_limit_rejects_bad_openings():
     for bad in (0.0, -0.3, math.pi, 4.0):
         with pytest.raises(InputError):
@@ -108,6 +119,18 @@ def test_wedge_shot_rejects_apex_aim_and_bad_opening():
         unfold_wedge(0.0, 0.1)
     with pytest.raises(InputError):
         unfold_wedge(math.pi, 0.1)
+
+
+@pytest.mark.parametrize("alpha", [0.7, math.pi / 3.0, 2.5])
+@pytest.mark.parametrize("offset", [1e-300, -1e-300, 1e-200])
+def test_wedge_shot_refuses_an_offset_that_reaches_the_apex(alpha, offset):
+    """An offset below the apex guard (1e-13 of the start radius) runs into
+    the apex on the first bounce."""
+    with pytest.raises(InputError) as info:
+        unfold_wedge(alpha, offset)
+    assert str(info.value) == (
+        "shot ran into the apex; offset is effectively zero at this scale"
+    )
 
 
 @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])

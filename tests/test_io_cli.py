@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import billiards
-from billiards import errors
+from billiards import cli, errors
 from billiards.cli import main
 from billiards.errors import BounceBudgetExceededError, InputError
 from billiards.geometry import Polytope
@@ -298,6 +298,12 @@ def _one_error_line(capsys, *argv) -> str:
          "needs two distinct launch angles"),
         (("smooth", "circle", "--converge", "--alphas", "0.02,0.02"),
          "needs two distinct launch angles"),
+        (("smooth", "circle", "--laws", "--alphas", "1e-5,2e-5"),
+         "launch angle 1e-05 is too small: a full loop makes more than 100000 "
+         "bounces"),
+        (("smooth", "circle", "--converge", "--alphas", "0.02,5e-324"),
+         "launch angle 5e-324 is too small: a full loop makes more than 100000 "
+         "bounces"),
     ],
 )
 def test_cli_refuses_bad_arguments_in_one_line(capsys, argv, fragment):
@@ -393,6 +399,39 @@ def test_cli_corner_refuses_a_sweep_count_above_a_million(capsys):
         "billiards: error: sweep count 1000000000000 is above the limit of "
         "1000000"
     )
+
+
+def test_sweep_openings_are_numpy_linspace():
+    """``_linspace`` is ``np.linspace``, bit for bit: on seeded sweeps,
+    counts at the edges of the arithmetic, and spans of a few ulps at
+    subnormal openings, where the step underflows to zero."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(500):
+        lo = float(rng.uniform(1e-4, 3.0))
+        cases.append((lo, float(rng.uniform(lo, math.pi)), int(rng.integers(2, 3000))))
+    cases += [(0.3, 2.6, n) for n in (2, 3, 600, 8191, 8192, 8193, 1_000_000)]
+    for lo in (1.8e-308, 2.2e-308, 0.3):
+        hi = lo
+        for _ in range(4):
+            hi = math.nextafter(hi, 1.0)
+            cases += [(lo, hi, n) for n in (2, 3, 4, 7, 1000)]
+    assert any((hi - lo) / (n - 1) == 0.0 for lo, hi, n in cases)
+    for lo, hi, n in cases:
+        assert cli._linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+
+def test_sweep_mean_is_numpy_mean():
+    """``_mean`` adds in numpy's pairwise order: the same bits as
+    ``np.mean`` and ``np.add.reduce`` at every size below 300 and around
+    the block and buffer sizes, on values that span ten decades."""
+    rng = np.random.default_rng(29)
+    sizes = [*range(1, 300), 1023, 1024, 1025, 8191, 8192, 8193, 100_003, 1_000_000]
+    for n in sizes:
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-10.0, 0.0, n)
+        xs = values.tolist()
+        assert cli._pairwise_sum(xs, 0, n) == float(np.add.reduce(values)), n
+        assert cli._mean(xs) == float(values.mean()), n
 
 
 @pytest.mark.parametrize("mode", ["--report", "--disphenoid"])
@@ -1251,6 +1290,45 @@ def test_cli_loads_no_jsonschema_when_it_succeeds(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0 False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["corner", "1.0"], "0 False\n"),
+        (["corner", "--sweep", "0.3", "2.6", "600"], "0 False\n"),
+        (["corner", "--sweep", "0.3", "2.6", "600", "--csv", "CSV"], "0 False\n"),
+        (["corner", "0"], "billiards: error: wedge opening must be in (0, pi), "
+         "got 0.0\n2 False\n"),
+    ],
+    ids=["corner", "corner --sweep", "corner --sweep --csv", "corner refused"],
+)
+def test_cli_corner_loads_no_numpy(argv, err, tmp_path):
+    """The corner limits, the wedge tracer and the report and CSV writers
+    run on Python floats, so a cold ``billiards corner`` never imports numpy,
+    whether it succeeds or refuses."""
+    argv = [str(tmp_path / "gaps.csv") if a == "CSV" else a for a in argv]
+    code = (
+        "import sys, billiards.cli\n"
+        f"status = billiards.cli.main({argv!r})\n"
+        "print(status, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == err
+    if "--csv" in argv:
+        assert len((tmp_path / "gaps.csv").read_text().splitlines()) == 601
+
+
+def test_import_billiards_corner_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, billiards.corner; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_import_billiards_loads_only_config_and_errors():

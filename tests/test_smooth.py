@@ -1,11 +1,13 @@
 """Smooth strictly convex tables: chords, base angles, small-angle laws."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from billiards.corner import unfold_wedge
 from billiards.errors import InputError
 from billiards.smooth import (
     Circle,
@@ -469,6 +471,33 @@ def test_a_ladder_that_fits_no_slope_is_refused(experiment, alphas, message):
         with pytest.raises(InputError) as info:
             experiment(Circle(1.0), alphas)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "experiment", [verify_base_angle_laws, boundary_convergence_experiment]
+)
+@pytest.mark.parametrize(
+    "alphas, smallest",
+    [
+        ((1e-5, 2e-5), 1e-5),
+        ((0.02, math.pi / 100_000.5), math.pi / 100_000.5),
+        ((1e-300, 0.02), 1e-300),
+    ],
+)
+def test_a_launch_angle_over_the_bounce_cap_is_refused(experiment, alphas, smallest):
+    """A run makes ceil(pi/alpha) bounces and keeps each point, so an angle
+    whose ceil(pi/alpha) is above the 100000 bounces a wedge shot may make is
+    refused before any run, as the wedge tracer refuses it."""
+    message = (
+        f"launch angle {smallest} is too small: a full loop makes more than "
+        "100000 bounces"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            experiment(Circle(1.0), alphas)
+        with pytest.raises(InputError, match="a shot makes more than 100000 bounces"):
+            unfold_wedge(smallest, 1e-9)
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,15 @@ def test_closed_meshes_that_are_no_sphere_are_refused():
     assert str(info.value) == "Euler characteristic 4 != 2 (V=8, E=12, F=8)"
 
 
+def test_a_vertex_no_face_uses_is_refused():
+    """A tetrahedron with one more vertex that no face references."""
+    tet = SurfaceMesh.regular_tetrahedron()
+    verts = np.concatenate((tet.vertices, [[5.0, 5.0, 5.0]]))
+    with pytest.raises(InputError) as info:
+        SurfaceMesh(verts, tet.faces)
+    assert str(info.value) == "faces must reference every vertex exactly"
+
+
 def test_nonplanar_face_rejected():
     verts = np.array(
         [

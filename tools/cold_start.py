@@ -7,10 +7,10 @@ Run from the repository root::
 For each command shape of the benchmark's ``cli`` workload it starts N
 fresh ``python -m billiards.cli`` processes and prints the median wall time,
 then the ``billiards.*`` modules one such process imports and whether it
-imports ``jsonschema`` (read from ``-X importtime``). Each SRC is a ``src``
-directory to import ``billiards`` from (default: this checkout's); with
-several, their runs interleave, so two trees can be compared on a host whose
-speed drifts::
+imports ``jsonschema`` and ``numpy`` (read from ``-X importtime``). Each SRC
+is a ``src`` directory to import ``billiards`` from (default: this
+checkout's); with several, their runs interleave, so two trees can be
+compared on a host whose speed drifts::
 
     python tools/cold_start.py --runs 9 ../parent/src src
 
@@ -108,7 +108,9 @@ def main() -> None:
             own = sorted(n[len("billiards."):] for n in names
                          if n.startswith("billiards."))
             schema = "yes" if "jsonschema" in names else "no"
-            print(f"[{k}] {shape}: {' '.join(own)} | jsonschema: {schema}")
+            numpy = "yes" if "numpy" in names else "no"
+            print(f"[{k}] {shape}: {' '.join(own)} | jsonschema: {schema}"
+                  f" | numpy: {numpy}")
 
 
 if __name__ == "__main__":

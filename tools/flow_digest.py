@@ -49,7 +49,14 @@ bytes and any warning); ``limit_reflection`` at seeded openings;
 ``is_disphenoid`` on seeded and constructed tetrahedra; the public
 ``chord_deviation`` on each smooth table from tuple inputs; and the
 ``dumps_json`` text of ``table_to_data`` for the bundled and seeded smooth
-tables.
+tables. The wedge directions, like every other point and direction of
+``billiards.corner``, are hashed through ``np.asarray``, which gives the same
+bytes for a tuple of floats and for an array.
+
+"Wedge shots" hashes ``unfold_wedge`` at seeded openings (some at pi/k and
+just off it) and offsets: the start, the bounce points, the outgoing
+direction and angle and the bounce count, or a refused shot's error class
+and message.
 
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
@@ -74,7 +81,7 @@ from billiards.alcove import (
     standard_alcove,
     standard_alcove_labels,
 )
-from billiards.corner import limit_reflection
+from billiards.corner import limit_reflection, unfold_wedge
 from billiards.dynamics import (
     CornerPolicy,
     TrajectoryState,
@@ -489,8 +496,31 @@ def _wedge_limits(digest, rng) -> None:
             limit.alpha, limit.beta, limit.gap,
             limit.outgoing_above, limit.outgoing_below,
         ]).tobytes())
-        digest.update(limit.direction_above.tobytes())
-        digest.update(limit.direction_below.tobytes())
+        digest.update(np.asarray(limit.direction_above).tobytes())
+        digest.update(np.asarray(limit.direction_below).tobytes())
+
+
+def _wedge_shots(digest) -> None:
+    """``unfold_wedge`` at seeded openings, at pi/k and just off it, and at
+    tiny, small, large and refused offsets on both sides."""
+    rng = np.random.default_rng(810)
+    alphas = list(rng.uniform(1e-3, math.pi - 1e-3, 60))
+    for k in (2, 3, 5, 8, 13, 40):
+        alphas += [math.pi / k, math.pi / k + 1e-9, math.pi / k - 1e-7]
+    alphas += [0.0, math.pi, math.pi / 100_000.5]
+    for alpha in alphas:
+        offsets = list(10.0 ** rng.uniform(-12.0, 2.0, 3)) + [1e-300, 1e290, 1e300]
+        for offset in offsets + [0.0]:
+            for sign in (1.0, -1.0):
+                try:
+                    shot = unfold_wedge(alpha, sign * offset)
+                except BilliardsError as err:
+                    digest.update(_error(err))
+                    continue
+                digest.update(repr((shot.alpha, shot.offset, shot.bounce_count)).encode())
+                for arr in (shot.start, shot.bounce_points, shot.outgoing_direction):
+                    digest.update(np.asarray(arr, dtype=float).tobytes())
+                digest.update(np.float64(shot.outgoing_angle).tobytes())
 
 
 def _disphenoid_checks(digest, rng) -> None:
@@ -567,6 +597,7 @@ GROUPS = (
     ("surface geodesics", _surface_geodesics),
     ("cone angles", _cone_angles),
     ("small verdicts", _small_verdicts),
+    ("wedge shots", _wedge_shots),
     ("meshes", _meshes),
 )
 
