@@ -56,7 +56,6 @@ _EXPORTS = {
         "Location",
         "Polytope",
         "cone_membership",
-        "fold_direction_into_cone",
         "is_polar",
         "nearest_pi_over_m",
         "reflect",

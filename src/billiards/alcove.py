@@ -30,9 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import TOL
-from .errors import InputError, NotAnAlcoveError, WordBudgetExceededError
+from .errors import InputError, NotAnAlcoveError
 from .geometry import (
     Polytope,
+    _chamber_fold,
     affine_ranks,
     as_point,
     facet_pairs,
@@ -440,7 +441,8 @@ def fold_point(
 ) -> tuple[np.ndarray, list[int]]:
     """Map an arbitrary point into the alcove by wall reflections.
 
-    Greedy: reflect across the most violated wall until feasible. Each step
+    Greedy: reflect across the most violated wall until feasible, the same
+    fold as a ``FOLD_GROUP`` corner applies to a direction. Each step
     strictly decreases the distance to any interior basepoint, so on a true
     alcove this terminates; the returned word lists wall indices in the
     order applied (identity word for points already inside).
@@ -452,19 +454,9 @@ def fold_point(
     """
     if verify:
         _require_alcove(polytope)
-    max_words = 100_000
     y = as_point(x, polytope.dim).copy()
-    word: list[int] = []
-    for _ in range(max_words):
-        slack = polytope.normals @ y - polytope.offsets
-        k = int(np.argmax(slack))
-        if slack[k] <= TOL.eps * polytope.scale:
-            return y, word
-        y = y - 2.0 * slack[k] * polytope.normals[k]
-        word.append(k)
-    raise WordBudgetExceededError(
-        f"point folding did not terminate within {max_words} reflections"
-    )
+    band = TOL.eps * polytope.scale
+    return _chamber_fold(polytope.normals, polytope.offsets, y, band)
 
 
 def folded_flow(

@@ -33,7 +33,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import TOL
 from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
 from .errors import BilliardsError, InputError
 from .io import (
@@ -320,19 +319,21 @@ def _corner_sweep(args) -> dict:
         )
     if n > _MAX_SWEEP:
         raise InputError(f"sweep count {n} is above the limit of {_MAX_SWEEP}")
-    # pi/alpha is largest at lo, where linspace starts, so a sweep that would
-    # be refused is refused here, before its CSV file is opened
+    # pi/alpha is largest at lo, and every linspace value lies in [lo, hi], so
+    # a sweep that would be refused is refused here, before its CSV is opened
     _checked_opening(lo)
     gaps = []
+    n_continuous = 0
 
     def rows(alphas):
         # the closed form's scalars, without a WedgeLimit (and its two
-        # direction arrays) per opening, each row written as it is evaluated
-        for a in alphas:
-            alpha = _checked_opening(a)
-            m, beta, gap, _, _ = _closed_form(alpha)
+        # direction tuples) per opening, each row written as it is evaluated
+        nonlocal n_continuous
+        for alpha in alphas:
+            m, beta, gap, continuous, _, _ = _closed_form(alpha)
             gaps.append(gap)
-            yield alpha, m, beta, gap, gap <= TOL.gap
+            n_continuous += continuous
+            yield alpha, m, beta, gap, continuous
 
     sweep = rows(_linspace(lo, hi, n))
     artifacts = {}
@@ -343,7 +344,6 @@ def _corner_sweep(args) -> dict:
         for _ in sweep:
             pass
 
-    n_continuous = sum(1 for gap in gaps if gap <= TOL.gap)
     result = {
         "lo": lo,
         "hi": hi,
@@ -435,7 +435,7 @@ def _surface_geodesic(mesh: SurfaceMesh, args) -> tuple[dict, dict]:
         "start_direction": _vec_list(geo.start_direction),
         "horizon": geo.horizon,
         "n_crossings": geo.n_crossings,
-        "n_vertex_passages": len(geo.vertex_passages),
+        "n_vertex_passages": len(geo.sites) - geo.n_crossings,
         "end_face": geo.end_face,
         "end_point": _vec_list(geo.end_point),
         "end_direction": _vec_list(geo.end_direction),

@@ -64,28 +64,29 @@ class WedgeLimit:
     bounce_count: int
 
 
-def _closed_form(alpha: float) -> tuple[int, float, float, float, float]:
-    """``m``, ``beta``, ``gap`` and the outgoing angles above and below at a
+def _closed_form(alpha: float) -> tuple[int, float, float, bool, float, float]:
+    """``m``, ``beta``, ``gap``, whether the limit is continuous (its gap
+    is at most ``TOL.gap``) and the outgoing angles above and below at a
     checked opening ``alpha``, on Python floats: the one formula of the
     limit, which ``limit_reflection`` wraps and a sweep reads directly."""
     m = math.ceil(math.pi / alpha - 0.5 - 1e-12)
     beta = max((m + 0.5) * alpha - math.pi, 0.0)
     gap = abs(alpha - 2.0 * beta)
     above = alpha - beta if m % 2 == 0 else beta
-    return m, beta, gap, above, alpha - above
+    return m, beta, gap, gap <= TOL.gap, above, alpha - above
 
 
 def limit_reflection(alpha: float) -> WedgeLimit:
     """Closed-form corner limit for a wedge of opening ``alpha`` in (0, pi);
     the limit is continuous when its gap is at most ``TOL.gap``."""
     alpha = _checked_opening(alpha)
-    m, beta, gap, above, below = _closed_form(alpha)
+    m, beta, gap, continuous, above, below = _closed_form(alpha)
     return WedgeLimit(
         alpha=alpha,
         m=m,
         beta=beta,
         gap=gap,
-        continuous=gap <= TOL.gap,
+        continuous=continuous,
         outgoing_above=above,
         outgoing_below=below,
         direction_above=(math.cos(above), math.sin(above)),
@@ -156,9 +157,6 @@ def unfold_wedge(alpha: float, offset: float) -> WedgeShot:
     start = (start_radius * bx + offset * -by, start_radius * by + offset * bx)
     p = start
     d = (-bx, -by)
-    ang = math.atan2(p[1], p[0])
-    if not 0.0 < ang < alpha:
-        raise InputError("start point fell outside the wedge; enlarge start_radius")
     cap = math.ceil(math.pi / alpha) + 10
     apex_guard = 1e-13 * start_radius
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)

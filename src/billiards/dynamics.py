@@ -55,9 +55,10 @@ from .errors import (
 from .geometry import (
     Location,
     Polytope,
+    _chamber_fold,
+    _checked_horizon,
     as_point,
     classify_slack,
-    fold_direction_into_cone,
     reflected,
     unit,
 )
@@ -383,7 +384,7 @@ def _resolve(
         return -d, BounceKind.CORNER, ()
     # FOLD_GROUP: the caller has checked that the table is an alcove
     normals = polytope.normals[list(active)]
-    folded, local_word = fold_direction_into_cone(normals, d)
+    folded, local_word = _chamber_fold(normals, None, d, TOL.eps)
     return folded, BounceKind.CORNER, tuple(active[k] for k in local_word)
 
 
@@ -400,9 +401,7 @@ def _begin(
     ``(horizon, budget, eps_time, here)``, with ``here`` the classification
     of the start point.
     """
-    horizon = float(horizon)
-    if horizon < 0 or not np.isfinite(horizon):
-        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
+    horizon = _checked_horizon(horizon)
     if state.dim != polytope.dim:
         raise InputError("state and table dimensions differ")
     if policy is CornerPolicy.FOLD_GROUP:

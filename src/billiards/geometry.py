@@ -52,7 +52,6 @@ __all__ = [
     "reflect",
     "cone_membership",
     "is_polar",
-    "fold_direction_into_cone",
     "nearest_pi_over_m",
 ]
 
@@ -71,6 +70,14 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError(f"non-finite coordinates: {arr}")
     return arr
+
+
+def _checked_horizon(horizon) -> float:
+    """``horizon`` as a finite float >= 0: the arclength of a run."""
+    horizon = float(horizon)
+    if horizon < 0 or not math.isfinite(horizon):
+        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
+    return horizon
 
 
 def vector_norm(arr: np.ndarray) -> float:
@@ -767,32 +774,31 @@ def is_polar(polytope: Polytope, p, u, v) -> bool:
     return ok
 
 
-def fold_direction_into_cone(
-    normals: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Reflect ``v`` across the given unit normals until it points inward,
-    that is until no normal makes a product above ``TOL.eps`` with it.
+# the most reflections a chamber fold makes; a direction folded at an alcove's
+# vertex needs at most its stabilizer's reflections (120 for E8)
+_MAX_FOLD_WORD = 100_000
 
-    Greedy: repeatedly mirror across the most violated wall. On a reflection
-    group's chamber cone this lands in the chamber after finitely many steps
-    (each step composes one generator of the vertex stabilizer); the returned
-    word lists the generator indices in the order applied. The pair
-    (input, output) is always polar: the difference is a nonnegative
-    combination of the walls crossed.
-    """
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    w = as_point(v).copy()
+
+def _chamber_fold(
+    normals: np.ndarray, offsets: np.ndarray | None, x: np.ndarray, band: float
+) -> tuple[np.ndarray, list[int]]:
+    """Reflect ``x`` across the wall of largest slack ``normals @ x -
+    offsets`` (the first of equal ones) until no slack is above ``band``;
+    a direction passes ``offsets=None``. Returns ``(x, word)``, the word
+    listing the walls crossed in order; a finite float ``x`` that needs no
+    reflection is returned itself."""
     word: list[int] = []
-    max_iters = 4096
-    for _ in range(max_iters):
-        viol = normals @ w
-        k = int(np.argmax(viol))
-        if viol[k] <= TOL.eps:
-            return w, word
-        w = w - 2.0 * viol[k] * normals[k]
+    for _ in range(_MAX_FOLD_WORD):
+        slack = normals @ x if offsets is None else normals @ x - offsets
+        values = slack.tolist()
+        top = max(values)
+        if top <= band:
+            return x, word
+        k = values.index(top)
+        x = x - 2.0 * top * normals[k]
         word.append(k)
     raise WordBudgetExceededError(
-        f"direction folding did not terminate within {max_iters} reflections"
+        f"folding did not terminate within {_MAX_FOLD_WORD} reflections"
     )
 
 

@@ -38,7 +38,7 @@ from .errors import (
     OpenSurfaceError,
     VertexHitError,
 )
-from .geometry import _MAX_HULL_COORDINATE, _checked_points
+from .geometry import _MAX_HULL_COORDINATE, _checked_horizon, _checked_points
 from .geometry import as_point, length_scale, normalized, unit, vector_norm
 
 __all__ = [
@@ -377,16 +377,19 @@ def cone_angles(mesh: SurfaceMesh) -> list[VertexReport]:
     """Per-vertex cone angle, angular defect, and orbifold order if any: a
     vertex has order ``n`` when its angle is within ``TOL.eps`` of
     ``2*pi/n``."""
-    reports = []
-    for v, angle in enumerate(_cone_angle_sums(mesh)):
-        order = None
-        n = max(1, round(2.0 * math.pi / angle)) if angle > 0 else None
-        if n is not None and abs(angle - 2.0 * math.pi / n) <= TOL.eps:
-            order = n
-        reports.append(
-            VertexReport(v, float(angle), float(2.0 * math.pi - angle), order)
-        )
-    return reports
+    return [
+        VertexReport(v, angle, 2.0 * math.pi - angle, _orbifold_order(angle))
+        for v, angle in enumerate(_cone_angle_sums(mesh))
+    ]
+
+
+def _orbifold_order(angle: float) -> int | None:
+    """The ``n`` whose ``2*pi/n`` is within ``TOL.eps`` of the cone angle
+    ``angle``, or None."""
+    if not angle > 0:
+        return None
+    n = max(1, round(2.0 * math.pi / angle))
+    return n if abs(angle - 2.0 * math.pi / n) <= TOL.eps else None
 
 
 def gauss_bonnet_total(mesh: SurfaceMesh) -> float:
@@ -723,9 +726,7 @@ def trace_surface_geodesic(
     crossing. Nothing is kept on the mesh. Cone angles are computed only
     when a vertex is hit.
     """
-    horizon = float(horizon)
-    if horizon < 0 or not np.isfinite(horizon):
-        raise InputError(f"horizon must be finite and >= 0, got {horizon}")
+    horizon = _checked_horizon(horizon)
     if not 0 <= face < len(mesh.faces):
         raise InputError(f"face index {face} out of range")
     p = as_point(point, 3)
@@ -783,8 +784,7 @@ def trace_surface_geodesic(
         near_b = vector_norm(hit - vb) <= TOL.eps * scale
         if near_a or near_b:
             v_idx = a if near_a else b
-            cone = _cone_angle_sums(mesh)[v_idx]
-            if abs(cone - math.pi) > TOL.eps:
+            if _orbifold_order(_cone_angle_sums(mesh)[v_idx]) != 2:
                 raise VertexHitError(v_idx, hit)
             # retrace: at cone angle pi the developed continuation folds back
             knots.append((t, hit, unfolder.apply(hit), (v_idx,), face))

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import InputError
-
 __all__ = ["Scene", "trajectory_svg", "wedge_fan_svg"]
 
 
@@ -54,8 +50,6 @@ class Scene:
 
     def to_svg(self) -> str:
         width_px = 640.0
-        if not self._xs:
-            raise InputError("nothing to draw")
         xmin, xmax = min(self._xs), max(self._xs)
         ymin, ymax = min(self._ys), max(self._ys)
         span_x = max(xmax - xmin, 1e-9)
@@ -119,8 +113,8 @@ def wedge_fan_svg(limit, shot) -> str:
     with the straight line it unfolds to.
     """
     alpha = limit.alpha
-    start = np.asarray(shot.start, dtype=float)
-    reach = float(np.linalg.norm(start))
+    sx, sy = shot.start
+    reach = math.hypot(sx, sy)
     ray_len = 1.2 * reach
     scene = Scene()
     for k in range(limit.m + 1):
@@ -136,17 +130,13 @@ def wedge_fan_svg(limit, shot) -> str:
         width=2.5,
     )
     # unfolded straight line: the shot travels antiparallel to the bisector
-    bisector = np.array([math.cos(0.5 * alpha), math.sin(0.5 * alpha)])
-    far = start - 2.0 * reach * bisector
-    scene.polyline(
-        [(start[0], start[1]), (far[0], far[1])],
-        stroke="#e67e22",
-        width=1.2,
-    )
+    run = 2.0 * reach
+    far = (sx - run * math.cos(0.5 * alpha), sy - run * math.sin(0.5 * alpha))
+    scene.polyline([(sx, sy), far], stroke="#e67e22", width=1.2)
     # folded path inside the wedge
-    path = [start] + [np.asarray(p) for p in shot.bounce_points]
-    tail = path[-1] + 0.8 * reach * np.asarray(shot.outgoing_direction)
-    path.append(tail)
+    path = [shot.start, *shot.bounce_points]
+    (px, py), (ox, oy) = path[-1], shot.outgoing_direction
+    path.append((px + 0.8 * reach * ox, py + 0.8 * reach * oy))
     scene.polyline(path, stroke="#c0392b", width=1.8)
     for p in shot.bounce_points:
         scene.dot(p)

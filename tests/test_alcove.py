@@ -17,6 +17,7 @@ from billiards.alcove import (
     CoxeterDiagram,
 )
 from billiards.alcove import _candidate_labels, _catalogue_edges
+from billiards.config import TOL
 from billiards.corner import limit_reflection
 from billiards.dynamics import (
     BounceKind,
@@ -27,7 +28,7 @@ from billiards.dynamics import (
     simulate,
     simulate_unfolded,
 )
-from billiards.errors import InputError, NotAnAlcoveError
+from billiards.errors import InputError, NotAnAlcoveError, WordBudgetExceededError
 from billiards.geometry import (
     Polytope,
     affine_rank,
@@ -272,6 +273,14 @@ def test_standard_alcoves_roundtrip_their_labels():
         assert verdict.label == label
 
 
+@pytest.mark.parametrize("label", ["Z3", "A", "A3~~"])
+def test_standard_alcove_refuses_a_label_it_cannot_parse(label):
+    with pytest.raises(InputError) as info:
+        standard_alcove(label)
+    assert type(info.value) is InputError
+    assert str(info.value) == f"cannot parse affine label {label!r}"
+
+
 def test_unknown_component_gets_no_label():
     # a path with an edge labeled 5 belongs to no affine family
     diagram = CoxeterDiagram(3, {(0, 1): 5.0, (1, 2): 3.0})
@@ -296,6 +305,44 @@ def test_fold_point_matches_triangle_wave_on_boxes(rng):
         want = [_boxfold_oracle(x[0], 2.0), _boxfold_oracle(x[1], 1.0)]
         assert np.allclose(y, want, atol=1e-9)
         assert box.contains(y)
+
+
+def _argmax_fold(normals, offsets, x, band):
+    """The greedy fold written with numpy's argmax: the reference for the
+    first-maximum choice of the shared chamber fold."""
+    word = []
+    while True:
+        slack = normals @ x - offsets
+        k = int(np.argmax(slack))
+        if slack[k] <= band:
+            return x, word
+        x = x - 2.0 * slack[k] * normals[k]
+        word.append(k)
+
+
+def test_points_and_corner_directions_fold_as_the_argmax_reference(rng):
+    """Bit for bit, with ties (a box point on its diagonal) broken towards
+    the first wall: ``fold_point`` on seeded far points, and ``reflect_at``
+    under ``FOLD_GROUP`` at every vertex, whose walls pass through it."""
+    tables = [standard_alcove(label) for label in ("A2~", "G2~", "B4~", "E8~")]
+    tables.append(Polytope.box((0.0, 0.0), (1.0, 1.0)))
+    for table in tables:
+        band = TOL.eps * table.scale
+        points = list(rng.normal(size=(20, table.dim)) * 20.0 * table.scale)
+        points.append(np.full(table.dim, 5.5))
+        for x in points:
+            y, word = fold_point(table, x)
+            want, want_word = _argmax_fold(table.normals, table.offsets, x, band)
+            assert (y.tobytes(), word) == (want.tobytes(), want_word)
+        for v in table.vertices:
+            active = table.contains(v).active
+            normals = table.normals[list(active)]
+            for d in rng.normal(size=(5, table.dim)):
+                r = reflect_at(table, v, d, active, CornerPolicy.FOLD_GROUP)
+                unit_d = d / np.linalg.norm(d)
+                want, want_word = _argmax_fold(normals, 0.0, unit_d, TOL.eps)
+                assert r.outgoing.tobytes() == want.tobytes()
+                assert r.word == tuple(active[k] for k in want_word)
 
 
 def test_fold_point_idempotent_and_word_replays(rng):
@@ -353,6 +400,17 @@ def test_folded_flow_refuses_non_alcoves():
             folded_flow(tri, TrajectoryState((0.4, 0.2), (0.1, 1.0)), 2.0)
         with pytest.raises(NotAnAlcoveError):
             fold_point(tri, (0.4, 0.2))
+
+
+def test_a_fold_longer_than_100000_reflections_is_refused():
+    """On the unit square each reflection moves a far point one width
+    closer, so a point 1e5 widths out needs a word of about 1e5 letters."""
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    y, word = fold_point(square, (99_999.5, 0.5))
+    assert (y.tolist(), len(word)) == ([0.5, 0.5], 99_999)
+    with pytest.raises(WordBudgetExceededError) as info:
+        fold_point(square, (100_000.5, 0.5))
+    assert str(info.value) == "folding did not terminate within 100000 reflections"
 
 
 def test_fold_group_refuses_a_non_alcove_before_the_run():

@@ -391,6 +391,32 @@ def test_negative_horizon_rejected():
         simulate(square, TrajectoryState((0.5, 0.5), (1.0, 0.0)), -1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda sq: CornerPolicy.parse("bogus"),
+                     "unknown corner policy 'bogus'; choose from "
+                     "['strict', 'point-reflect', 'fold-group']", id="policy"),
+        pytest.param(lambda sq: reflect_at(sq, (0.0, 0.5), (-1.0, 0.0), ()),
+                     "reflect_at needs a nonempty active set", id="no-active"),
+        pytest.param(lambda sq: advance_to_boundary(sq, (0.5, 0.5), (0.0, 0.0)),
+                     "cannot normalize the zero vector", id="zero-direction"),
+        pytest.param(lambda sq: simulate(
+                         sq, TrajectoryState((0.5, 0.5, 0.5), (1.0, 0.0, 0.0)), 1.0),
+                     "state and table dimensions differ", id="3d-state"),
+        pytest.param(lambda sq: simulate_unfolded(
+                         sq, TrajectoryState((0.5, 0.5, 0.5), (1.0, 0.0, 0.0)), 1.0),
+                     "state and table dimensions differ", id="3d-state-unfolded"),
+    ],
+)
+def test_bad_step_arguments_are_refused_with_their_message(call, message):
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(InputError) as info:
+        call(square)
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
 # the same guards hold for the unfolded loop, which validates at its own edge
 
 def test_unfolded_start_outside_rejected():

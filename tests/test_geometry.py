@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import nnls
 
 from billiards.alcove import standard_alcove, standard_alcove_labels
+from billiards.config import TOL
 from billiards.errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -22,11 +23,11 @@ from billiards.errors import (
 from billiards.geometry import (
     Location,
     Polytope,
+    _chamber_fold,
     _nnls,
     _unit_rows,
     classify_slack,
     cone_membership,
-    fold_direction_into_cone,
     is_polar,
     nearest_pi_over_m,
     reflect,
@@ -561,6 +562,12 @@ def test_construction_errors_are_pinned(build, error, message):
             id="polygon-overflow",
         ),
         pytest.param(
+            lambda: unit([math.nan, 0.5]),
+            "non-finite coordinates: [nan 0.5]",
+            id="point-nan",
+        ),
+        pytest.param(lambda: unit([]), "points must have dimension >= 1", id="point-empty"),
+        pytest.param(
             lambda: Polytope.convex_polygon([[0, 0], [1, 0], [0, -3e160]]),
             "vertex 2 has a coordinate of magnitude 3e+160; polygon coordinates "
             "must be at most 1e+153, or squared edge lengths overflow",
@@ -612,6 +619,42 @@ def test_from_halfspaces_refuses_a_far_vertex_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="polytope coordinates must be at most"):
             Polytope.from_halfspaces(rows)
+
+
+def _thirty_halfspaces_in_dimension_8():
+    """The cube [-1, 1]^8 and 14 seeded cuts: C(30, 8) vertex candidates."""
+    rows = [[*row, 1.0] for row in np.vstack([np.eye(8), -np.eye(8)])]
+    for n in np.random.default_rng(0).normal(size=(14, 8)):
+        rows.append([*(n / np.linalg.norm(n)), 5.0])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: unit([[1.0, 2.0]]), InputError,
+                     "expected a point/vector, got shape (1, 2)", id="point-2d"),
+        pytest.param(lambda: Polytope.box((1.0, 0.0), (0.0, 1.0)), InputError,
+                     "box needs lower < upper coordinatewise", id="box-order"),
+        pytest.param(lambda: Polytope.from_point_cloud(np.eye(4)),
+                     DimensionMismatchError,
+                     "from_point_cloud supports dim 2 or 3", id="cloud-4d"),
+        pytest.param(
+            lambda: Polytope.from_halfspaces(_thirty_halfspaces_in_dimension_8()),
+            InputError,
+            "vertex enumeration over C(30,8) subsets exceeds the cap 200000; "
+            "supply vertices explicitly",
+            id="enumeration-cap",
+        ),
+    ],
+)
+def test_malformed_geometry_is_refused_with_its_class_and_message(
+    build, error, message
+):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_dimension_mismatch_rejected():
@@ -793,6 +836,8 @@ def test_right_angle_corner_reverses_direction():
 
 
 # -- folding a direction into a cone -----------------------------------------
+# a FOLD_GROUP corner folds its direction with _chamber_fold, walls through
+# the origin (no offsets) and band TOL.eps
 
 def test_fold_direction_word_matches_wedge_oracle():
     """60-degree wedge at the origin: direction 210 deg folds to 30 deg.
@@ -805,7 +850,7 @@ def test_fold_direction_word_matches_wedge_oracle():
     n_upper = np.array([-math.sin(ang), math.cos(ang)])
     v = np.array([math.cos(math.radians(210.0)),
                   math.sin(math.radians(210.0))])
-    folded, word = fold_direction_into_cone(np.array([n_lower, n_upper]), v)
+    folded, word = _chamber_fold(np.array([n_lower, n_upper]), None, v, TOL.eps)
     expected = np.array([math.cos(math.radians(30.0)),
                          math.sin(math.radians(30.0))])
     assert np.allclose(folded, expected, atol=1e-12)
@@ -815,7 +860,7 @@ def test_fold_direction_word_matches_wedge_oracle():
 def test_fold_direction_fixed_point_inside_cone():
     normals = np.array([[0.0, -1.0], [-1.0, 0.0]])
     v = unit([0.7, 0.4])
-    folded, word = fold_direction_into_cone(normals, v)
+    folded, word = _chamber_fold(normals, None, v, TOL.eps)
     assert np.allclose(folded, v, atol=1e-15)
     assert word == []
 

@@ -179,6 +179,27 @@ def test_dumps_json_refuses_nan():
         dumps_json({"x": float("nan")})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: dumps_json({"x": {1, 2}}),
+                     "cannot serialize value of type set", id="set-value"),
+        pytest.param(lambda: dumps_json({1: 2.0}),
+                     "JSON object keys must be strings", id="int-key"),
+        pytest.param(lambda: table_to_data(object()),
+                     "cannot serialize object of type object", id="no-table"),
+        pytest.param(lambda: build("nope"),
+                     "unknown bundled table 'nope'; choose from "
+                     + ", ".join(sorted(BUILDERS)), id="unknown-bundled"),
+    ],
+)
+def test_writers_and_builders_refuse_what_they_cannot_hold(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def _run_cli(capsys, *argv):
@@ -304,6 +325,17 @@ def _one_error_line(capsys, *argv) -> str:
         (("smooth", "circle", "--converge", "--alphas", "0.02,5e-324"),
          "launch angle 5e-324 is too small: a full loop makes more than 100000 "
          "bounces"),
+        (("simulate", "square", "0.25,0.5", "1,0.3", "1", "--policy", "bogus"),
+         "unknown corner policy 'bogus'; choose from "
+         "['strict', 'point-reflect', 'fold-group']"),
+        (("simulate", "square", "nan,0.5", "0,1", "1"),
+         "non-finite coordinates: [nan 0.5]"),
+        (("simulate", "square", "0.25,0.5,0.1", "0,1,0", "1"),
+         "state and table dimensions differ"),
+        # just below 2*pi/3, a face crossing of the shot sits out at ~1e16
+        (("corner", "2.094395102393195"),
+         "shot geometry is degenerate: a face crossing sits asymptotically far "
+         "out (opening at a parity boundary)"),
     ],
 )
 def test_cli_refuses_bad_arguments_in_one_line(capsys, argv, fragment):
@@ -312,6 +344,16 @@ def test_cli_refuses_bad_arguments_in_one_line(capsys, argv, fragment):
         line = _one_error_line(capsys, *argv)
     assert line.startswith("billiards: error: ")
     assert fragment in line
+
+
+def test_cli_refuses_a_table_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("{not json")
+    line = _one_error_line(capsys, "simulate", str(path), "0.2,0.2", "0,1", "1")
+    assert line == (
+        f"billiards: error: {path} is not valid JSON: Expecting property name "
+        "enclosed in double quotes: line 1 column 2 (char 1)"
+    )
 
 
 def test_cli_without_a_subcommand_prints_usage(capsys):
@@ -876,6 +918,16 @@ def test_cli_smooth_laws_and_converge(capsys):
     assert result["monotone_decreasing"] is True
     assert len(result["rows"]) == 3
 
+    # on the circle each row also carries the closed-form deviation
+    code, out = _run_cli(
+        capsys, "smooth", "circle", "--converge", "--alphas", "0.04,0.02"
+    )
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    assert [row["prediction"] for row in rows] == [
+        1.0 - math.cos(a) for a in (0.04, 0.02)
+    ]
+
 
 @pytest.mark.parametrize("mode", ["--laws", "--converge"])
 def test_cli_smooth_perturbed(mode, capsys):
@@ -1298,16 +1350,19 @@ def test_cli_loads_no_jsonschema_when_it_succeeds(argv):
         (["corner", "1.0"], "0 False\n"),
         (["corner", "--sweep", "0.3", "2.6", "600"], "0 False\n"),
         (["corner", "--sweep", "0.3", "2.6", "600", "--csv", "CSV"], "0 False\n"),
+        (["corner", "1.0", "--svg", "SVG"], "0 False\n"),
         (["corner", "0"], "billiards: error: wedge opening must be in (0, pi), "
          "got 0.0\n2 False\n"),
     ],
-    ids=["corner", "corner --sweep", "corner --sweep --csv", "corner refused"],
+    ids=["corner", "corner --sweep", "corner --sweep --csv", "corner --svg",
+         "corner refused"],
 )
 def test_cli_corner_loads_no_numpy(argv, err, tmp_path):
-    """The corner limits, the wedge tracer and the report and CSV writers
-    run on Python floats, so a cold ``billiards corner`` never imports numpy,
-    whether it succeeds or refuses."""
-    argv = [str(tmp_path / "gaps.csv") if a == "CSV" else a for a in argv]
+    """The corner limits, the wedge tracer, the wedge fan picture and the
+    report and CSV writers run on Python floats, so a cold ``billiards
+    corner`` never imports numpy, whether it succeeds or refuses."""
+    files = {"CSV": str(tmp_path / "gaps.csv"), "SVG": str(tmp_path / "fan.svg")}
+    argv = [files.get(a, a) for a in argv]
     code = (
         "import sys, billiards.cli\n"
         f"status = billiards.cli.main({argv!r})\n"
@@ -1320,6 +1375,8 @@ def test_cli_corner_loads_no_numpy(argv, err, tmp_path):
     assert proc.stderr == err
     if "--csv" in argv:
         assert len((tmp_path / "gaps.csv").read_text().splitlines()) == 601
+    if "--svg" in argv:
+        assert (tmp_path / "fan.svg").read_text().startswith("<svg ")
 
 
 def test_import_billiards_corner_loads_no_numpy():

@@ -221,6 +221,11 @@ def test_smooth_tables_refuse_what_they_are_not(cls, args, name):
         cls(*args)
 
 
+def test_a_launch_side_other_than_plus_or_minus_one_is_refused():
+    with pytest.raises(InputError, match=r"^side must be \+1 or -1$"):
+        Circle(1.0).launch_direction(0.0, 0.1, side=0)
+
+
 def test_perturbed_circle_convexity_condition_is_exact():
     """``|delta| * (1 + k^2) < 1`` against the curvature on a fine grid."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 20001)

@@ -281,6 +281,37 @@ def test_geodesic_refuses_bad_arguments(face, point, horizon, message):
         trace_surface_geodesic(cube, face, point, [1.0, 0.0, 0.0], horizon)
 
 
+_CORNERS = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SurfaceMesh([[0, 0], [1, 0], [0, 1]], [(0, 1, 2)]),
+                     "surface vertices must be 3D", id="2d-vertices"),
+        pytest.param(lambda: SurfaceMesh.from_polytope(Polytope.box((0, 0), (1, 1))),
+                     "surface extraction needs a 3D polytope", id="2d-polytope"),
+        pytest.param(lambda: SurfaceMesh(_CORNERS, [(0, 1), (0, 2, 3)]),
+                     "face 0 is degenerate: (0, 1)", id="two-sided-face"),
+        pytest.param(lambda: SurfaceMesh(_CORNERS, [(0, 1, 1), (0, 2, 3)]),
+                     "face 0 is degenerate: (0, 1, 1)", id="repeated-vertex"),
+        pytest.param(lambda: tetrahedron_mesh(np.eye(3)),
+                     "a tetrahedron needs exactly four 3D vertices", id="mesh-shape"),
+        pytest.param(lambda: is_disphenoid(np.eye(3)),
+                     "is_disphenoid expects four 3D vertices", id="disphenoid-shape"),
+        pytest.param(lambda: tetrahedron_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+                     "tetrahedron is degenerate (coplanar vertices)", id="coplanar"),
+        pytest.param(lambda: make_disphenoid(0.0, 1.0, 1.0),
+                     "edge lengths must be positive", id="zero-edge"),
+    ],
+)
+def test_malformed_surfaces_are_refused_with_their_message(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
 def test_vertex_of_order_two_is_where_a_geodesic_retraces():
     """Under ``BILLIARDS_EPS=1e-6`` a disphenoid with one vertex moved by
     2e-7 keeps cone angles within 3.2e-8 of pi: ``cone_angles`` gives

@@ -58,6 +58,13 @@ just off it) and offsets: the start, the bounce points, the outgoing
 direction and angle and the bounce count, or a refused shot's error class
 and message.
 
+"Fold points" hashes the one chamber fold both ways it is used: the bytes
+of the point and the word of ``fold_point`` at seeded points inside each
+standard alcove up to rank 8 and each bundled alcove, near its walls and
+up to 50 table lengths away, and its refusal of the bundled non-alcove; and
+the outgoing direction, kind and word of ``reflect_at`` under
+``FOLD_GROUP`` at each vertex of those alcoves.
+
 Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
 and time. One more group hashes ``Trajectory.sample`` on each of these runs
@@ -77,6 +84,7 @@ import numpy as np
 
 from billiards.alcove import (
     check_alcove,
+    fold_point,
     folded_flow,
     standard_alcove,
     standard_alcove_labels,
@@ -85,6 +93,7 @@ from billiards.corner import limit_reflection, unfold_wedge
 from billiards.dynamics import (
     CornerPolicy,
     TrajectoryState,
+    reflect_at,
     simulate,
     simulate_unfolded,
 )
@@ -523,6 +532,47 @@ def _wedge_shots(digest) -> None:
                 digest.update(np.float64(shot.outgoing_angle).tobytes())
 
 
+def _fold_points(digest) -> None:
+    """``fold_point`` on every standard alcove up to rank 8 and every bundled
+    alcove, at seeded points inside, within 1e-6 of a wall on either side
+    and 1 to 50 table lengths away, and its refusal of the bundled
+    non-alcove; then ``reflect_at`` under ``FOLD_GROUP`` at each vertex of
+    those alcoves, for the shot from the interior point and for seeded
+    incoming directions."""
+    rng = np.random.default_rng(811)
+    alcoves = [standard_alcove(label) for label in standard_alcove_labels(8)]
+    alcoves += [build(name) for name in ("rectangle", "simplex_A3", "square",
+                                         "triangle_A2", "triangle_C2", "triangle_G2")]
+    for table in alcoves:
+        x0, scale = table.interior_point(), table.scale
+        points = list(rng.dirichlet(np.ones(len(table.vertices)), 10) @ table.vertices)
+        for k in rng.integers(table.n_facets, size=5):
+            on_wall = table.vertices[list(table.facet_vertices[k])].mean(axis=0)
+            for s in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
+                points.append(on_wall + s * scale * table.normals[k])
+        for r in rng.uniform(1.0, 50.0, 20):
+            u = rng.normal(size=table.dim)
+            points.append(x0 + r * scale * u / np.linalg.norm(u))
+        for x in points:
+            y, word = fold_point(table, x)
+            digest.update(y.tobytes())
+            digest.update(repr(word).encode())
+        for v in table.vertices:
+            active = table.contains(v).active
+            for d in [v - x0, *rng.normal(size=(5, table.dim))]:
+                try:
+                    r = reflect_at(table, v, d, active, CornerPolicy.FOLD_GROUP)
+                except BilliardsError as err:
+                    digest.update(_error(err))
+                    continue
+                digest.update(r.outgoing.tobytes())
+                digest.update(repr((r.kind.value, r.word)).encode())
+    try:
+        fold_point(build("triangle_nonalcove"), (0.1, 0.1))
+    except BilliardsError as err:
+        digest.update(_error(err))
+
+
 def _disphenoid_checks(digest, rng) -> None:
     tetrahedra = [rng.normal(size=(4, 3)) for _ in range(20)]
     for _ in range(20):
@@ -598,6 +648,7 @@ GROUPS = (
     ("cone angles", _cone_angles),
     ("small verdicts", _small_verdicts),
     ("wedge shots", _wedge_shots),
+    ("fold points", _fold_points),
     ("meshes", _meshes),
 )
 
