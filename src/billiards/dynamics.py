@@ -487,15 +487,13 @@ def simulate_unfolded(
     d0 = state.direction.copy()
     q = np.eye(polytope.dim)
     shift = np.zeros(polytope.dim)
-    mirrors = [
-        _mirror(n, c) for n, c in zip(polytope.normals, polytope.offsets.tolist())
-    ]
+    mirrors: dict[int, tuple] = {}  # facet -> its _mirror, built on first use
     t = 0.0
     line = x0 + t * d0  # the straight line at time t, before any isometry
     hits: list[tuple] = []
     while horizon - t > eps_time:
-        p = q @ line + shift
-        d = q @ d0
+        p = q.dot(line) + shift
+        d = q.dot(d0)
         # the slack and the classification come from this isometry-built
         # position, never from a point of the folded run, so the two paths
         # stay independent
@@ -506,7 +504,7 @@ def simulate_unfolded(
         t = t + dt
         line = x0 + t * d0
         outgoing, kind, word = _resolve(polytope, hit, d_unit, active, policy)
-        table_hit = q @ line + shift
+        table_hit = q.dot(line) + shift
         hits.append((t, table_hit, d, outgoing, active, kind))
         if len(hits) > budget:
             raise BounceBudgetExceededError(
@@ -514,14 +512,18 @@ def simulate_unfolded(
             )
         if kind is BounceKind.FACET or word:
             for idx in word:
-                h, b = mirrors[idx]
-                q = h @ q
-                shift = h @ shift + b
+                mirror = mirrors.get(idx)
+                if mirror is None:
+                    offset = float(polytope.offsets[idx])
+                    mirror = mirrors[idx] = _mirror(polytope.normals[idx], offset)
+                h, b = mirror
+                q = h.dot(q)
+                shift = h.dot(shift) + b
         else:
             # point reflection about the corner
             q = -q
             shift = 2.0 * table_hit - shift
-    end_point = q @ (x0 + horizon * d0) + shift
-    end_dir = q @ d0
+    end_point = q.dot(x0 + horizon * d0) + shift
+    end_dir = q.dot(d0)
     end = TrajectoryState(end_point, end_dir, horizon)
     return _trajectory(state, hits, end, policy)

@@ -72,6 +72,25 @@ def _checked_size(name: str, value) -> float:
     return value
 
 
+def _check_side(side: int) -> None:
+    if side not in (+1, -1):
+        raise InputError("side must be +1 or -1")
+
+
+def _check_base_angle(alpha: float) -> None:
+    if not 0.0 < alpha < 0.5 * math.pi:
+        raise InputError(f"base angle must be in (0, pi/2), got {alpha}")
+
+
+def _launch(tangent: tuple[float, float], alpha: float, side: int) -> tuple:
+    """The unit chord direction at base angle ``alpha`` from the unit
+    tangent ``tangent``: :meth:`SmoothTable.launch_direction`, trusted."""
+    tx, ty = tangent
+    nx, ny = -ty, tx  # the inward normal
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return ca * side * tx + sa * nx, ca * side * ty + sa * ny
+
+
 class SmoothTable:
     """Strictly convex planar table, boundary parametrized CCW by ``theta``."""
 
@@ -135,12 +154,8 @@ class SmoothTable:
     ) -> tuple[float, float]:
         """Unit chord direction at base angle ``alpha``, traveling CCW for
         ``side=+1`` and CW for ``side=-1``."""
-        if side not in (+1, -1):
-            raise InputError("side must be +1 or -1")
-        tx, ty = self.tangent(theta)
-        nx, ny = -ty, tx  # the inward normal
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        return ca * side * tx + sa * nx, ca * side * ty + sa * ny
+        _check_side(side)
+        return _launch(self.tangent(theta), alpha, side)
 
 
 class Circle(SmoothTable):
@@ -371,14 +386,25 @@ class ChordStep:
     direction: tuple[float, float]
 
 
-def smooth_bounce(
-    table: SmoothTable, theta: float, alpha: float, side: int = +1
-) -> ChordStep:
-    """One chord of the billiard map in base-angle coordinates."""
-    if not 0.0 < alpha < 0.5 * math.pi:
-        raise InputError(f"base angle must be in (0, pi/2), got {alpha}")
-    px, py = table.point(theta)
-    dx, dy = table.launch_direction(theta, alpha, side)
+def _chord(
+    table: SmoothTable,
+    theta: float,
+    alpha: float,
+    side: int,
+    px: float,
+    py: float,
+    tangent: tuple[float, float],
+) -> tuple:
+    """One chord of the billiard map from the boundary point ``(px, py)`` at
+    ``theta``, whose unit tangent is ``tangent``, at base angle ``alpha`` on
+    ``side``: the trusted kernel of :func:`smooth_bounce` and
+    :func:`base_angle_run`, which check ``alpha`` and ``side``.
+
+    Returns the chord's direction and length, the hit, ``theta_next``,
+    ``alpha_next`` and the unit tangent at ``theta_next``, which is the next
+    launch's ``tangent``. ``table.ray_exit`` still refuses a ray that does
+    not point into the table."""
+    dx, dy = _launch(tangent, alpha, side)
     chord = table.ray_exit(px, py, dx, dy)
     qx, qy = px + chord * dx, py + chord * dy
     theta_next = table.theta_of_point(qx, qy)
@@ -390,16 +416,30 @@ def smooth_bounce(
         theta_next = theta - (theta - theta_next) % (2.0 * math.pi)
     tx, ty = table.tangent(theta_next)
     cos_next = max(-1.0, min(1.0, side * (dx * tx + dy * ty)))
-    alpha_next = math.acos(cos_next)
+    return (dx, dy), chord, (qx, qy), theta_next, math.acos(cos_next), (tx, ty)
+
+
+def smooth_bounce(
+    table: SmoothTable, theta: float, alpha: float, side: int = +1
+) -> ChordStep:
+    """One chord of the billiard map in base-angle coordinates: ``alpha``
+    and ``side`` are checked, then the chord is the one that
+    :func:`base_angle_run` steps through, with the same bits."""
+    _check_base_angle(alpha)
+    _check_side(side)
+    point = table.point(theta)
+    direction, chord, point_next, theta_next, alpha_next, _ = _chord(
+        table, theta, alpha, side, *point, table.tangent(theta)
+    )
     return ChordStep(
         theta=theta,
         theta_next=theta_next,
         alpha=alpha,
         alpha_next=alpha_next,
         chord=chord,
-        point=(px, py),
-        point_next=(qx, qy),
-        direction=(dx, dy),
+        point=point,
+        point_next=point_next,
+        direction=direction,
     )
 
 
@@ -426,14 +466,19 @@ def base_angle_run(
 ) -> BounceRun:
     """Iterate the chord map ``n_bounces`` times from ``(theta0, alpha0)``.
 
-    A run whose base angle leaves (0, pi/2) is refused with ``InputError``
-    naming the table, the launch angle, the bounce and the angle reached.
+    ``alpha0`` and ``side`` are checked once, as :func:`smooth_bounce`
+    checks them; each bounce then steps through the same chord kernel, with
+    the same bits as chained :func:`smooth_bounce` calls, carrying each
+    hit's tangent into the next launch. A run whose base angle leaves (0,
+    pi/2) is refused with ``InputError`` naming the table, the launch angle,
+    the bounce and the angle reached.
     """
-    thetas = [float(theta0)]
-    alphas = [float(alpha0)]
-    chords = []
-    points = [table.point(theta0)]
     theta, alpha = float(theta0), float(alpha0)
+    _check_base_angle(alpha)
+    _check_side(side)
+    thetas, alphas, chords = [theta], [alpha], []
+    points = [table.point(theta0)]
+    tangent = table.tangent(theta)
     for k in range(n_bounces):
         if k and not 0.0 < alpha < 0.5 * math.pi:
             raise InputError(
@@ -441,12 +486,14 @@ def base_angle_run(
                 f"reached base angle {alpha!r} after bounce {k}, outside "
                 f"(0, pi/2)"
             )
-        step = smooth_bounce(table, theta, alpha, side)
-        theta, alpha = step.theta_next, step.alpha_next
+        px, py = table.point(theta)
+        _, chord, hit, theta, alpha, tangent = _chord(
+            table, theta, alpha, side, px, py, tangent
+        )
         thetas.append(theta)
         alphas.append(alpha)
-        chords.append(step.chord)
-        points.append(step.point_next)
+        chords.append(chord)
+        points.append(hit)
     return BounceRun(
         table_name=table.name,
         side=side,

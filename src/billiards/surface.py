@@ -659,47 +659,63 @@ class _Unfolder:
         e1 = direction
         e2 = normalized(_cross(normal, e1))
         self.a = np.stack([e1, e2])
-        self.o = -self.a @ point
+        self.o = -self.a.dot(point)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ x + self.o
+        return self.a.dot(x) + self.o
 
     def rotate(self, rot: np.ndarray, shift: np.ndarray) -> None:
         """Compose with the isometry ``x -> rot @ x + shift``."""
-        self.o = self.o + self.a @ shift
-        self.a = self.a @ rot
+        self.o = self.o + self.a.dot(shift)
+        self.a = self.a.dot(rot)
 
 
-def _edge_rotation(
-    mesh: SurfaceMesh, from_face: int, to_face: int, va: np.ndarray, vb: np.ndarray
-) -> np.ndarray:
-    """Rotation about the edge ``va -> vb`` of ``from_face`` (in its order)
-    carrying ``to_face``'s plane onto ``from_face``'s, matching the two
-    outward normals."""
-    e_f = normalized(vb - va)
-    n_f = mesh.face_normal(from_face)
-    n_g = mesh.face_normal(to_face)
-    m_f = normalized(_cross(e_f, n_f))   # out of from_face, in its plane
-    m_g = normalized(_cross(-e_f, n_g))  # out of to_face, in its plane
-    # the frames as columns, [e_f | m_f | n_f] @ [e_f | -m_g | n_g].T, laid
-    # out in memory as np.column_stack would, so the product keeps its bits
-    t = np.array([e_f, m_f, n_f], order="F").T
-    s_t = np.array([e_f, -m_g, n_g], order="F")
-    return t @ s_t
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` over its length, as :func:`normalized` divides one
+    vector, bit for bit: the squared lengths are the same ``ddot`` calls."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
-def _edge_rows(mesh: SurfaceMesh, face: int) -> list[tuple]:
-    """The edges ``(a, b)`` of ``face`` in its order, each with the position
-    of ``a`` and the edge's unit normal in the face plane, pointing out of
-    the face."""
-    poly = mesh.faces[face]
-    n = mesh.face_normal(face)
-    rows = []
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        rows.append((a, b, va, normalized(_cross(vb - va, n))))
-    return rows
+def _edge_tables(mesh: SurfaceMesh) -> tuple:
+    """The exit-search rows of every face and the turn across every directed
+    edge, in one array pass over the directed edges in face order.
+
+    Directed edge ``j`` is ``(a, b)`` of the face whose boundary runs ``a ->
+    b``. Face ``k``'s rows are ``(j, va, m)`` for its edges in its order,
+    with ``va`` the position of ``a`` and ``m`` the edge's unit normal in the
+    face plane, pointing out of the face. The turn across edge ``j`` is the
+    face ``g`` across it, and the rotation ``rot[j]`` about it that carries
+    ``g``'s plane onto the face's and matches the two outward normals, with
+    the shift that makes ``x -> rot[j] @ x + shift[j]`` fix the edge.
+    ``rot_t[j]`` is ``rot[j].T``. Each value has the bits of the same
+    formula on one edge."""
+    heads, tails = zip(*mesh._owner)
+    across = [mesh._owner[ba] for ba in zip(tails, heads)]
+    normals = np.array(mesh._normals)
+    n_f, n_g = normals[list(mesh._owner.values())], normals[across]
+    va = mesh.vertices[list(heads)]
+    edge = mesh.vertices[list(tails)] - va
+    e_f = _unit_rows(edge)
+    # m = edge x n_f, and m_f = e_f x n_f and m_g = -e_f x n_g, the normals
+    # out of the face and out of g in their planes, in one pass
+    u, v = np.concatenate((edge, e_f, -e_f)), np.concatenate((n_f, n_f, n_g))
+    m, m_f, m_g = _unit_rows(_cross_rows(u, v)).reshape(3, -1, 3)
+    # [e_f | m_f | n_f] @ [e_f | -m_g | n_g].T per edge: the first frame as
+    # columns of a C-ordered matrix, the second as rows of an F-ordered one,
+    # the layouts of one edge's product, so each product keeps its bits
+    rot = np.stack([e_f, m_f, n_f], axis=2) @ np.stack(
+        [e_f, -m_g, n_g], axis=2
+    ).transpose(0, 2, 1)
+    shift = va - (rot @ va[:, :, None])[..., 0]
+    flat, rows, j = list(zip(range(len(heads)), va, m)), [], 0
+    for face in mesh.faces:
+        rows.append(flat[j : j + len(face)])
+        j += len(face)
+    return rows, heads, tails, across, rot, shift, rot.transpose(0, 2, 1)
+
+
+# the maximum number of edge crossings of one traced geodesic
+_MAX_CROSSINGS = 100_000
 
 
 def trace_surface_geodesic(
@@ -711,19 +727,19 @@ def trace_surface_geodesic(
 ) -> SurfaceGeodesic:
     """Trace the straight-line flow on the surface for arclength ``horizon``.
 
-    The start point must lie on the given face; the direction is projected
-    into the face plane. A geodesic that comes within ``TOL.eps`` times the
-    mesh's length scale of a vertex hits it. That raises ``VertexHitError``
-    unless the cone angle there is within ``TOL.eps`` of ``pi``, where
-    :func:`cone_angles` gives the vertex order 2; then the geodesic retraces
-    (the developed exit ray equals the entry ray) and a ``VertexPassage`` is
-    recorded.
+    The start point must lie on the given face: on its plane, and beyond
+    none of its edges by more than ``TOL.eps`` times the mesh's length
+    scale. The direction is projected into the face plane. A geodesic that
+    comes within ``TOL.eps`` times the length scale of a vertex hits it.
+    That raises ``VertexHitError`` unless the cone angle there is within
+    ``TOL.eps`` of ``pi``, where :func:`cone_angles` gives the vertex order
+    2; then the geodesic retraces (the developed exit ray equals the entry
+    ray) and a ``VertexPassage`` is recorded.
 
-    The arguments are checked here, once; the loop trusts them. Two tables
-    local to the call spare the loop repeated work: a face's edge normals
-    are built on its first visit, and the rotation across a directed edge,
-    with the shift that carries the unfolding over it, on its first
-    crossing. Nothing is kept on the mesh. Cone angles are computed only
+    The arguments are checked here, once; the loop trusts them. The edge
+    normals of every face and the rotation and shift across every directed
+    edge are built at the start, in one array pass, into tables local to
+    the call: nothing is kept on the mesh. Cone angles are computed only
     when a vertex is hit.
     """
     horizon = _checked_horizon(horizon)
@@ -734,41 +750,41 @@ def trace_surface_geodesic(
     base = mesh.vertices[mesh.faces[face][0]]
     if abs(float(np.dot(p - base, n))) > 1e-7 * max(1.0, float(np.linalg.norm(p))):
         raise InputError("start point does not lie on the start face's plane")
+    rows, heads, tails, across, rots, shifts, rots_t = _edge_tables(mesh)
+    scale = mesh._scale
+    beyond, j = max((float((p - va).dot(m)), j) for j, va, m in rows[face])
+    if beyond > TOL.eps * scale:
+        a, b = heads[j], tails[j]
+        raise InputError(
+            f"start point lies {beyond:.3e} beyond edge {(min(a, b), max(a, b))} "
+            f"of face {face}"
+        )
     d = as_point(direction, 3)
     d = d - float(np.dot(d, n)) * n
     d = unit(d)
-    scale = mesh._scale
     start_dir = d
     unfolder = _Unfolder(p, d, n)
     # (time, point, unfolded, site, face) per knot, the start's first; a
     # run's unfolding maps its first point to the origin
     knots: list[tuple] = [(0.0, p, np.zeros(2), None, face)]
-    n_crossings, max_crossings = 0, 100_000
-    edge_rows: dict[int, list[tuple]] = {}  # face -> its _edge_rows
-    # (a, b) -> (to_face, rot, shift, rot.T) across the edge a -> b, which
-    # names its face, as _edge_rows yields each edge in its face's order
-    turns: dict[tuple[int, int], tuple] = {}
+    n_crossings = 0
     t = 0.0
     while True:
         remaining = horizon - t
-        n = mesh.face_normal(face)
-        rows = edge_rows.get(face)
-        if rows is None:
-            rows = edge_rows[face] = _edge_rows(mesh, face)
-        best: tuple[float, int, int] | None = None  # (dt, a, b)
-        for a, b, va, m in rows:
+        best: tuple[float, int] | None = None  # (dt, j)
+        for j, va, m in rows[face]:
             rate = float(d.dot(m))
             if rate <= 1e-14:
                 continue
-            dt = float((va - p).dot(m)) / rate
-            if dt < -1e-12 * scale:
-                continue
-            dt = max(dt, 0.0)
+            # in a convex face, an edge ahead that lies behind the point is
+            # one the point is beyond, by rounding or within the start's
+            # tolerance: the geodesic crosses it at once
+            dt = max(float((va - p).dot(m)) / rate, 0.0)
             if best is None or dt < best[0]:
-                best = (dt, a, b)
+                best = (dt, j)
         if best is None:
             raise InputError("geodesic found no exit edge; mesh corrupt?")
-        dt, a, b = best
+        dt, j = best
         if dt >= remaining:
             end_point = p + remaining * d
             knots.append((horizon, end_point, unfolder.apply(end_point), None, None))
@@ -779,9 +795,9 @@ def trace_surface_geodesic(
             return SurfaceGeodesic(mesh, start_dir, d, *arrays, faces[:-1], sites[1:-1])
         hit = p + dt * d
         t = t + dt
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        near_a = vector_norm(hit - va) <= TOL.eps * scale
-        near_b = vector_norm(hit - vb) <= TOL.eps * scale
+        a, b = heads[j], tails[j]
+        near_a = vector_norm(hit - mesh.vertices[a]) <= TOL.eps * scale
+        near_b = vector_norm(hit - mesh.vertices[b]) <= TOL.eps * scale
         if near_a or near_b:
             v_idx = a if near_a else b
             if _orbifold_order(_cone_angle_sums(mesh)[v_idx]) != 2:
@@ -790,20 +806,15 @@ def trace_surface_geodesic(
             knots.append((t, hit, unfolder.apply(hit), (v_idx,), face))
             d = -d
             p = hit
-            unfolder = _Unfolder(p, d, n)
+            unfolder = _Unfolder(p, d, mesh.face_normal(face))
             continue
-        turn = turns.get((a, b))
-        if turn is None:
-            to_face = mesh._owner[(b, a)]
-            rot = _edge_rotation(mesh, face, to_face, va, vb)
-            turn = turns[(a, b)] = (to_face, rot, va - rot @ va, rot.T)
-        to_face, rot, shift, rot_t = turn
+        to_face = across[j]
         knots.append((t, hit, unfolder.apply(hit), (min(a, b), max(a, b)), to_face))
         n_crossings += 1
-        if n_crossings > max_crossings:
-            raise InputError(f"geodesic exceeded {max_crossings} edge crossings")
-        unfolder.rotate(rot, shift)
-        d = rot_t @ d
+        if n_crossings > _MAX_CROSSINGS:
+            raise InputError(f"geodesic exceeded {_MAX_CROSSINGS} edge crossings")
+        unfolder.rotate(rots[j], shifts[j])
+        d = rots_t[j].dot(d)
         n_new = mesh.face_normal(to_face)
         d = normalized(d - float(d.dot(n_new)) * n_new)
         p = hit

@@ -346,6 +346,18 @@ def test_cli_refuses_bad_arguments_in_one_line(capsys, argv, fragment):
     assert fragment in line
 
 
+@pytest.mark.parametrize("direction", ["-1,0,0", "1,0,0"])
+def test_cli_refuses_a_geodesic_start_off_its_face(capsys, direction):
+    """(5, 5, 0) is on the plane of the cube's face 0 but not on the face:
+    whichever way the geodesic points, one line names the face and the
+    edge, where the trace once ended off the cube or found no exit."""
+    argv = ("surface", "cube", "--geodesic", "0", "5,5,0", direction, "3")
+    line = _refusal(capsys, *argv)
+    assert line == (
+        "billiards: error: start point lies 4.000e+00 beyond edge (1, 2) of face 0"
+    )
+
+
 def test_cli_refuses_a_table_file_that_is_not_json(tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text("{not json")

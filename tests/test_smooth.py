@@ -318,6 +318,47 @@ def test_bounce_points_stay_on_the_boundary():
         assert abs(table.implicit(x, y)) < 1e-9
 
 
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("side", [+1, -1])
+def test_base_angle_run_matches_hand_chained_smooth_bounce(table, side):
+    """The run and the public bounce share one chord kernel: chaining
+    ``smooth_bounce`` by hand, each launch from the last step's ``theta_next``
+    and ``alpha_next``, gives the run's thetas, alphas, chords and points to
+    the last bit, though the run carries each hit's tangent into the next
+    launch where ``smooth_bounce`` evaluates it afresh."""
+    rng = np.random.default_rng(64)
+    for alpha0 in (0.3, 0.04, 0.0025):
+        theta0 = float(rng.uniform(0.0, 2.0 * math.pi))
+        n = min(int(math.ceil(math.pi / alpha0)), 400)
+        run = base_angle_run(table, theta0, alpha0, n, side)
+        steps, theta, alpha = [], theta0, alpha0
+        for _ in range(n):
+            steps.append(smooth_bounce(table, theta, alpha, side))
+            theta, alpha = steps[-1].theta_next, steps[-1].alpha_next
+        chained = (
+            [theta0, *(s.theta_next for s in steps)],
+            [alpha0, *(s.alpha_next for s in steps)],
+            [s.chord for s in steps],
+            [table.point(theta0), *(s.point_next for s in steps)],
+        )
+        arrays = (run.thetas, run.alphas, run.chords, run.points)
+        for arr, values in zip(arrays, chained):
+            assert arr.tobytes() == np.array(values).tobytes()
+        assert all(s.point == table.point(s.theta) for s in steps)
+
+
+@pytest.mark.parametrize("n_bounces", [0, 3])
+def test_a_run_checks_its_launch_angle_and_side_once(n_bounces):
+    """A run refuses a launch angle outside (0, pi/2) and a side other than
+    +1 or -1 with the messages of ``smooth_bounce``, even with no bounces."""
+    message = "base angle must be in (0, pi/2), got 0.0"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        base_angle_run(Circle(1.0), 0.1, 0.0, n_bounces)
+    with pytest.raises(InputError, match=f"^{re.escape('side must be +1 or -1')}$"):
+        base_angle_run(Circle(1.0), 0.1, 0.01, n_bounces, side=0)
+
+
 # -- the small-angle laws ----------------------------------------------------
 
 def test_ellipse_laws_have_quadratic_exponents():

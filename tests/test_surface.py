@@ -32,8 +32,9 @@ from billiards.surface import (
     trace_surface_geodesic,
     triangulate_check,
 )
-from billiards.surface import _cone_angle_sums, _cross
-from billiards.geometry import Polytope, unit
+import billiards.surface as surface_module
+from billiards.surface import _cone_angle_sums, _cross, _edge_tables
+from billiards.geometry import Polytope, normalized, unit
 from conftest import random_tetrahedron_vertices, random_acute_triple
 
 
@@ -271,6 +272,9 @@ def test_cube_vertex_hit_raises():
         (-1, None, 1.0, "face index -1 out of range"),
         (0, [5.0, 5.0, 5.0], 1.0,
          "start point does not lie on the start face's plane"),
+        # on the plane of the bottom face, but 4 beyond two of its edges
+        (0, [5.0, 5.0, 0.0], 1.0,
+         "start point lies 4.000e+00 beyond edge (1, 2) of face 0"),
     ],
 )
 def test_geodesic_refuses_bad_arguments(face, point, horizon, message):
@@ -738,6 +742,138 @@ def test_a_long_trace_revisits_every_face_and_leaves_the_mesh_alone():
     fresh = trace_surface_geodesic(tetrahedron_mesh(verts), 1, p, d, 400.0)
     assert _geodesic_bits(geo) == _geodesic_bits(fresh)
     assert geo.max_collinearity_residual() < 1e-9
+
+
+
+# -- the trace's edge tables and its start --------------------------------
+
+
+def _per_edge_rows(mesh, face):
+    """The exit-search rows of one face, built edge by edge: each edge's
+    head position and its unit outward normal in the face plane."""
+    poly, n = mesh.faces[face], mesh.face_normal(face)
+    rows = []
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        rows.append((a, b, va, normalized(_cross(vb - va, n))))
+    return rows
+
+
+def _per_edge_turn(mesh, face, to_face, va, vb):
+    """The rotation about the edge ``va -> vb`` of ``face`` carrying
+    ``to_face``'s plane onto ``face``'s, built from one edge's frames."""
+    e_f = normalized(vb - va)
+    n_f, n_g = mesh.face_normal(face), mesh.face_normal(to_face)
+    m_f = normalized(_cross(e_f, n_f))
+    m_g = normalized(_cross(-e_f, n_g))
+    t = np.array([e_f, m_f, n_f], order="F").T
+    s_t = np.array([e_f, -m_g, n_g], order="F")
+    return t @ s_t
+
+
+def _cut_box_mesh(rng):
+    """A box with one corner cut off: faces of three, four and five sides."""
+    lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+    box = Polytope.box(lo, hi)
+    corner = int(np.argmax(box.vertices.sum(axis=1)))
+    cut = hi - np.diag(rng.uniform(0.1, 0.4, 3))
+    cloud = np.concatenate([np.delete(box.vertices, corner, axis=0), cut])
+    return SurfaceMesh.from_polytope(Polytope.from_point_cloud(cloud))
+
+
+def test_one_pass_edge_tables_match_the_per_edge_formulas_bit_for_bit():
+    """The trace's tables, built for every face and directed edge in one
+    array pass, hold the bytes that the same formulas give on one edge at a
+    time, on tetrahedra, hulls, cut boxes and the cube, at scales 1e-6 to
+    1e6."""
+    rng = np.random.default_rng(63)
+    meshes = [SurfaceMesh.cube(1.0), SurfaceMesh.cube(3.7)]
+    for _ in range(6):
+        meshes.append(tetrahedron_mesh(random_tetrahedron_vertices(rng)))
+        pts = rng.normal(size=(int(rng.integers(8, 16)), 3))
+        meshes.append(SurfaceMesh.from_polytope(Polytope.from_point_cloud(pts)))
+        meshes.append(_cut_box_mesh(rng))
+    assert any(len(f) > 3 for mesh in meshes[2:] for f in mesh.faces)
+    meshes += [
+        SurfaceMesh(mesh.vertices * scale, mesh.faces)
+        for mesh in meshes[:8] for scale in (1e-6, 1e6)
+    ]
+    for mesh in meshes:
+        rows, heads, tails, across, rot, shift, rot_t = _edge_tables(mesh)
+        assert len(heads) == 2 * len(mesh.edges)
+        for face, face_rows in enumerate(rows):
+            expected = _per_edge_rows(mesh, face)
+            assert len(face_rows) == len(expected)
+            for (j, va, m), (a, b, va_1, m_1) in zip(face_rows, expected):
+                assert (heads[j], tails[j]) == (a, b)
+                assert _bits(va) == _bits(va_1)
+                assert _bits(m) == _bits(m_1)
+                to_face = mesh._owner[(b, a)]
+                turn = _per_edge_turn(mesh, face, to_face, va_1, mesh.vertices[b])
+                assert across[j] == to_face
+                assert _bits(rot[j]) == _bits(turn)
+                assert _bits(shift[j]) == _bits(va_1 - turn @ va_1)
+                assert _bits(rot_t[j]) == _bits(turn.T)
+                assert rot_t[j].flags.f_contiguous
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_a_start_beyond_an_edge_is_refused_past_the_tolerance_only(scale):
+    """The tolerance is ``TOL.eps`` times the mesh's length scale: a start
+    half of it beyond the edge y = 0 is on the face, twice it is not."""
+    cube, out, d = SurfaceMesh.cube(scale), TOL.eps * scale, [0.3, 1.0, 0.0]
+    for y in (-0.5 * out, 0.0):
+        trace_surface_geodesic(cube, 0, [0.5 * scale, y, 0.0], d, 0.5)
+    message = f"start point lies {2.0 * out:.3e} beyond edge (0, 1) of face 0"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        trace_surface_geodesic(cube, 0, [0.5 * scale, -2.0 * out, 0.0], d, 0.5)
+
+
+def test_a_start_on_an_edge_or_a_vertex_of_its_face_is_accepted():
+    """Points on the boundary of the start face are on the face: from an edge
+    and from a vertex the geodesic runs into the face, and from an edge
+    heading out it crosses that edge at time 0."""
+    cube = SurfaceMesh.cube(1.0)
+    geo = trace_surface_geodesic(cube, 0, [0.5, 0.0, 0.0], [0.2, 1.0, 0.0], 0.5)
+    assert geo.n_crossings == 0
+    geo = trace_surface_geodesic(cube, 0, [1.0, 1.0, 0.0], [-1.0, -0.5, 0.0], 0.5)
+    assert geo.n_crossings == 0 and geo.start_face == 0
+    geo = trace_surface_geodesic(cube, 0, [0.5, 0.0, 0.0], [0.2, -1.0, 0.0], 0.5)
+    assert geo.sites[0] == (0, 1) and geo.times[1] == 0.0
+
+
+def test_a_start_within_tolerance_beyond_an_edge_crosses_it_at_once():
+    """A start the tolerance accepts just beyond the edge y = 0, heading
+    further out, crosses that edge at time 0 into the face y = 0; the
+    exit search once skipped the edge and then found no exit at all."""
+    cube = SurfaceMesh.cube(1.0)
+    start = [0.5, -0.5 * TOL.eps, 0.0]
+    geo = trace_surface_geodesic(cube, 0, start, [0.0, -1.0, 0.0], 0.5)
+    assert geo.sites == ((0, 1),)
+    assert geo.times.tolist() == [0.0, 0.0, 0.5]
+    assert geo.faces == (0, 2)
+    assert np.allclose(geo.end_point, [0.5, 0.0, 0.5], atol=1e-9)
+
+
+def test_a_geodesic_over_the_crossing_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(surface_module, "_MAX_CROSSINGS", 5)
+    cube = SurfaceMesh.cube(1.0)
+    band = trace_surface_geodesic(cube, 2, [0.5, 0.0, 0.5], [1.0, 0.0, 0.0], 4.0)
+    assert band.n_crossings == 4
+    with pytest.raises(InputError, match="^geodesic exceeded 5 edge crossings$"):
+        trace_surface_geodesic(cube, 2, [0.5, 0.0, 0.5], [1.0, 0.0, 0.0], 6.0)
+
+
+def test_a_direction_along_a_flat_face_finds_no_exit_edge():
+    """A face of three vertices all but on one line: a direction along it
+    meets every edge at a rate of at most 1e-14, so no edge is an exit."""
+    verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1e-15, 0.0], [0.5, 0.3, 1.0]]
+    faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)]
+    mesh = SurfaceMesh(verts, faces)
+    start = np.mean(verts[:3], axis=0)
+    message = "geodesic found no exit edge; mesh corrupt?"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        trace_surface_geodesic(mesh, 0, start, [1.0, 0.0, 0.0], 1.0)
 
 
 # -- Theorem 2, dynamically: straddling a vertex ----------------------------
