@@ -21,11 +21,12 @@ it, and assembles the simplex with those wall normals at offset one.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -188,26 +189,22 @@ def check_alcove(polytope: Polytope) -> AlcoveVerdict:
     eps = TOL.eps
     geom = dihedral_angles(polytope)
     h = polytope.n_facets
+    first, second, _ = facet_pairs(h)
     failures: list[AlcoveFailure] = []
     edges: dict[tuple[int, int], float] = {}
-    parallel = geom.parallel.tolist()
-    adjacent = geom.adjacent.tolist()
-    angles = geom.angles.tolist()
-    for i in range(h):
-        for j in range(i + 1, h):
-            if parallel[i][j]:
-                edges[(i, j)] = INF
-                continue
-            if not adjacent[i][j]:
-                continue
-            ang = angles[i][j]
+    parallel = geom.parallel.ravel().tolist()
+    adjacent = geom.adjacent.ravel().tolist()
+    angles = geom.angles.ravel().tolist()
+    for i, j in zip(first.tolist(), second.tolist()):
+        k = i * h + j  # the pair's place in the flattened (h, h) matrices
+        if parallel[k]:
+            edges[(i, j)] = INF
+        elif adjacent[k]:
+            ang = angles[k]
             m, err = nearest_pi_over_m(ang)
             if err > eps:
-                failures.append(
-                    AlcoveFailure((i, j), ang, m, math.pi / m, err)
-                )
-                continue
-            if m >= 3:
+                failures.append(AlcoveFailure((i, j), ang, m, math.pi / m, err))
+            elif m >= 3:
                 edges[(i, j)] = float(m)
     if failures:
         return AlcoveVerdict(False, tuple(failures), None, ())
@@ -315,28 +312,45 @@ def _candidate_labels(n_nodes: int) -> list[tuple[str, dict]]:
     ]
 
 
-def _adjacency(n_nodes: int, edges: dict) -> list[dict[int, float]]:
-    """Each node's neighbours, mapped to the labels of the edges to them."""
+class _Shape(NamedTuple):
+    """What the isomorphism search reads of a labeled diagram: each node's
+    neighbours mapped to the labels of the edges to them, each node's
+    signature (the sorted labels of its edges), and the invariants compared
+    first (the sorted edge labels, then the sorted signatures)."""
+
+    adjacency: list[dict[int, float]]
+    signatures: list[tuple[float, ...]]
+    invariants: tuple[list[float], list[tuple[float, ...]]]
+
+
+def _shape(n_nodes: int, edges: dict) -> _Shape:
     adjacency: list[dict[int, float]] = [{} for _ in range(n_nodes)]
     for (i, j), m in edges.items():
         adjacency[i][j] = m
         adjacency[j][i] = m
-    return adjacency
+    signatures = [tuple(sorted(nbrs.values())) for nbrs in adjacency]
+    return _Shape(
+        adjacency, signatures, (sorted(edges.values()), sorted(signatures))
+    )
 
 
-def _isomorphic(n_nodes: int, edges_a: dict, edges_b: dict) -> bool:
-    """Labeled graph isomorphism by backtracking with signature pruning: a
-    node's signature is the sorted labels of its edges."""
-    if len(edges_a) != len(edges_b):
+@functools.lru_cache(maxsize=32)
+def _catalogue_shapes(n_nodes: int) -> tuple[tuple[str, _Shape], ...]:
+    """The affine diagrams on ``n_nodes`` nodes, each shaped once per
+    process; the catalogue is fixed, so the shapes never go stale."""
+    return tuple(
+        (label, _shape(n_nodes, edges))
+        for label, edges in _candidate_labels(n_nodes)
+    )
+
+
+def _isomorphic(a: _Shape, b: _Shape) -> bool:
+    """Labeled graph isomorphism by backtracking with signature pruning."""
+    if a.invariants != b.invariants:
         return False
-    if sorted(edges_a.values()) != sorted(edges_b.values()):
-        return False
-    adj_a = _adjacency(n_nodes, edges_a)
-    adj_b = _adjacency(n_nodes, edges_b)
-    sig_a = [tuple(sorted(nbrs.values())) for nbrs in adj_a]
-    sig_b = [tuple(sorted(nbrs.values())) for nbrs in adj_b]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
+    adj_a, adj_b = a.adjacency, b.adjacency
+    sig_a, sig_b = a.signatures, b.signatures
+    n_nodes = len(adj_a)
     mapping: dict[int, int] = {}
     used: set[int] = set()
     order = sorted(range(n_nodes), key=lambda v: -len(adj_a[v]))
@@ -366,8 +380,9 @@ def _isomorphic(n_nodes: int, edges_a: dict, edges_b: dict) -> bool:
 
 
 def _match_component(edges: dict, n_nodes: int) -> str | None:
-    for label, cat_edges in _candidate_labels(n_nodes):
-        if _isomorphic(n_nodes, edges, cat_edges):
+    shape = _shape(n_nodes, edges)
+    for label, catalogue in _catalogue_shapes(n_nodes):
+        if _isomorphic(shape, catalogue):
             return label
     return None
 

@@ -305,15 +305,18 @@ def affine_ranks(points: np.ndarray, sets, tol: float) -> list[int]:
         if len(s) > 1:
             by_size.setdefault(len(s), []).append(k)
     for size, members in by_size.items():
-        pts = points.take([sets[k] for k in members], axis=0)  # (sets, size, dim)
         if size == 2:
-            diff = pts[:, 1] - pts[:, 0]
-            found = np.sqrt(np.vecdot(diff, diff)) > tol
+            first, second = zip(*(sets[k] for k in members))
+            diff = points.take(second, axis=0) - points.take(first, axis=0)
+            squares = np.vecdot(diff, diff).tolist()
+            found = [int(math.sqrt(square) > tol) for square in squares]
         else:
+            pts = points.take([sets[k] for k in members], axis=0)  # (sets, size, dim)
             centered = pts - pts.mean(axis=1, keepdims=True)
-            found = (np.linalg.svd(centered, compute_uv=False) > tol).sum(axis=1)
-        for k, rank in zip(members, found.tolist()):
-            ranks[k] = int(rank)
+            singular = np.linalg.svd(centered, compute_uv=False)
+            found = (singular > tol).sum(axis=1).tolist()
+        for k, rank in zip(members, found):
+            ranks[k] = rank
     return ranks
 
 
@@ -553,7 +556,7 @@ class Polytope:
     @classmethod
     def convex_polygon(cls, points) -> "Polytope":
         """2D polytope from the vertices of a convex polygon (any order)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.array(points, dtype=float, ndmin=2, copy=None)
         if pts.shape[1] != 2:
             raise DimensionMismatchError("convex_polygon expects 2D points")
         if pts.shape[0] < 3:
@@ -561,7 +564,7 @@ class Polytope:
         _checked_points(pts, "polygon")
         pts = ccw_order(pts)
         edges = np.concatenate((pts[1:], pts[:1])) - pts
-        if (np.sqrt(np.vecdot(edges, edges)) < 1e-12).any():
+        if math.sqrt(min(np.vecdot(edges, edges).tolist())) < 1e-12:
             raise InputError("polygon has a repeated vertex")
         rows = np.empty((len(pts), 3))
         rows[:, 0] = edges[:, 1]  # outward for CCW order
@@ -628,17 +631,18 @@ class Polytope:
         and missing, non-finite or huge vertices. Returns the vertices'
         :func:`length_scale`, the length of every tolerance in the checks
         that follow."""
-        if max(map(abs, self.normals.ravel().tolist())) <= 1.0 + 1e-12:
-            lengths = np.sqrt(np.vecdot(self.normals, self.normals))
+        normals = self.normals
+        if max(map(abs, normals.ravel().tolist())) <= 1.0 + 1e-12:
+            squares = np.vecdot(normals, normals).tolist()
         else:
             # not unit, as a unit normal has no coordinate above 1; a huge
             # coordinate squares to inf, without numpy's overflow warning
             with np.errstate(over="ignore"):
-                lengths = np.sqrt(np.vecdot(self.normals, self.normals))
-        off_unit = np.abs(lengths - 1.0) > 1e-12
-        if off_unit.any():
-            length = float(lengths[off_unit.argmax()])
-            raise InputError(f"halfspace normal is not unit (norm {length})")
+                squares = np.vecdot(normals, normals).tolist()
+        for square in squares:
+            length = math.sqrt(square)
+            if abs(length - 1.0) > 1e-12:
+                raise InputError(f"halfspace normal is not unit (norm {length})")
         if self.vertices.size == 0:
             raise InputError("a polytope needs at least one vertex")
         if self.vertices.shape[1] != self.dim:
@@ -665,17 +669,17 @@ class Polytope:
     def _validate(self, slack: np.ndarray) -> None:
         """Checks on the vertex-by-halfspace ``slack`` matrix."""
         scale = self.scale
-        worst = float(slack.max())
+        # reductions by the ufuncs themselves, without ndarray.max's wrapper
+        worst = float(np.maximum.reduce(slack, axis=None))
         if worst > TOL.eps * scale:
             raise InputError(
                 f"vertex violates a halfspace by {worst:.3e} (scale {scale:g})"
             )
         first, second, _ = facet_pairs(self.n_facets)
         normals = self.normals
-        parallel = np.vecdot(normals[:, None], normals[None])[first, second] > (
-            1.0 - 1e-12
-        )
-        if parallel.any():
+        cos = np.vecdot(normals[:, None], normals[None])[first, second]
+        if np.maximum.reduce(cos, initial=-math.inf) > 1.0 - 1e-12:
+            parallel = cos > 1.0 - 1e-12
             coincide = parallel & (
                 np.abs(self.offsets[first] - self.offsets[second]) <= TOL.eps * scale
             )
@@ -700,8 +704,9 @@ class Polytope:
 
     def _check_bounded(self) -> None:
         if self.dim == 2:
-            angles = np.sort(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
-            angles = angles.tolist()
+            angles = sorted(
+                np.arctan2(self.normals[:, 1], self.normals[:, 0]).tolist()
+            )
             angles.append(angles[0] + 2 * math.pi)
             if max(b - a for a, b in zip(angles, angles[1:])) >= math.pi - 1e-12:
                 raise UnboundedRegionError(
@@ -805,9 +810,9 @@ def _chamber_fold(
 def ccw_order(points: np.ndarray) -> np.ndarray:
     """The rows of an ``(k, 2)`` array of points in counterclockwise order
     of their angle about the centroid, starting nearest the angle -pi."""
-    center = points.mean(axis=0)
-    angles = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
-    return points[np.argsort(angles)]
+    # the sum and division np.mean makes, without its Python-level wrapper
+    offsets = points - np.add.reduce(points, axis=0) / len(points)
+    return points[np.arctan2(offsets[:, 1], offsets[:, 0]).argsort()]
 
 
 def nearest_pi_over_m(angle: float) -> tuple[int, float]:

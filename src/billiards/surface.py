@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -84,8 +83,12 @@ class SurfaceMesh:
         self._build_edges()
         groups = _size_groups(self.faces)
         self._validate(groups)
+        normals = _newell_normals(self.vertices, groups, len(self.faces))
+        self._refuse_reflex_corners(groups, normals)
         # rows of one read-only array, so each normal is read-only too
-        self._normals = tuple(_newell_normals(self.vertices, groups, len(self.faces)))
+        self._normals = tuple(normals)
+        # the cone angle sums, computed on their first use
+        self._cone_angles: tuple[float, ...] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -208,6 +211,37 @@ class SurfaceMesh:
             raise InputError(f"face {k} is not planar (thickness {thickness:.3e})")
         if self._signed_volume() <= 0.0:
             raise InputError("faces are oriented inward; flip the winding")
+
+    def _refuse_reflex_corners(
+        self, groups: list[tuple[list[int], np.ndarray]], normals: np.ndarray
+    ) -> None:
+        """Refuse a face that is not convex: the turn ``(e_in x e_out) . n``
+        of its edges at a corner, against its unit normal ``n``, is below
+        ``-TOL.eps * scale**2``; a straight corner, whose turn is within
+        that band of zero, passes. The exit search of a geodesic and the
+        cone angles read a face as convex. A triangle has no reflex corner,
+        so the faces of more sides are checked, each size in one array pass,
+        and the first failing corner of the lowest face is named."""
+        band = TOL.eps * self._scale**2
+        reflex = []
+        for ks, idx in groups:
+            if idx.shape[1] > 3:
+                pts = self.vertices[idx]  # (faces, k, 3)
+                e_out = np.concatenate((pts[:, 1:], pts[:, :1]), axis=1) - pts
+                e_in = np.concatenate((e_out[:, -1:], e_out[:, :-1]), axis=1)
+                turns = np.vecdot(_cross_rows(e_in, e_out), normals[ks][:, None])
+                faces, corners = np.nonzero(turns < -band)
+                reflex += [
+                    (ks[f], c, float(turns[f, c]))
+                    for f, c in zip(faces.tolist(), corners.tolist())
+                ]
+        if reflex:
+            k, c, turn = min(reflex)
+            raise InputError(
+                f"face {k} is not convex: its corner at vertex "
+                f"{self.faces[k][c]} turns by {turn:.3e}; split the face "
+                "into convex faces"
+            )
 
     def _signed_volume(self) -> float:
         fan = [
@@ -350,14 +384,17 @@ class VertexReport:
     orbifold_order: int | None
 
 
-def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
-    """Per-vertex sum of the incident face angles, in face order.
+def _cone_angle_sums(mesh: SurfaceMesh) -> tuple[float, ...]:
+    """Per-vertex sum of the incident face angles, in face order, computed
+    once per mesh (a mesh is immutable) and kept on it.
 
     The angles at all face corners come from one array pass, each from the
     unit vectors towards the corner's two neighbours on its face; they are
     then added vertex by vertex in a plain loop, corner by corner in face
     order, since another order moves the last bit of a sum.
     """
+    if mesh._cone_angles is not None:
+        return mesh._cone_angles
     at = [v for face in mesh.faces for v in face]
     before = [v for face in mesh.faces for v in face[-1:] + face[:-1]]
     after = [v for face in mesh.faces for v in face[1:] + face[:1]]
@@ -370,7 +407,8 @@ def _cone_angle_sums(mesh: SurfaceMesh) -> list[float]:
     sums = [0.0] * mesh.n_vertices
     for v, angle in zip(at, angles.tolist()):
         sums[v] += angle
-    return sums
+    mesh._cone_angles = tuple(sums)
+    return mesh._cone_angles
 
 
 def cone_angles(mesh: SurfaceMesh) -> list[VertexReport]:
@@ -394,7 +432,8 @@ def _orbifold_order(angle: float) -> int | None:
 
 def gauss_bonnet_total(mesh: SurfaceMesh) -> float:
     """Sum of angular defects; equals 4*pi on any closed convex surface."""
-    return float(sum(r.curvature for r in cone_angles(mesh)))
+    # the defects of cone_angles' reports, summed in vertex order
+    return float(sum(2.0 * math.pi - angle for angle in _cone_angle_sums(mesh)))
 
 
 @dataclass(frozen=True)
@@ -421,8 +460,15 @@ def is_orbifold_boundary(mesh: SurfaceMesh) -> OrbifoldVerdict:
     if failing:
         return OrbifoldVerdict(False, None, failing, None)
     orders = tuple(r.orbifold_order for r in reports)
-    residual = sum(Fraction(1, n) for n in orders) - (len(orders) - 2)
-    return OrbifoldVerdict(residual == 0, orders, (), residual == 0)
+    holds = _defect_identity_holds(orders)
+    return OrbifoldVerdict(holds, orders, (), holds)
+
+
+def _defect_identity_holds(orders: tuple[int, ...]) -> bool:
+    """``sum(1/n_i) == k - 2`` for the ``k`` orders, exactly, in integers:
+    times their least common multiple ``L``, each ``1/n_i`` is ``L // n_i``."""
+    lcm = math.lcm(*orders)
+    return sum(lcm // n for n in orders) == (len(orders) - 2) * lcm
 
 
 # -- disphenoids ------------------------------------------------------------

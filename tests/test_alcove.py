@@ -14,6 +14,7 @@ from billiards.alcove import (
     folded_flow,
     standard_alcove,
     standard_alcove_labels,
+    AlcoveFailure,
     CoxeterDiagram,
 )
 from billiards.alcove import _candidate_labels, _catalogue_edges
@@ -35,7 +36,7 @@ from billiards.geometry import (
     affine_ranks,
     nearest_pi_over_m,
 )
-from billiards.tables import triangle_A2, triangle_nonalcove
+from billiards.tables import build, triangle_A2, triangle_nonalcove
 from conftest import random_polytope_3d, random_triangle
 
 
@@ -204,6 +205,85 @@ def test_fold_point_raises_with_worst_failure_when_not_alcove():
         NotAnAlcoveError, match=re.escape(f"between facets {worst.facets} ")
     ):
         fold_point(tri, (0.4, 0.2))
+
+
+def _reference_verdict(polytope):
+    """The failures and diagram edges of ``check_alcove``, by its earlier
+    double loop over every facet pair ``i < j`` of the matrices of
+    :func:`dihedral_angles`: a parallel pair is an infinity edge, and an
+    adjacent pair's angle is binned by :func:`nearest_pi_over_m`."""
+    geom = dihedral_angles(polytope)
+    h = polytope.n_facets
+    failures, edges = [], {}
+    for i in range(h):
+        for j in range(i + 1, h):
+            if geom.parallel[i, j]:
+                edges[(i, j)] = math.inf
+            elif geom.adjacent[i, j]:
+                angle = float(geom.angles[i, j])
+                m, err = nearest_pi_over_m(angle)
+                if err > TOL.eps:
+                    failures.append(AlcoveFailure((i, j), angle, m, math.pi / m, err))
+                elif m >= 3:
+                    edges[(i, j)] = float(m)
+    return tuple(failures), edges
+
+
+def _triangle_with_angles(alpha, beta):
+    """The triangle on (0, 0) and (1, 0) with angles ``alpha`` and ``beta``
+    there."""
+    side = math.sin(beta) / math.sin(alpha + beta)
+    return [[0.0, 0.0], [1.0, 0.0], [side * math.cos(alpha), side * math.sin(alpha)]]
+
+
+def test_check_alcove_matches_the_pairwise_reference(rng):
+    """Verdict, label, diagram edges (in order) and the repr of every failure
+    agree with the reference on the bundled polytopes, the standard alcoves
+    up to rank 8, triangles on and off the pi/m grid by up to a thousand
+    tolerances, and random triangles and 3D hulls."""
+    tables = [(build(name), label) for name, label in (
+        ("square", "A1~ x A1~"), ("rectangle", "A1~ x A1~"),
+        ("triangle_A2", "A2~"), ("triangle_C2", "C2~"), ("triangle_G2", "G2~"),
+        ("triangle_nonalcove", None), ("simplex_A3", "A3~"),
+    )]
+    tables += [(standard_alcove(label), label) for label in _LABELS_UP_TO_8]
+    for (a, b), label in (((3, 3), "A2~"), ((4, 2), "C2~"), ((4, 4), "C2~"),
+                          ((6, 3), "G2~"), ((2, 6), "G2~")):
+        for shift in (0.0, 1e-12, -3e-10, 2e-9, -1e-8, 1e-6):
+            tri = _triangle_with_angles(math.pi / a + shift, math.pi / b)
+            tables.append((Polytope.convex_polygon(tri),
+                           label if abs(shift) < TOL.eps else None))
+    tables += [(random_triangle(rng), None) for _ in range(100)]
+    tables += [(random_polytope_3d(rng), None) for _ in range(20)]
+    accepted = 0
+    for table, label in tables:
+        verdict = check_alcove(table)
+        failures, edges = _reference_verdict(table)
+        assert repr(verdict.failures) == repr(failures)
+        assert verdict.is_alcove == (not failures)
+        assert verdict.label == label
+        if failures:
+            assert verdict.diagram is None
+            continue
+        accepted += 1
+        assert list(verdict.diagram.edges.items()) == list(edges.items())
+    assert accepted == 7 - 1 + 31 + 5 * 3
+
+
+def test_relabelled_catalogue_diagrams_keep_their_labels(rng):
+    """Each affine diagram up to rank 8, its nodes shuffled, matches its own
+    label and no other."""
+    for label in _LABELS_UP_TO_8:
+        family, rank = label[0], int(label[1:-1])
+        edges = _catalogue_edges(family, rank)
+        for _ in range(3):
+            perm = rng.permutation(rank + 1).tolist()
+            shuffled = {
+                (min(perm[i], perm[j]), max(perm[i], perm[j])): m
+                for (i, j), m in edges.items()
+            }
+            (component,) = classify(CoxeterDiagram(rank + 1, shuffled))
+            assert component.label == label
 
 
 def test_random_triangles_never_classify(rng):

@@ -195,6 +195,17 @@ def test_unbounded_region_rejected():
         Polytope.from_halfspaces(slab)
 
 
+@pytest.mark.parametrize(
+    "rows, vertices",
+    [([[1.0, 0.0]], [[0.0]]), ([[1.0, 0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]])],
+    ids=["half-line", "half-plane"],
+)
+def test_a_single_halfspace_is_refused_as_unbounded(rows, vertices):
+    """One facet has no facet pairs to compare, and bounds nothing."""
+    with pytest.raises(UnboundedRegionError):
+        Polytope(rows, vertices)
+
+
 def _bounded_by_axis_rule(normals: np.ndarray) -> bool:
     """The boundedness rule the one-solve check replaced: each of the 2*dim
     directions +-e_j is in the cone of the normals, by scipy's nnls with
@@ -584,6 +595,38 @@ def test_non_finite_or_missing_data_refused_before_arithmetic(build, message):
             build()
     assert type(info.value) is InputError
     assert str(info.value) == message
+
+
+def _first_off_unit_norm(normals):
+    """The array form of the unit-normal check: the length of the first
+    normal more than 1e-12 off unit, or None."""
+    with np.errstate(over="ignore"):
+        lengths = np.sqrt(np.vecdot(normals, normals))
+    off_unit = np.abs(lengths - 1.0) > 1e-12
+    return float(lengths[off_unit.argmax()]) if off_unit.any() else None
+
+
+def test_the_unit_normal_check_names_the_first_normal_the_array_check_names(rng):
+    """The square's four normals, each scaled by up to 40 ulps of 1e-12 either
+    side of the band, or by a huge factor: the table builds exactly when the
+    array check finds no normal off unit, and a refusal names the length of
+    the first one it finds, with no numpy warning."""
+    base = np.array(_SQUARE_HS)
+    for trial in range(400):
+        rows = base.copy()
+        factors = 1.0 + rng.integers(-40, 41, size=4) * 0.5e-13
+        if trial % 10 == 0:
+            factors[rng.integers(4)] = 1e200
+        rows[:, :2] *= factors[:, None]
+        want = _first_off_unit_norm(rows[:, :2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                Polytope(rows, _SQUARE_VERTS)
+                continue
+            with pytest.raises(InputError) as info:
+                Polytope(rows, _SQUARE_VERTS)
+        assert str(info.value) == f"halfspace normal is not unit (norm {want})"
 
 
 def test_polygon_at_the_coordinate_limit_builds_without_warnings():

@@ -914,6 +914,24 @@ def test_cli_surface_refuses_a_zero_length_edge(tmp_path, capsys):
         assert "vertex 3" in line
 
 
+def test_cli_surface_refuses_a_face_that_is_not_convex(tmp_path, capsys):
+    """An L-shaped prism: its top and bottom hexagons have a reflex corner,
+    which both modes refuse in one line naming the face and the vertex."""
+    xy = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+    path = tmp_path / "l_prism.json"
+    path.write_text(json.dumps({"surface": {
+        "vertices": [[x, y, 0] for x, y in xy] + [[x, y, 1] for x, y in xy],
+        "faces": [[5, 4, 3, 2, 1, 0], [6, 7, 8, 9, 10, 11]]
+        + [[i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6] for i in range(6)],
+    }}))
+    for mode in (["--report"], ["--geodesic", "1", "0.5,0.5,1", "1,0,0", "1.2"]):
+        line = _one_error_line(capsys, "surface", str(path), *mode)
+        assert line == (
+            "billiards: error: face 0 is not convex: its corner at vertex 3 "
+            "turns by -1.000e+00; split the face into convex faces"
+        )
+
+
 def test_cli_smooth_laws_and_converge(capsys):
     code, out = _run_cli(
         capsys, "smooth", "circle", "--laws", "--alphas", "0.04,0.02"
@@ -1462,3 +1480,5 @@ def test_cold_cli_loads_only_what_its_subcommand_runs(argv, unused):
     }
     assert not {f"billiards.{name}" for name in unused} & loaded
     assert "billiards.corner" in loaded
+    # the orbifold identity is checked in integers, with no fractions
+    assert "fractions" not in loaded

@@ -1,5 +1,6 @@
 """Closed polyhedral surfaces: curvature, orbifold test, geodesics."""
 
+import itertools
 import math
 import os
 import pickle
@@ -33,8 +34,9 @@ from billiards.surface import (
     triangulate_check,
 )
 import billiards.surface as surface_module
-from billiards.surface import _cone_angle_sums, _cross, _edge_tables
+from billiards.surface import _cone_angle_sums, _cross, _defect_identity_holds, _edge_tables
 from billiards.geometry import Polytope, normalized, unit
+from billiards.tables import build
 from conftest import random_tetrahedron_vertices, random_acute_triple
 
 
@@ -123,6 +125,56 @@ def test_nonplanar_face_rejected():
         SurfaceMesh(verts, faces)
 
 
+# An L-shaped prism: the hexagon below, counterclockwise seen from +z, at
+# z = 0 (vertices 0-5) and z = 1 (vertices 6-11). The hexagon's corner at
+# (1, 1), vertices 3 and 9, is reflex.
+_L_XY = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+_L_VERTS = [(x, y, 0.0) for x, y in _L_XY] + [(x, y, 1.0) for x, y in _L_XY]
+_L_SIDES = [(i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6) for i in range(6)]
+# bottom, top, sides
+_L_FACES = [(5, 4, 3, 2, 1, 0), (6, 7, 8, 9, 10, 11), *_L_SIDES]
+# each L face split along its diagonal from (0, 0) to (1, 1) into two convex
+# quadrilaterals
+_L_SPLIT_FACES = [(3, 2, 1, 0), (0, 5, 4, 3), (6, 7, 8, 9), (9, 10, 11, 6), *_L_SIDES]
+
+
+def test_a_face_that_is_not_convex_is_refused():
+    with pytest.raises(InputError) as err:
+        SurfaceMesh(_L_VERTS, _L_FACES)
+    assert str(err.value) == (
+        "face 0 is not convex: its corner at vertex 3 turns by -1.000e+00; "
+        "split the face into convex faces"
+    )
+    # the first failing corner of the lowest face: the top face comes first
+    with pytest.raises(InputError, match="^face 0 is not convex: its corner at vertex 9 "):
+        SurfaceMesh(_L_VERTS, _L_FACES[1::-1] + _L_SIDES)
+
+
+def test_the_l_prism_split_into_convex_faces_is_a_convex_surface():
+    mesh = SurfaceMesh(_L_VERTS, _L_SPLIT_FACES)
+    assert gauss_bonnet_total(mesh) == pytest.approx(4.0 * math.pi, abs=1e-12)
+    # the reflex edge's ends have negative curvature
+    assert [r.index for r in cone_angles(mesh) if r.curvature < 0] == [3, 9]
+    geo = trace_surface_geodesic(mesh, 2, (0.5, 0.5, 1.0), (1.0, 0.0, 0.0), 1.2)
+    assert geo.end_face == 2
+    assert np.allclose(geo.end_point, [1.7, 0.5, 1.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12])
+def test_a_straight_corner_within_the_band_is_accepted(offset):
+    """A cube with a vertex 8 on the middle of its top front edge, shared by
+    the top face and the front face: the corner there is straight, or turns
+    by ``-offset`` on the top face, well within ``TOL.eps``."""
+    cube = SurfaceMesh.cube(1.0)
+    verts = np.vstack([cube.vertices, [0.5, offset, 1.0]])
+    faces = list(cube.faces)
+    faces[1] = (4, 8, 5, 6, 7)  # top
+    faces[2] = (0, 1, 5, 8, 4)  # y = 0
+    mesh = SurfaceMesh(verts, faces)
+    assert gauss_bonnet_total(mesh) == pytest.approx(4.0 * math.pi, abs=1e-9)
+    assert cone_angles(mesh)[8].cone_angle == pytest.approx(2.0 * math.pi, abs=1e-9)
+
+
 # -- cone angles and curvature ----------------------------------------------
 
 def test_cube_corner_angles():
@@ -141,6 +193,27 @@ def test_regular_tetrahedron_is_a_2222_orbifold():
     assert verdict.diophantine_ok
     for r in cone_angles(tetra):
         assert math.isclose(r.cone_angle, math.pi, abs_tol=1e-12)
+
+
+def test_the_defect_identity_in_integers_matches_fractions():
+    """``sum(1/n_i) == k - 2``, checked in integers, against ``Fraction`` on
+    every multiset of k = 3..6 orders from 1..8 (the sum ignores order)."""
+    from fractions import Fraction
+
+    checked, held = 0, set()
+    for k in range(3, 7):
+        for orders in itertools.combinations_with_replacement(range(1, 9), k):
+            want = sum(Fraction(1, n) for n in orders) == k - 2
+            assert _defect_identity_holds(orders) == want, orders
+            checked += 1
+            if want:
+                held.add(orders)
+    assert checked == 2958
+    # the four flat signatures, each padded with points of order one
+    flat = [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 2, 2)]
+    assert held == {
+        (1,) * pad + orders for orders in flat for pad in range(7 - len(orders))
+    }
 
 
 def test_cube_is_not_an_orbifold_boundary():
@@ -526,6 +599,37 @@ def _per_corner_cone_angle_sums(mesh):
         for v in face:
             sums[v] += corner_angle(face, v)
     return sums
+
+
+def test_cone_angle_sums_are_kept_on_the_mesh_and_read_alike_in_either_order(rng):
+    """The sums are computed once per mesh; ``gauss_bonnet_total`` and
+    ``cone_angles`` give the bits of the per-corner oracle and of the old
+    ``sum(r.curvature for r in cone_angles(mesh))``, whichever runs first."""
+    makers = [lambda name=name: build(name)
+                for name in ("cube", "tetra_regular", "disphenoid_456")]
+    for _ in range(10):
+        pts = rng.normal(size=(int(rng.integers(5, 30)), 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        makers.append(lambda pts=pts: SurfaceMesh.from_polytope(
+            Polytope.from_point_cloud(pts)))
+    for make in makers:
+        oracle = _per_corner_cone_angle_sums(make())
+        want_reports = [
+            (v, angle, 2.0 * math.pi - angle) for v, angle in enumerate(oracle.tolist())
+        ]
+        want_total = float(sum(2.0 * math.pi - angle for angle in oracle.tolist()))
+        curvature_first = make()
+        total = gauss_bonnet_total(curvature_first)
+        reports = cone_angles(curvature_first)
+        reports_first = make()
+        later_reports = cone_angles(reports_first)
+        later_total = gauss_bonnet_total(reports_first)
+        for got_total, got in ((total, reports), (later_total, later_reports)):
+            assert [(r.index, r.cone_angle, r.curvature) for r in got] == want_reports
+            assert got_total.hex() == want_total.hex()
+            assert got_total.hex() == float(sum(r.curvature for r in got)).hex()
+        for mesh in (curvature_first, reports_first):
+            assert _cone_angle_sums(mesh) is _cone_angle_sums(mesh)
 
 
 def _cut_box(rng):

@@ -7,7 +7,8 @@ Run from the repository root::
 For each command shape of the benchmark's ``cli`` workload it starts N
 fresh ``python -m billiards.cli`` processes and prints the median wall time,
 then the ``billiards.*`` modules one such process imports and whether it
-imports ``jsonschema`` and ``numpy`` (read from ``-X importtime``). Each SRC
+imports ``jsonschema``, ``numpy`` and ``fractions`` (read from ``-X
+importtime``). Each SRC
 is a ``src`` directory to import ``billiards`` from (default: this
 checkout's); with several, their runs interleave, so two trees can be
 compared on a host whose speed drifts::
@@ -107,10 +108,11 @@ def main() -> None:
             names = loaded_modules(src, argv)
             own = sorted(n[len("billiards."):] for n in names
                          if n.startswith("billiards."))
-            schema = "yes" if "jsonschema" in names else "no"
-            numpy = "yes" if "numpy" in names else "no"
-            print(f"[{k}] {shape}: {' '.join(own)} | jsonschema: {schema}"
-                  f" | numpy: {numpy}")
+            heavy = " | ".join(
+                f"{name}: {'yes' if name in names else 'no'}"
+                for name in ("jsonschema", "numpy", "fractions")
+            )
+            print(f"[{k}] {shape}: {' '.join(own)} | {heavy}")
 
 
 if __name__ == "__main__":
