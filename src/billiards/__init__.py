@@ -20,8 +20,9 @@ table files; see :mod:`billiards.cli`.
 
 ``import billiards`` loads only :mod:`~billiards.config` and
 :mod:`~billiards.errors` (neither needs numpy), so ``BILLIARDS_EPS`` is read
-and checked at import. Every other name, and every submodule named as an
-attribute (``billiards.io``), is imported on first access (PEP 562).
+at import; a bad value is refused on each read of ``TOL.eps``. Every other
+name, and every submodule named as an attribute (``billiards.io``), is
+imported on first access (PEP 562).
 """
 
 import importlib

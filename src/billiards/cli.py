@@ -21,7 +21,8 @@ Exit codes: 0 success; otherwise the code that each error class of
 :mod:`billiards.errors` carries, with one line on stderr.
 
 The environment variable ``BILLIARDS_EPS`` is the one tolerance setting: it
-sets the geometric tolerance (default 1e-9) for the whole process.
+sets the geometric tolerance (default 1e-9) for the whole process, and a value
+that is not a float in (0, 1e-2) is refused with exit code 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import TOL
 from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
 from .errors import BilliardsError, InputError
 from .io import (
@@ -701,6 +703,7 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        TOL.eps  # raises the refusal of a bad BILLIARDS_EPS, before any work
         report = args.handler(args)
     except BilliardsError as exc:
         print(f"billiards: {exc.prefix}: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -67,6 +68,16 @@ class SurfaceMesh:
 
     A mesh is immutable: it keeps a read-only copy of ``vertices``, so the
     edge maps, face normals and length scale built here stay true of it.
+
+    Its *corner table* decides once which vertex follows and which precedes
+    each face corner: ``_corners`` is a read-only ``(4, C)`` integer array,
+    one column per corner in face order, with the rows vertex, next vertex,
+    previous vertex and face; face ``k`` has the columns from ``_first[k]``,
+    its corner at ``faces[k][0]``, up to ``_first[k + 1]``. Corner ``j`` is
+    also the directed edge ``j``, from its vertex to the next, so the table
+    is the array form of a half-edge list. The face normals, the convexity
+    and orientation tests, the cone angles and a geodesic's edge tables
+    read it.
     """
 
     def __init__(self, vertices, faces):
@@ -81,12 +92,19 @@ class SurfaceMesh:
             tuple(map(int, f)) for f in faces
         )
         self._build_edges()
-        groups = _size_groups(self.faces)
-        self._validate(groups)
-        normals = _newell_normals(self.vertices, groups, len(self.faces))
-        self._refuse_reflex_corners(groups, normals)
-        # rows of one read-only array, so each normal is read-only too
-        self._normals = tuple(normals)
+        self._validate()
+        # unit normals by Newell's formula, each face's terms added from zero
+        # in corner order, as a loop over the face adds them (same last bit)
+        at, after, _, face = self._corners
+        normals = np.zeros((len(self.faces), 3))
+        np.add.at(normals, face, _cross_rows(self.vertices[at], self.vertices[after]))
+        length = np.sqrt(np.vecdot(normals, normals))
+        if (length < 1e-300).any():
+            raise InputError("cannot normalize the zero vector")
+        normals /= length[:, None]
+        normals.setflags(write=False)
+        self._normals = normals
+        self._refuse_reflex_corners()
         # the cone angle sums, computed on their first use
         self._cone_angles: tuple[float, ...] | None = None
 
@@ -131,8 +149,7 @@ class SurfaceMesh:
         for ks, idx in _size_groups(polytope.facet_vertices):
             pts = polytope.vertices[idx]
             center = pts.mean(axis=1)
-            u = pts[:, 0] - center
-            u /= np.sqrt(np.vecdot(u, u))[:, None]
+            u = _unit_rows(pts[:, 0] - center)
             v = _cross_rows(polytope.normals[ks], u)
             rel = pts - center[:, None]
             # stacks of (k, 3) @ (3, 1) products, each the gemv of one facet
@@ -159,16 +176,32 @@ class SurfaceMesh:
                         f"directed edge {ab} appears in two faces; "
                         "orientation is inconsistent"
                     )
+        used = {i for f in self.faces for i in f}
+        if used != set(range(len(self.vertices))):
+            raise InputError("faces must reference every vertex exactly")
         self._owner = owner
         # the undirected edges (a < b), in the order of their first copies
         self.edges = tuple(dict.fromkeys(
             (a, b) if a < b else (b, a) for a, b in owner
         ))
+        # the corner table: owner's keys are the corners' (vertex, next)
+        # pairs in face order, and a face's last corner comes before its first
+        n, f = len(owner), len(self.faces)
+        sizes = np.fromiter(map(len, self.faces), np.intp, f)
+        first = np.zeros(f + 1, np.intp)
+        np.cumsum(sizes, out=first[1:])
+        before = np.arange(-1, n - 1)
+        before[first[:-1]] = first[1:] - 1
+        corners = np.empty((4, n), np.intp)
+        pairs = np.fromiter(chain.from_iterable(owner), np.intp, 2 * n)
+        corners[:2] = pairs.reshape(n, 2).T
+        corners[2] = corners[0, before]
+        corners[3] = np.repeat(np.arange(f), sizes)
+        corners.setflags(write=False)
+        first.setflags(write=False)
+        self._corners, self._first = corners, first
 
-    def _validate(self, groups: list[tuple[list[int], np.ndarray]]) -> None:
-        used = {i for f in self.faces for i in f}
-        if used != set(range(len(self.vertices))):
-            raise InputError("faces must reference every vertex exactly")
+    def _validate(self) -> None:
         # _build_edges refused a repeated directed edge, so the mesh is closed
         # exactly when every edge has a copy in each direction
         if len(self._owner) != 2 * len(self.edges):
@@ -198,9 +231,11 @@ class SurfaceMesh:
                     f"edge {(a, b)} has length {length:.3e}: vertex {a} at "
                     f"{pa} and vertex {b} at {pb} (nearly) coincide"
                 )
-        # one batched SVD per face size; the lowest non-planar face is named
+        # one batched SVD per size of face with more than three sides (a
+        # triangle is planar); the lowest non-planar face is named
         bent = []
-        for ks, idx in groups:
+        sided = self._corners.shape[1] > 3 * f
+        for ks, idx in _size_groups(self.faces) if sided else ():
             if idx.shape[1] > 3:
                 pts = self.vertices[idx]
                 centered = pts - pts.mean(axis=1, keepdims=True)
@@ -212,47 +247,42 @@ class SurfaceMesh:
         if self._signed_volume() <= 0.0:
             raise InputError("faces are oriented inward; flip the winding")
 
-    def _refuse_reflex_corners(
-        self, groups: list[tuple[list[int], np.ndarray]], normals: np.ndarray
-    ) -> None:
+    def _refuse_reflex_corners(self) -> None:
         """Refuse a face that is not convex: the turn ``(e_in x e_out) . n``
         of its edges at a corner, against its unit normal ``n``, is below
-        ``-TOL.eps * scale**2``; a straight corner, whose turn is within
-        that band of zero, passes. The exit search of a geodesic and the
-        cone angles read a face as convex. A triangle has no reflex corner,
-        so the faces of more sides are checked, each size in one array pass,
-        and the first failing corner of the lowest face is named."""
-        band = TOL.eps * self._scale**2
-        reflex = []
-        for ks, idx in groups:
-            if idx.shape[1] > 3:
-                pts = self.vertices[idx]  # (faces, k, 3)
-                e_out = np.concatenate((pts[:, 1:], pts[:, :1]), axis=1) - pts
-                e_in = np.concatenate((e_out[:, -1:], e_out[:, :-1]), axis=1)
-                turns = np.vecdot(_cross_rows(e_in, e_out), normals[ks][:, None])
-                faces, corners = np.nonzero(turns < -band)
-                reflex += [
-                    (ks[f], c, float(turns[f, c]))
-                    for f, c in zip(faces.tolist(), corners.tolist())
-                ]
+        ``-TOL.eps * |e_in| * |e_out|``; a straight corner, whose turn is
+        within that band of zero, passes at any size. The exit search of a
+        geodesic and the cone angles read a face as convex. All corners are
+        checked in one array pass, but a triangle has no reflex corner, so a
+        mesh of triangles is not checked; the first failing corner is named."""
+        at, after, before, face = self._corners
+        if len(at) == 3 * len(self.faces):
+            return
+        corner = self.vertices[at]
+        e_in = corner - self.vertices[before]
+        e_out = self.vertices[after] - corner
+        turns = np.vecdot(_cross_rows(e_in, e_out), self._normals[face])
+        band = TOL.eps * np.sqrt(np.vecdot(e_in, e_in) * np.vecdot(e_out, e_out))
+        reflex = np.flatnonzero(turns < -band).tolist()
         if reflex:
-            k, c, turn = min(reflex)
+            j = reflex[0]
             raise InputError(
-                f"face {k} is not convex: its corner at vertex "
-                f"{self.faces[k][c]} turns by {turn:.3e}; split the face "
+                f"face {int(face[j])} is not convex: its corner at vertex "
+                f"{int(at[j])} turns by {float(turns[j]):.3e}; split the face "
                 "into convex faces"
             )
 
     def _signed_volume(self) -> float:
-        fan = [
-            (face[0], face[i], face[i + 1])
-            for face in self.faces
-            for i in range(1, len(face) - 1)
-        ]
+        # the fan of each face from its first vertex: a corner's vertex and
+        # the next, for the corners at neither end of the face's vertex list
+        at, after, _, face = self._corners
+        lead = at[self._first[:-1]][face]
+        fan = (at != lead) & (after != lead)
+        triangles = np.stack((lead[fan], at[fan], after[fan]), axis=1)
         total = 0.0
         # summed one by one in fan order, as a plain loop (not sum(), which
         # compensates from Python 3.12 on), so the orientation verdict stays
-        for det in np.linalg.det(self.vertices[fan]).tolist():
+        for det in np.linalg.det(self.vertices[triangles]).tolist():
             total += det
         return total / 6.0
 
@@ -288,6 +318,12 @@ def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., _NEXT] * v[..., _AFTER] - u[..., _AFTER] * v[..., _NEXT]
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` over its length, as :func:`normalized` divides one
+    vector, bit for bit: the squared lengths are the same ``ddot`` calls."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
 def _size_groups(faces) -> list[tuple[list[int], np.ndarray]]:
     """The faces grouped by their number of vertices: each group's face
     numbers in face order, with its ``(n, k)`` array of vertex indices."""
@@ -295,29 +331,6 @@ def _size_groups(faces) -> list[tuple[list[int], np.ndarray]]:
     for k, face in enumerate(faces):
         groups.setdefault(len(face), []).append(k)
     return [(ks, np.array([faces[k] for k in ks])) for ks in groups.values()]
-
-
-def _newell_normals(
-    vertices: np.ndarray, groups: list[tuple[list[int], np.ndarray]], n_faces: int
-) -> np.ndarray:
-    """Read-only unit face normals by Newell's formula, robust for any planar
-    polygon: the cross products in one array pass per face size, then each
-    face's terms added in face order from zero, as a per-face loop adds them,
-    since another order moves the last bit of a sum."""
-    normals = np.empty((n_faces, 3))
-    for ks, idx in groups:
-        pts = vertices[idx]
-        terms = _cross_rows(pts, np.concatenate((pts[:, 1:], pts[:, :1]), axis=1))
-        total = np.zeros((len(ks), 3))
-        for i in range(idx.shape[1]):
-            total += terms[:, i]
-        normals[ks] = total
-    length = np.sqrt(np.vecdot(normals, normals))
-    if (length < 1e-300).any():
-        raise InputError("cannot normalize the zero vector")
-    normals /= length[:, None]
-    normals.setflags(write=False)
-    return normals
 
 
 def _tetrahedron(vertices, shape_error: str) -> tuple[np.ndarray, float]:
@@ -385,29 +398,21 @@ class VertexReport:
 
 
 def _cone_angle_sums(mesh: SurfaceMesh) -> tuple[float, ...]:
-    """Per-vertex sum of the incident face angles, in face order, computed
-    once per mesh (a mesh is immutable) and kept on it.
-
-    The angles at all face corners come from one array pass, each from the
-    unit vectors towards the corner's two neighbours on its face; they are
-    then added vertex by vertex in a plain loop, corner by corner in face
-    order, since another order moves the last bit of a sum.
-    """
+    """Per-vertex sum of the incident face angles, computed once per mesh (a
+    mesh is immutable) and kept on it: the angle at every face corner, from
+    the unit vectors to its two neighbours, in one array pass, then added to
+    its vertex's sum from zero in corner order, since another order moves
+    the last bit of a sum."""
     if mesh._cone_angles is not None:
         return mesh._cone_angles
-    at = [v for face in mesh.faces for v in face]
-    before = [v for face in mesh.faces for v in face[-1:] + face[:-1]]
-    after = [v for face in mesh.faces for v in face[1:] + face[:1]]
+    at, after, before, _ = mesh._corners
     corner = mesh.vertices[at]
-    a = mesh.vertices[before] - corner
-    b = mesh.vertices[after] - corner
-    a = a / np.sqrt(np.vecdot(a, a))[:, None]
-    b = b / np.sqrt(np.vecdot(b, b))[:, None]
+    a = _unit_rows(mesh.vertices[before] - corner)
+    b = _unit_rows(mesh.vertices[after] - corner)
     angles = np.arccos(np.clip(np.vecdot(a, b), -1.0, 1.0))
-    sums = [0.0] * mesh.n_vertices
-    for v, angle in zip(at, angles.tolist()):
-        sums[v] += angle
-    mesh._cone_angles = tuple(sums)
+    sums = np.zeros(mesh.n_vertices)
+    np.add.at(sums, at, angles)
+    mesh._cone_angles = tuple(sums.tolist())
     return mesh._cone_angles
 
 
@@ -493,15 +498,13 @@ def is_disphenoid(vertices) -> DisphenoidCheck:
     """Equality of the three opposite-edge length pairs of a tetrahedron,
     within ``TOL.eps`` times the tetrahedron's scale."""
     verts, scale = _tetrahedron(vertices, "is_disphenoid expects four 3D vertices")
-    lengths = []
-    mismatch = 0.0
-    for (a, b), (c, d) in _OPPOSITE_EDGE_PAIRS:
-        l1 = float(np.linalg.norm(verts[a] - verts[b]))
-        l2 = float(np.linalg.norm(verts[c] - verts[d]))
-        lengths.append((l1, l2))
-        mismatch = max(mismatch, abs(l1 - l2))
+    lengths = tuple(
+        tuple(float(np.linalg.norm(verts[a] - verts[b])) for a, b in pair)
+        for pair in _OPPOSITE_EDGE_PAIRS
+    )
+    mismatch = max(abs(l1 - l2) for l1, l2 in lengths)
     return DisphenoidCheck(
-        mismatch <= TOL.eps * scale, _OPPOSITE_EDGE_PAIRS, tuple(lengths), mismatch
+        mismatch <= TOL.eps * scale, _OPPOSITE_EDGE_PAIRS, lengths, mismatch
     )
 
 
@@ -557,35 +560,23 @@ def triangulate_check(mesh: SurfaceMesh) -> TriangulationReport:
     equals the vertex count, vertex degrees with the all-trivalent flag, and
     the star-deletion disk inequality at every vertex.
     """
-    triangles: list[tuple[int, int, int]] = []
+    # a fan keeps the face's edges and adds the diagonals from its pivot
+    edges = set(mesh.edges)
     for face in mesh.faces:
         pos = face.index(min(face))
         rotated = face[pos:] + face[:pos]
-        for i in range(1, len(rotated) - 1):
-            triangles.append((rotated[0], rotated[i], rotated[i + 1]))
-    edge_set: set[tuple[int, int]] = set()
-    for (i, j, k) in triangles:
-        for a, b in ((i, j), (j, k), (k, i)):
-            edge_set.add((min(a, b), max(a, b)))
-    v = mesh.n_vertices
-    e = len(edge_set)
-    f = len(triangles)
+        edges.update((rotated[0], w) for w in rotated[2:-1])
+    v, e = mesh.n_vertices, len(edges)
+    f = sum(len(face) - 2 for face in mesh.faces)
     degrees = [0] * v
-    for (a, b) in edge_set:
-        degrees[a] += 1
-        degrees[b] += 1
-    vertex_disk_ok = all(
-        disk_inequality(v - 1, e - degrees[w]) for w in range(v)
-    )
+    for edge in edges:
+        for w in edge:
+            degrees[w] += 1
     return TriangulationReport(
-        n_vertices=v,
-        n_edges=e,
-        n_triangles=f,
-        euler_ok=(v - e + f == 2),
-        f_equals_v=(f == v),
-        degrees=tuple(degrees),
+        n_vertices=v, n_edges=e, n_triangles=f, euler_ok=v - e + f == 2,
+        f_equals_v=f == v, degrees=tuple(degrees),
         trivalent=all(d == 3 for d in degrees),
-        vertex_disk_ok=vertex_disk_ok,
+        vertex_disk_ok=all(disk_inequality(v - 1, e - d) for d in degrees),
     )
 
 
@@ -702,9 +693,7 @@ class _Unfolder:
     """Affine isometry from the current face's plane onto R^2."""
 
     def __init__(self, point: np.ndarray, direction: np.ndarray, normal: np.ndarray):
-        e1 = direction
-        e2 = normalized(_cross(normal, e1))
-        self.a = np.stack([e1, e2])
+        self.a = np.stack([direction, normalized(_cross(normal, direction))])
         self.o = -self.a.dot(point)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -714,12 +703,6 @@ class _Unfolder:
         """Compose with the isometry ``x -> rot @ x + shift``."""
         self.o = self.o + self.a.dot(shift)
         self.a = self.a.dot(rot)
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` over its length, as :func:`normalized` divides one
-    vector, bit for bit: the squared lengths are the same ``ddot`` calls."""
-    return v / np.sqrt(np.vecdot(v, v))[:, None]
 
 
 def _edge_tables(mesh: SurfaceMesh) -> tuple:
@@ -735,12 +718,12 @@ def _edge_tables(mesh: SurfaceMesh) -> tuple:
     the shift that makes ``x -> rot[j] @ x + shift[j]`` fix the edge.
     ``rot_t[j]`` is ``rot[j].T``. Each value has the bits of the same
     formula on one edge."""
-    heads, tails = zip(*mesh._owner)
+    at, after, _, face = mesh._corners
+    heads, tails = at.tolist(), after.tolist()
     across = [mesh._owner[ba] for ba in zip(tails, heads)]
-    normals = np.array(mesh._normals)
-    n_f, n_g = normals[list(mesh._owner.values())], normals[across]
-    va = mesh.vertices[list(heads)]
-    edge = mesh.vertices[list(tails)] - va
+    n_f, n_g = mesh._normals[face], mesh._normals[across]
+    va = mesh.vertices[at]
+    edge = mesh.vertices[after] - va
     e_f = _unit_rows(edge)
     # m = edge x n_f, and m_f = e_f x n_f and m_g = -e_f x n_g, the normals
     # out of the face and out of g in their planes, in one pass
@@ -753,10 +736,8 @@ def _edge_tables(mesh: SurfaceMesh) -> tuple:
         [e_f, -m_g, n_g], axis=2
     ).transpose(0, 2, 1)
     shift = va - (rot @ va[:, :, None])[..., 0]
-    flat, rows, j = list(zip(range(len(heads)), va, m)), [], 0
-    for face in mesh.faces:
-        rows.append(flat[j : j + len(face)])
-        j += len(face)
+    flat, first = list(zip(range(len(heads)), va, m)), mesh._first.tolist()
+    rows = [flat[i:j] for i, j in zip(first, first[1:])]
     return rows, heads, tails, across, rot, shift, rot.transpose(0, 2, 1)
 
 
@@ -806,9 +787,7 @@ def trace_surface_geodesic(
             f"of face {face}"
         )
     d = as_point(direction, 3)
-    d = d - float(np.dot(d, n)) * n
-    d = unit(d)
-    start_dir = d
+    d = start_dir = unit(d - float(np.dot(d, n)) * n)
     unfolder = _Unfolder(p, d, n)
     # (time, point, unfolded, site, face) per knot, the start's first; a
     # run's unfolding maps its first point to the origin

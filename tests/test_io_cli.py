@@ -1315,6 +1315,57 @@ def test_env_tolerance_override_applies_at_import():
     )
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "BILLIARDS_EPS is not a float: 'abc'"),
+        ("0.5", "BILLIARDS_EPS out of range (0, 1e-2): 0.5"),
+        ("nan", "BILLIARDS_EPS out of range (0, 1e-2): nan"),
+    ],
+)
+def test_a_bad_env_tolerance_is_refused_in_one_line(value, message):
+    """``python -m billiards.cli`` imports ``billiards.config`` before
+    ``main`` runs; ``TOL.eps`` is read on its first use, in ``main``, so a
+    bad ``BILLIARDS_EPS`` is an input error: exit code 2 and one line on
+    stderr, for a numpy command and for ``corner``, which loads no numpy."""
+    for argv in (["check-alcove", "simplex_A3"], ["corner", "1.0"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "billiards.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "BILLIARDS_EPS": value},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"billiards: error: {message}\n"
+
+
+def test_a_bad_env_tolerance_is_refused_on_each_read_of_eps(monkeypatch):
+    """Under a bad ``BILLIARDS_EPS`` a new ``Tolerances`` is refused with
+    ``InputError``, and ``billiards.config``, run afresh, still imports: its
+    ``TOL`` keeps the fixed guards and raises the refusal on each read of
+    ``eps``."""
+    from billiards import config
+
+    monkeypatch.delenv("BILLIARDS_EPS", raising=False)
+    assert config.Tolerances().eps == 1e-9
+    monkeypatch.setenv("BILLIARDS_EPS", "1e-6")
+    assert config.Tolerances().eps == 1e-6
+    for value in ("abc", "0.5", "nan", "0", "-1e-9"):
+        monkeypatch.setenv("BILLIARDS_EPS", value)
+        with pytest.raises(InputError, match="^BILLIARDS_EPS "):
+            config.Tolerances()
+        spec = importlib.util.spec_from_file_location(
+            "billiards._config_afresh", config.__file__
+        )
+        fresh = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fresh)
+        spec.loader.exec_module(fresh)
+        assert (fresh.TOL.step, fresh.TOL.m_max) == (1e-12, 64)
+        for _ in range(2):
+            with pytest.raises(InputError, match="^BILLIARDS_EPS "):
+                fresh.TOL.eps
+
+
 def test_import_billiards_loads_no_jsonschema():
     """``jsonschema`` is imported on the first validation, not by ``import
     billiards``."""

@@ -125,6 +125,19 @@ def test_nonplanar_face_rejected():
         SurfaceMesh(verts, faces)
 
 
+def test_a_face_with_collinear_vertices_is_refused():
+    """A cube, moved off the origin, with a vertex 8 in the middle of its
+    edge (0, 1): the front face takes it as a straight corner, and the
+    triangle (0, 1, 8) closes the mesh. That triangle's vertices are
+    collinear, so it has no normal."""
+    cube = SurfaceMesh.cube(1.0)
+    verts = np.vstack([cube.vertices, [0.5, 0.0, 0.0]]) + [1.0, 2.0, 3.0]
+    faces = list(cube.faces)
+    faces[2] = (0, 8, 1, 5, 4)  # y = 0
+    with pytest.raises(InputError, match="^cannot normalize the zero vector$"):
+        SurfaceMesh(verts, [*faces, (0, 1, 8)])
+
+
 # An L-shaped prism: the hexagon below, counterclockwise seen from +z, at
 # z = 0 (vertices 0-5) and z = 1 (vertices 6-11). The hexagon's corner at
 # (1, 1), vertices 3 and 9, is reflex.
@@ -138,13 +151,20 @@ _L_FACES = [(5, 4, 3, 2, 1, 0), (6, 7, 8, 9, 10, 11), *_L_SIDES]
 _L_SPLIT_FACES = [(3, 2, 1, 0), (0, 5, 4, 3), (6, 7, 8, 9), (9, 10, 11, 6), *_L_SIDES]
 
 
+# sizes from far below to far above the unit length scale of the tolerances
+_SCALES = [1e-6, 1e-5, 3e-5, 1e-3, 1.0, 1e3]
+
+
 def test_a_face_that_is_not_convex_is_refused():
-    with pytest.raises(InputError) as err:
-        SurfaceMesh(_L_VERTS, _L_FACES)
-    assert str(err.value) == (
-        "face 0 is not convex: its corner at vertex 3 turns by -1.000e+00; "
-        "split the face into convex faces"
-    )
+    """At every size the reflex corner turns by ``-scale**2``, far past the
+    band ``TOL.eps * |e_in| * |e_out|``."""
+    for scale in _SCALES:
+        with pytest.raises(InputError) as err:
+            SurfaceMesh(np.array(_L_VERTS) * scale, _L_FACES)
+        assert str(err.value) == (
+            f"face 0 is not convex: its corner at vertex 3 turns by "
+            f"{-scale**2:.3e}; split the face into convex faces"
+        )
     # the first failing corner of the lowest face: the top face comes first
     with pytest.raises(InputError, match="^face 0 is not convex: its corner at vertex 9 "):
         SurfaceMesh(_L_VERTS, _L_FACES[1::-1] + _L_SIDES)
@@ -164,15 +184,17 @@ def test_the_l_prism_split_into_convex_faces_is_a_convex_surface():
 def test_a_straight_corner_within_the_band_is_accepted(offset):
     """A cube with a vertex 8 on the middle of its top front edge, shared by
     the top face and the front face: the corner there is straight, or turns
-    by ``-offset`` on the top face, well within ``TOL.eps``."""
+    by ``-offset * scale**2`` on the top face, well within ``TOL.eps`` times
+    its edges' lengths at every size."""
     cube = SurfaceMesh.cube(1.0)
-    verts = np.vstack([cube.vertices, [0.5, offset, 1.0]])
     faces = list(cube.faces)
     faces[1] = (4, 8, 5, 6, 7)  # top
     faces[2] = (0, 1, 5, 8, 4)  # y = 0
-    mesh = SurfaceMesh(verts, faces)
-    assert gauss_bonnet_total(mesh) == pytest.approx(4.0 * math.pi, abs=1e-9)
-    assert cone_angles(mesh)[8].cone_angle == pytest.approx(2.0 * math.pi, abs=1e-9)
+    for scale in _SCALES:
+        verts = np.vstack([cube.vertices, [0.5, offset, 1.0]]) * scale
+        mesh = SurfaceMesh(verts, faces)
+        assert gauss_bonnet_total(mesh) == pytest.approx(4.0 * math.pi, abs=1e-9)
+        assert cone_angles(mesh)[8].cone_angle == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 # -- cone angles and curvature ----------------------------------------------
@@ -185,10 +207,21 @@ def test_cube_corner_angles():
         assert r.orbifold_order is None  # 3*pi/2 is not 2*pi/n
 
 
+def test_a_needle_tip_has_cone_angle_zero_and_no_order():
+    """At the tip of a tetrahedron 1e9 long on a unit base, the cosine of
+    each face angle rounds to 1, so the cone angle there is 0.0: no
+    ``2*pi/n`` is near it, and the tip is not an orbifold point."""
+    verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e9]]
+    mesh = SurfaceMesh(verts, [(0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3)])
+    tip = cone_angles(mesh)[3]
+    assert (tip.cone_angle, tip.orbifold_order) == (0.0, None)
+    assert is_orbifold_boundary(mesh).failing_vertices == (0, 1, 2, 3)
+
+
 def test_regular_tetrahedron_is_a_2222_orbifold():
     tetra = SurfaceMesh.regular_tetrahedron(1.0)
     verdict = is_orbifold_boundary(tetra)
-    assert verdict.is_orbifold
+    assert verdict.is_orbifold and bool(verdict)
     assert verdict.orders == (2, 2, 2, 2)
     assert verdict.diophantine_ok
     for r in cone_angles(tetra):
@@ -218,7 +251,7 @@ def test_the_defect_identity_in_integers_matches_fractions():
 
 def test_cube_is_not_an_orbifold_boundary():
     verdict = is_orbifold_boundary(SurfaceMesh.cube(1.0))
-    assert not verdict.is_orbifold
+    assert not verdict.is_orbifold and not verdict
     assert len(verdict.failing_vertices) == 8
 
 

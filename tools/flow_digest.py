@@ -40,7 +40,11 @@ state, or a refused trace's error class and message. The second hashes
 bundled meshes and on seeded ``from_polytope`` and ``convex_hull_mesh``
 hulls. The last, "meshes", hashes the faces and face normals of seeded
 boxes, cut boxes, hulls and tetrahedra, built by ``from_polytope``,
-``convex_hull_mesh`` and ``tetrahedron_mesh``.
+``convex_hull_mesh`` and ``tetrahedron_mesh``. "Mesh refusals" hashes the
+error class and message of ``SurfaceMesh`` on seeded malformed meshes at unit
+scale: a bent quadrilateral, a reflex hexagon, inward winding, an open mesh,
+a repeated directed edge, a short edge, a degenerate face and a face with
+collinear vertices, so that the order and wording of the refusals show.
 
 One group hashes the small verdicts: ``check_alcove`` on every bundled
 polytope, every standard alcove and seeded triangles near and far from the
@@ -456,6 +460,58 @@ def _meshes(digest) -> None:
             digest.update(mesh.face_normal(k).tobytes())
 
 
+def _refusals(rng):
+    """Seeded malformed meshes at unit scale, each as ``(vertices, faces)``:
+    a bent quadrilateral, a reflex hexagon, inward winding, an open mesh, a
+    repeated directed edge, a short edge, a degenerate face and a face with
+    collinear vertices."""
+    cube = SurfaceMesh.cube(1.0)
+    for _ in range(10):
+        # whole shifts, so that the midpoint of an edge is exact
+        verts, faces = cube.vertices + rng.integers(-2, 3, 3), list(cube.faces)
+        k = int(rng.integers(len(faces)))
+        bent = verts.copy()
+        bent[int(rng.integers(len(bent)))] += rng.uniform(-0.3, 0.3, 3)
+        yield bent, faces
+        # the L prism, its reflex corner moved about (1, 1)
+        x, y = rng.uniform(0.5, 1.5, 2)
+        hexagon = [(0, 0), (2, 0), (2, 1), (x, y), (1, 2), (0, 2)]
+        sides = [(i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6) for i in range(6)]
+        prism = [(a, b, 0.0) for a, b in hexagon] + [(a, b, 1.0) for a, b in hexagon]
+        yield prism, [(5, 4, 3, 2, 1, 0), (6, 7, 8, 9, 10, 11), *sides]
+        yield verts, [face[::-1] for face in faces]
+        yield verts, faces[:k] + faces[k + 1:]
+        yield verts, faces + faces[k:k + 1]
+        # a triangular prism whose top corner 3 nearly meets bottom corner 0
+        height = float(rng.uniform(0.0, 9e-10))
+        yield (
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, height], [1, 0, 1], [0, 1, 1]],
+            [(0, 2, 1), (3, 4, 5), (0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5)],
+        )
+        yield verts, faces[:k] + [faces[k] + faces[k][:1]] + faces[k + 1:]
+        # the edge (a, b) of face k split at its midpoint 8, and the triangle
+        # (a, b, 8) with collinear vertices across it
+        i = int(rng.integers(4))
+        a, b = faces[k][i], faces[k][(i + 1) % 4]
+        split = list(faces)
+        split[k] = faces[k][: i + 1] + (8,) + faces[k][i + 1:]
+        yield np.vstack([verts, (verts[a] + verts[b]) / 2]), [*split, (a, b, 8)]
+
+
+def _mesh_refusals(digest) -> None:
+    """The error class and message of ``SurfaceMesh`` on each malformed
+    mesh of :func:`_refusals`, or the faces and normals of one it builds."""
+    for verts, faces in _refusals(np.random.default_rng(812)):
+        try:
+            mesh = SurfaceMesh(verts, faces)
+        except BilliardsError as err:
+            digest.update(_error(err))
+        else:
+            digest.update(repr(mesh.faces).encode())
+            for k in range(len(mesh.faces)):
+                digest.update(mesh.face_normal(k).tobytes())
+
+
 def _error(err: BilliardsError) -> bytes:
     return f"{type(err).__name__}: {err}".encode()
 
@@ -650,6 +706,7 @@ GROUPS = (
     ("wedge shots", _wedge_shots),
     ("fold points", _fold_points),
     ("meshes", _meshes),
+    ("mesh refusals", _mesh_refusals),
 )
 
 
