@@ -60,6 +60,7 @@ from .geometry import (
     as_point,
     classify_slack,
     reflected,
+    slack_band,
     unit,
 )
 
@@ -253,8 +254,9 @@ def advance_to_boundary(
     direction raises ``DegenerateStartError``; a missing forward crossing
     raises ``NoProgressError``.
     """
-    p = as_point(point, polytope.dim)
-    # the kernel's d.dot(d) over a strided view could round in another order
+    # the kernel's p.dot(p) and d.dot(d) over a strided view could round in
+    # another order
+    p = np.ascontiguousarray(as_point(point, polytope.dim))
     d = np.ascontiguousarray(as_point(direction, polytope.dim))
     hit, dt, active, _, _, _ = _advance(polytope, p, d)
     return hit, dt, active
@@ -289,19 +291,27 @@ def reflect_at(
 # ``simulate`` carries the slack and the classification of each hit into the
 # next step, which starts from that very point; its first step reuses the
 # classification that ``_begin`` made of the start. ``simulate_unfolded``
-# deliberately does not: it classifies its own isometry-built position at
-# every step, so it stays an independent oracle.
+# deliberately does not: it checks its own isometry-built position at every
+# step, so it stays an independent oracle. That check is made inside the scan
+# for the first crossing, with no active set built: the start is outside when
+# its largest slack is above the band of ``slack_band``, and it leaves the
+# table when a facet approached faster than ``TOL.tangential`` has a slack at
+# or above ``-band``. These are the outside and active tests of
+# ``classify_slack``, with the same band, so both paths raise the same errors
+# with the same messages, and an active facet is never the next one crossed.
 #
 # A step works on arrays of a few to a few dozen entries, where each numpy
 # call costs more than its arithmetic. So numpy keeps the products with the
 # normals (``normals.dot``, the same BLAS call as ``@``) and the vector
-# updates, and every reduction runs on Python floats from one ``tolist()``:
-# the worst rate of the active facets, the scan for the first crossing and,
-# in ``classify_slack``, the worst slack and the active set. That is exact,
-# because these reductions only take maxima, compare, and divide once per
-# row, ``-s / r``, the same IEEE division numpy makes; a strict ``<`` keeps
-# the first of tied minima, as ``argmin`` does. ``_resolve`` returns a plain
-# tuple; only the public ``reflect_at`` wraps it in a ``BounceResolution``.
+# updates, and every reduction runs on Python floats from one ``tolist()``
+# of the slack and one of the rates: the worst slack, the worst rate of the
+# active facets, the scan for the first crossing and, in ``classify_slack``,
+# the active set. That is exact, because these reductions only take maxima,
+# compare, and divide once per row, ``-s / r``, the same IEEE division numpy
+# makes; a strict ``<`` keeps the first of tied minima, as ``argmin`` does.
+# Every point whose band is taken is a fresh contiguous array, as
+# ``slack_band`` needs. ``_resolve`` returns a plain tuple; only the public
+# ``reflect_at`` wraps it in a ``BounceResolution``.
 
 _Classification = tuple[Location, tuple[int, ...], float]
 
@@ -317,9 +327,10 @@ def _advance(
 ]:
     """:func:`advance_to_boundary` for finite points of the table's dimension.
 
-    ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
-    ``slack`` is ``normals @ p - offsets`` and ``here`` is
-    ``classify_slack(slack, p, TOL.eps)``, if the caller has them.
+    ``p`` and ``d`` are contiguous 1-D arrays; a zero ``d`` raises
+    ``InputError``. ``slack`` is ``normals @ p - offsets`` and ``here`` is
+    ``classify_slack(slack, p, TOL.eps)``, if the caller has them; without
+    ``here`` the start is checked in the scan for the first crossing.
     Returns ``(hit, dt, active, unit_direction, slack_at_hit,
     classification_at_hit)`` and raises what :func:`advance_to_boundary`
     raises. ``active`` is the active set of the classification at the hit,
@@ -332,29 +343,40 @@ def _advance(
     d = d / length
     if slack is None:
         slack = normals.dot(p) - offsets
+    values = slack.tolist()
+    rates = normals.dot(d).tolist()
+    tangential = TOL.tangential
     if here is None:
-        here = classify_slack(slack, p, TOL.eps)
-    location, active, worst = here
-    if location is Location.OUTSIDE:
+        band = slack_band(p, TOL.eps)
+        # a worst slack above a finite band is positive, so Python's max
+        # gives the bits that classify_slack reports
+        worst = max(values)
+        outside = worst > band
+        floor = -band
+        exiting = -math.inf  # the largest rate of an active facet
+    else:
+        location, active, worst = here
+        outside = location is Location.OUTSIDE
+        floor = math.inf  # the active set is known: the scan needs no band
+        exiting = max([rates[i] for i in active]) if active else -math.inf
+    if outside:
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
         )
-    rates = normals.dot(d).tolist()
-    tangential = TOL.tangential
-    if active:
-        worst_rate = max([rates[i] for i in active])
-        if worst_rate > tangential:
-            raise DegenerateStartError(
-                f"direction exits through active facet (rate {worst_rate:.3e})"
-            )
-        for i in active:  # an active facet is never the next one crossed
-            rates[i] = 0.0
     k = -1
-    for i, (s, r) in enumerate(zip(slack.tolist(), rates)):
+    for i, (s, r) in enumerate(zip(values, rates)):
         if r > tangential:
+            if s >= floor:
+                if r > exiting:
+                    exiting = r
+                continue
             t = -s / r
             if k < 0 or t < dt:
                 k, dt = i, t
+    if exiting > tangential:
+        raise DegenerateStartError(
+            f"direction exits through active facet (rate {exiting:.3e})"
+        )
     if k < 0:
         raise NoProgressError("no constraint is approached; table corrupt?")
     dt = max(dt, 0.0)
@@ -459,14 +481,6 @@ def simulate(
     return _trajectory(state, hits, end, policy)
 
 
-def _mirror(n: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine reflection ``x -> Hx + b`` across the hyperplane
-    ``<n, x> = offset``."""
-    h = np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
-    b = 2.0 * offset * n
-    return h, b
-
-
 def simulate_unfolded(
     polytope: Polytope,
     state: TrajectoryState,
@@ -485,9 +499,13 @@ def simulate_unfolded(
     horizon, budget, eps_time, _ = _begin(polytope, state, horizon, policy)
     x0 = state.point.copy()
     d0 = state.direction.copy()
-    q = np.eye(polytope.dim)
-    shift = np.zeros(polytope.dim)
-    mirrors: dict[int, tuple] = {}  # facet -> its _mirror, built on first use
+    dim, n = polytope.dim, polytope.normals
+    q = np.eye(dim)
+    shift = np.zeros(dim)
+    # the affine reflection x -> hs[i] x + bs[i] across each facet plane
+    # <n_i, x> = offsets[i], all in one array pass
+    hs = np.eye(dim) - 2.0 * (n[:, :, None] * n[:, None, :])
+    bs = (2.0 * polytope.offsets)[:, None] * n
     t = 0.0
     line = x0 + t * d0  # the straight line at time t, before any isometry
     hits: list[tuple] = []
@@ -512,13 +530,9 @@ def simulate_unfolded(
             )
         if kind is BounceKind.FACET or word:
             for idx in word:
-                mirror = mirrors.get(idx)
-                if mirror is None:
-                    offset = float(polytope.offsets[idx])
-                    mirror = mirrors[idx] = _mirror(polytope.normals[idx], offset)
-                h, b = mirror
+                h = hs[idx]
                 q = h.dot(q)
-                shift = h.dot(shift) + b
+                shift = h.dot(shift) + bs[idx]
         else:
             # point reflection about the corner
             q = -q

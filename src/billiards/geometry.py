@@ -117,34 +117,44 @@ class Location(Enum):
     OUTSIDE = "outside"
 
 
+def slack_band(x: np.ndarray, eps: float) -> float:
+    """The band ``eps * max(1, |x|)`` about zero within which a slack at
+    ``x`` counts as tight, for a contiguous 1-D ``x`` (``x.dot(x)`` over a
+    strided view may add in another order). The one copy of this rule."""
+    return eps * max(1.0, math.sqrt(x.dot(x)))
+
+
 def classify_slack(
     slack: np.ndarray, x: np.ndarray, eps: float
 ) -> tuple[Location, tuple[int, ...], float]:
     """Location of ``x`` from its slack vector ``normals @ x - offsets``.
 
     The rule behind :meth:`Polytope.contains`: ``x`` is outside when a
-    constraint is violated by more than ``eps * max(1, |x|)``, and the
-    constraints within that band of zero are active. Returns
-    ``(location, active, worst_violation)``.
+    constraint is violated by more than the band ``eps * max(1, |x|)`` of
+    :func:`slack_band`, and the constraints within that band of zero are
+    active. Returns ``(location, active, worst_violation)``. ``x`` must be
+    a contiguous 1-D array, so that its length has the bits of
+    ``np.linalg.norm``.
 
     The reductions run on Python floats from one ``tolist()``: a max and
     comparisons, which give the bits numpy's ``max`` and
     ``abs(slack) <= band`` give. Once no value exceeds the band,
     ``|s| <= band`` is ``s >= -band``. Two cases take ``worst_violation``
-    from numpy's ``max`` instead. A zero maximum may be a tie of ``0.0`` and
-    ``-0.0``, of which numpy and Python keep different ones. And a slack can
-    be NaN only when ``|x|`` overflows, as each ``|<n_i, x>|`` is at most
-    ``|x|``; the band is then infinite, and Python's ``max`` can pass over a
-    NaN.
+    from numpy's ``max`` instead. A zero maximum held by more than one
+    entry may be a tie of ``0.0`` and ``-0.0``, of which numpy and Python
+    keep different ones; a lone zero is the same entry under both. And a
+    slack can be NaN only when ``|x|`` overflows, as each ``|<n_i, x>|`` is
+    at most ``|x|``; the band is then infinite, and Python's ``max`` can
+    pass over a NaN.
     """
     values = slack.tolist()
-    scaled = eps * max(1.0, vector_norm(x))
+    band = slack_band(x, eps)
     worst = max(values)
-    if worst == 0.0 or scaled == math.inf:
+    if band == math.inf or (worst == 0.0 and values.count(0.0) > 1):
         worst = float(slack.max())
-    if worst > scaled:
+    if worst > band:
         return Location.OUTSIDE, (), worst
-    floor = -scaled
+    floor = -band
     active = tuple([i for i, s in enumerate(values) if s >= floor])
     return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
 
@@ -591,16 +601,19 @@ class Polytope:
         normals = np.array(hull.equations[:, :3])
         offsets = -hull.equations[:, 3]
         # qhull splits a facet into triangles that repeat its plane: keep a
-        # row unless a row kept before it gives the same plane
+        # row unless a row kept before it gives the same plane (when no two
+        # rows do, every row is kept)
         same = (np.vecdot(normals[:, None], normals[None]) > 1.0 - 1e-10) & (
             np.abs(offsets[:, None] - offsets[None]) <= TOL.eps
         )
-        same = same.tolist()
-        keep: list[int] = []
-        for j in range(len(same)):
-            if not any(same[j][i] for i in keep):
-                keep.append(j)
-        rows = np.column_stack((normals[keep], offsets[keep]))
+        if np.tril(same, -1).any():
+            same = same.tolist()
+            keep: list[int] = []
+            for j in range(len(same)):
+                if not any(same[j][i] for i in keep):
+                    keep.append(j)
+            normals, offsets = normals[keep], offsets[keep]
+        rows = np.column_stack((normals, offsets))
         return cls(_unit_rows(rows), pts[hull.vertices])
 
     @classmethod
@@ -723,7 +736,7 @@ class Polytope:
             )
         total = self.normals.sum(axis=0)
         ok, _, residual = cone_membership(
-            self.normals, -total, TOL.eps * max(1.0, vector_norm(total))
+            self.normals, -total, slack_band(total, TOL.eps)
         )
         if not ok:
             raise UnboundedRegionError(
@@ -741,7 +754,8 @@ class Polytope:
         return self.vertices.mean(axis=0)
 
     def contains(self, x) -> Containment:
-        x = as_point(x, self.dim)
+        # classify_slack needs a contiguous point for the bits of its band
+        x = np.ascontiguousarray(as_point(x, self.dim))
         return Containment(
             *classify_slack(self.normals @ x - self.offsets, x, TOL.eps)
         )
@@ -772,7 +786,7 @@ def is_polar(polytope: Polytope, p, u, v) -> bool:
     normals = polytope.normals[list(loc.active)]
     for w, name in ((uu, "incoming"), (vv, "outgoing")):
         w = as_point(w, polytope.dim)
-        limit = TOL.eps * max(1.0, vector_norm(w))
+        limit = slack_band(w, TOL.eps)
         if len(normals) and np.max(normals @ w) > limit:
             raise InputError(f"{name} direction is not in the tangent cone")
     ok, _, _ = cone_membership(normals, -(uu + vv), TOL.eps)

@@ -99,8 +99,12 @@ class SurfaceMesh:
         normals = np.zeros((len(self.faces), 3))
         np.add.at(normals, face, _cross_rows(self.vertices[at], self.vertices[after]))
         length = np.sqrt(np.vecdot(normals, normals))
-        if (length < 1e-300).any():
-            raise InputError("cannot normalize the zero vector")
+        zero = np.flatnonzero(length < 1e-300).tolist()
+        if zero:
+            k = zero[0]
+            raise InputError(
+                f"face {k} has collinear vertices and no normal: {self.faces[k]}"
+            )
         normals /= length[:, None]
         normals.setflags(write=False)
         self._normals = normals
@@ -274,11 +278,15 @@ class SurfaceMesh:
 
     def _signed_volume(self) -> float:
         # the fan of each face from its first vertex: a corner's vertex and
-        # the next, for the corners at neither end of the face's vertex list
+        # the next, for the corners at neither end of the face's vertex list;
+        # a triangle is its own fan
         at, after, _, face = self._corners
-        lead = at[self._first[:-1]][face]
-        fan = (at != lead) & (after != lead)
-        triangles = np.stack((lead[fan], at[fan], after[fan]), axis=1)
+        if len(at) == 3 * len(self.faces):
+            triangles = np.array(self.faces)
+        else:
+            lead = at[self._first[:-1]][face]
+            fan = (at != lead) & (after != lead)
+            triangles = np.stack((lead[fan], at[fan], after[fan]), axis=1)
         total = 0.0
         # summed one by one in fan order, as a plain loop (not sum(), which
         # compensates from Python 3.12 on), so the orientation verdict stays

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from billiards.config import TOL
 from billiards.dynamics import TrajectoryState
 from billiards.geometry import Polytope
 
@@ -67,6 +68,52 @@ def random_interior_state(rng, polytope: Polytope) -> TrajectoryState:
     while np.linalg.norm(direction) < 1e-6:  # pragma: no cover
         direction = rng.normal(size=polytope.dim)
     return TrajectoryState(point, direction)
+
+
+def start_cases(rng):
+    """Seeded ``(table, point, direction)`` starts of one step, on polygons
+    and hulls at unit scale and at scale 40 and on a 5D box. The points lie
+    inside the table, on a facet, at a corner, and off a facet by a fraction
+    or a multiple of the band ``TOL.eps * max(1, |x|)``, inward and outward;
+    on a 3D box, a facet's slack is exactly the band or minus it. The
+    directions point inward, along the facet, out through it, at a rate
+    just either side of ``TOL.tangential``, and at random."""
+    tables = [
+        random_convex_polygon(rng),
+        random_convex_polygon(rng, scale=40.0),
+        random_polytope_3d(rng),
+        Polytope.from_point_cloud(40.0 * random_polytope_3d(rng).vertices),
+        Polytope.box(-np.arange(1.0, 6.0), np.linspace(20.0, 30.0, 5)),
+    ]
+    for table in tables:
+        normals, dim = table.normals, table.dim
+        inside = rng.dirichlet(np.ones(len(table.vertices))) @ table.vertices
+        inside = 0.7 * inside + 0.3 * table.interior_point()
+        for k in rng.choice(table.n_facets, size=3, replace=False).tolist():
+            n = normals[k]
+            ends = table.vertices[list(table.facet_vertices[k])]
+            on_facet = rng.dirichlet(np.ones(len(ends))) @ ends
+            band = TOL.eps * max(1.0, float(np.linalg.norm(on_facet)))
+            points = [inside, on_facet, ends[0]]
+            points += [on_facet + m * band * n
+                       for m in (-2.0, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2.0)]
+            t = rng.normal(size=dim)
+            t -= t.dot(n) * n  # along the facet
+            directions = [-n + 0.3 * t, t, n + 0.3 * t, rng.normal(size=dim),
+                          t + 0.5 * TOL.tangential * np.linalg.norm(t) * n,
+                          t + 2.0 * TOL.tangential * np.linalg.norm(t) * n,
+                          inside - ends[0], ends[0] - inside]
+            for p in points:
+                for d in directions:
+                    yield table, p, d
+    # a start whose slack on facet 0 is exactly minus or plus the band, as
+    # x[0] is 0 and |x| is exactly 5
+    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 5.0
+    for top in (band, -band):
+        box = Polytope.box([-1.0, -9.0, -9.0], [top, 9.0, 9.0])
+        for d in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1e-11, 0.0],
+                  [0.0, 1.0, 1.0], rng.normal(size=3)):
+            yield box, x, np.array(d)
 
 
 def random_tetrahedron_vertices(rng) -> np.ndarray:

@@ -19,6 +19,7 @@ from billiards.dynamics import (
     simulate_unfolded,
 )
 from billiards.errors import (
+    BilliardsError,
     BounceBudgetExceededError,
     CornerAmbiguousError,
     DegenerateStartError,
@@ -32,6 +33,7 @@ from conftest import (
     random_convex_polygon,
     random_interior_state,
     random_polytope_3d,
+    start_cases,
 )
 
 
@@ -74,6 +76,55 @@ def test_advance_reads_a_strided_direction_like_its_copy(rng):
         )
         assert np.array_equal(hit, want_hit)
         assert (dt, active) == (want_dt, want_active)
+
+
+def _outcome(step, *args):
+    """``(hit, dt, active)`` of a step, the hit as bytes, or the error's
+    class and message."""
+    try:
+        hit, dt, active = step(*args)[:3]
+    except BilliardsError as err:
+        return type(err), str(err)
+    return hit.tobytes(), dt, active
+
+
+def test_a_step_checks_its_start_alike_with_and_without_a_classification(rng):
+    """Without a carried classification a step checks its start inside its
+    scan; with one, as ``simulate`` carries it, the step reads its active
+    set. Both give the same hit, time and active set, or the same error and
+    message, from starts inside, on facets, at corners, on either side of
+    the band and leaving the table."""
+    seen = {}
+    for table, p, d in start_cases(rng):
+        slack = table.normals @ p - table.offsets
+        here = classify_slack(slack, p, TOL.eps)
+        want = _outcome(dynamics._advance, table, p, d, slack, here)
+        assert _outcome(dynamics._advance, table, p, d) == want
+        outcome = want[0] if isinstance(want[0], type) else "hit"
+        seen[outcome] = seen.get(outcome, 0) + 1
+    assert set(seen) == {"hit", OutsideTableError, DegenerateStartError}
+    assert min(seen.values()) >= 50
+
+
+def test_a_strided_point_is_read_like_its_copy(rng):
+    """``contains`` and ``advance_to_boundary`` give a column view of a 5D
+    point the bits they give its contiguous copy. Facet 0 of each box is
+    placed at the band of the copy or of the view, so a band taken from the
+    view's own sum of squares would move that facet in or out of the
+    active set."""
+    for _ in range(50):
+        columns = 2.0 * rng.normal(size=(5, 2))
+        columns[0] = 0.0  # so facet 0's slack is exactly minus its offset
+        view = columns[:, 0]
+        copy = view.copy()
+        for x in (copy, view):
+            band = TOL.eps * max(1.0, math.sqrt(x.dot(x)))
+            table = Polytope.box(np.full(5, -9.0), [band, 9.0, 9.0, 9.0, 9.0])
+            assert table.contains(view) == table.contains(copy)
+            for d in (np.eye(5)[0], -np.eye(5)[0], rng.normal(size=5)):
+                assert _outcome(advance_to_boundary, table, view, d) == (
+                    _outcome(advance_to_boundary, table, copy, d)
+                )
 
 
 def _set_kernel_tolerances(monkeypatch, **tolerances):

@@ -129,12 +129,15 @@ def test_a_face_with_collinear_vertices_is_refused():
     """A cube, moved off the origin, with a vertex 8 in the middle of its
     edge (0, 1): the front face takes it as a straight corner, and the
     triangle (0, 1, 8) closes the mesh. That triangle's vertices are
-    collinear, so it has no normal."""
+    collinear, so it has no normal, and the refusal names it."""
     cube = SurfaceMesh.cube(1.0)
     verts = np.vstack([cube.vertices, [0.5, 0.0, 0.0]]) + [1.0, 2.0, 3.0]
     faces = list(cube.faces)
     faces[2] = (0, 8, 1, 5, 4)  # y = 0
-    with pytest.raises(InputError, match="^cannot normalize the zero vector$"):
+    with pytest.raises(
+        InputError,
+        match=r"^face 6 has collinear vertices and no normal: \(0, 1, 8\)$",
+    ):
         SurfaceMesh(verts, [*faces, (0, 1, 8)])
 
 

@@ -57,6 +57,12 @@ tables. The wedge directions, like every other point and direction of
 ``billiards.corner``, are hashed through ``np.asarray``, which gives the same
 bytes for a tuple of floats and for an array.
 
+"Start checks" hashes ``advance_to_boundary`` from the starts that the
+tests of a step's start check use: ``start_cases`` in ``tests/conftest.py``
+at the tests' seed, inside, on a facet, at a corner and about the band,
+inward, along a facet and out of it. It hashes the bytes of the hit, the
+distance and the active set, or the error's class and message.
+
 "Wedge shots" hashes ``unfold_wedge`` at seeded openings (some at pi/k and
 just off it) and offsets: the start, the bounce points, the outgoing
 direction and angle and the bounce count, or a refused shot's error class
@@ -83,6 +89,7 @@ import hashlib
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -97,6 +104,7 @@ from billiards.corner import limit_reflection, unfold_wedge
 from billiards.dynamics import (
     CornerPolicy,
     TrajectoryState,
+    advance_to_boundary,
     reflect_at,
     simulate,
     simulate_unfolded,
@@ -131,6 +139,10 @@ from billiards.surface import (
     trace_surface_geodesic,
 )
 from billiards.tables import build
+
+# the seeded starts of the step tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import start_cases
 
 
 def _polygon(rng) -> Polytope:
@@ -512,6 +524,21 @@ def _mesh_refusals(digest) -> None:
                 digest.update(mesh.face_normal(k).tobytes())
 
 
+def _start_checks(digest) -> None:
+    """``advance_to_boundary`` from each start of ``start_cases``, at the
+    seed of the tests' ``rng`` fixture: the hit, the distance and the active
+    set, or the error's class and message."""
+    for table, p, d in start_cases(np.random.default_rng(20250823)):
+        try:
+            hit, dt, active = advance_to_boundary(table, p, d)
+        except BilliardsError as err:
+            digest.update(_error(err))
+            continue
+        digest.update(hit.tobytes())
+        digest.update(np.float64(dt).tobytes())
+        digest.update(repr(active).encode())
+
+
 def _error(err: BilliardsError) -> bytes:
     return f"{type(err).__name__}: {err}".encode()
 
@@ -707,6 +734,7 @@ GROUPS = (
     ("fold points", _fold_points),
     ("meshes", _meshes),
     ("mesh refusals", _mesh_refusals),
+    ("start checks", _start_checks),
 )
 
 
