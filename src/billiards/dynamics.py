@@ -254,11 +254,10 @@ def advance_to_boundary(
     direction raises ``DegenerateStartError``; a missing forward crossing
     raises ``NoProgressError``.
     """
-    # the kernel's p.dot(p) and d.dot(d) over a strided view could round in
-    # another order
-    p = np.ascontiguousarray(as_point(point, polytope.dim))
+    p = as_point(point, polytope.dim)
+    # the kernel's d.dot(d) over a strided view could round in another order
     d = np.ascontiguousarray(as_point(direction, polytope.dim))
-    hit, dt, active, _, _, _ = _advance(polytope, p, d)
+    hit, dt, active, _, _ = _advance(polytope, p, d)
     return hit, dt, active
 
 
@@ -288,17 +287,16 @@ def reflect_at(
 # their inputs. The public functions above validate and call the same kernel,
 # so a hand-chained run and a simulated run agree to the last bit.
 #
-# ``simulate`` carries the slack and the classification of each hit into the
-# next step, which starts from that very point; its first step reuses the
-# classification that ``_begin`` made of the start. ``simulate_unfolded``
-# deliberately does not: it checks its own isometry-built position at every
-# step, so it stays an independent oracle. That check is made inside the scan
-# for the first crossing, with no active set built: the start is outside when
-# its largest slack is above the band of ``slack_band``, and it leaves the
-# table when a facet approached faster than ``TOL.tangential`` has a slack at
-# or above ``-band``. These are the outside and active tests of
-# ``classify_slack``, with the same band, so both paths raise the same errors
-# with the same messages, and an active facet is never the next one crossed.
+# ``simulate`` carries the slack of each hit into the next step, which starts
+# from that very point. ``simulate_unfolded`` deliberately does not: it takes
+# the slack of its own isometry-built position at every step, so it stays an
+# independent oracle. Every step checks its start inside the scan for the
+# first crossing, with no active set built: the start is outside when its
+# largest slack is above the band of ``slack_band``, and it leaves the table
+# when a facet approached faster than ``TOL.tangential`` has a slack at or
+# above ``-band``. These are the outside and active tests of
+# ``classify_slack``, with the same band, and an active facet is never the
+# next one crossed.
 #
 # A step works on arrays of a few to a few dozen entries, where each numpy
 # call costs more than its arithmetic. So numpy keeps the products with the
@@ -309,11 +307,8 @@ def reflect_at(
 # the active set. That is exact, because these reductions only take maxima,
 # compare, and divide once per row, ``-s / r``, the same IEEE division numpy
 # makes; a strict ``<`` keeps the first of tied minima, as ``argmin`` does.
-# Every point whose band is taken is a fresh contiguous array, as
-# ``slack_band`` needs. ``_resolve`` returns a plain tuple; only the public
-# ``reflect_at`` wraps it in a ``BounceResolution``.
-
-_Classification = tuple[Location, tuple[int, ...], float]
+# ``_resolve`` returns a plain tuple; only the public ``reflect_at`` wraps it
+# in a ``BounceResolution``.
 
 
 def _advance(
@@ -321,20 +316,15 @@ def _advance(
     p: np.ndarray,
     d: np.ndarray,
     slack: np.ndarray | None = None,
-    here: _Classification | None = None,
-) -> tuple[
-    np.ndarray, float, tuple[int, ...], np.ndarray, np.ndarray, _Classification
-]:
+) -> tuple[np.ndarray, float, tuple[int, ...], np.ndarray, np.ndarray]:
     """:func:`advance_to_boundary` for finite points of the table's dimension.
 
-    ``p`` and ``d`` are contiguous 1-D arrays; a zero ``d`` raises
-    ``InputError``. ``slack`` is ``normals @ p - offsets`` and ``here`` is
-    ``classify_slack(slack, p, TOL.eps)``, if the caller has them; without
-    ``here`` the start is checked in the scan for the first crossing.
-    Returns ``(hit, dt, active, unit_direction, slack_at_hit,
-    classification_at_hit)`` and raises what :func:`advance_to_boundary`
-    raises. ``active`` is the active set of the classification at the hit,
-    or the facet that set ``dt`` if that is empty.
+    ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
+    ``slack`` is ``normals @ p - offsets``, if the caller has it. Returns
+    ``(hit, dt, active, unit_direction, slack_at_hit)`` and raises what
+    :func:`advance_to_boundary` raises. ``active`` is the active set of the
+    classification at the hit, or the facet that set ``dt`` if that is
+    empty.
     """
     normals, offsets = polytope.normals, polytope.offsets
     length = math.sqrt(d.dot(d))
@@ -346,23 +336,16 @@ def _advance(
     values = slack.tolist()
     rates = normals.dot(d).tolist()
     tangential = TOL.tangential
-    if here is None:
-        band = slack_band(p, TOL.eps)
-        # a worst slack above a finite band is positive, so Python's max
-        # gives the bits that classify_slack reports
-        worst = max(values)
-        outside = worst > band
-        floor = -band
-        exiting = -math.inf  # the largest rate of an active facet
-    else:
-        location, active, worst = here
-        outside = location is Location.OUTSIDE
-        floor = math.inf  # the active set is known: the scan needs no band
-        exiting = max([rates[i] for i in active]) if active else -math.inf
-    if outside:
+    band = slack_band(p, TOL.eps)
+    # a worst slack above a finite band is positive, so Python's max gives
+    # the bits that classify_slack reports
+    worst = max(values)
+    if worst > band:
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
         )
+    floor = -band
+    exiting = -math.inf  # the largest rate of an active facet
     k = -1
     for i, (s, r) in enumerate(zip(values, rates)):
         if r > tangential:
@@ -384,9 +367,9 @@ def _advance(
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
     hit_slack = normals.dot(hit) - offsets
-    hit_here = classify_slack(hit_slack, hit, TOL.eps)
+    _, active, _ = classify_slack(hit_slack, hit, TOL.eps)
     # the minimizing facet must be tight; recover it directly
-    return hit, dt, hit_here[1] or (k,), d, hit_slack, hit_here
+    return hit, dt, active or (k,), d, hit_slack
 
 
 def _resolve(
@@ -415,13 +398,12 @@ def _begin(
     state: TrajectoryState,
     horizon: float,
     policy: CornerPolicy,
-) -> tuple[float, int, float, _Classification]:
+) -> tuple[float, int, float]:
     """The checks at the start of a run, shared by both loops.
 
     Refuses a bad horizon, a state of another dimension, ``FOLD_GROUP`` on a
     non-alcove, and a start outside or leaving the table. Returns
-    ``(horizon, budget, eps_time, here)``, with ``here`` the classification
-    of the start point.
+    ``(horizon, budget, eps_time)``.
     """
     horizon = _checked_horizon(horizon)
     if state.dim != polytope.dim:
@@ -443,7 +425,7 @@ def _begin(
             )
     budget = default_bounce_budget(polytope, horizon)
     eps_time = TOL.step * (1.0 + horizon)
-    return horizon, budget, eps_time, (loc.location, loc.active, loc.worst_violation)
+    return horizon, budget, eps_time
 
 
 def simulate(
@@ -455,16 +437,14 @@ def simulate(
     """Run the billiard flow for total arclength ``horizon``. A run that
     needs more than :func:`default_bounce_budget` bounces raises
     ``BounceBudgetExceededError``."""
-    horizon, budget, eps_time, here = _begin(polytope, state, horizon, policy)
+    horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
     p = state.point.copy()
     d = state.direction.copy()
     slack = None
     t = 0.0
     hits: list[tuple] = []
     while horizon - t > eps_time:
-        hit, dt, active, d_unit, hit_slack, hit_here = _advance(
-            polytope, p, d, slack, here
-        )
+        hit, dt, active, d_unit, hit_slack = _advance(polytope, p, d, slack)
         if dt > (horizon - t) + eps_time:
             p = p + (horizon - t) * d
             t = horizon
@@ -476,7 +456,7 @@ def simulate(
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        p, d, slack, here = hit, outgoing, hit_slack, hit_here
+        p, d, slack = hit, outgoing, hit_slack
     end = TrajectoryState(p, d, horizon)
     return _trajectory(state, hits, end, policy)
 
@@ -496,7 +476,7 @@ def simulate_unfolded(
     flows through a genuinely different computation than the segment-chaining
     integrator.
     """
-    horizon, budget, eps_time, _ = _begin(polytope, state, horizon, policy)
+    horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
     x0 = state.point.copy()
     d0 = state.direction.copy()
     dim, n = polytope.dim, polytope.normals
@@ -512,10 +492,9 @@ def simulate_unfolded(
     while horizon - t > eps_time:
         p = q.dot(line) + shift
         d = q.dot(d0)
-        # the slack and the classification come from this isometry-built
-        # position, never from a point of the folded run, so the two paths
-        # stay independent
-        hit, dt, active, d_unit, _, _ = _advance(polytope, p, d)
+        # the slack comes from this isometry-built position, never from a
+        # point of the folded run, so the two paths stay independent
+        hit, dt, active, d_unit, _ = _advance(polytope, p, d)
         if dt > (horizon - t) + eps_time:
             t = horizon
             break

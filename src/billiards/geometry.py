@@ -119,9 +119,8 @@ class Location(Enum):
 
 def slack_band(x: np.ndarray, eps: float) -> float:
     """The band ``eps * max(1, |x|)`` about zero within which a slack at
-    ``x`` counts as tight, for a contiguous 1-D ``x`` (``x.dot(x)`` over a
-    strided view may add in another order). The one copy of this rule."""
-    return eps * max(1.0, math.sqrt(x.dot(x)))
+    ``x`` counts as tight. The one copy of this rule."""
+    return eps * max(1.0, vector_norm(x))
 
 
 def classify_slack(
@@ -132,9 +131,7 @@ def classify_slack(
     The rule behind :meth:`Polytope.contains`: ``x`` is outside when a
     constraint is violated by more than the band ``eps * max(1, |x|)`` of
     :func:`slack_band`, and the constraints within that band of zero are
-    active. Returns ``(location, active, worst_violation)``. ``x`` must be
-    a contiguous 1-D array, so that its length has the bits of
-    ``np.linalg.norm``.
+    active. Returns ``(location, active, worst_violation)``.
 
     The reductions run on Python floats from one ``tolist()``: a max and
     comparisons, which give the bits numpy's ``max`` and
@@ -754,8 +751,7 @@ class Polytope:
         return self.vertices.mean(axis=0)
 
     def contains(self, x) -> Containment:
-        # classify_slack needs a contiguous point for the bits of its band
-        x = np.ascontiguousarray(as_point(x, self.dim))
+        x = as_point(x, self.dim)
         return Containment(
             *classify_slack(self.normals @ x - self.offsets, x, TOL.eps)
         )

@@ -278,15 +278,11 @@ class SurfaceMesh:
 
     def _signed_volume(self) -> float:
         # the fan of each face from its first vertex: a corner's vertex and
-        # the next, for the corners at neither end of the face's vertex list;
-        # a triangle is its own fan
+        # the next, for the corners at neither end of the face's vertex list
         at, after, _, face = self._corners
-        if len(at) == 3 * len(self.faces):
-            triangles = np.array(self.faces)
-        else:
-            lead = at[self._first[:-1]][face]
-            fan = (at != lead) & (after != lead)
-            triangles = np.stack((lead[fan], at[fan], after[fan]), axis=1)
+        lead = at[self._first[:-1]][face]
+        fan = (at != lead) & (after != lead)
+        triangles = np.stack((lead[fan], at[fan], after[fan]), axis=1)
         total = 0.0
         # summed one by one in fan order, as a plain loop (not sum(), which
         # compensates from Python 3.12 on), so the orientation verdict stays

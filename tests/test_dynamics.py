@@ -28,7 +28,7 @@ from billiards.errors import (
     NotAnAlcoveError,
     OutsideTableError,
 )
-from billiards.geometry import Polytope, classify_slack, is_polar, unit
+from billiards.geometry import Location, Polytope, classify_slack, is_polar, unit
 from conftest import (
     random_convex_polygon,
     random_interior_state,
@@ -88,18 +88,45 @@ def _outcome(step, *args):
     return hit.tobytes(), dt, active
 
 
-def test_a_step_checks_its_start_alike_with_and_without_a_classification(rng):
-    """Without a carried classification a step checks its start inside its
-    scan; with one, as ``simulate`` carries it, the step reads its active
-    set. Both give the same hit, time and active set, or the same error and
-    message, from starts inside, on facets, at corners, on either side of
-    the band and leaving the table."""
+def _checked_step(table, p, d):
+    """A reference step: ``classify_slack`` checks the start and numpy finds
+    the first crossing of a facet that is not active."""
+    slack = table.normals @ p - table.offsets
+    location, active, worst = classify_slack(slack, p, TOL.eps)
+    if location is Location.OUTSIDE:
+        raise OutsideTableError(
+            f"start point violates a constraint by {worst:.3e}"
+        )
+    d = d / np.linalg.norm(d)
+    rates = table.normals @ d
+    if active and rates[list(active)].max() > TOL.tangential:
+        raise DegenerateStartError(
+            "direction exits through active facet "
+            f"(rate {rates[list(active)].max():.3e})"
+        )
+    rates[list(active)] = 0.0
+    ahead = np.flatnonzero(rates > TOL.tangential)
+    if not len(ahead):
+        raise NoProgressError("no constraint is approached; table corrupt?")
+    times = -slack[ahead] / rates[ahead]
+    j = int(np.argmin(times))
+    dt = max(float(times[j]), 0.0)
+    if not math.isfinite(dt) or dt <= TOL.step:
+        raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
+    hit = p + dt * d
+    _, at_hit, _ = classify_slack(table.normals @ hit - table.offsets, hit, TOL.eps)
+    return hit, dt, at_hit or (int(ahead[j]),)
+
+
+def test_a_step_checks_its_start_as_classify_slack_does(rng):
+    """A step checks its start inside its scan for the first crossing. It
+    gives the hit, time and active set of the reference step, or the same
+    error and message, from starts inside, on facets, at corners, on either
+    side of the band and leaving the table."""
     seen = {}
     for table, p, d in start_cases(rng):
-        slack = table.normals @ p - table.offsets
-        here = classify_slack(slack, p, TOL.eps)
-        want = _outcome(dynamics._advance, table, p, d, slack, here)
-        assert _outcome(dynamics._advance, table, p, d) == want
+        want = _outcome(_checked_step, table, p, d)
+        assert _outcome(advance_to_boundary, table, p, d) == want
         outcome = want[0] if isinstance(want[0], type) else "hit"
         seen[outcome] = seen.get(outcome, 0) + 1
     assert set(seen) == {"hit", OutsideTableError, DegenerateStartError}

@@ -57,11 +57,11 @@ tables. The wedge directions, like every other point and direction of
 ``billiards.corner``, are hashed through ``np.asarray``, which gives the same
 bytes for a tuple of floats and for an array.
 
-"Start checks" hashes ``advance_to_boundary`` from the starts that the
-tests of a step's start check use: ``start_cases`` in ``tests/conftest.py``
-at the tests' seed, inside, on a facet, at a corner and about the band,
-inward, along a facet and out of it. It hashes the bytes of the hit, the
-distance and the active set, or the error's class and message.
+"Start checks" hashes ``advance_to_boundary`` from seeded starts on
+polygons, hulls and boxes: inside, on a facet, at a corner and about the band
+``TOL.eps * max(1, |x|)``, inward, along a facet and out of it. It hashes the
+bytes of the hit, the distance and the active set, or the error's class and
+message.
 
 "Wedge shots" hashes ``unfold_wedge`` at seeded openings (some at pi/k and
 just off it) and offsets: the start, the bounce points, the outgoing
@@ -89,7 +89,6 @@ import hashlib
 import math
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -100,6 +99,7 @@ from billiards.alcove import (
     standard_alcove,
     standard_alcove_labels,
 )
+from billiards.config import TOL
 from billiards.corner import limit_reflection, unfold_wedge
 from billiards.dynamics import (
     CornerPolicy,
@@ -139,10 +139,6 @@ from billiards.surface import (
     trace_surface_geodesic,
 )
 from billiards.tables import build
-
-# the seeded starts of the step tests
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import start_cases
 
 
 def _polygon(rng) -> Polytope:
@@ -524,11 +520,47 @@ def _mesh_refusals(digest) -> None:
                 digest.update(mesh.face_normal(k).tobytes())
 
 
+def _start_cases(rng):
+    """``(table, point, direction)`` starts of one step on a polygon and a
+    hull, each at unit scale and at scale 40, and on a 5D box: inside, on a
+    facet, at a corner and off a facet by fractions and multiples of the
+    band; inward, along the facet, out of it, at rates either side of
+    ``TOL.tangential`` and at random. Last, 3D boxes whose facet 0 has a
+    slack of exactly plus or minus the band."""
+    tables = [_polygon(rng), _hull(rng)]
+    tables += [Polytope.convex_polygon(40.0 * _polygon(rng).vertices),
+               Polytope.from_point_cloud(40.0 * _hull(rng).vertices),
+               Polytope.box(-np.arange(1.0, 6.0), np.linspace(20.0, 30.0, 5))]
+    for table in tables:
+        inside = _start(rng, table).point
+        for k in rng.choice(table.n_facets, size=3, replace=False).tolist():
+            n = table.normals[k]
+            ends = table.vertices[list(table.facet_vertices[k])]
+            on_facet = rng.dirichlet(np.ones(len(ends))) @ ends
+            band = TOL.eps * max(1.0, float(np.linalg.norm(on_facet)))
+            points = [inside, on_facet, ends[0]] + [
+                on_facet + m * band * n for m in (-2.0, -1.01, -0.99, 0.99, 1.01, 2.0)
+            ]
+            t = rng.normal(size=table.dim)
+            t -= t.dot(n) * n  # along the facet
+            slow = TOL.tangential * np.linalg.norm(t) * n
+            directions = [-n + 0.3 * t, t, n + 0.3 * t, t + 0.5 * slow,
+                          t + 2.0 * slow, rng.normal(size=table.dim)]
+            for p in points:
+                for d in directions:
+                    yield table, p, d
+    # x[0] is 0 and |x| is exactly 5, so facet 0's slack is exactly -top
+    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 5.0
+    for top in (band, -band):
+        box = Polytope.box([-1.0, -9.0, -9.0], [top, 9.0, 9.0])
+        for d in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]):
+            yield box, x, np.array(d)
+
+
 def _start_checks(digest) -> None:
-    """``advance_to_boundary`` from each start of ``start_cases``, at the
-    seed of the tests' ``rng`` fixture: the hit, the distance and the active
-    set, or the error's class and message."""
-    for table, p, d in start_cases(np.random.default_rng(20250823)):
+    """``advance_to_boundary`` from each start of ``_start_cases``: the hit,
+    the distance and the active set, or the error's class and message."""
+    for table, p, d in _start_cases(np.random.default_rng(813)):
         try:
             hit, dt, active = advance_to_boundary(table, p, d)
         except BilliardsError as err:
