@@ -17,8 +17,10 @@ solved in closed form for the conics, and for the perturbed circle by a
 safeguarded Newton on the implicit function with its analytic gradient:
 started at the osculating circle's chord and kept inside a sign-change
 bracket, it takes about five boundary evaluations per bounce and about ten
-at most on any ray. ``point`` and ``velocity`` also evaluate an array of
-parameters, with the same formulas and bits. The experiment helpers run
+at most on any ray. Each table writes its boundary once, as ``frame``: the
+point and velocity at a parameter, or elementwise at an array of them with
+the same formulas and bits. A run evaluates one frame per chord, at the hit,
+and launches the next chord from it. The experiment helpers run
 bounce sequences across a ladder of launch angles and fit log-log slopes,
 so the quadratic laws show up as measured exponents near two. A run's
 distance from the boundary is measured by sampling every chord and
@@ -57,9 +59,9 @@ __all__ = [
 
 def _trig(theta):
     """The module whose ``cos``/``sin`` evaluate ``theta``: ``numpy`` for an
-    array of parameters, ``math`` for one. Each table formula is written once
-    and serves a bounce and a batch alike; the tests check that the two give
-    the same bits."""
+    array of parameters, ``math`` for one. Each table's ``frame`` is written
+    once and serves a bounce and a batch alike; the tests check that the two
+    give the same bits."""
     return np if isinstance(theta, np.ndarray) else math
 
 
@@ -92,29 +94,32 @@ def _launch(tangent: tuple[float, float], alpha: float, side: int) -> tuple:
 
 
 class SmoothTable:
-    """Strictly convex planar table, boundary parametrized CCW by ``theta``."""
+    """Strictly convex planar table, boundary parametrized CCW by ``theta``.
+
+    A table writes its boundary once, as :meth:`frame`: the point and the
+    derivative of the parametrization at ``theta``, a float or an array of
+    them. :meth:`point`, :meth:`velocity` and :meth:`tangent` read it. A
+    table also gives ``curvature(theta)``, ``implicit(x, y)`` (negative
+    inside, zero on the boundary, positive outside), ``theta_of_point(x,
+    y)`` and ``_exit_distance``, and may override :meth:`_deviations`.
+    """
 
     name = "table"
 
-    # subclasses implement: point, velocity, curvature, implicit,
-    # _exit_distance, theta_of_point, and _point_velocity (point and velocity
-    # as one 4-tuple, with their bits) unless they override _deviations
-
-    def point(self, theta: float) -> tuple[float, float]:
+    def point(self, theta) -> tuple:
         """Boundary point at ``theta``; elementwise for an array of thetas."""
-        raise NotImplementedError
+        x, y, _, _ = self.frame(theta)
+        return x, y
 
-    def velocity(self, theta: float) -> tuple[float, float]:
+    def velocity(self, theta) -> tuple:
         """Derivative of the parametrization (not normalized); elementwise
         for an array of thetas."""
-        raise NotImplementedError
+        _, _, vx, vy = self.frame(theta)
+        return vx, vy
 
-    def curvature(self, theta: float) -> float:
-        raise NotImplementedError
-
-    def implicit(self, x: float, y: float) -> float:
-        """Negative inside, zero on the boundary, positive outside."""
-        raise NotImplementedError
+    def tangent(self, theta: float) -> tuple[float, float]:
+        """Unit tangent at ``theta``, pointing the way ``theta`` grows."""
+        return _unit_frame(self, theta)[2:]
 
     def ray_exit(self, px: float, py: float, dx: float, dy: float) -> float:
         """Distance along the inward ray from a boundary point to the next
@@ -128,26 +133,12 @@ class SmoothTable:
             raise InputError(f"ray leaves the {self.name} immediately")
         return t
 
-    def _exit_distance(self, px: float, py: float, dx: float, dy: float) -> float:
-        """:meth:`ray_exit` without the check on the chord's length."""
-        raise NotImplementedError
-
-    def theta_of_point(self, x: float, y: float) -> float:
-        raise NotImplementedError
-
     def _deviations(self, p0, p1, theta0, theta1) -> list[float]:
         """Largest distance to the boundary of each chord ``p0[i] ->
         p1[i]`` (arrays of points and of their parameters), by
         :func:`_chord_deviations`; the circle overrides it with its exact
         sagitta."""
         return _chord_deviations(self, p0, p1, theta0, theta1)
-
-    # -- shared geometry ---------------------------------------------------
-
-    def tangent(self, theta: float) -> tuple[float, float]:
-        vx, vy = self.velocity(theta)
-        norm = math.hypot(vx, vy)
-        return vx / norm, vy / norm
 
     def launch_direction(
         self, theta: float, alpha: float, side: int = +1
@@ -158,17 +149,24 @@ class SmoothTable:
         return _launch(self.tangent(theta), alpha, side)
 
 
+def _unit_frame(table: SmoothTable, theta: float) -> tuple:
+    """The boundary point and the unit tangent at ``theta``, ``(x, y, tx,
+    ty)``, from one :meth:`SmoothTable.frame`: where a chord starts."""
+    x, y, vx, vy = table.frame(theta)
+    norm = math.hypot(vx, vy)
+    return x, y, vx / norm, vy / norm
+
+
 class Circle(SmoothTable):
     name = "circle"
 
     def __init__(self, radius: float = 1.0):
         self.radius = _checked_size("radius", radius)
 
-    def point(self, theta):
-        return self.radius * math.cos(theta), self.radius * math.sin(theta)
-
-    def velocity(self, theta):
-        return -self.radius * math.sin(theta), self.radius * math.cos(theta)
+    def frame(self, theta):
+        trig = _trig(theta)
+        x, y = self.radius * trig.cos(theta), self.radius * trig.sin(theta)
+        return x, y, -y, x
 
     def curvature(self, theta):
         return 1.0 / self.radius
@@ -214,15 +212,7 @@ class Ellipse(SmoothTable):
         self.a = _checked_size("semi-axis a", a)
         self.b = _checked_size("semi-axis b", b)
 
-    def point(self, theta):
-        trig = _trig(theta)
-        return self.a * trig.cos(theta), self.b * trig.sin(theta)
-
-    def velocity(self, theta):
-        trig = _trig(theta)
-        return -self.a * trig.sin(theta), self.b * trig.cos(theta)
-
-    def _point_velocity(self, theta):
+    def frame(self, theta):
         trig = _trig(theta)
         c, s = trig.cos(theta), trig.sin(theta)
         return self.a * c, self.b * s, -self.a * s, self.b * c
@@ -276,27 +266,11 @@ class PerturbedCircle(SmoothTable):
                 f"convex table, got delta={delta} with k={k}"
             )
 
-    # ``trig`` is ``_trig(theta)``; the default serves the scalar callers
-    def _r(self, theta, trig=math):
-        return 1.0 + self.delta * trig.cos(self.k * theta)
-
-    def _r1(self, theta, trig=math):
-        return -self.delta * self.k * trig.sin(self.k * theta)
-
-    def point(self, theta):
+    def frame(self, theta):
         trig = _trig(theta)
-        r = self._r(theta, trig)
-        return r * trig.cos(theta), r * trig.sin(theta)
-
-    def velocity(self, theta):
-        trig = _trig(theta)
-        r, r1 = self._r(theta, trig), self._r1(theta, trig)
-        c, s = trig.cos(theta), trig.sin(theta)
-        return r1 * c - r * s, r1 * s + r * c
-
-    def _point_velocity(self, theta):
-        trig = _trig(theta)
-        r, r1 = self._r(theta, trig), self._r1(theta, trig)
+        k_theta = self.k * theta
+        r = 1.0 + self.delta * trig.cos(k_theta)
+        r1 = -self.delta * self.k * trig.sin(k_theta)
         c, s = trig.cos(theta), trig.sin(theta)
         return r * c, r * s, r1 * c - r * s, r1 * s + r * c
 
@@ -308,7 +282,8 @@ class PerturbedCircle(SmoothTable):
         return (r * r + 2.0 * r1 * r1 - r * r2) / (r * r + r1 * r1) ** 1.5
 
     def implicit(self, x, y):
-        return math.hypot(x, y) - self._r(math.atan2(y, x))
+        r = 1.0 + self.delta * math.cos(self.k * math.atan2(y, x))
+        return math.hypot(x, y) - r
 
     def _implicit_gradient(self, x, y):
         """``implicit(x, y)`` and its gradient ``(x, y) / rho + r'(phi) (y,
@@ -316,7 +291,7 @@ class PerturbedCircle(SmoothTable):
         :meth:`ray_exit`."""
         rho = math.hypot(x, y)
         k_phi = self.k * math.atan2(y, x)
-        # _r1 and _r written out: this is the solver's inner loop
+        # the frame's r' and r written out: this is the solver's inner loop
         r1 = -self.delta * self.k * math.sin(k_phi) / (rho * rho)
         r = 1.0 + self.delta * math.cos(k_phi)
         return rho - r, x / rho + r1 * y, y / rho - r1 * x
@@ -387,24 +362,19 @@ class ChordStep:
 
 
 def _chord(
-    table: SmoothTable,
-    theta: float,
-    alpha: float,
-    side: int,
-    px: float,
-    py: float,
-    tangent: tuple[float, float],
+    table: SmoothTable, theta: float, alpha: float, side: int, frame: tuple
 ) -> tuple:
-    """One chord of the billiard map from the boundary point ``(px, py)`` at
-    ``theta``, whose unit tangent is ``tangent``, at base angle ``alpha`` on
+    """One chord of the billiard map from ``frame``, the boundary point and
+    unit tangent ``(x, y, tx, ty)`` at ``theta``, at base angle ``alpha`` on
     ``side``: the trusted kernel of :func:`smooth_bounce` and
     :func:`base_angle_run`, which check ``alpha`` and ``side``.
 
     Returns the chord's direction and length, the hit, ``theta_next``,
-    ``alpha_next`` and the unit tangent at ``theta_next``, which is the next
-    launch's ``tangent``. ``table.ray_exit`` still refuses a ray that does
-    not point into the table."""
-    dx, dy = _launch(tangent, alpha, side)
+    ``alpha_next`` and the frame at ``theta_next``, from which the next
+    chord starts. ``table.ray_exit`` still refuses a ray that does not point
+    into the table."""
+    px, py, tx, ty = frame
+    dx, dy = _launch((tx, ty), alpha, side)
     chord = table.ray_exit(px, py, dx, dy)
     qx, qy = px + chord * dx, py + chord * dy
     theta_next = table.theta_of_point(qx, qy)
@@ -414,9 +384,9 @@ def _chord(
         theta_next = theta + (theta_next - theta) % (2.0 * math.pi)
     else:
         theta_next = theta - (theta - theta_next) % (2.0 * math.pi)
-    tx, ty = table.tangent(theta_next)
-    cos_next = max(-1.0, min(1.0, side * (dx * tx + dy * ty)))
-    return (dx, dy), chord, (qx, qy), theta_next, math.acos(cos_next), (tx, ty)
+    frame = _unit_frame(table, theta_next)
+    cos_next = max(-1.0, min(1.0, side * (dx * frame[2] + dy * frame[3])))
+    return (dx, dy), chord, (qx, qy), theta_next, math.acos(cos_next), frame
 
 
 def smooth_bounce(
@@ -427,9 +397,9 @@ def smooth_bounce(
     :func:`base_angle_run` steps through, with the same bits."""
     _check_base_angle(alpha)
     _check_side(side)
-    point = table.point(theta)
+    frame = _unit_frame(table, theta)
     direction, chord, point_next, theta_next, alpha_next, _ = _chord(
-        table, theta, alpha, side, *point, table.tangent(theta)
+        table, theta, alpha, side, frame
     )
     return ChordStep(
         theta=theta,
@@ -437,7 +407,7 @@ def smooth_bounce(
         alpha=alpha,
         alpha_next=alpha_next,
         chord=chord,
-        point=point,
+        point=frame[:2],
         point_next=point_next,
         direction=direction,
     )
@@ -469,16 +439,15 @@ def base_angle_run(
     ``alpha0`` and ``side`` are checked once, as :func:`smooth_bounce`
     checks them; each bounce then steps through the same chord kernel, with
     the same bits as chained :func:`smooth_bounce` calls, carrying each
-    hit's tangent into the next launch. A run whose base angle leaves (0,
+    hit's frame into the next launch. A run whose base angle leaves (0,
     pi/2) is refused with ``InputError`` naming the table, the launch angle,
     the bounce and the angle reached.
     """
     theta, alpha = float(theta0), float(alpha0)
     _check_base_angle(alpha)
     _check_side(side)
-    thetas, alphas, chords = [theta], [alpha], []
-    points = [table.point(theta0)]
-    tangent = table.tangent(theta)
+    frame = _unit_frame(table, theta)
+    thetas, alphas, chords, points = [theta], [alpha], [], [frame[:2]]
     for k in range(n_bounces):
         if k and not 0.0 < alpha < 0.5 * math.pi:
             raise InputError(
@@ -486,9 +455,8 @@ def base_angle_run(
                 f"reached base angle {alpha!r} after bounce {k}, outside "
                 f"(0, pi/2)"
             )
-        px, py = table.point(theta)
-        _, chord, hit, theta, alpha, tangent = _chord(
-            table, theta, alpha, side, px, py, tangent
+        _, chord, hit, theta, alpha, frame = _chord(
+            table, theta, alpha, side, frame
         )
         thetas.append(theta)
         alphas.append(alpha)
@@ -534,8 +502,8 @@ def _chord_deviations(
     live = np.arange(theta.size)
     for _ in range(12):
         t = theta[live]
-        px, py, vx, vy = table._point_velocity(t)
-        vx2, vy2 = table.velocity(t + h)
+        px, py, vx, vy = table.frame(t)
+        _, _, vx2, vy2 = table.frame(t + h)
         ax, ay = (vx2 - vx) / h, (vy2 - vy) / h
         ex, ey = px - x[live], py - y[live]
         f = ex * vx + ey * vy
@@ -547,7 +515,7 @@ def _chord_deviations(
         live = live[~(np.abs(step) < 1e-14)]
         if not live.size:
             break
-    px, py = table.point(theta)
+    px, py, _, _ = table.frame(theta)
     # math.hypot, not np.hypot: the two differ in the last bit
     dists = np.fromiter(
         map(math.hypot, px - x, py - y), float, count=x.size

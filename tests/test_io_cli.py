@@ -514,6 +514,8 @@ def test_cli_surface_refuses_a_vertex_it_cannot_measure(
     [
         ("vertex", math.nan, "vertex 3 has non-finite coordinates [ 1. nan]"),
         ("offset", math.inf, "halfspace offset must be finite, got inf"),
+        ("normal", math.inf, "non-finite coordinates: [inf  0.]"),
+        ("normal", math.nan, "non-finite coordinates: [nan  0.]"),
     ],
 )
 def test_cli_refuses_a_table_file_with_non_finite_data(
@@ -524,6 +526,8 @@ def test_cli_refuses_a_table_file_with_non_finite_data(
     data = table_to_data(Polytope.box((0.0, 0.0), (1.0, 1.0)))
     if field == "vertex":
         data["vertices"][3][1] = value
+    elif field == "normal":
+        data["halfspaces"][0]["normal"][0] = value
     else:
         data["halfspaces"][0]["offset"] = value
     path = tmp_path / "table.json"

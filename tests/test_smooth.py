@@ -1,5 +1,6 @@
 """Smooth strictly convex tables: chords, base angles, small-angle laws."""
 
+import copy
 import math
 import re
 import warnings
@@ -31,6 +32,16 @@ def test_boundary_points_satisfy_the_implicit_equation(table):
     for theta in np.linspace(0.0, 2.0 * math.pi, 37):
         x, y = table.point(theta)
         assert abs(table.implicit(x, y)) < 1e-12
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
+def test_a_frame_of_an_array_is_the_frames_of_its_thetas(table):
+    """One formula serves a bounce and a batch: each row of ``frame`` on an
+    array of thetas has the bits of ``frame`` on that theta alone."""
+    thetas = np.random.default_rng(9).uniform(-10.0, 10.0, 200)
+    rows = np.array(table.frame(thetas)).T
+    for theta, row in zip(thetas.tolist(), rows):
+        assert row.tobytes() == np.array(table.frame(theta)).tobytes()
 
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
@@ -291,6 +302,12 @@ def test_circle_chord_deviation_of_a_chord_whose_square_underflows():
     assert dev == 0.5
 
 
+def test_circle_chord_deviation_of_a_zero_length_chord_is_zero():
+    circle = Circle(1.0)
+    p = circle.point(0.4)
+    assert chord_deviation(circle, p, p, 0.4, 0.4) == 0.0
+
+
 # -- parameter advance and the branch cut ------------------------------------
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
@@ -325,7 +342,7 @@ def test_base_angle_run_matches_hand_chained_smooth_bounce(table, side):
     """The run and the public bounce share one chord kernel: chaining
     ``smooth_bounce`` by hand, each launch from the last step's ``theta_next``
     and ``alpha_next``, gives the run's thetas, alphas, chords and points to
-    the last bit, though the run carries each hit's tangent into the next
+    the last bit, though the run carries each hit's frame into the next
     launch where ``smooth_bounce`` evaluates it afresh."""
     rng = np.random.default_rng(64)
     for alpha0 in (0.3, 0.04, 0.0025):
@@ -346,6 +363,32 @@ def test_base_angle_run_matches_hand_chained_smooth_bounce(table, side):
         for arr, values in zip(arrays, chained):
             assert arr.tobytes() == np.array(values).tobytes()
         assert all(s.point == table.point(s.theta) for s in steps)
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: type(t).__name__)
+@pytest.mark.parametrize("side", [+1, -1])
+def test_a_run_evaluates_the_boundary_once_per_chord(table, side, monkeypatch):
+    """A run reads the frame at its launch point and one at each hit, which
+    launches the next chord: n bounces make n + 1 scalar frame calls, and a
+    single ``smooth_bounce`` makes two."""
+    # a copy: undoing the patch leaves ``frame`` in the instance's vars
+    table = copy.copy(table)
+    calls = []
+    frame = table.frame
+
+    def counted(theta):
+        calls.append(theta)
+        return frame(theta)
+
+    monkeypatch.setattr(table, "frame", counted)
+    for n in (0, 1, 40):
+        calls.clear()
+        run = base_angle_run(table, 0.3, 0.04, n, side)
+        assert len(calls) == n + 1
+        assert calls == run.thetas.tolist()
+    calls.clear()
+    smooth_bounce(table, 0.3, 0.04, side)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("n_bounces", [0, 3])

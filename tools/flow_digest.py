@@ -57,6 +57,13 @@ tables. The wedge directions, like every other point and direction of
 ``billiards.corner``, are hashed through ``np.asarray``, which gives the same
 bytes for a tuple of floats and for an array.
 
+"Smooth frames" hashes each smooth table of the small verdicts by itself:
+the bytes of ``point``, ``velocity``, ``tangent``, ``curvature`` and
+``implicit`` (on the boundary, inside and outside it) at seeded thetas, the
+ellipses' and perturbed circles' ``point`` and ``velocity`` on one seeded
+array of thetas, and every field of ``smooth_bounce`` on both sides at base
+angles 0.04 and 0.0025.
+
 "Start checks" hashes ``advance_to_boundary`` from seeded starts on
 polygons, hulls and boxes: inside, on a facet, at a corner and about the band
 ``TOL.eps * max(1, |x|)``, inward, along a facet and out of it. It hashes the
@@ -126,6 +133,7 @@ from billiards.smooth import (
     _worst_chord_deviation,
     base_angle_run,
     chord_deviation,
+    smooth_bounce,
 )
 from billiards.surface import (
     SurfaceMesh,
@@ -738,6 +746,30 @@ def _smooth_table_data(digest) -> None:
             digest.update(dumps_json(table_to_data(table)).encode())
 
 
+def _smooth_frames(digest) -> None:
+    rng = np.random.default_rng(814)
+    for table in _smooth_tables():
+        for theta in rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 50).tolist():
+            x, y = table.point(theta)
+            values = [x, y, *table.velocity(theta), *table.tangent(theta),
+                      table.curvature(theta)]
+            # the implicit function on the boundary, inside and outside it
+            values += [table.implicit(s * x, s * y) for s in (1.0, 0.5, 1.5)]
+            digest.update(np.array(values).tobytes())
+        thetas = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 64)
+        if not isinstance(table, Circle):
+            for arrays in (table.point(thetas), table.velocity(thetas)):
+                digest.update(np.array(arrays).tobytes())
+        for theta in thetas[:5].tolist():
+            for alpha in (0.04, 0.0025):
+                for side in (+1, -1):
+                    s = smooth_bounce(table, theta, alpha, side)
+                    digest.update(np.array([
+                        s.theta, s.theta_next, s.alpha, s.alpha_next, s.chord,
+                        *s.point, *s.point_next, *s.direction,
+                    ]).tobytes())
+
+
 def _small_verdicts(digest) -> None:
     rng = np.random.default_rng(808)
     _alcove_verdicts(digest, rng)
@@ -767,6 +799,7 @@ GROUPS = (
     ("meshes", _meshes),
     ("mesh refusals", _mesh_refusals),
     ("start checks", _start_checks),
+    ("smooth frames", _smooth_frames),
 )
 
 
