@@ -58,9 +58,9 @@ from .geometry import (
     _chamber_fold,
     _checked_horizon,
     as_point,
-    classify_slack,
     reflected,
     slack_band,
+    tight_facets,
     unit,
 )
 
@@ -287,26 +287,31 @@ def reflect_at(
 # their inputs. The public functions above validate and call the same kernel,
 # so a hand-chained run and a simulated run agree to the last bit.
 #
-# ``simulate`` carries the slack of each hit into the next step, which starts
-# from that very point. ``simulate_unfolded`` deliberately does not: it takes
-# the slack of its own isometry-built position at every step, so it stays an
-# independent oracle. Every step checks its start inside the scan for the
-# first crossing, with no active set built: the start is outside when its
-# largest slack is above the band of ``slack_band``, and it leaves the table
-# when a facet approached faster than ``TOL.tangential`` has a slack at or
-# above ``-band``. These are the outside and active tests of
-# ``classify_slack``, with the same band, and an active facet is never the
-# next one crossed.
+# A step takes the slack of each point it meets once, as a list, with the
+# point's band: ``(values, band)``. ``simulate`` hands the pair of each hit to
+# the next step, which starts from that very point, so a run of n bounces
+# takes n + 3 bands (one in ``_begin``, one at the start and one per hit,
+# the last step's too). ``simulate_unfolded`` deliberately carries nothing:
+# it takes the slack of its own isometry-built position at every step, so it
+# stays an independent oracle, at 2n + 3 bands. Every step checks its start
+# inside the scan for the first crossing, with no active set built: the
+# start is outside when its largest slack is above the band of
+# ``slack_band``, and it leaves the table when a facet approached faster than
+# ``TOL.tangential`` has a slack at or above ``-band``. These are the outside
+# and active tests of ``classify_slack``, with the same band, and an active
+# facet is never the next one crossed. The hit's active set is that of
+# ``classify_slack`` too: the ``tight_facets`` of its list, or none when one
+# of those is above the band and the hit is outside.
 #
 # A step works on arrays of a few to a few dozen entries, where each numpy
 # call costs more than its arithmetic. So numpy keeps the products with the
 # normals (``normals.dot``, the same BLAS call as ``@``) and the vector
 # updates, and every reduction runs on Python floats from one ``tolist()``
-# of the slack and one of the rates: the worst slack, the worst rate of the
-# active facets, the scan for the first crossing and, in ``classify_slack``,
-# the active set. That is exact, because these reductions only take maxima,
-# compare, and divide once per row, ``-s / r``, the same IEEE division numpy
-# makes; a strict ``<`` keeps the first of tied minima, as ``argmin`` does.
+# of each slack and one of the rates: the worst slack, the worst rate of the
+# active facets, the scan for the first crossing and the hit's active set.
+# That is exact, because these reductions only take maxima, compare, and
+# divide once per row, ``-s / r``, the same IEEE division numpy makes; a
+# strict ``<`` keeps the first of tied minima, as ``argmin`` does.
 # ``_resolve`` returns a plain tuple; only the public ``reflect_at`` wraps it
 # in a ``BounceResolution``.
 
@@ -315,15 +320,19 @@ def _advance(
     polytope: Polytope,
     p: np.ndarray,
     d: np.ndarray,
-    slack: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, tuple[int, ...], np.ndarray, np.ndarray]:
+    start: tuple[list[float], float] | None = None,
+) -> tuple[
+    np.ndarray, float, tuple[int, ...], np.ndarray, tuple[list[float], float]
+]:
     """:func:`advance_to_boundary` for finite points of the table's dimension.
 
     ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
-    ``slack`` is ``normals @ p - offsets``, if the caller has it. Returns
-    ``(hit, dt, active, unit_direction, slack_at_hit)`` and raises what
-    :func:`advance_to_boundary` raises. ``active`` is the active set of the
-    classification at the hit, or the facet that set ``dt`` if that is
+    ``start`` is the pair ``(values, band)`` at ``p``, if the caller has it:
+    the slack ``normals @ p - offsets`` as a list and ``slack_band(p,
+    TOL.eps)``. Returns ``(hit, dt, active, unit_direction, at_hit)``, with
+    ``at_hit`` that pair at the hit, and raises what
+    :func:`advance_to_boundary` raises. ``active`` is the active set
+    ``classify_slack`` gives the hit, or the facet that set ``dt`` if that is
     empty.
     """
     normals, offsets = polytope.normals, polytope.offsets
@@ -331,12 +340,14 @@ def _advance(
     if length < 1e-300:
         raise InputError("cannot normalize the zero vector")
     d = d / length
-    if slack is None:
-        slack = normals.dot(p) - offsets
-    values = slack.tolist()
+    eps = TOL.eps
+    if start is None:
+        values = (normals.dot(p) - offsets).tolist()
+        band = slack_band(p, eps)
+    else:
+        values, band = start
     rates = normals.dot(d).tolist()
     tangential = TOL.tangential
-    band = slack_band(p, TOL.eps)
     # a worst slack above a finite band is positive, so Python's max gives
     # the bits that classify_slack reports
     worst = max(values)
@@ -366,10 +377,18 @@ def _advance(
     if not math.isfinite(dt) or dt <= TOL.step:
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
-    hit_slack = normals.dot(hit) - offsets
-    _, active, _ = classify_slack(hit_slack, hit, TOL.eps)
+    hit_values = (normals.dot(hit) - offsets).tolist()
+    hit_band = slack_band(hit, eps)
+    active = tight_facets(hit_values, hit_band)
+    # a value above the band is tight too, so the hit is outside, with no
+    # active set, exactly when classify_slack's max finds one: no value is
+    # above an infinite band, and under a finite one no value is NaN
+    for i in active:
+        if hit_values[i] > hit_band:
+            active = ()
+            break
     # the minimizing facet must be tight; recover it directly
-    return hit, dt, active or (k,), d, hit_slack
+    return hit, dt, active or (k,), d, (hit_values, hit_band)
 
 
 def _resolve(
@@ -440,11 +459,11 @@ def simulate(
     horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
     p = state.point.copy()
     d = state.direction.copy()
-    slack = None
+    at_p = None
     t = 0.0
     hits: list[tuple] = []
     while horizon - t > eps_time:
-        hit, dt, active, d_unit, hit_slack = _advance(polytope, p, d, slack)
+        hit, dt, active, d_unit, at_hit = _advance(polytope, p, d, at_p)
         if dt > (horizon - t) + eps_time:
             p = p + (horizon - t) * d
             t = horizon
@@ -456,7 +475,7 @@ def simulate(
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        p, d, slack = hit, outgoing, hit_slack
+        p, d, at_p = hit, outgoing, at_hit
     end = TrajectoryState(p, d, horizon)
     return _trajectory(state, hits, end, policy)
 
@@ -483,9 +502,10 @@ def simulate_unfolded(
     q = np.eye(dim)
     shift = np.zeros(dim)
     # the affine reflection x -> hs[i] x + bs[i] across each facet plane
-    # <n_i, x> = offsets[i], all in one array pass
-    hs = np.eye(dim) - 2.0 * (n[:, :, None] * n[:, None, :])
-    bs = (2.0 * polytope.offsets)[:, None] * n
+    # <n_i, x> = offsets[i], all in one array pass; as lists of rows, a
+    # mirror is a list read, not an ndarray index
+    hs = list(np.eye(dim) - 2.0 * (n[:, :, None] * n[:, None, :]))
+    bs = list((2.0 * polytope.offsets)[:, None] * n)
     t = 0.0
     line = x0 + t * d0  # the straight line at time t, before any isometry
     hits: list[tuple] = []

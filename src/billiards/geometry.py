@@ -123,6 +123,13 @@ def slack_band(x: np.ndarray, eps: float) -> float:
     return eps * max(1.0, vector_norm(x))
 
 
+def tight_facets(values: list[float], band: float) -> tuple[int, ...]:
+    """The indices of the slack ``values`` at or above ``-band``: the active
+    set of a point that no value puts outside. The one copy of this rule."""
+    floor = -band
+    return tuple([i for i, s in enumerate(values) if s >= floor])
+
+
 def classify_slack(
     slack: np.ndarray, x: np.ndarray, eps: float
 ) -> tuple[Location, tuple[int, ...], float]:
@@ -136,7 +143,8 @@ def classify_slack(
     The reductions run on Python floats from one ``tolist()``: a max and
     comparisons, which give the bits numpy's ``max`` and
     ``abs(slack) <= band`` give. Once no value exceeds the band,
-    ``|s| <= band`` is ``s >= -band``. Two cases take ``worst_violation``
+    ``|s| <= band`` is ``s >= -band``, the rule of :func:`tight_facets`,
+    which the bounce kernel reads too. Two cases take ``worst_violation``
     from numpy's ``max`` instead. A zero maximum held by more than one
     entry may be a tie of ``0.0`` and ``-0.0``, of which numpy and Python
     keep different ones; a lone zero is the same entry under both. And a
@@ -151,8 +159,7 @@ def classify_slack(
         worst = float(slack.max())
     if worst > band:
         return Location.OUTSIDE, (), worst
-    floor = -band
-    active = tuple([i for i, s in enumerate(values) if s >= floor])
+    active = tight_facets(values, band)
     return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
 
 

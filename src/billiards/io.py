@@ -248,12 +248,17 @@ def validate_report_data(data) -> None:
 # Each kind of table imports its module in the branch that builds or
 # serializes it, so that loading a smooth table compiles no polytope code.
 
-def _smooth_kinds() -> dict[str, type[SmoothTable]]:
-    """The ``smooth2d`` kinds. A smooth table's attributes are its
-    constructor's parameters, so ``vars`` of a table is its payload."""
+def _smooth_kinds() -> dict[str, tuple[type[SmoothTable], tuple[str, ...]]]:
+    """The ``smooth2d`` kinds, each with its class and the names of its
+    constructor's parameters. A table keeps each parameter as the attribute
+    of that name; those attributes, and no other, are its payload."""
     from .smooth import Circle, Ellipse, PerturbedCircle
 
-    return {"circle": Circle, "ellipse": Ellipse, "perturbed": PerturbedCircle}
+    return {
+        "circle": (Circle, ("radius",)),
+        "ellipse": (Ellipse, ("a", "b")),
+        "perturbed": (PerturbedCircle, ("delta", "k")),
+    }
 
 
 def table_from_data(data) -> Polytope | SurfaceMesh | SmoothTable:
@@ -309,7 +314,8 @@ def _build_table(data) -> Polytope | SurfaceMesh | SmoothTable:
         faces = [tuple(int(i) for i in face) for face in body["faces"]]
         return SurfaceMesh(vertices, faces)
     params = dict(data["smooth2d"])
-    return _smooth_kinds()[params.pop("kind")](**params)
+    cls, _ = _smooth_kinds()[params.pop("kind")]
+    return cls(**params)
 
 
 def table_to_data(table) -> dict:
@@ -337,9 +343,10 @@ def table_to_data(table) -> dict:
                 "faces": [list(f) for f in table.faces],
             }
         }
-    for kind, cls in _smooth_kinds().items():
+    for kind, (cls, names) in _smooth_kinds().items():
         if isinstance(table, cls):
-            return {"smooth2d": {"kind": kind, **vars(table)}}
+            params = {name: getattr(table, name) for name in names}
+            return {"smooth2d": {"kind": kind, **params}}
     raise InputError(f"cannot serialize object of type {type(table).__name__}")
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from billiards import dynamics
+from billiards import dynamics, geometry
 from billiards.alcove import standard_alcove
 from billiards.config import TOL
 from billiards.dynamics import (
@@ -330,9 +330,9 @@ def test_unfolded_positions_agree_with_segment_chaining(rng):
 def test_simulate_matches_hand_chained_public_steps(rng):
     """The loop and the public step functions share one kernel: chaining
     ``advance_to_boundary`` and ``reflect_at`` by hand reproduces every
-    event of ``simulate`` to the last bit. The public step classifies its
-    start afresh, while ``simulate`` carries the classification of each hit;
-    shots aimed at alcove vertices compare the two at corners too."""
+    event of ``simulate`` to the last bit. The public step takes the slack
+    of its start afresh, while ``simulate`` carries each hit's slack list and
+    band; shots aimed at alcove vertices compare the two at corners too."""
     tables = [random_convex_polygon(rng) for _ in range(4)]
     tables += [random_polytope_3d(rng) for _ in range(3)]
     shots = [
@@ -362,6 +362,35 @@ def test_simulate_matches_hand_chained_public_steps(rng):
             assert np.array_equal(hit, event.point)
             assert np.array_equal(res.outgoing, event.outgoing)
             p, d = hit, res.outgoing
+
+
+@pytest.mark.parametrize(
+    "run, bands_per_bounce", [(simulate, 1), (simulate_unfolded, 2)],
+    ids=["simulate", "unfolded"],
+)
+@pytest.mark.parametrize("horizon, bounces", [(10.0, 12), (0.1, 0)])
+def test_a_run_takes_the_band_of_each_point_once(
+    monkeypatch, run, bands_per_bounce, horizon, bounces
+):
+    """A run of n bounces takes n + 3 slack bands: one as ``_begin`` checks
+    the start, one as the first step does, one at each hit and one at the
+    end of the last step, which passes the horizon. ``simulate`` hands each
+    hit's slack list and band to the next step, which starts from that very
+    point. ``simulate_unfolded`` takes the slack of its own isometry-built
+    position at every step, so its n bounces take 2n + 3."""
+    calls = []
+    band = geometry.slack_band
+
+    def counted(x, eps):
+        calls.append(x)
+        return band(x, eps)
+
+    for module in (geometry, dynamics):
+        monkeypatch.setattr(module, "slack_band", counted)
+    square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    trajectory = run(square, TrajectoryState((0.25, 0.4), (1.0, 0.3)), horizon)
+    assert trajectory.n_bounces == bounces
+    assert len(calls) == bands_per_bounce * bounces + 3
 
 
 def test_sample_equals_position_at_bit_for_bit(rng):

@@ -99,6 +99,15 @@ def test_box_containment_and_active_sets():
     assert len(corner.active) == 2
 
 
+def test_a_polytope_repr_names_its_dimension_facets_and_vertices():
+    assert repr(Polytope.box((0.0, 0.0), (1.0, 1.0))) == (
+        "Polytope(dim=2, facets=4, vertices=4)"
+    )
+    assert repr(Polytope.box(np.zeros(3), np.ones(3))) == (
+        "Polytope(dim=3, facets=6, vertices=8)"
+    )
+
+
 def _classify_oracle(slack, x, eps):
     """classify_slack written with numpy's reductions."""
     worst = float(slack.max())
@@ -922,3 +931,13 @@ def test_nearest_bin_reports_distance():
     m, err = nearest_pi_over_m(angle)
     assert m == 3
     assert math.isclose(err, 0.01, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "angle, error",
+    [(0.0, math.pi / 2), (math.pi, math.pi / 2), (4.0, 4.0 - math.pi / 2)],
+)
+def test_an_angle_outside_the_open_range_is_binned_at_m_two(angle, error):
+    """No bin pi/m lies outside (0, pi); such an angle is reported against
+    pi/2, the widest bin, with its distance to it."""
+    assert nearest_pi_over_m(angle) == (2, error)

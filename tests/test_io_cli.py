@@ -101,6 +101,21 @@ def test_smooth_roundtrip(tmp_path):
     assert again.a == 2.0 and again.b == 1.0
 
 
+def test_a_smooth_payload_holds_only_the_constructor_parameters():
+    """A smooth table serializes its constructor's parameters and nothing
+    else: an extra instance attribute, such as the bound method a removed
+    monkeypatch leaves behind, does not reach the payload."""
+    table = Ellipse(2.0, 1.0)
+    table.frame = table.frame
+    table.note = "not a parameter"
+    assert table_to_data(table) == table_to_data(Ellipse(2.0, 1.0)) == {
+        "smooth2d": {"kind": "ellipse", "a": 2.0, "b": 1.0}
+    }
+    assert dumps_json(table_to_data(table)) == dumps_json(
+        table_to_data(Ellipse(2.0, 1.0))
+    )
+
+
 def test_normals_normalized_on_load_preserving_geometry():
     data = {
         "dim": 2,

@@ -1,6 +1,5 @@
 """Smooth strictly convex tables: chords, base angles, small-angle laws."""
 
-import copy
 import math
 import re
 import warnings
@@ -371,8 +370,6 @@ def test_a_run_evaluates_the_boundary_once_per_chord(table, side, monkeypatch):
     """A run reads the frame at its launch point and one at each hit, which
     launches the next chord: n bounces make n + 1 scalar frame calls, and a
     single ``smooth_bounce`` makes two."""
-    # a copy: undoing the patch leaves ``frame`` in the instance's vars
-    table = copy.copy(table)
     calls = []
     frame = table.frame
 
