@@ -483,7 +483,9 @@ def folded_flow(
     the folding map.
 
     Equivalent to the billiard flow with the group-fold corner rule, with
-    positions computed through the accumulated folding isometry. Raises
+    positions carried as facet slacks through the reflection group's action
+    on them (one Gram-matrix row per wall crossed) and read back once, as
+    ``simulate_unfolded`` does under ``FOLD_GROUP``. Raises
     ``NotAnAlcoveError`` when the table fails the dihedral criterion: that is
     ``FOLD_GROUP``'s precondition, which ``simulate_unfolded`` checks once
     per table, as :func:`fold_point` does.

@@ -585,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--unfold",
         action="store_true",
-        help="compute positions through the unfolding isometry",
+        help="compute positions by unfolding: the reflection group acting "
+        "on the facet slacks",
     )
     p_sim.add_argument("--csv", help="write bounce rows t,x1..xn,event here")
     p_sim.add_argument("--svg", help="write a 2D picture here")

@@ -21,17 +21,21 @@ law, and at a corner (two or more active facets) a policy decides:
     The public entry points check the table once and raise
     ``NotAnAlcoveError`` before a run on any other table starts.
 
-``simulate_unfolded`` replays the same event logic but represents the
-trajectory as a single straight line composed with an accumulating affine
-isometry (one mirror per bounce), so positions reach each event through a
-different arithmetic path. Agreement of the two is a meaningful consistency
-check, not a tautology.
+``simulate_unfolded`` replays the same event logic on the image of a single
+straight line under the reflection group of the facets, which it carries as
+the facet slacks of the position and their rates: a step adds to the slacks,
+a mirror applies one row of the Gram matrix of the normals, and the points
+are read back once, after the run. So positions reach each event through a
+different arithmetic path, and it never calls ``simulate``'s step kernel.
+Agreement of the two is a meaningful consistency check, not a tautology.
 
 Both return a :class:`Trajectory`, whose read-only knot arrays are the run:
-the knot times and points (start, each hit, end), the direction of each
-segment and the incoming direction of each hit. The loops collect one plain
-tuple per hit and stack them once, in ``_trajectory``; the
-:class:`BounceEvent` list is built from the arrays on first access.
+the knot times and points (start, each hit, end) and the direction of each
+segment, which is also the incoming direction of the hit that ends it.
+``simulate`` collects one plain tuple per hit and stacks them once, in
+``_trajectory``; ``simulate_unfolded`` reads its points and directions back
+in one product. The :class:`BounceEvent` list is built from the arrays on
+first access.
 """
 
 from __future__ import annotations
@@ -153,11 +157,8 @@ class Trajectory:
         the start point, each hit point, then the end point.
     ``directions`` ``(n+1, d)``
         the travel direction of each segment: the start direction, then the
-        outgoing direction of each hit.
-    ``incoming`` ``(n, d)``
-        the travel direction with which each hit is reached. It is kept
-        apart from ``directions``, since ``simulate_unfolded`` computes it
-        through its isometry, not as the previous outgoing direction.
+        outgoing direction of each hit. Its rows but the last are
+        :attr:`incoming`.
     ``active``, ``kinds``
         tuples with the active set and the :class:`BounceKind` of each hit.
 
@@ -171,13 +172,22 @@ class Trajectory:
     times: np.ndarray
     points: np.ndarray
     directions: np.ndarray
-    incoming: np.ndarray
     active: tuple[tuple[int, ...], ...]
     kinds: tuple[BounceKind, ...]
+
+    def __post_init__(self):
+        for arr in (self.times, self.points, self.directions):
+            arr.setflags(write=False)
 
     @property
     def n_bounces(self) -> int:
         return len(self.kinds)
+
+    @property
+    def incoming(self) -> np.ndarray:
+        """``(n, d)``: the travel direction with which each hit is reached,
+        which is the direction of the segment that ends there."""
+        return self.directions[:-1]
 
     @functools.cached_property
     def events(self) -> list[BounceEvent]:
@@ -215,21 +225,20 @@ class Trajectory:
 def _trajectory(
     start: TrajectoryState, hits: list[tuple], end: TrajectoryState, policy: CornerPolicy
 ) -> Trajectory:
-    """Stack a run's ``(time, point, incoming, outgoing, active, kind)`` hit
-    tuples into the read-only arrays of a :class:`Trajectory` that ends at
-    ``end.time``."""
-    times, points, incoming, outgoing, active, kinds = (
-        zip(*hits) if hits else ((),) * 6
-    )
-    arrays = (
+    """Stack a run's ``(time, point, outgoing, active, kind)`` hit tuples into
+    the read-only arrays of a :class:`Trajectory` that ends at ``end.time``."""
+    times, points, outgoing, active, kinds = zip(*hits) if hits else ((),) * 5
+    return Trajectory(
+        start,
+        end,
+        end.time,
+        policy,
         np.array([0.0, *times, end.time]),
         np.array([start.point, *points, end.point]),
         np.array([start.direction, *outgoing]),
-        np.array(incoming).reshape(len(kinds), start.dim),
+        active,
+        kinds,
     )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return Trajectory(start, end, end.time, policy, *arrays, active, kinds)
 
 
 def default_bounce_budget(polytope: Polytope, horizon: float) -> int:
@@ -282,26 +291,33 @@ def reflect_at(
 
 # -- trusted step kernel -------------------------------------------------------
 #
-# ``simulate`` and ``simulate_unfolded`` validate the table, the state and the
-# horizon once, then step with the two functions below, which do not re-check
-# their inputs. The public functions above validate and call the same kernel,
-# so a hand-chained run and a simulated run agree to the last bit.
+# ``simulate`` validates the table, the state and the horizon once, then steps
+# with ``_advance`` and ``_resolve``, which do not re-check their inputs. The
+# public functions above validate and call the same kernel, so a hand-chained
+# run and a simulated run agree to the last bit.
 #
 # A step takes the slack of each point it meets once, as a list, with the
-# point's band: ``(values, band)``. ``simulate`` hands the pair of each hit to
-# the next step, which starts from that very point, so a run of n bounces
-# takes n + 3 bands (one in ``_begin``, one at the start and one per hit,
-# the last step's too). ``simulate_unfolded`` deliberately carries nothing:
-# it takes the slack of its own isometry-built position at every step, so it
-# stays an independent oracle, at 2n + 3 bands. Every step checks its start
-# inside the scan for the first crossing, with no active set built: the
-# start is outside when its largest slack is above the band of
-# ``slack_band``, and it leaves the table when a facet approached faster than
-# ``TOL.tangential`` has a slack at or above ``-band``. These are the outside
-# and active tests of ``classify_slack``, with the same band, and an active
-# facet is never the next one crossed. The hit's active set is that of
-# ``classify_slack`` too: the ``tight_facets`` of its list, or none when one
-# of those is above the band and the hit is outside.
+# point's band and its worst value: ``(values, band, worst)``. ``simulate``
+# hands the triple of each hit to the next step, which starts from that very
+# point, so a run of n bounces takes n + 3 bands (one in ``_begin``, one at
+# the start and one per hit, the last step's too), and each list is reduced
+# once: the hit's worst value is the largest of its tight values, which the
+# step that makes the hit scans for its active set anyway. Every step checks
+# its start inside the scan for the first crossing, ``_first_crossing``,
+# with no active set built: the start is outside when its worst value is
+# above the band of ``slack_band``, and it leaves the table when a facet
+# approached faster than ``TOL.tangential`` has a slack at or above
+# ``-band``. These are the outside and active tests of ``classify_slack``,
+# with the same band, and an active facet is never the next one crossed.
+# The hit's active set is that of ``classify_slack`` too: the
+# ``tight_facets`` of its list, or none when one of those is above the band
+# and the hit is outside.
+#
+# ``simulate_unfolded`` shares ``_first_crossing`` and ``tight_facets``, so it
+# makes the same decisions by the same rules, but it takes its slacks and
+# rates from its own lists, never from a point of ``simulate``'s run, so it
+# stays an independent oracle. It reads a point back for its band only where
+# the band can change a verdict.
 #
 # A step works on arrays of a few to a few dozen entries, where each numpy
 # call costs more than its arithmetic. So numpy keeps the products with the
@@ -316,45 +332,23 @@ def reflect_at(
 # in a ``BounceResolution``.
 
 
-def _advance(
-    polytope: Polytope,
-    p: np.ndarray,
-    d: np.ndarray,
-    start: tuple[list[float], float] | None = None,
-) -> tuple[
-    np.ndarray, float, tuple[int, ...], np.ndarray, tuple[list[float], float]
-]:
-    """:func:`advance_to_boundary` for finite points of the table's dimension.
+def _first_crossing(
+    values: list[float], rates: list[float], band: float, worst: float
+) -> tuple[int, float]:
+    """The start check and the scan for the first crossing of one step.
 
-    ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
-    ``start`` is the pair ``(values, band)`` at ``p``, if the caller has it:
-    the slack ``normals @ p - offsets`` as a list and ``slack_band(p,
-    TOL.eps)``. Returns ``(hit, dt, active, unit_direction, at_hit)``, with
-    ``at_hit`` that pair at the hit, and raises what
-    :func:`advance_to_boundary` raises. ``active`` is the active set
-    ``classify_slack`` gives the hit, or the facet that set ``dt`` if that is
-    empty.
+    ``values`` is the slack at the start as a list, ``band`` its band,
+    ``worst`` its largest value (or the largest of those at or above
+    ``-band``, which is above the band exactly when the largest is), and
+    ``rates`` the rate of each slack along the unit direction. Returns
+    ``(k, dt)``, the facet crossed first and the distance to it, and raises
+    what :func:`advance_to_boundary` raises for a bad start or no crossing.
     """
-    normals, offsets = polytope.normals, polytope.offsets
-    length = math.sqrt(d.dot(d))
-    if length < 1e-300:
-        raise InputError("cannot normalize the zero vector")
-    d = d / length
-    eps = TOL.eps
-    if start is None:
-        values = (normals.dot(p) - offsets).tolist()
-        band = slack_band(p, eps)
-    else:
-        values, band = start
-    rates = normals.dot(d).tolist()
-    tangential = TOL.tangential
-    # a worst slack above a finite band is positive, so Python's max gives
-    # the bits that classify_slack reports
-    worst = max(values)
     if worst > band:
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
         )
+    tangential = TOL.tangential
     floor = -band
     exiting = -math.inf  # the largest rate of an active facet
     k = -1
@@ -376,19 +370,58 @@ def _advance(
     dt = max(dt, 0.0)
     if not math.isfinite(dt) or dt <= TOL.step:
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
+    return k, dt
+
+
+def _advance(
+    polytope: Polytope,
+    p: np.ndarray,
+    d: np.ndarray,
+    start: tuple[list[float], float, float] | None = None,
+) -> tuple[
+    np.ndarray, float, tuple[int, ...], np.ndarray, tuple[list[float], float, float]
+]:
+    """:func:`advance_to_boundary` for finite points of the table's dimension.
+
+    ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
+    ``start`` is the triple ``(values, band, worst)`` at ``p``, if the caller
+    has it: the slack ``normals @ p - offsets`` as a list, ``slack_band(p,
+    TOL.eps)`` and the worst value that :func:`_first_crossing` reads.
+    Returns ``(hit, dt, active, unit_direction, at_hit)``, with ``at_hit``
+    that triple at the hit, and raises what :func:`advance_to_boundary`
+    raises. ``active`` is the active set ``classify_slack`` gives the hit, or
+    the facet that set ``dt`` if that is empty.
+    """
+    normals, offsets = polytope.normals, polytope.offsets
+    length = math.sqrt(d.dot(d))
+    if length < 1e-300:
+        raise InputError("cannot normalize the zero vector")
+    d = d / length
+    eps = TOL.eps
+    if start is None:
+        values = (normals.dot(p) - offsets).tolist()
+        # a worst slack above a finite band is positive, so Python's max
+        # gives the bits that classify_slack reports
+        band, worst = slack_band(p, eps), max(values)
+    else:
+        values, band, worst = start
+    k, dt = _first_crossing(values, normals.dot(d).tolist(), band, worst)
     hit = p + dt * d
     hit_values = (normals.dot(hit) - offsets).tolist()
     hit_band = slack_band(hit, eps)
     active = tight_facets(hit_values, hit_band)
     # a value above the band is tight too, so the hit is outside, with no
     # active set, exactly when classify_slack's max finds one: no value is
-    # above an infinite band, and under a finite one no value is NaN
+    # above an infinite band, and under a finite one no value is NaN. The
+    # largest tight value is the worst the next step's start check reads.
+    worst = -math.inf
     for i in active:
-        if hit_values[i] > hit_band:
-            active = ()
-            break
+        if hit_values[i] > worst:
+            worst = hit_values[i]
+    if worst > hit_band:
+        active = ()
     # the minimizing facet must be tight; recover it directly
-    return hit, dt, active or (k,), d, (hit_values, hit_band)
+    return hit, dt, active or (k,), d, (hit_values, hit_band, worst)
 
 
 def _resolve(
@@ -470,7 +503,7 @@ def simulate(
             break
         t = t + dt
         outgoing, kind, _ = _resolve(polytope, hit, d_unit, active, policy)
-        hits.append((t, hit, d, outgoing, active, kind))
+        hits.append((t, hit, outgoing, active, kind))
         if len(hits) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
@@ -486,57 +519,121 @@ def simulate_unfolded(
     horizon: float,
     policy: CornerPolicy = CornerPolicy.POINT_REFLECT,
 ) -> Trajectory:
-    """Same flow as :func:`simulate`, positions built by unfolding.
+    """Same flow as :func:`simulate`, stepped in slack coordinates.
 
-    The trajectory is the image of the single straight line
-    ``x0 + t * d0`` under an isometry updated at each bounce (the mirror of
-    the facet hit, the point reflection at a corner, or the fold word). Event
-    positions are evaluated through the accumulated isometry, so rounding
-    flows through a genuinely different computation than the segment-chaining
-    integrator.
+    The run is the image of the straight line ``x0 + t * d0`` under the
+    reflection group of the table's facets, carried as two lists: the facet
+    slacks ``s = N x - b`` of the position and their rates ``r = N d``. A
+    step adds ``dt * r`` to ``s``; the mirror of facet ``j`` maps both lists
+    by one row of the Gram matrix ``G = N N^T``, ``s_i -= 2 G_ij s_j``; the
+    point reflection at a corner negates ``r``, and the fold word applies
+    one mirror per letter. The start check, the scan and the active set
+    follow :func:`simulate`'s rules, through :func:`_first_crossing`. The
+    points and directions are read back once, after the run, through the
+    pseudo-inverse of ``N`` (a bounded table's normals have full column
+    rank). So rounding flows through a genuinely different computation than
+    the segment-chaining integrator, which never sees the Gram matrix.
     """
     horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
-    x0 = state.point.copy()
-    d0 = state.direction.copy()
-    dim, n = polytope.dim, polytope.normals
-    q = np.eye(dim)
-    shift = np.zeros(dim)
-    # the affine reflection x -> hs[i] x + bs[i] across each facet plane
-    # <n_i, x> = offsets[i], all in one array pass; as lists of rows, a
-    # mirror is a list read, not an ndarray index
-    hs = list(np.eye(dim) - 2.0 * (n[:, :, None] * n[:, None, :]))
-    bs = list((2.0 * polytope.offsets)[:, None] * n)
+    normals, offsets = polytope.normals, polytope.offsets
+    gram2 = (2.0 * normals.dot(normals.T)).tolist()
+    back = np.linalg.pinv(normals).T  # (s + b) @ back is the point of slack s
+
+    def read_back(values: list[float]) -> np.ndarray:
+        return (np.array(values) + offsets).dot(back)
+
+    # A run continues only from points within one band of the table, so the
+    # band eps * max(1, |x|) of each lies in [lo, hi]: the vertices bound |x|
+    # on the table, and the factor 1 + 2 eps leaves room for a point one band
+    # away from it. A slack outside lo < |s| <= hi gets the same verdict from
+    # every band in that range; only a slack inside it needs the point read
+    # back.
+    eps = TOL.eps
+    vertices = polytope.vertices
+    reach = max(1.0, math.sqrt(np.vecdot(vertices, vertices).max()))
+    lo, hi = eps, eps * reach * (1.0 + 2.0 * eps)
+
+    def classified(values: list[float]) -> tuple[tuple[int, ...], float, float]:
+        """The tight facets, a band and the worst tight value of the point
+        with slack ``values``, as :func:`_advance` finds them."""
+        near = tight_facets(values, hi)
+        worst = -math.inf
+        for i in near:
+            v = values[i]
+            if v < -lo or lo < v <= hi:
+                band = slack_band(read_back(values), eps)
+                near = tight_facets(values, band)
+                worst = max([values[i] for i in near], default=-math.inf)
+                return near, band, worst
+            if v > worst:
+                worst = v
+        return near, lo, worst
+
+    s = (normals.dot(state.point) - offsets).tolist()
+    r = normals.dot(state.direction).tolist()
+    _, band, worst = classified(s)
     t = 0.0
-    line = x0 + t * d0  # the straight line at time t, before any isometry
-    hits: list[tuple] = []
+    times: list[float] = []
+    at_hits: list[list[float]] = []
+    outgoing: list[list[float]] = []
+    actives: list[tuple[int, ...]] = []
+    kinds: list[BounceKind] = []
     while horizon - t > eps_time:
-        p = q.dot(line) + shift
-        d = q.dot(d0)
-        # the slack comes from this isometry-built position, never from a
-        # point of the folded run, so the two paths stay independent
-        hit, dt, active, d_unit, _ = _advance(polytope, p, d)
+        k, dt = _first_crossing(s, r, band, worst)
         if dt > (horizon - t) + eps_time:
-            t = horizon
             break
         t = t + dt
-        line = x0 + t * d0
-        outgoing, kind, word = _resolve(polytope, hit, d_unit, active, policy)
-        table_hit = q.dot(line) + shift
-        hits.append((t, table_hit, d, outgoing, active, kind))
-        if len(hits) > budget:
+        s = [a + dt * c for a, c in zip(s, r)]
+        near, band, worst = classified(s)
+        # as in _advance: an outside hit has no active set, and the facet
+        # that set dt stands for an empty one
+        active = (() if worst > band else near) or (k,)
+        times.append(t)
+        at_hits.append(s)
+        if len(active) == 1:
+            kind, word = BounceKind.FACET, active
+        elif policy is CornerPolicy.STRICT:
+            raise CornerAmbiguousError(read_back(s), active)
+        elif policy is CornerPolicy.POINT_REFLECT:
+            # the point reflection about the corner fixes the corner
+            kind, word = BounceKind.CORNER, ()
+            r = [-c for c in r]
+        else:
+            # FOLD_GROUP: _begin has checked that the table is an alcove
+            kind = BounceKind.CORNER
+            d = np.array(r).dot(back)
+            _, local_word = _chamber_fold(normals[list(active)], None, d, eps)
+            word = tuple(active[i] for i in local_word)
+        for j in word:
+            row, sj, rj = gram2[j], s[j], r[j]
+            s = [a - g * sj for a, g in zip(s, row)]
+            r = [a - g * rj for a, g in zip(r, row)]
+        outgoing.append(r)
+        actives.append(active)
+        kinds.append(kind)
+        if len(times) > budget:
             raise BounceBudgetExceededError(
                 f"exceeded bounce budget {budget} before horizon {horizon}"
             )
-        if kind is BounceKind.FACET or word:
-            for idx in word:
-                h = hs[idx]
-                q = h.dot(q)
-                shift = h.dot(shift) + bs[idx]
-        else:
-            # point reflection about the corner
-            q = -q
-            shift = 2.0 * table_hit - shift
-    end_point = q.dot(x0 + horizon * d0) + shift
-    end_dir = q.dot(d0)
-    end = TrajectoryState(end_point, end_dir, horizon)
-    return _trajectory(state, hits, end, policy)
+    n = len(times)
+    # one product reads back every hit and every outgoing direction; the end
+    # lies on the last segment
+    rows = np.array([*at_hits, *outgoing]).reshape(2 * n, len(s))
+    rows[:n] += offsets
+    read = rows.dot(back)
+    directions = np.concatenate((state.direction[None], read[n:]))
+    points = np.empty((n + 2, polytope.dim))
+    points[0], points[1:-1] = state.point, read[:n]
+    points[-1] = points[-2] + (horizon - t) * directions[-1]
+    end = TrajectoryState(points[-1].copy(), directions[-1], horizon)
+    return Trajectory(
+        state,
+        end,
+        horizon,
+        policy,
+        np.array([0.0, *times, horizon]),
+        points,
+        directions,
+        tuple(actives),
+        tuple(kinds),
+    )

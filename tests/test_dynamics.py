@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from billiards import dynamics, geometry
-from billiards.alcove import standard_alcove
+from billiards.alcove import folded_flow, standard_alcove
 from billiards.config import TOL
 from billiards.dynamics import (
     BounceKind,
@@ -365,19 +365,22 @@ def test_simulate_matches_hand_chained_public_steps(rng):
 
 
 @pytest.mark.parametrize(
-    "run, bands_per_bounce", [(simulate, 1), (simulate_unfolded, 2)],
+    "run, bands_per_bounce, bands_per_run",
+    [(simulate, 1, 3), (simulate_unfolded, 0, 1)],
     ids=["simulate", "unfolded"],
 )
 @pytest.mark.parametrize("horizon, bounces", [(10.0, 12), (0.1, 0)])
 def test_a_run_takes_the_band_of_each_point_once(
-    monkeypatch, run, bands_per_bounce, horizon, bounces
+    monkeypatch, run, bands_per_bounce, bands_per_run, horizon, bounces
 ):
-    """A run of n bounces takes n + 3 slack bands: one as ``_begin`` checks
-    the start, one as the first step does, one at each hit and one at the
-    end of the last step, which passes the horizon. ``simulate`` hands each
-    hit's slack list and band to the next step, which starts from that very
-    point. ``simulate_unfolded`` takes the slack of its own isometry-built
-    position at every step, so its n bounces take 2n + 3."""
+    """A run of n bounces of ``simulate`` takes n + 3 slack bands: one as
+    ``_begin`` checks the start, one as the first step does, one at each hit
+    and one at the end of the last step, which passes the horizon. It hands
+    each hit's slack list and band to the next step, which starts from that
+    very point. ``simulate_unfolded`` takes only ``_begin``'s band here: it
+    reads a point back for its band only when a slack lies where the bands
+    of points on the unit square can disagree, and no slack of this run
+    does."""
     calls = []
     band = geometry.slack_band
 
@@ -390,7 +393,7 @@ def test_a_run_takes_the_band_of_each_point_once(
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
     trajectory = run(square, TrajectoryState((0.25, 0.4), (1.0, 0.3)), horizon)
     assert trajectory.n_bounces == bounces
-    assert len(calls) == bands_per_bounce * bounces + 3
+    assert len(calls) == bands_per_bounce * bounces + bands_per_run
 
 
 def test_sample_equals_position_at_bit_for_bit(rng):
@@ -602,6 +605,63 @@ def test_unfolded_point_reflection_matches_simulate(table, shot):
     assert BounceKind.CORNER in a.kinds
     assert np.abs(a.times - b.times).max() <= 1e-12
     assert np.abs(a.points - b.points).max() <= 1e-12
+
+
+def test_the_unfolded_oracle_does_not_step_through_the_kernel(monkeypatch):
+    """``simulate_unfolded`` and ``folded_flow`` reach their positions through
+    the reflection group's action on the slacks, not through ``simulate``'s
+    step kernel: with ``_advance`` and ``_resolve`` made to raise, they still
+    give ``simulate``'s active sets and kinds, at corners too."""
+    point_shots = [
+        (table, shot, simulate(table, shot, 8.0, CornerPolicy.POINT_REFLECT))
+        for table, shot in _corner_shots()
+    ]
+    alcove = standard_alcove("B3~")
+    x0 = alcove.interior_point()
+    fold_shots = [
+        (shot, simulate(alcove, shot, 8.0, CornerPolicy.FOLD_GROUP))
+        for shot in (TrajectoryState(x0, v - x0) for v in alcove.vertices)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the oracle called simulate's step kernel")
+
+    monkeypatch.setattr(dynamics, "_advance", refuse)
+    monkeypatch.setattr(dynamics, "_resolve", refuse)
+    for table, shot, want in point_shots:
+        got = simulate_unfolded(table, shot, 8.0, CornerPolicy.POINT_REFLECT)
+        assert (got.active, got.kinds) == (want.active, want.kinds)
+    corners = 0
+    for shot, want in fold_shots:
+        got = folded_flow(alcove, shot, 8.0)
+        assert (got.active, got.kinds) == (want.active, want.kinds)
+        corners += got.kinds.count(BounceKind.CORNER)
+    assert corners > 0
+
+
+@pytest.mark.parametrize(
+    "miss, kind", [(5e-9, BounceKind.CORNER), (3e-8, BounceKind.FACET)]
+)
+def test_both_loops_take_the_band_of_a_hit_far_from_the_origin(miss, kind):
+    """On the box [10, 11]^2 the band at a hit near (11, 11) is about
+    1.56e-8, far above ``TOL.eps``. A shot that meets the facet x = 11 at
+    ``miss`` below the corner has the slack ``-miss`` on the facet y = 11:
+    within that band at 5e-9, so both loops see a corner (and refuse it
+    under ``STRICT``), and outside it at 3e-8, so both see a facet."""
+    box = Polytope.box((10.0, 10.0), (11.0, 11.0))
+    shot = TrajectoryState((10.5, 10.5), (0.5, 0.5 - miss))
+    want = simulate(box, shot, 3.0, CornerPolicy.POINT_REFLECT)
+    for run in (simulate, simulate_unfolded):
+        traj = run(box, shot, 3.0, CornerPolicy.POINT_REFLECT)
+        first = traj.events[0]
+        assert first.point[1] - 11.0 == pytest.approx(-miss, rel=1e-3)
+        assert first.kind is kind
+        assert (traj.active, traj.kinds) == (want.active, want.kinds)
+        if kind is BounceKind.CORNER:
+            with pytest.raises(CornerAmbiguousError):
+                run(box, shot, 3.0, CornerPolicy.STRICT)
+        else:
+            assert run(box, shot, 3.0, CornerPolicy.STRICT).kinds[0] is kind
 
 
 @pytest.mark.parametrize("run", [simulate, simulate_unfolded])

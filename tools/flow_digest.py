@@ -86,8 +86,11 @@ Every event contributes the bytes of its time, point, incoming and outgoing
 directions, its active set and its kind; every run its end point, direction
 and time. One more group hashes ``Trajectory.sample`` on each of these runs
 but the ``simulate`` alcove shots, at seeded times and at every event time.
-With ``-v`` one short digest per group of runs is printed as well, to find the
-group where two trees part.
+With ``-v`` one short digest per group is printed as well, to find the group
+where two trees part. Each group of runs then prints a second one over the
+runs' sequences only: each run's bounce count, active sets and kinds, or the
+class of its error. Where a change moves the bytes of a group's runs, an
+equal second digest shows that every run kept its facet/corner sequence.
 """
 
 from __future__ import annotations
@@ -242,14 +245,29 @@ def _alcove_vertex_shot_simulate_runs():
         yield simulate, alcove, state, 30.0, CornerPolicy.FOLD_GROUP
 
 
-def _events(runs):
-    """The group that records every run of ``runs``."""
+def _record_sequence(digest, traj) -> None:
+    """Only the run's sequence: its bounce count, active sets and kinds, or
+    the class of its error."""
+    if isinstance(traj, bytes):
+        digest.update(traj.split(b":", 1)[0])
+        return
+    kinds = [kind.value for kind in traj.kinds]
+    digest.update(repr((traj.n_bounces, traj.active, kinds)).encode())
 
-    def group(digest) -> None:
-        for call in runs():
-            _record(digest, _run(*call))
 
-    return group
+class _Events:
+    """The group that records every run of ``runs``; given a second digest,
+    it records each run's sequence there too."""
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def __call__(self, digest, sequences=None) -> None:
+        for call in self.runs():
+            traj = _run(*call)
+            _record(digest, traj)
+            if sequences is not None:
+                _record_sequence(sequences, traj)
 
 
 def _samples(digest) -> None:
@@ -780,11 +798,11 @@ def _small_verdicts(digest) -> None:
 
 
 GROUPS = (
-    ("random tables, STRICT", _events(_random_table_runs)),
-    ("boxes, POINT_REFLECT", _events(_box_runs)),
-    ("alcove vertex shots, folded_flow", _events(_alcove_vertex_shot_runs)),
+    ("random tables, STRICT", _Events(_random_table_runs)),
+    ("boxes, POINT_REFLECT", _Events(_box_runs)),
+    ("alcove vertex shots, folded_flow", _Events(_alcove_vertex_shot_runs)),
     ("alcove vertex shots, simulate under FOLD_GROUP",
-     _events(_alcove_vertex_shot_simulate_runs)),
+     _Events(_alcove_vertex_shot_simulate_runs)),
     ("Trajectory.sample on every run", _samples),
     ("Polytope.contains on seeded points", _containment),
     ("tables, bundled and from payloads", _tables),
@@ -804,13 +822,21 @@ GROUPS = (
 
 
 def main(argv: list[str]) -> int:
+    verbose = "-v" in argv
     total = hashlib.sha256()
     for name, group in GROUPS:
         digest = hashlib.sha256()
-        group(digest)
+        sequences = None
+        if verbose and isinstance(group, _Events):
+            sequences = hashlib.sha256()
+            group(digest, sequences)
+        else:
+            group(digest)
         total.update(digest.digest())
-        if "-v" in argv:
+        if verbose:
             print(f"{name}: {digest.hexdigest()[:16]}")
+        if sequences is not None:
+            print(f"{name}, sequences: {sequences.hexdigest()[:16]}")
     print(f"flow digest: sha256 {total.hexdigest()}")
     return 0
 
