@@ -3,15 +3,17 @@
 Every incidence test (is a point on a face, are two points one vertex, is
 an angle pi/m) reads one epsilon, ``TOL.eps``, so that "on the boundary"
 means the same thing everywhere; a test on lengths multiplies it by the
-table's one length, :func:`billiards.geometry.length_scale`. ``TOL`` is the
-one source of every tolerance: the environment variable ``BILLIARDS_EPS``,
-read once at import time, sets ``TOL.eps`` for the whole process (a bad value
-is refused on each read of ``TOL.eps``, not at import, so that the CLI, which
-imports this module before its ``main`` runs, can refuse it in one line). No
-function takes an ``eps=`` option; the four predicates that take a tolerance
-argument (``classify_slack``, ``cone_membership``, ``affine_rank``,
-``affine_ranks``) are handed ``TOL.eps`` by their callers, times a length or
-a norm where they compare lengths.
+table's one length, :func:`billiards.geometry.length_scale`. So a polytope
+has one activity band, ``TOL.eps * polytope.scale``, wherever a point lies
+on it. ``TOL`` is the one source of every tolerance: the environment
+variable ``BILLIARDS_EPS``, read once at import time, sets ``TOL.eps`` for
+the whole process (a bad value is refused on each read of ``TOL.eps``, not
+at import, so that the CLI, which imports this module before its ``main``
+runs, can refuse it in one line). No function takes an ``eps=`` option; the
+four predicates that take a tolerance argument (``classify_slack``,
+``cone_membership``, ``affine_rank``, ``affine_ranks``) are handed
+``TOL.eps`` by their callers, times a length or a norm where they compare
+lengths.
 """
 
 from __future__ import annotations

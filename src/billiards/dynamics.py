@@ -63,7 +63,6 @@ from .geometry import (
     _checked_horizon,
     as_point,
     reflected,
-    slack_band,
     tight_facets,
     unit,
 )
@@ -266,7 +265,7 @@ def advance_to_boundary(
     p = as_point(point, polytope.dim)
     # the kernel's d.dot(d) over a strided view could round in another order
     d = np.ascontiguousarray(as_point(direction, polytope.dim))
-    hit, dt, active, _, _ = _advance(polytope, p, d)
+    hit, dt, active, _, _ = _advance(polytope, p, d, TOL.eps * polytope.scale)
     return hit, dt, active
 
 
@@ -296,28 +295,26 @@ def reflect_at(
 # public functions above validate and call the same kernel, so a hand-chained
 # run and a simulated run agree to the last bit.
 #
-# A step takes the slack of each point it meets once, as a list, with the
-# point's band and its worst value: ``(values, band, worst)``. ``simulate``
-# hands the triple of each hit to the next step, which starts from that very
-# point, so a run of n bounces takes n + 3 bands (one in ``_begin``, one at
-# the start and one per hit, the last step's too), and each list is reduced
-# once: the hit's worst value is the largest of its tight values, which the
-# step that makes the hit scans for its active set anyway. Every step checks
+# Every incidence test of a run reads one band, ``TOL.eps * polytope.scale``,
+# which ``_begin`` takes once per run; no step takes a norm of its point. A
+# step takes the slack of each point it meets once, as a list, with its worst
+# value: ``(values, worst)``. ``simulate`` hands the pair of each hit to the
+# next step, which starts from that very point, and each list is reduced
+# once: the hit's worst value is the largest of its tight values, which
+# ``tight_facets`` finds as it scans for the active set. Every step checks
 # its start inside the scan for the first crossing, ``_first_crossing``,
 # with no active set built: the start is outside when its worst value is
-# above the band of ``slack_band``, and it leaves the table when a facet
-# approached faster than ``TOL.tangential`` has a slack at or above
-# ``-band``. These are the outside and active tests of ``classify_slack``,
-# with the same band, and an active facet is never the next one crossed.
-# The hit's active set is that of ``classify_slack`` too: the
-# ``tight_facets`` of its list, or none when one of those is above the band
-# and the hit is outside.
+# above the band, and it leaves the table when a facet approached faster
+# than ``TOL.tangential`` has a slack at or above ``-band``. These are the
+# outside and active tests of ``classify_slack``, with the same band, and an
+# active facet is never the next one crossed. The hit's active set is that
+# of ``classify_slack`` too: the ``tight_facets`` of its list, or none when
+# one of those is above the band and the hit is outside.
 #
 # ``simulate_unfolded`` shares ``_first_crossing`` and ``tight_facets``, so it
-# makes the same decisions by the same rules, but it takes its slacks and
-# rates from its own lists, never from a point of ``simulate``'s run, so it
-# stays an independent oracle. It reads a point back for its band only where
-# the band can change a verdict.
+# makes the same decisions by the same rules with the same band, but it takes
+# its slacks and rates from its own lists, never from a point of
+# ``simulate``'s run, so it stays an independent oracle.
 #
 # A step works on arrays of a few to a few dozen entries, where each numpy
 # call costs more than its arithmetic. So numpy keeps the products with the
@@ -377,51 +374,45 @@ def _advance(
     polytope: Polytope,
     p: np.ndarray,
     d: np.ndarray,
-    start: tuple[list[float], float, float] | None = None,
-) -> tuple[
-    np.ndarray, float, tuple[int, ...], np.ndarray, tuple[list[float], float, float]
-]:
+    band: float,
+    start: tuple[list[float], float] | None = None,
+) -> tuple[np.ndarray, float, tuple[int, ...], np.ndarray, tuple[list[float], float]]:
     """:func:`advance_to_boundary` for finite points of the table's dimension.
 
     ``d`` is a contiguous 1-D direction; a zero one raises ``InputError``.
-    ``start`` is the triple ``(values, band, worst)`` at ``p``, if the caller
-    has it: the slack ``normals @ p - offsets`` as a list, ``slack_band(p,
-    TOL.eps)`` and the worst value that :func:`_first_crossing` reads.
-    Returns ``(hit, dt, active, unit_direction, at_hit)``, with ``at_hit``
-    that triple at the hit, and raises what :func:`advance_to_boundary`
-    raises. ``active`` is the active set ``classify_slack`` gives the hit, or
-    the facet that set ``dt`` if that is empty.
+    ``band`` is the table's band ``TOL.eps * polytope.scale``. ``start`` is
+    the pair ``(values, worst)`` at ``p``, if the caller has it: the slack
+    ``normals @ p - offsets`` as a list and the worst value that
+    :func:`_first_crossing` reads. Returns ``(hit, dt, active,
+    unit_direction, at_hit)``, with ``at_hit`` that pair at the hit, and
+    raises what :func:`advance_to_boundary` raises. ``active`` is the active
+    set ``classify_slack`` gives the hit, or the facet that set ``dt`` if
+    that is empty.
     """
     normals, offsets = polytope.normals, polytope.offsets
     length = math.sqrt(d.dot(d))
     if length < 1e-300:
         raise InputError("cannot normalize the zero vector")
     d = d / length
-    eps = TOL.eps
     if start is None:
         values = (normals.dot(p) - offsets).tolist()
-        # a worst slack above a finite band is positive, so Python's max
-        # gives the bits that classify_slack reports
-        band, worst = slack_band(p, eps), max(values)
+        # a worst slack above the band is positive, so Python's max gives
+        # the bits that classify_slack reports; the two differ only on a NaN
+        # slack, which needs coordinates near the float limit
+        worst = max(values)
     else:
-        values, band, worst = start
+        values, worst = start
     k, dt = _first_crossing(values, normals.dot(d).tolist(), band, worst)
     hit = p + dt * d
     hit_values = (normals.dot(hit) - offsets).tolist()
-    hit_band = slack_band(hit, eps)
-    active = tight_facets(hit_values, hit_band)
     # a value above the band is tight too, so the hit is outside, with no
-    # active set, exactly when classify_slack's max finds one: no value is
-    # above an infinite band, and under a finite one no value is NaN. The
-    # largest tight value is the worst the next step's start check reads.
-    worst = -math.inf
-    for i in active:
-        if hit_values[i] > worst:
-            worst = hit_values[i]
-    if worst > hit_band:
+    # active set, exactly when classify_slack's max finds one. The largest
+    # tight value is the worst the next step's start check reads.
+    active, worst = tight_facets(hit_values, band)
+    if worst > band:
         active = ()
     # the minimizing facet must be tight; recover it directly
-    return hit, dt, active or (k,), d, (hit_values, hit_band, worst)
+    return hit, dt, active or (k,), d, (hit_values, worst)
 
 
 def _resolve(
@@ -450,12 +441,14 @@ def _begin(
     state: TrajectoryState,
     horizon: float,
     policy: CornerPolicy,
-) -> tuple[float, int, float]:
+) -> tuple[float, int, float, float]:
     """The checks at the start of a run, shared by both loops.
 
     Refuses a bad horizon, a state of another dimension, ``FOLD_GROUP`` on a
     non-alcove, and a start outside or leaving the table. Returns
-    ``(horizon, budget, eps_time)``.
+    ``(horizon, budget, eps_time, band)``, with ``band`` the table's band
+    ``TOL.eps * polytope.scale``, which every incidence test of the run
+    reads.
     """
     horizon = _checked_horizon(horizon)
     if state.dim != polytope.dim:
@@ -477,7 +470,7 @@ def _begin(
             )
     budget = default_bounce_budget(polytope, horizon)
     eps_time = TOL.step * (1.0 + horizon)
-    return horizon, budget, eps_time
+    return horizon, budget, eps_time, TOL.eps * polytope.scale
 
 
 def simulate(
@@ -489,14 +482,14 @@ def simulate(
     """Run the billiard flow for total arclength ``horizon``. A run that
     needs more than :func:`default_bounce_budget` bounces raises
     ``BounceBudgetExceededError``."""
-    horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
+    horizon, budget, eps_time, band = _begin(polytope, state, horizon, policy)
     p = state.point.copy()
     d = state.direction.copy()
     at_p = None
     t = 0.0
     hits: list[tuple] = []
     while horizon - t > eps_time:
-        hit, dt, active, d_unit, at_hit = _advance(polytope, p, d, at_p)
+        hit, dt, active, d_unit, at_hit = _advance(polytope, p, d, band, at_p)
         if dt > (horizon - t) + eps_time:
             p = p + (horizon - t) * d
             t = horizon
@@ -534,44 +527,13 @@ def simulate_unfolded(
     rank). So rounding flows through a genuinely different computation than
     the segment-chaining integrator, which never sees the Gram matrix.
     """
-    horizon, budget, eps_time = _begin(polytope, state, horizon, policy)
+    horizon, budget, eps_time, band = _begin(polytope, state, horizon, policy)
     normals, offsets = polytope.normals, polytope.offsets
     gram2 = (2.0 * normals.dot(normals.T)).tolist()
     back = np.linalg.pinv(normals).T  # (s + b) @ back is the point of slack s
-
-    def read_back(values: list[float]) -> np.ndarray:
-        return (np.array(values) + offsets).dot(back)
-
-    # A run continues only from points within one band of the table, so the
-    # band eps * max(1, |x|) of each lies in [lo, hi]: the vertices bound |x|
-    # on the table, and the factor 1 + 2 eps leaves room for a point one band
-    # away from it. A slack outside lo < |s| <= hi gets the same verdict from
-    # every band in that range; only a slack inside it needs the point read
-    # back.
-    eps = TOL.eps
-    vertices = polytope.vertices
-    reach = max(1.0, math.sqrt(np.vecdot(vertices, vertices).max()))
-    lo, hi = eps, eps * reach * (1.0 + 2.0 * eps)
-
-    def classified(values: list[float]) -> tuple[tuple[int, ...], float, float]:
-        """The tight facets, a band and the worst tight value of the point
-        with slack ``values``, as :func:`_advance` finds them."""
-        near = tight_facets(values, hi)
-        worst = -math.inf
-        for i in near:
-            v = values[i]
-            if v < -lo or lo < v <= hi:
-                band = slack_band(read_back(values), eps)
-                near = tight_facets(values, band)
-                worst = max([values[i] for i in near], default=-math.inf)
-                return near, band, worst
-            if v > worst:
-                worst = v
-        return near, lo, worst
-
     s = (normals.dot(state.point) - offsets).tolist()
     r = normals.dot(state.direction).tolist()
-    _, band, worst = classified(s)
+    worst = max(s)
     t = 0.0
     times: list[float] = []
     at_hits: list[list[float]] = []
@@ -584,7 +546,7 @@ def simulate_unfolded(
             break
         t = t + dt
         s = [a + dt * c for a, c in zip(s, r)]
-        near, band, worst = classified(s)
+        near, worst = tight_facets(s, band)
         # as in _advance: an outside hit has no active set, and the facet
         # that set dt stands for an empty one
         active = (() if worst > band else near) or (k,)
@@ -593,7 +555,7 @@ def simulate_unfolded(
         if len(active) == 1:
             kind, word = BounceKind.FACET, active
         elif policy is CornerPolicy.STRICT:
-            raise CornerAmbiguousError(read_back(s), active)
+            raise CornerAmbiguousError((np.array(s) + offsets).dot(back), active)
         elif policy is CornerPolicy.POINT_REFLECT:
             # the point reflection about the corner fixes the corner
             kind, word = BounceKind.CORNER, ()
@@ -602,7 +564,7 @@ def simulate_unfolded(
             # FOLD_GROUP: _begin has checked that the table is an alcove
             kind = BounceKind.CORNER
             d = np.array(r).dot(back)
-            _, local_word = _chamber_fold(normals[list(active)], None, d, eps)
+            _, local_word = _chamber_fold(normals[list(active)], None, d, TOL.eps)
             word = tuple(active[i] for i in local_word)
         for j in word:
             row, sj, rj = gram2[j], s[j], r[j]

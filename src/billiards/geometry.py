@@ -2,9 +2,11 @@
 bounce rule is built on.
 
 A table is ``K = {x : <n_i, x> <= c_i}`` with unit outward normals ``n_i``.
-At a boundary point the *active* constraints are those tight within
-``TOL.eps``; they span the outward normal cone ``N_p = cone{n_i}`` and
-cut the tangent cone ``T_p = {u : <n_i, u> <= 0}``. A bounce from incoming
+At a boundary point the *active* constraints are those tight within the
+table's one band, ``TOL.eps * scale`` with ``scale`` its
+:func:`length_scale`, the band of every incidence test on the table; they
+span the outward normal cone ``N_p = cone{n_i}`` and cut the tangent cone
+``T_p = {u : <n_i, u> <= 0}``. A bounce from incoming
 direction ``u`` to outgoing ``v`` is *polar* when ``-(u+v)`` lies in
 ``N_p``: membership is decided by nonnegative least squares with the
 residual thresholded at ``TOL.eps``. On a facet (one active normal) this
@@ -117,28 +119,29 @@ class Location(Enum):
     OUTSIDE = "outside"
 
 
-def slack_band(x: np.ndarray, eps: float) -> float:
-    """The band ``eps * max(1, |x|)`` about zero within which a slack at
-    ``x`` counts as tight. The one copy of this rule."""
-    return eps * max(1.0, vector_norm(x))
-
-
-def tight_facets(values: list[float], band: float) -> tuple[int, ...]:
-    """The indices of the slack ``values`` at or above ``-band``: the active
-    set of a point that no value puts outside. The one copy of this rule."""
+def tight_facets(values: list[float], band: float) -> tuple[tuple[int, ...], float]:
+    """The indices of the slack ``values`` at or above ``-band``, the active
+    set of a point that no value puts outside, and the largest of those
+    values (``-inf`` when there is none). The one copy of this rule."""
     floor = -band
-    return tuple([i for i, s in enumerate(values) if s >= floor])
+    active = tuple([i for i, s in enumerate(values) if s >= floor])
+    worst = -math.inf
+    for i in active:
+        if values[i] > worst:
+            worst = values[i]
+    return active, worst
 
 
 def classify_slack(
-    slack: np.ndarray, x: np.ndarray, eps: float
+    slack: np.ndarray, band: float
 ) -> tuple[Location, tuple[int, ...], float]:
-    """Location of ``x`` from its slack vector ``normals @ x - offsets``.
+    """Location of a point from its slack vector ``normals @ x - offsets``.
 
-    The rule behind :meth:`Polytope.contains`: ``x`` is outside when a
-    constraint is violated by more than the band ``eps * max(1, |x|)`` of
-    :func:`slack_band`, and the constraints within that band of zero are
-    active. Returns ``(location, active, worst_violation)``.
+    The rule behind :meth:`Polytope.contains`, whose ``band`` is ``TOL.eps``
+    times the table's ``scale``: the point is outside when a constraint is
+    violated by more than ``band``, or when a slack is NaN, and the
+    constraints within ``band`` of zero are active. Returns ``(location,
+    active, worst_violation)``.
 
     The reductions run on Python floats from one ``tolist()``: a max and
     comparisons, which give the bits numpy's ``max`` and
@@ -148,18 +151,17 @@ def classify_slack(
     from numpy's ``max`` instead. A zero maximum held by more than one
     entry may be a tie of ``0.0`` and ``-0.0``, of which numpy and Python
     keep different ones; a lone zero is the same entry under both. And a
-    slack can be NaN only when ``|x|`` overflows, as each ``|<n_i, x>|`` is
-    at most ``|x|``; the band is then infinite, and Python's ``max`` can
-    pass over a NaN.
+    slack is NaN where a product with a normal overflows, which only a point
+    of magnitude near the float limit, far outside every table, can make;
+    Python's ``max`` can pass over a NaN, which makes the sum NaN.
     """
     values = slack.tolist()
-    band = slack_band(x, eps)
     worst = max(values)
-    if band == math.inf or (worst == 0.0 and values.count(0.0) > 1):
+    if (worst == 0.0 and values.count(0.0) > 1) or math.isnan(sum(values)):
         worst = float(slack.max())
-    if worst > band:
+    if not worst <= band:
         return Location.OUTSIDE, (), worst
-    active = tight_facets(values, band)
+    active = tight_facets(values, band)[0]
     return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
 
 
@@ -405,18 +407,35 @@ def _checked_points(
 def _checked_rows(halfspaces) -> np.ndarray:
     """The halfspaces as an ``(H, dim + 1)`` float array of finite
     ``[normal | offset]`` rows with ``H, dim >= 1``; any other shape, rows of
-    different lengths and non-finite rows are refused."""
+    different lengths, entries that are not numbers and non-finite rows are
+    refused."""
     try:
         rows = np.asarray(halfspaces, dtype=float)
-    except ValueError:
-        sizes = [np.size(row) for row in halfspaces]
+    except (ValueError, TypeError):
+        # the entries of each row, which need not be numbers
+        entries = [np.asarray(row, dtype=object).ravel().tolist() for row in halfspaces]
+        sizes = [len(row) for row in entries]
         for k, size in enumerate(sizes):
             if size != sizes[0]:
                 raise DimensionMismatchError(
                     f"halfspace {k} has dim {size - 1}, "
                     f"halfspace 0 has dim {sizes[0] - 1}"
                 ) from None
-        raise
+        for k, row in enumerate(entries):
+            for entry in row:
+                try:
+                    float(entry)
+                except (ValueError, TypeError):
+                    raise InputError(
+                        f"halfspace {k} has an entry that is not a number: "
+                        f"{entry!r}"
+                    ) from None
+        # rows of numbers that still make no array, such as rows nested to
+        # different depths
+        raise InputError(
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows of numbers"
+        ) from None
     if rows.shape[:1] == (0,):
         raise InputError("a polytope needs at least one halfspace")
     if rows.ndim != 2 or rows.shape[1] < 2:
@@ -474,7 +493,9 @@ class Polytope:
     row) and ``offsets``, with ``normals @ x <= offsets`` inside; every
     check and every derived quantity is computed from them. ``scale``, the
     :func:`length_scale` of the vertices, is the one length that
-    ``TOL.eps`` is multiplied by in the table's tests on lengths.
+    ``TOL.eps`` is multiplied by in the table's tests on lengths: the
+    construction checks, :meth:`contains` and both bounce loops all read
+    the band ``TOL.eps * scale``.
 
     The first argument is an ``(H, dim + 1)`` array-like of ``[normal |
     offset]`` rows with unit normals. Construction refuses any other shape,
@@ -554,10 +575,10 @@ class Polytope:
                     continue
                 if not np.isfinite(x).all():
                     continue
-                slack = normals @ x - offsets
-                location, _, worst = classify_slack(slack, x, TOL.eps)
-                # a slack is NaN only where |x| overflows: no vertex there
-                if location is not Location.OUTSIDE and not math.isnan(worst):
+                # no table, so no scale yet: the band of the candidate itself
+                band = TOL.eps * max(1.0, vector_norm(x))
+                location, _, _ = classify_slack(normals @ x - offsets, band)
+                if location is not Location.OUTSIDE:
                     if not any(np.linalg.norm(x - v) <= TOL.eps for v in verts):
                         verts.append(x)
         if len(verts) < dim + 1:
@@ -740,7 +761,7 @@ class Polytope:
             )
         total = self.normals.sum(axis=0)
         ok, _, residual = cone_membership(
-            self.normals, -total, slack_band(total, TOL.eps)
+            self.normals, -total, TOL.eps * max(1.0, vector_norm(total))
         )
         if not ok:
             raise UnboundedRegionError(
@@ -759,9 +780,8 @@ class Polytope:
 
     def contains(self, x) -> Containment:
         x = as_point(x, self.dim)
-        return Containment(
-            *classify_slack(self.normals @ x - self.offsets, x, TOL.eps)
-        )
+        slack = self.normals @ x - self.offsets
+        return Containment(*classify_slack(slack, TOL.eps * self.scale))
 
     def __repr__(self) -> str:
         return (
@@ -789,8 +809,7 @@ def is_polar(polytope: Polytope, p, u, v) -> bool:
     normals = polytope.normals[list(loc.active)]
     for w, name in ((uu, "incoming"), (vv, "outgoing")):
         w = as_point(w, polytope.dim)
-        limit = slack_band(w, TOL.eps)
-        if len(normals) and np.max(normals @ w) > limit:
+        if len(normals) and np.max(normals @ w) > TOL.eps:
             raise InputError(f"{name} direction is not in the tangent cone")
     ok, _, _ = cone_membership(normals, -(uu + vv), TOL.eps)
     return ok

@@ -74,8 +74,8 @@ def start_cases(rng):
     """Seeded ``(table, point, direction)`` starts of one step, on polygons
     and hulls at unit scale and at scale 40 and on a 5D box. The points lie
     inside the table, on a facet, at a corner, and off a facet by a fraction
-    or a multiple of the band ``TOL.eps * max(1, |x|)``, inward and outward;
-    on a 3D box, a facet's slack is exactly the band or minus it. The
+    or a multiple of the table's band ``TOL.eps * table.scale``, inward and
+    outward; on a 3D box, a facet's slack is exactly the band or minus it. The
     directions point inward, along the facet, out through it, at a rate
     just either side of ``TOL.tangential``, and at random."""
     tables = [
@@ -87,13 +87,13 @@ def start_cases(rng):
     ]
     for table in tables:
         normals, dim = table.normals, table.dim
+        band = TOL.eps * table.scale
         inside = rng.dirichlet(np.ones(len(table.vertices))) @ table.vertices
         inside = 0.7 * inside + 0.3 * table.interior_point()
         for k in rng.choice(table.n_facets, size=3, replace=False).tolist():
             n = normals[k]
             ends = table.vertices[list(table.facet_vertices[k])]
             on_facet = rng.dirichlet(np.ones(len(ends))) @ ends
-            band = TOL.eps * max(1.0, float(np.linalg.norm(on_facet)))
             points = [inside, on_facet, ends[0]]
             points += [on_facet + m * band * n
                        for m in (-2.0, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2.0)]
@@ -107,10 +107,11 @@ def start_cases(rng):
                 for d in directions:
                     yield table, p, d
     # a start whose slack on facet 0 is exactly minus or plus the band, as
-    # x[0] is 0 and |x| is exactly 5
-    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 5.0
+    # x[0] is 0 and the box's scale is 9
+    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 9.0
     for top in (band, -band):
         box = Polytope.box([-1.0, -9.0, -9.0], [top, 9.0, 9.0])
+        assert box.scale == 9.0
         for d in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 1e-11, 0.0],
                   [0.0, 1.0, 1.0], rng.normal(size=3)):
             yield box, x, np.array(d)

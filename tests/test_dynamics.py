@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from billiards import dynamics, geometry
+from billiards import dynamics
 from billiards.alcove import folded_flow, standard_alcove
 from billiards.config import TOL
 from billiards.dynamics import (
@@ -91,8 +92,9 @@ def _outcome(step, *args):
 def _checked_step(table, p, d):
     """A reference step: ``classify_slack`` checks the start and numpy finds
     the first crossing of a facet that is not active."""
+    band = TOL.eps * table.scale
     slack = table.normals @ p - table.offsets
-    location, active, worst = classify_slack(slack, p, TOL.eps)
+    location, active, worst = classify_slack(slack, band)
     if location is Location.OUTSIDE:
         raise OutsideTableError(
             f"start point violates a constraint by {worst:.3e}"
@@ -114,7 +116,7 @@ def _checked_step(table, p, d):
     if not math.isfinite(dt) or dt <= TOL.step:
         raise NoProgressError(f"forward crossing at dt={dt:.3e} is too small")
     hit = p + dt * d
-    _, at_hit, _ = classify_slack(table.normals @ hit - table.offsets, hit, TOL.eps)
+    _, at_hit, _ = classify_slack(table.normals @ hit - table.offsets, band)
     return hit, dt, at_hit or (int(ahead[j]),)
 
 
@@ -135,18 +137,20 @@ def test_a_step_checks_its_start_as_classify_slack_does(rng):
 
 def test_a_strided_point_is_read_like_its_copy(rng):
     """``contains`` and ``advance_to_boundary`` give a column view of a 5D
-    point the bits they give its contiguous copy. Facet 0 of each box is
-    placed at the band of the copy or of the view, so a band taken from the
-    view's own sum of squares would move that facet in or out of the
-    active set."""
+    point the bits they give its contiguous copy. Facet 0 of each box lies
+    exactly one band of the table (``TOL.eps`` times its scale, 9) from the
+    point, inward or outward, so a slack that a strided read rounded
+    otherwise would move that facet in or out of the active set, or the
+    point out of the table."""
+    band = TOL.eps * 9.0
     for _ in range(50):
         columns = 2.0 * rng.normal(size=(5, 2))
         columns[0] = 0.0  # so facet 0's slack is exactly minus its offset
         view = columns[:, 0]
         copy = view.copy()
-        for x in (copy, view):
-            band = TOL.eps * max(1.0, math.sqrt(x.dot(x)))
-            table = Polytope.box(np.full(5, -9.0), [band, 9.0, 9.0, 9.0, 9.0])
+        for top in (band, -band):
+            table = Polytope.box(np.full(5, -9.0), [top, 9.0, 9.0, 9.0, 9.0])
+            assert table.scale == 9.0
             assert table.contains(view) == table.contains(copy)
             for d in (np.eye(5)[0], -np.eye(5)[0], rng.normal(size=5)):
                 assert _outcome(advance_to_boundary, table, view, d) == (
@@ -182,7 +186,9 @@ def test_exactly_tied_hit_times_pick_the_lowest_facet(monkeypatch, dim, reverse)
             times[ahead] = -slack[ahead] / rates[ahead]
             tied = np.flatnonzero(times == times.min()).tolist()
             assert len(tied) == dim
-            here = classify_slack(table.normals @ hit - table.offsets, hit, 1e-300)
+            here = classify_slack(
+                table.normals @ hit - table.offsets, 1e-300 * table.scale
+            )
             if here[1]:
                 continue
             seen += 1
@@ -364,36 +370,68 @@ def test_simulate_matches_hand_chained_public_steps(rng):
             p, d = hit, res.outgoing
 
 
-@pytest.mark.parametrize(
-    "run, bands_per_bounce, bands_per_run",
-    [(simulate, 1, 3), (simulate_unfolded, 0, 1)],
-    ids=["simulate", "unfolded"],
-)
-@pytest.mark.parametrize("horizon, bounces", [(10.0, 12), (0.1, 0)])
-def test_a_run_takes_the_band_of_each_point_once(
-    monkeypatch, run, bands_per_bounce, bands_per_run, horizon, bounces
-):
-    """A run of n bounces of ``simulate`` takes n + 3 slack bands: one as
-    ``_begin`` checks the start, one as the first step does, one at each hit
-    and one at the end of the last step, which passes the horizon. It hands
-    each hit's slack list and band to the next step, which starts from that
-    very point. ``simulate_unfolded`` takes only ``_begin``'s band here: it
-    reads a point back for its band only when a slack lies where the bands
-    of points on the unit square can disagree, and no slack of this run
-    does."""
-    calls = []
-    band = geometry.slack_band
-
-    def counted(x, eps):
-        calls.append(x)
-        return band(x, eps)
-
-    for module in (geometry, dynamics):
-        monkeypatch.setattr(module, "slack_band", counted)
+def test_a_point_whose_norm_overflows_is_outside():
+    """The band is the table's, so a point whose own norm overflows is not
+    given an infinite band: it is outside, with no warning, and a run from it
+    is refused."""
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
-    trajectory = run(square, TrajectoryState((0.25, 0.4), (1.0, 0.3)), horizon)
-    assert trajectory.n_bounces == bounces
-    assert len(calls) == bands_per_bounce * bounces + bands_per_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = square.contains((1e155, 0.0))
+        assert (far.location, far.active) == (Location.OUTSIDE, ())
+        with pytest.raises(OutsideTableError):
+            simulate(square, TrajectoryState((1e155, 0.0), (1.0, 0.0)), 1.0)
+
+
+def _scaled(table: Polytope, factor: float) -> Polytope:
+    """``table`` scaled about the origin by a power of two: the same
+    normals, and the offsets and vertices times ``factor``, all exact."""
+    rows = np.column_stack((table.normals, factor * table.offsets))
+    return Polytope(rows, factor * table.vertices, table.facet_vertices)
+
+
+def _run_or_error(run, table, shot, horizon, policy):
+    try:
+        return run(table, shot, horizon, policy)
+    except BilliardsError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("k", [1, 10, 40])
+def test_scaling_a_table_by_a_power_of_two_scales_every_run_exactly(rng, k):
+    """Scale a table whose largest coordinate is at least 1, a start and the
+    horizon by 2^k. The table's band ``TOL.eps * scale`` scales with them,
+    so both loops give the same active sets, kinds and errors, and every
+    time and point is 2^k times the original, bit for bit. The shots are
+    random, or aimed at a vertex, under ``POINT_REFLECT`` and ``STRICT``."""
+    factor, horizon = 2.0**k, 6.0
+    tables = [random_convex_polygon(rng) for _ in range(30)]
+    tables += [random_polytope_3d(rng) for _ in range(30)]
+    tables = [table for table in tables if np.abs(table.vertices).max() >= 1.0]
+    assert len(tables) >= 40
+    seen = set()
+    for table in tables:
+        big = _scaled(table, factor)
+        assert big.scale == factor * table.scale
+        inside = random_interior_state(rng, table).point
+        vertex = table.vertices[int(rng.integers(len(table.vertices)))]
+        for p, d in ((inside, rng.normal(size=table.dim)), (inside, vertex - inside)):
+            small_shot = TrajectoryState(p, d)
+            big_shot = TrajectoryState(factor * p, d)
+            for policy in (CornerPolicy.POINT_REFLECT, CornerPolicy.STRICT):
+                for run in (simulate, simulate_unfolded):
+                    want = _run_or_error(run, table, small_shot, horizon, policy)
+                    got = _run_or_error(run, big, big_shot, factor * horizon, policy)
+                    if isinstance(want, type):
+                        assert got is want
+                        seen.add(want)
+                        continue
+                    assert (got.active, got.kinds) == (want.active, want.kinds)
+                    assert np.array_equal(got.times, factor * want.times)
+                    assert np.array_equal(got.points, factor * want.points)
+                    assert np.array_equal(got.directions, want.directions)
+                    seen.update(want.kinds)
+    assert seen == {BounceKind.FACET, BounceKind.CORNER, CornerAmbiguousError}
 
 
 def test_sample_equals_position_at_bit_for_bit(rng):
@@ -640,22 +678,40 @@ def test_the_unfolded_oracle_does_not_step_through_the_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "miss, kind", [(5e-9, BounceKind.CORNER), (3e-8, BounceKind.FACET)]
+    "corners, start, aim, active",
+    [
+        (((10.0, 10.0), (11.0, 11.0)), (10.5, 10.5), (11.0, 11.0 - 5e-9), (0, 2)),
+        (((10.0, 10.0), (11.0, 11.0)), (10.5, 10.5), (11.0, 11.0 - 3e-8), (0,)),
+        (((0.0, 0.0), (1.0, 100.0)), (0.5, 0.5), (0.0, 5e-8), (1, 3)),
+        (((0.0, 0.0), (1.0, 100.0)), (0.5, 0.5), (0.0, 3e-7), (1,)),
+    ],
+    ids=[
+        "5e-09-BounceKind.CORNER",
+        "3e-08-BounceKind.FACET",
+        "long-5e-08-BounceKind.CORNER",
+        "long-3e-07-BounceKind.FACET",
+    ],
 )
-def test_both_loops_take_the_band_of_a_hit_far_from_the_origin(miss, kind):
-    """On the box [10, 11]^2 the band at a hit near (11, 11) is about
-    1.56e-8, far above ``TOL.eps``. A shot that meets the facet x = 11 at
-    ``miss`` below the corner has the slack ``-miss`` on the facet y = 11:
-    within that band at 5e-9, so both loops see a corner (and refuse it
-    under ``STRICT``), and outside it at 3e-8, so both see a facet."""
-    box = Polytope.box((10.0, 10.0), (11.0, 11.0))
-    shot = TrajectoryState((10.5, 10.5), (0.5, 0.5 - miss))
+def test_both_loops_take_the_band_of_a_hit_far_from_the_origin(
+    corners, start, aim, active
+):
+    """A hit's band is the table's, ``TOL.eps`` times its largest
+    coordinate, wherever the hit lies. On the box [10, 11]^2 it is 1.1e-8,
+    so a shot that meets the facet x = 11 at 5e-9 below the corner is a
+    corner in both loops (and refused under ``STRICT``), and one at 3e-8
+    below it a facet. On the box [0, 1] x [0, 100] it is 1e-7 at a hit near
+    the origin too, where the hit's own size would give 1e-9: a shot that
+    meets x = 0 at y = 5e-8 is the corner (1, 3), and one at y = 3e-7 the
+    facet (1,)."""
+    box = Polytope.box(*corners)
+    shot = TrajectoryState(start, np.subtract(aim, start))
+    kind = BounceKind.FACET if len(active) == 1 else BounceKind.CORNER
     want = simulate(box, shot, 3.0, CornerPolicy.POINT_REFLECT)
     for run in (simulate, simulate_unfolded):
         traj = run(box, shot, 3.0, CornerPolicy.POINT_REFLECT)
         first = traj.events[0]
-        assert first.point[1] - 11.0 == pytest.approx(-miss, rel=1e-3)
-        assert first.kind is kind
+        assert np.abs(first.point - aim).max() < 1e-12
+        assert (first.active, first.kind) == (active, kind)
         assert (traj.active, traj.kinds) == (want.active, want.kinds)
         if kind is BounceKind.CORNER:
             with pytest.raises(CornerAmbiguousError):

@@ -108,52 +108,53 @@ def test_a_polytope_repr_names_its_dimension_facets_and_vertices():
     )
 
 
-def _classify_oracle(slack, x, eps):
-    """classify_slack written with numpy's reductions."""
+def _classify_oracle(slack, band):
+    """classify_slack written with numpy's reductions; a NaN slack, which
+    numpy's max keeps, is outside."""
     worst = float(slack.max())
-    scaled = eps * max(1.0, float(np.linalg.norm(x)))
-    if worst > scaled:
+    if math.isnan(worst) or worst > band:
         return Location.OUTSIDE, (), worst
-    active = tuple(np.flatnonzero(np.abs(slack) <= scaled).tolist())
+    active = tuple(np.flatnonzero(np.abs(slack) <= band).tolist())
     return (Location.BOUNDARY if active else Location.INTERIOR), active, worst
 
 
 def _slack_cases(rng):
-    """(slack, x, eps) triples: seeded slacks at several scales, values
-    exactly at the band's edges, tied zeros of both signs in both orders,
-    a single facet, and points inside and outside the unit ball."""
+    """(slack, band) pairs: seeded slacks at several scales, values exactly
+    at the band's edges, tied zeros of both signs in both orders, a single
+    facet, bands of tables of scale 1, 5, 40 and 2e3, and slacks that hold
+    a NaN or an infinity."""
     eps = 1e-9
-    for x in ([0.3, -0.4], [3.0, 4.0], [0.0, 0.0, 0.5], [1e3, -2e3, 5.0]):
-        x = np.array(x)
-        scaled = eps * max(1.0, float(np.linalg.norm(x)))
+    for scale in (1.0, 5.0, 40.0, 2e3):
+        band = eps * scale
         for size in (1, 2, 3, 6, 17):
             for spread in (1.0, 1e-9, 1e-12):
-                yield spread * rng.normal(size=size), x, eps
-                yield -spread * np.abs(rng.normal(size=size)), x, eps
-            edges = rng.choice([scaled, -scaled, 0.5 * scaled, -2.0 * scaled,
-                                2.0 * scaled, -1.0], size=size)
-            yield edges, x, eps
+                yield spread * rng.normal(size=size), band
+                yield -spread * np.abs(rng.normal(size=size)), band
+            edges = rng.choice([band, -band, 0.5 * band, -2.0 * band,
+                                2.0 * band, -1.0], size=size)
+            yield edges, band
         for ties in ([0.0, -0.0], [-0.0, 0.0], [-1.0, 0.0, -0.0, -2.0],
-                     [-0.0, -3.0, 0.0], [-0.0], [0.0], [-scaled, -0.0, 0.0],
+                     [-0.0, -3.0, 0.0], [-0.0], [0.0], [-band, -0.0, 0.0],
                      [0.0] + [-0.0] * 9, [-0.0] * 9 + [0.0]):
-            yield np.array(ties), x, eps
-        yield np.array([scaled]), x, eps
-        yield np.array([-scaled, -scaled]), x, eps
-        yield np.array([np.nextafter(scaled, 1.0), -scaled]), x, eps
-    # |x| overflows, so the band is infinite; such a slack can hold NaN
-    huge = np.array([1e200, -1e200])
-    for slack in ([-1.0, math.nan, 5.0], [math.inf, -1.0], [-math.inf, 0.0]):
-        yield np.array(slack), huge, eps
+            yield np.array(ties), band
+        yield np.array([band]), band
+        yield np.array([-band, -band]), band
+        yield np.array([np.nextafter(band, 1.0), -band]), band
+    # a product with a normal overflows only at coordinates near the float
+    # limit, where a slack can be NaN; Python's max passes over a NaN that
+    # is not first
+    for slack in ([-1.0, math.nan, 5.0], [5.0, math.nan], [math.nan, -1.0],
+                  [math.inf, -1.0], [-math.inf, 0.0], [math.inf, -math.inf]):
+        for band in (eps, math.inf):
+            yield np.array(slack), band
 
 
 def test_classify_slack_matches_the_numpy_oracle_bit_for_bit(rng):
     """Location, active set and the bytes of the worst violation, sign of
     zero included, equal those of numpy's max and abs reductions."""
-    for slack, x, eps in _slack_cases(rng):
-        with np.errstate(over="ignore"):  # |x| of the last cases overflows
-            location, active, worst = classify_slack(slack, x, eps)
-            want = _classify_oracle(slack, x, eps)
-        want_location, want_active, want_worst = want
+    for slack, band in _slack_cases(rng):
+        location, active, worst = classify_slack(slack, band)
+        want_location, want_active, want_worst = _classify_oracle(slack, band)
         assert (location, active) == (want_location, want_active)
         assert type(worst) is float
         assert struct.pack("<d", worst) == struct.pack("<d", want_worst)
@@ -173,8 +174,12 @@ def test_polytope_arrays_are_read_only():
 
 
 def test_vertex_enumeration_matches_polygon_constructor(rng):
-    for _ in range(25):
-        poly = random_convex_polygon(rng)
+    """Random polygons, and boxes in 2D and 3D, whose parallel facets give
+    singular subsets that the enumeration skips."""
+    tables = [random_convex_polygon(rng) for _ in range(25)]
+    tables += [Polytope.box([0.0, -1.0], [2.0, 3.0]),
+               Polytope.box(np.zeros(3), [1.0, 2.0, 4.0])]
+    for poly in tables:
         rebuilt = Polytope.from_halfspaces(_rows(poly))
         got = {tuple(np.round(v, 9)) for v in rebuilt.vertices}
         want = {tuple(np.round(v, 9)) for v in poly.vertices}
@@ -444,6 +449,25 @@ _TRI = [(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
             "rows with dim >= 1, got shape (4, 1)",
             id="rows-without-normal",
         ),
+        pytest.param(
+            lambda: Polytope.from_halfspaces([["a", 0.0, 1.0], *_SQUARE_HS[1:]]),
+            InputError,
+            "halfspace 0 has an entry that is not a number: 'a'",
+            id="non-numeric-entry-enumerated",
+        ),
+        pytest.param(
+            lambda: Polytope([*_SQUARE_HS[:3], [0.0, {}, 0.0]], _SQUARE_VERTS),
+            InputError,
+            "halfspace 3 has an entry that is not a number: {}",
+            id="non-numeric-entry",
+        ),
+        pytest.param(
+            lambda: Polytope([*_SQUARE_HS[:3], [[0.0, -1.0, 0.0]]], _SQUARE_VERTS),
+            InputError,
+            "halfspaces must be an (H, dim + 1) array of [normal | offset] "
+            "rows of numbers",
+            id="rows-nested-unevenly",
+        ),
     ],
 )
 def test_construction_errors_are_pinned(build, error, message):
@@ -654,6 +678,20 @@ def test_box_and_cloud_at_their_coordinate_limits_build_without_warnings():
             [[1e76, 0, 0], [0, 1e76, 0], [0, 0, 1e76], [-1e76, -1e76, -1e76]]
         )
         assert hull.contains([0.0, 0.0, 0.0]).location is Location.INTERIOR
+
+
+def test_from_halfspaces_skips_a_vertex_at_infinity_without_warnings():
+    """A facet tilted from x <= 1 by a subnormal angle meets it, and x >= 0,
+    where the solve overflows: the enumeration skips those points quietly,
+    and the tilted facet is refused as touching no vertex."""
+    rows = [*_SQUARE_HS.tolist(), [1.0, 1e-310, 2.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RedundantHalfspaceError) as info:
+            Polytope.from_halfspaces(rows)
+    assert str(info.value) == (
+        "halfspace 4 touches only 0 vertices; a facet needs at least 2"
+    )
 
 
 def test_from_halfspaces_refuses_a_far_vertex_without_warnings():

@@ -189,6 +189,13 @@ def test_dumps_json_is_deterministic_and_reparses():
     assert parsed["a"]["nested"] == [1, 2, 3]
 
 
+def test_dumps_json_writes_an_array_as_its_list():
+    values = np.array([[0.1, -2.0], [3e-17, float("inf")]])
+    assert dumps_json(values) == dumps_json(values.tolist())
+    payload = {"points": values, "time": np.float64(0.5)}
+    assert dumps_json(payload) == dumps_json({"points": values.tolist(), "time": 0.5})
+
+
 def test_dumps_json_refuses_nan():
     with pytest.raises(InputError):
         dumps_json({"x": float("nan")})

@@ -65,10 +65,10 @@ array of thetas, and every field of ``smooth_bounce`` on both sides at base
 angles 0.04 and 0.0025.
 
 "Start checks" hashes ``advance_to_boundary`` from seeded starts on
-polygons, hulls and boxes: inside, on a facet, at a corner and about the band
-``TOL.eps * max(1, |x|)``, inward, along a facet and out of it. It hashes the
-bytes of the hit, the distance and the active set, or the error's class and
-message.
+polygons, hulls and boxes: inside, on a facet, at a corner and about the
+table's band ``TOL.eps * scale``, inward, along a facet and out of it. It
+hashes the bytes of the hit, the distance and the active set, or the error's
+class and message.
 
 "Wedge shots" hashes ``unfold_wedge`` at seeded openings (some at pi/k and
 just off it) and offsets: the start, the bounce points, the outgoing
@@ -550,20 +550,20 @@ def _start_cases(rng):
     """``(table, point, direction)`` starts of one step on a polygon and a
     hull, each at unit scale and at scale 40, and on a 5D box: inside, on a
     facet, at a corner and off a facet by fractions and multiples of the
-    band; inward, along the facet, out of it, at rates either side of
-    ``TOL.tangential`` and at random. Last, 3D boxes whose facet 0 has a
-    slack of exactly plus or minus the band."""
+    table's band ``TOL.eps * scale``; inward, along the facet, out of it, at
+    rates either side of ``TOL.tangential`` and at random. Last, 3D boxes
+    whose facet 0 has a slack of exactly plus or minus the band."""
     tables = [_polygon(rng), _hull(rng)]
     tables += [Polytope.convex_polygon(40.0 * _polygon(rng).vertices),
                Polytope.from_point_cloud(40.0 * _hull(rng).vertices),
                Polytope.box(-np.arange(1.0, 6.0), np.linspace(20.0, 30.0, 5))]
     for table in tables:
+        band = TOL.eps * table.scale
         inside = _start(rng, table).point
         for k in rng.choice(table.n_facets, size=3, replace=False).tolist():
             n = table.normals[k]
             ends = table.vertices[list(table.facet_vertices[k])]
             on_facet = rng.dirichlet(np.ones(len(ends))) @ ends
-            band = TOL.eps * max(1.0, float(np.linalg.norm(on_facet)))
             points = [inside, on_facet, ends[0]] + [
                 on_facet + m * band * n for m in (-2.0, -1.01, -0.99, 0.99, 1.01, 2.0)
             ]
@@ -575,8 +575,9 @@ def _start_cases(rng):
             for p in points:
                 for d in directions:
                     yield table, p, d
-    # x[0] is 0 and |x| is exactly 5, so facet 0's slack is exactly -top
-    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 5.0
+    # x[0] is 0 and the box's scale is 9, so facet 0's slack is exactly -top,
+    # which is plus or minus the band
+    x, band = np.array([0.0, 3.0, -4.0]), TOL.eps * 9.0
     for top in (band, -band):
         box = Polytope.box([-1.0, -9.0, -9.0], [top, 9.0, 9.0])
         for d in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]):
