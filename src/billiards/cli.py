@@ -18,7 +18,9 @@ invocations produce byte-identical output.  Vectors on the command line are
 comma-separated, e.g. ``0.25,0``.
 
 Exit codes: 0 success; otherwise the code that each error class of
-:mod:`billiards.errors` carries, with one line on stderr.
+:mod:`billiards.errors` carries, with one line on stderr. A table file that
+cannot be read and an ``--out``, ``--csv`` or ``--svg`` file that cannot be
+written are input errors (exit 2), and a failed ``--out`` prints no report.
 
 The environment variable ``BILLIARDS_EPS`` is the one tolerance setting: it
 sets the geometric tolerance (default 1e-9) for the whole process, and a value
@@ -31,13 +33,13 @@ import argparse
 import math
 import re
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import TOL
 from .corner import _checked_opening, _closed_form, limit_reflection, unfold_wedge
 from .errors import BilliardsError, InputError
 from .io import (
+    _write_text,
     dumps_json,
     load_table,
     trajectory_header,
@@ -143,7 +145,7 @@ def _cmd_simulate(args) -> dict:
             raise InputError("SVG output is only available for 2D tables")
         from .svg import trajectory_svg
 
-        Path(args.svg).write_text(trajectory_svg(table, trajectory))
+        _write_text(args.svg, trajectory_svg(table, trajectory))
         artifacts["svg"] = args.svg
 
     events = [
@@ -278,7 +280,7 @@ def _corner_single(args) -> dict:
     if args.svg:
         from .svg import wedge_fan_svg
 
-        Path(args.svg).write_text(wedge_fan_svg(limit, shot_above))
+        _write_text(args.svg, wedge_fan_svg(limit, shot_above))
         artifacts["svg"] = args.svg
 
     def shot_payload(shot):
@@ -706,14 +708,15 @@ def main(argv=None) -> int:
     try:
         TOL.eps  # raises the refusal of a bad BILLIARDS_EPS, before any work
         report = args.handler(args)
+        validate_report_data(report)
+        text = dumps_json(report)
+        # --out first: a report that cannot be written is not printed
+        if getattr(args, "out", None):
+            _write_text(args.out, text)
     except BilliardsError as exc:
         print(f"billiards: {exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    validate_report_data(report)
-    text = dumps_json(report)
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
     return 0
 
 

@@ -780,7 +780,10 @@ class Polytope:
 
     def contains(self, x) -> Containment:
         x = as_point(x, self.dim)
-        slack = self.normals @ x - self.offsets
+        # near the float limit a product overflows, to an infinite or a NaN
+        # slack, which classify_slack reads as outside
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = self.normals @ x - self.offsets
         return Containment(*classify_slack(slack, TOL.eps * self.scale))
 
     def __repr__(self) -> str:

@@ -359,18 +359,24 @@ def bundled_table_names() -> list[str]:
                   if p.name.endswith(".json"))
 
 
+def _os_refusal(verb: str, path, exc: OSError) -> InputError:
+    """An OS refusal to read or write ``path`` as an input error that names
+    the path and the OS message."""
+    return InputError(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
 def resolve_table(name_or_path) -> Path:
     """An existing file path, or a bundled table by (base)name."""
     path = Path(name_or_path)
-    if path.exists():
-        return path
     stem = path.name[: -len(".json")] if path.name.endswith(".json") else path.name
     bundled = resources.files("billiards").joinpath("data", "tables", f"{stem}.json")
     try:
+        if path.exists():
+            return path
         if bundled.is_file():
             return Path(str(bundled))
-    except OSError:
-        pass
+    except OSError as exc:  # a name too long for the file system, say
+        raise _os_refusal("read", name_or_path, exc) from exc
     raise InputError(
         f"no table file at {name_or_path!r} and no bundled table of that "
         f"name (bundled: {', '.join(bundled_table_names())})"
@@ -382,6 +388,8 @@ def load_table(name_or_path) -> Polytope | SurfaceMesh | SmoothTable:
     path = resolve_table(name_or_path)
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise _os_refusal("read", path, exc) from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer too long
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return table_from_data(data)
@@ -499,13 +507,24 @@ def _csv_cell(value, types) -> str:
 
 def write_csv(path, header, rows) -> None:
     """CSV with the package's fixed float formatting (17 significant digits)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            # per row: a generator of rows may import numpy as it goes
-            types = _value_types()
-            writer.writerow([_csv_cell(cell, types) for cell in row])
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for row in rows:
+                # per row: a generator of rows may import numpy as it goes
+                types = _value_types()
+                writer.writerow([_csv_cell(cell, types) for cell in row])
+    except OSError as exc:
+        raise _os_refusal("write", path, exc) from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write a report or a picture; an OS refusal is an input error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _os_refusal("write", path, exc) from exc
 
 
 def trajectory_header(dim: int) -> list[str]:

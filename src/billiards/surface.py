@@ -24,7 +24,6 @@ coincides with the entry ray and the geodesic retraces itself.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -47,8 +46,6 @@ __all__ = [
     "OrbifoldVerdict",
     "DisphenoidCheck",
     "TriangulationReport",
-    "EdgeCrossing",
-    "VertexPassage",
     "SurfaceGeodesic",
     "cone_angles",
     "gauss_bonnet_total",
@@ -587,24 +584,6 @@ def triangulate_check(mesh: SurfaceMesh) -> TriangulationReport:
 # -- geodesics --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCrossing:
-    time: float
-    point: np.ndarray
-    edge: tuple[int, int]
-    from_face: int
-    to_face: int
-    unfolded: np.ndarray  # 2D image under the accumulated unfolding
-
-
-@dataclass(frozen=True)
-class VertexPassage:
-    time: float
-    vertex: int
-    point: np.ndarray
-    cone_angle: float
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceGeodesic:
     """A geodesic through ``n`` events, each an edge crossing or a vertex
@@ -624,11 +603,12 @@ class SurfaceGeodesic:
         ``(a, b)``, ``a < b``, that each event crosses or the vertex ``(v,)``
         that it passes.
 
-    ``crossings``, ``vertex_passages`` and ``segments`` are built on first
-    access from rows of the knot arrays.
+    Event ``k`` is knot ``k``. An edge crossing has ``sites[k-1] == (a,
+    b)`` and runs from ``faces[k-1]`` into ``faces[k]``; a vertex passage
+    has ``sites[k-1] == (v,)``, and its cone angle is vertex ``v``'s in
+    :func:`cone_angles`.
     """
 
-    mesh: SurfaceMesh
     start_direction: np.ndarray
     end_direction: np.ndarray
     times: np.ndarray
@@ -644,34 +624,6 @@ class SurfaceGeodesic:
     end_point = property(lambda self: self.points[-1])
     n_crossings = property(lambda self: sum(len(s) == 2 for s in self.sites))
 
-    @functools.cached_property
-    def crossings(self) -> list[EdgeCrossing]:
-        t, f, uv = self.times.tolist(), self.faces, self.unfolded
-        return [
-            EdgeCrossing(t[k], self.points[k], s, f[k - 1], f[k], uv[k])
-            for k, s in enumerate(self.sites, 1) if len(s) == 2
-        ]
-
-    @functools.cached_property
-    def vertex_passages(self) -> list[VertexPassage]:
-        hits = [(k, s[0]) for k, s in enumerate(self.sites, 1) if len(s) == 1]
-        cones = _cone_angle_sums(self.mesh) if hits else []
-        return [
-            VertexPassage(float(self.times[k]), v, self.points[k], cones[v])
-            for k, v in hits
-        ]
-
-    @functools.cached_property
-    def segments(self) -> list[np.ndarray]:
-        """Unfolded 2D points per straight run (between vertex passages),
-        including the run's endpoints; each run's points are collinear up to
-        accumulated rounding."""
-        cuts = [k for k, s in enumerate(self.sites, 1) if len(s) == 1]
-        return [
-            np.concatenate((self.unfolded[:1], self.unfolded[i + 1 : j + 1]))
-            for i, j in zip([0, *cuts], [*cuts, len(self.times) - 1])
-        ]
-
     def _event_names(self) -> list[str]:
         """Each event's name in a CSV row: ``edge a-b`` or ``vertex v``."""
         return [
@@ -681,9 +633,14 @@ class SurfaceGeodesic:
 
     def max_collinearity_residual(self) -> float:
         """The largest distance of an unfolded knot from the chord of its
-        straight run."""
+        straight run. A run goes from the start or a vertex passage to the
+        next passage or the end; its unfolding maps its first point to the
+        origin, the start's row."""
+        uv = self.unfolded
+        cuts = [k for k, s in enumerate(self.sites, 1) if len(s) == 1]
         worst = 0.0
-        for seg in self.segments:
+        for i, j in zip([0, *cuts], [*cuts, len(uv) - 1]):
+            seg = np.concatenate((uv[:1], uv[i + 1 : j + 1]))
             d = seg[-1] - seg[0]
             norm = float(np.linalg.norm(d))
             if len(seg) > 2 and norm >= 1e-300:
@@ -765,7 +722,7 @@ def trace_surface_geodesic(
     That raises ``VertexHitError`` unless the cone angle there is within
     ``TOL.eps`` of ``pi``, where :func:`cone_angles` gives the vertex order
     2; then the geodesic retraces (the developed exit ray equals the entry
-    ray) and a ``VertexPassage`` is recorded.
+    ray) and the passage is a knot whose site is ``(v,)``.
 
     The arguments are checked here, once; the loop trusts them. The edge
     normals of every face and the rotation and shift across every directed
@@ -821,7 +778,7 @@ def trace_surface_geodesic(
             arrays = np.array(times), np.array(points), np.array(unfolded)
             for arr in arrays:
                 arr.setflags(write=False)
-            return SurfaceGeodesic(mesh, start_dir, d, *arrays, faces[:-1], sites[1:-1])
+            return SurfaceGeodesic(start_dir, d, *arrays, faces[:-1], sites[1:-1])
         hit = p + dt * d
         t = t + dt
         a, b = heads[j], tails[j]

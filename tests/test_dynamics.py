@@ -373,14 +373,23 @@ def test_simulate_matches_hand_chained_public_steps(rng):
 def test_a_point_whose_norm_overflows_is_outside():
     """The band is the table's, so a point whose own norm overflows is not
     given an infinite band: it is outside, with no warning, and a run from it
-    is refused."""
+    is refused. Near 1.7e308 a product with a normal overflows too, to an
+    infinite slack, or to a NaN one where the partial sums overflow both
+    ways; no numpy warning escapes from those either."""
     square = Polytope.box((0.0, 0.0), (1.0, 1.0))
+    alcove = standard_alcove("E8~")
+    far = np.full(8, 1.7e308)
+    # with these signs the product's partial sums overflow both ways: NaN
+    mixed = far * np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        far = square.contains((1e155, 0.0))
-        assert (far.location, far.active) == (Location.OUTSIDE, ())
-        with pytest.raises(OutsideTableError):
-            simulate(square, TrajectoryState((1e155, 0.0), (1.0, 0.0)), 1.0)
+        for table, point in ((square, (1e155, 0.0)), (alcove, far), (alcove, mixed)):
+            loc = table.contains(point)
+            assert (loc.location, loc.active) == (Location.OUTSIDE, ())
+            with pytest.raises(OutsideTableError):
+                simulate(table, TrajectoryState(point, np.ones(table.dim)), 1.0)
+        assert alcove.contains(far).worst_violation == math.inf
+        assert math.isnan(alcove.contains(mixed).worst_violation)
 
 
 def _scaled(table: Polytope, factor: float) -> Polytope:

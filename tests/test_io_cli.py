@@ -390,6 +390,32 @@ def test_cli_refuses_a_table_file_that_is_not_json(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-alcove", "x" * 5000),
+         "cannot read " + "x" * 5000 + ": File name too long"),
+        (("check-alcove", "{tmp}"), "cannot read {tmp}: Is a directory"),
+        (("check-alcove", "square", "--out", "{tmp}/no/x.json"),
+         "cannot write {tmp}/no/x.json: No such file or directory"),
+        (("simulate", "square", "0.25,0.3", "1,0.2", "3", "--csv", "{tmp}/no/x.csv"),
+         "cannot write {tmp}/no/x.csv: No such file or directory"),
+        (("simulate", "square", "0.25,0.3", "1,0.2", "3", "--svg", "{tmp}/no/x.svg"),
+         "cannot write {tmp}/no/x.svg: No such file or directory"),
+    ],
+    ids=["long-name", "directory", "out", "csv", "svg"],
+)
+def test_cli_refuses_a_file_the_os_refuses_in_one_line(
+    tmp_path, capsys, argv, message
+):
+    """A table the OS will not read, or an artifact it will not write, exits
+    2 with one line that names the path and the OS message; a failed
+    ``--out`` prints no report."""
+    tmp = str(tmp_path)
+    line = _one_error_line(capsys, *(arg.replace("{tmp}", tmp) for arg in argv))
+    assert line == "billiards: error: " + message.replace("{tmp}", tmp)
+
+
 def test_cli_without_a_subcommand_prints_usage(capsys):
     assert main([]) == 2
     captured = capsys.readouterr()

@@ -434,7 +434,7 @@ def test_vertex_of_order_two_is_where_a_geodesic_retraces():
     code = (
         "import math\n"
         "from billiards.surface import (\n"
-        "    cone_angles, make_disphenoid, tetrahedron_mesh,\n"
+        "    _cone_angle_sums, cone_angles, make_disphenoid, tetrahedron_mesh,\n"
         "    trace_surface_geodesic)\n"
         "verts = make_disphenoid(4, 5, 6)\n"
         "verts[1, 2] += 2e-7\n"
@@ -448,8 +448,8 @@ def test_vertex_of_order_two_is_where_a_geodesic_retraces():
         "        d = mesh.vertices[0] - start\n"
         "        horizon = 1.5 * math.hypot(*d)\n"
         "        geo = trace_surface_geodesic(mesh, k, start, d, horizon)\n"
-        "        (passage,) = geo.vertex_passages\n"
-        "        print(passage.vertex, passage.cone_angle == report.cone_angle)\n"
+        "        ((v,),) = [site for site in geo.sites if len(site) == 1]\n"
+        "        print(v, _cone_angle_sums(mesh)[v] == report.cone_angle)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -470,17 +470,18 @@ def test_disphenoid_vertex_passage_retraces(rng):
     d = unit(target - start)
     dist = float(np.linalg.norm(target - start))
     geo = trace_surface_geodesic(mesh, face, start, d, 2.0 * dist)
-    assert len(geo.vertex_passages) == 1
-    passage = geo.vertex_passages[0]
-    assert abs(passage.cone_angle - math.pi) < 1e-9
+    ((v,),) = [site for site in geo.sites if len(site) == 1]
+    assert abs(_cone_angle_sums(mesh)[v] - math.pi) < 1e-9
     assert np.allclose(geo.end_point, start, atol=1e-9)
     assert np.allclose(geo.end_direction, -d, atol=1e-9)
 
 
-def test_a_geodesic_is_knot_arrays_and_its_views_are_their_rows():
+def test_a_geodesic_is_knot_arrays_and_each_event_is_a_row():
     """A geodesic that retraces at two vertices of cone angle pi and crosses
-    edges between them: its knots are read-only and in time order, and the
-    crossings, passages and straight runs are built from their rows."""
+    edges between them: its knots are read-only and in time order, each
+    crossing's edge borders the faces on both sides of it, each passage
+    stays on its face at its vertex, and each knot unfolds to its arclength
+    from the start of its straight run."""
     mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
     tri = mesh.vertices[list(mesh.faces[0])]
     start = tri.mean(axis=0)
@@ -498,23 +499,23 @@ def test_a_geodesic_is_knot_arrays_and_its_views_are_their_rows():
     crossed = [k for k, site in enumerate(geo.sites, 1) if len(site) == 2]
     passed = [k for k, site in enumerate(geo.sites, 1) if len(site) == 1]
     assert len(crossed) == geo.n_crossings > 0 and len(passed) > 1
-    for k, c in zip(crossed, geo.crossings, strict=True):
-        assert (c.time, c.edge) == (geo.times[k], geo.sites[k - 1])
-        assert (c.from_face, c.to_face) == geo.faces[k - 1 : k + 1]
-        shared = set(mesh.faces[c.from_face]) & set(mesh.faces[c.to_face])
-        assert set(c.edge) <= shared
-        assert _bits(c.point) == _bits(geo.points[k])
-        assert _bits(c.unfolded) == _bits(geo.unfolded[k])
-    for k, v in zip(passed, geo.vertex_passages, strict=True):
-        assert (v.time, (v.vertex,)) == (geo.times[k], geo.sites[k - 1])
+    for k in crossed:
+        from_face, to_face = geo.faces[k - 1 : k + 1]
+        shared = set(mesh.faces[from_face]) & set(mesh.faces[to_face])
+        assert from_face != to_face and set(geo.sites[k - 1]) <= shared
+    for k in passed:
+        (v,) = geo.sites[k - 1]
         assert geo.faces[k - 1] == geo.faces[k]
-        assert v.cone_angle == _cone_angle_sums(mesh)[v.vertex]
-        assert np.linalg.norm(v.point - mesh.vertices[v.vertex]) < 1e-9
-    # a straight run from the start or a passage, to the next or the end
-    assert len(geo.segments) == len(passed) + 1
-    assert sum(map(len, geo.segments)) == n + 2 + len(passed)
-    for seg in geo.segments:
-        assert _bits(seg[0]) == _bits([0.0, 0.0])
+        assert abs(_cone_angle_sums(mesh)[v] - math.pi) < 1e-9
+        assert np.linalg.norm(geo.points[k] - mesh.vertices[v]) < 1e-9
+    # a straight run goes from the start or a passage to the next or the end
+    assert _bits(geo.unfolded[0]) == _bits([0.0, 0.0])
+    run_start = 0.0
+    for k in range(1, n + 2):
+        along = geo.times[k] - run_start
+        assert np.allclose(geo.unfolded[k], [along, 0.0], rtol=0.0, atol=1e-9)
+        if k in passed:
+            run_start = geo.times[k]
     assert geo.max_collinearity_residual() < 1e-9
 
 
@@ -586,7 +587,7 @@ def test_a_traced_mesh_traces_like_a_fresh_mesh(rng):
 
 
 # pinned bit patterns: summing a vertex's face angles in another order
-# moves the last bit, and VertexPassage.cone_angle must read the same sums
+# moves the last bit, and a vertex hit must read the same sums
 _DISPHENOID_456_CONE_ANGLES = (
     "0x1.921fb54442d17p+1", "0x1.921fb54442d18p+1",
     "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+1",
@@ -608,14 +609,14 @@ def test_cone_angles_keep_their_values_bit_for_bit():
         mesh = tetrahedron_mesh(verts)
         for _ in range(2):
             assert tuple(r.cone_angle.hex() for r in cone_angles(mesh)) == want
-    # a vertex hit reads the same sums
+    # a vertex hit on a fresh mesh computes the sums first, with the same bits
     mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
     tri = mesh.vertices[list(mesh.faces[0])]
     start = tri.mean(axis=0)
     dist = float(np.linalg.norm(tri[2] - start))
     geo = trace_surface_geodesic(mesh, 0, start, tri[2] - start, 2.0 * dist)
-    (passage,) = geo.vertex_passages
-    assert passage.cone_angle.hex() == _DISPHENOID_456_CONE_ANGLES[passage.vertex]
+    ((v,),) = [site for site in geo.sites if len(site) == 1]
+    assert _cone_angle_sums(mesh)[v].hex() == _DISPHENOID_456_CONE_ANGLES[v]
 
 
 def _per_corner_cone_angle_sums(mesh):
@@ -1072,10 +1073,10 @@ def test_straddling_pairs_close_up_on_disphenoids():
         for vertex in mesh.faces[0]:
             start, aim, horizon, pairs = _straddle(mesh, 0, vertex, 3.0 * max(triple))
             exact = trace_surface_geodesic(mesh, 0, start, aim, horizon)
-            assert [v.vertex for v in exact.vertex_passages][:1] == [vertex]
+            assert [s for s in exact.sites if len(s) == 1][:1] == [(vertex,)]
             sups = []
             for delta, (above, below) in pairs.items():
-                assert above.n_crossings > 3 and not above.vertex_passages
+                assert above.n_crossings == len(above.sites) > 3
                 # each side stays delta from the recorded passage, which
                 # retraces, and so 2 * delta from the other side
                 sup = _sup_distance(above, below)

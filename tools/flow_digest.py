@@ -34,7 +34,7 @@ tetrahedra, on ``SurfaceMesh.from_polytope`` hulls (faces with more than
 three sides among them) and on the cube, long enough to come back to every
 face, some aimed at a vertex, and one retrace through a cone-angle-pi vertex
 of a disphenoid. It hashes the bytes of each crossing's time, point, edge,
-faces and unfolded point, each vertex passage, every segment and the end
+faces and unfolded point, each vertex passage, every straight run and the end
 state, or a refused trace's error class and message. The second hashes
 ``cone_angles``, ``gauss_bonnet_total`` and ``is_orbifold_boundary`` on the
 bundled meshes and on seeded ``from_polytope`` and ``convex_hull_mesh``
@@ -412,18 +412,27 @@ def _trace_meshes(rng):
             yield SurfaceMesh.cube(float(rng.uniform(0.5, 2.0)))
 
 
-def _update_geodesic(digest, geo) -> None:
-    for c in geo.crossings:
-        digest.update(np.float64(c.time).tobytes())
-        digest.update(c.point.tobytes())
-        digest.update(repr((c.edge, c.from_face, c.to_face)).encode())
-        digest.update(c.unfolded.tobytes())
-    for v in geo.vertex_passages:
-        digest.update(np.array([v.time, v.cone_angle]).tobytes())
-        digest.update(v.point.tobytes())
-        digest.update(repr(v.vertex).encode())
-    for seg in geo.segments:
-        digest.update(seg.tobytes())
+def _update_geodesic(digest, geo, mesh) -> None:
+    """Hash each edge crossing, then each vertex passage with its cone angle,
+    then each straight run's unfolded points (the origin, then the run's
+    knots), then the end state."""
+    uv = geo.unfolded
+    cuts = [k for k, site in enumerate(geo.sites, 1) if len(site) == 1]
+    for k, site in enumerate(geo.sites, 1):
+        if len(site) == 2:
+            digest.update(geo.times[k].tobytes())
+            digest.update(geo.points[k].tobytes())
+            digest.update(repr((site, geo.faces[k - 1], geo.faces[k])).encode())
+            digest.update(uv[k].tobytes())
+    for k in cuts:
+        (v,) = geo.sites[k - 1]
+        cone = cone_angles(mesh)[v].cone_angle
+        digest.update(np.array([geo.times[k], cone]).tobytes())
+        digest.update(geo.points[k].tobytes())
+        digest.update(repr(v).encode())
+    for i, j in zip([0, *cuts], [*cuts, len(uv) - 1]):
+        digest.update(uv[:1].tobytes())
+        digest.update(uv[i + 1 : j + 1].tobytes())
     digest.update(b"end")
     digest.update(repr(geo.end_face).encode())
     digest.update(geo.end_point.tobytes())
@@ -445,14 +454,14 @@ def _surface_geodesics(digest) -> None:
             except BilliardsError as err:
                 digest.update(f"{type(err).__name__}: {err}".encode())
             else:
-                _update_geodesic(digest, geo)
+                _update_geodesic(digest, geo, mesh)
     # through a vertex of cone angle pi and back
     mesh = tetrahedron_mesh(make_disphenoid(4.0, 5.0, 6.0))
     tri = mesh.vertices[list(mesh.faces[0])]
     start = tri.mean(axis=0)
     dist = float(np.linalg.norm(tri[2] - start))
     _update_geodesic(
-        digest, trace_surface_geodesic(mesh, 0, start, tri[2] - start, 3.0 * dist)
+        digest, trace_surface_geodesic(mesh, 0, start, tri[2] - start, 3.0 * dist), mesh
     )
 
 
